@@ -10,11 +10,11 @@
 //! stream per shard via [`matador_par::split_seed`], the same
 //! seed-splitting discipline the rest of the workspace uses.
 //!
-//! The plan is installed with [`crate::ShardPool::with_fault_plan`] (or
-//! by setting [`crate::ServeOptions::fault_seed`]), which also switches
-//! the pool into *resilient* mode: injected (and genuine) shard
-//! failures feed the per-shard health tracker and the retry-with-
-//! redirect path instead of poisoning the whole flush. An empty
+//! The plan is installed with [`crate::ShardPool::with_fault_plan`],
+//! which also switches the pool into *resilient* mode: injected (and
+//! genuine) shard failures feed the per-shard health tracker and the
+//! flush re-plans the lost requests over surviving shards instead of
+//! poisoning the whole flush. An empty
 //! [`FaultPlan::none`] compiles down to a handful of branch checks on
 //! the flush path — the zero-overhead default.
 //!
@@ -38,15 +38,6 @@
 use matador_par::split_seed;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Shard-local request horizon a [`FaultPlan::seeded`] plan scatters
-/// trigger points over when armed via
-/// [`crate::ServeOptions::fault_seed`].
-pub const SEEDED_HORIZON_REQUESTS: u64 = 256;
-
-/// Events per shard for plans armed via
-/// [`crate::ServeOptions::fault_seed`].
-pub const SEEDED_FAULTS_PER_SHARD: usize = 2;
 
 /// What an injected fault does to the shard it fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -270,9 +261,12 @@ impl SliceFaults {
         }
     }
 
-    /// Whether this directive injects anything at all.
+    /// Whether this directive injects nothing at all.
     pub fn is_clean(&self) -> bool {
-        self.pre_delay == 0 && self.action == SliceAction::Run && self.hard.is_none()
+        self.pre_delay == 0
+            && self.action == SliceAction::Run
+            && self.soft.is_empty()
+            && self.hard.is_none()
     }
 }
 

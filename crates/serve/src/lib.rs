@@ -13,7 +13,7 @@
 //! beats-per-datapoint cost and observed II, so a fast wide-bus shard
 //! absorbs more of a batch than a slow narrow-bus one.
 //!
-//! Three guarantees are load-bearing:
+//! Four guarantees are load-bearing:
 //!
 //! 1. **Determinism.** Predictions (winners *and* class sums) are
 //!    bit-identical for any shard count, dispatch policy, worker-thread

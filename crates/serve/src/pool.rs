@@ -9,6 +9,20 @@
 //! ([`RequestQueue`]), width-aware deterministic dispatch ([`Dispatcher`])
 //! and result reassembly in submission order.
 //!
+//! ## One flush datapath
+//!
+//! [`ShardPool::flush`] (over the queue) and [`ShardPool::serve`] (over
+//! the caller's slice) run every flush through the same steps over
+//! *execution units* — a standalone shard is a unit of one, a partition
+//! group's members form one unit. **Plan**: one unit takes the whole
+//! flush (a one-unit pool, or a small flush consolidated on a
+//! homogeneous turbo pool), or the dispatch policy spreads it over the
+//! eligible units. **Execute**: every member of a planned unit runs the
+//! unit's slice. **Triage**: a multi-member unit merges its members'
+//! partial class sums; a failed member fails its whole unit, which fails
+//! a classic flush and is re-planned over the survivors on a resilient
+//! pool. **Book**: per-shard statistics, breaker recovery and latencies.
+//!
 //! ## Determinism guarantee
 //!
 //! A request's classification depends only on the design of the shard
@@ -23,12 +37,9 @@
 
 use crate::dispatch::{DispatchPolicy, Dispatcher, ShardLoad, ShardProfile};
 use crate::error::ServeError;
-use crate::fault::{
-    FaultPlan, FaultState, SliceAction, SliceFaults, SEEDED_FAULTS_PER_SHARD,
-    SEEDED_HORIZON_REQUESTS,
-};
+use crate::fault::{FaultPlan, FaultState, SliceAction, SliceFaults};
 use crate::health::{HealthTracker, HealthTransition, ShardHealth};
-use crate::queue::{Request, RequestQueue, DEFAULT_QUEUE_DEPTH};
+use crate::queue::{RequestQueue, DEFAULT_QUEUE_DEPTH};
 use crate::report::{ShardStats, ThroughputReport};
 use crate::spec::ShardSpec;
 use matador_obs::{Counter, Histogram, Registry};
@@ -36,7 +47,7 @@ use matador_sim::{
     CompiledAccelerator, EngineBackend, SimEngine, SimError, SimResult, TurboEngine, TurboProgram,
 };
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::borrow::Cow;
 use std::sync::Arc;
 use tsetlin::bits::BitVec;
 
@@ -49,8 +60,10 @@ const II_OUTLIER_FACTOR: u64 = 4;
 /// Configuration of a serving runtime instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeOptions {
-    /// Engine shards in the pool (≥ 1). Ignored on the heterogeneous
-    /// path, where the [`ShardSpec`] list sets the shard count.
+    /// Engine shards in the pool (≥ 1). Ignored by
+    /// [`ShardPool::heterogeneous`] (the spec list sets the count); kept
+    /// because homogeneous callers describe a pool with options alone —
+    /// `perfbench` builds its pools as `ServeOptions::turbo(shards)`.
     pub shards: usize,
     /// Request→shard assignment policy.
     pub policy: DispatchPolicy,
@@ -58,48 +71,27 @@ pub struct ServeOptions {
     /// [`ServeError::QueueFull`].
     pub queue_depth: usize,
     /// Whether shard engines model the two-stage (pipelined) class sum.
-    /// Ignored on the heterogeneous path, where each [`ShardSpec`]
-    /// carries its own design's choice.
+    /// Each [`ShardSpec`] carries its own; kept for options-only
+    /// homogeneous pools, like [`ServeOptions::shards`].
     pub pipelined_sum: bool,
     /// Whether predictions carry the class sums behind each winner.
     pub capture_class_sums: bool,
     /// Worker threads for shard execution (`None` = the
     /// `MATADOR_THREADS`/available-parallelism default).
     pub threads: Option<usize>,
-    /// Whether a homogeneous all-turbo pool may consolidate a small flush
-    /// onto a single shard. Every turbo shard runs the same immutable
-    /// instruction tape, so when a flush carries less work than one chunk
-    /// threshold per shard (see
-    /// [`matador_sim::configured_chunk_threshold`]), spreading it only
-    /// buys per-shard dispatch overhead — the pool sends the whole flush
-    /// to the least-loaded shard instead. Winners, class sums and
-    /// latencies are unaffected (every shard computes identical results);
-    /// only the shard *assignment* changes. Disable to force the
-    /// configured dispatch policy even for tiny flushes (e.g. when
-    /// comparing shard assignments against a cycle-accurate pool).
-    pub consolidate: bool,
     /// Chunk-fan-out threshold override for turbo shards (tape-work cost
     /// below which a batch stays serial; see
-    /// [`matador_sim::TurboProgram::plan_workers`]). `None` reads the
-    /// `MATADOR_CHUNK_THRESHOLD` environment default at pool
-    /// construction. Purely a performance knob — results are bit-identical
-    /// at any value.
+    /// [`matador_sim::TurboProgram::plan_workers`]); `None` reads the
+    /// `MATADOR_CHUNK_THRESHOLD` default at construction. It also sets a
+    /// homogeneous turbo pool's consolidation floor: `Some(0)` spreads
+    /// every flush. Results are bit-identical at any value.
     pub chunk_threshold: Option<u64>,
     /// Execution engine behind each shard. [`EngineBackend::Turbo`]
     /// produces bit-identical predictions, class sums and cycle stamps
-    /// via bit-sliced evaluation and analytic timing — the serving fast
-    /// path. Ignored on the heterogeneous path, where each [`ShardSpec`]
-    /// picks its own backend.
+    /// via bit-sliced evaluation and analytic timing. Each [`ShardSpec`]
+    /// picks its own; kept for options-only homogeneous pools, like
+    /// [`ServeOptions::shards`].
     pub backend: EngineBackend,
-    /// `Some(seed)` arms seeded chaos injection: the pool is built in
-    /// resilient mode with [`FaultPlan::seeded`]`(seed, shards,`
-    /// [`SEEDED_HORIZON_REQUESTS`]`, `[`SEEDED_FAULTS_PER_SHARD`]`)`
-    /// installed — the options-only way to switch on the fault-tolerant
-    /// serving path. For an explicit schedule (or resilient mode without
-    /// injected faults) use [`ShardPool::with_fault_plan`] instead.
-    /// `None` (the default) keeps the classic fail-fast pool.
-    #[serde(default)]
-    pub fault_seed: Option<u64>,
 }
 
 impl ServeOptions {
@@ -114,10 +106,8 @@ impl ServeOptions {
             pipelined_sum: false,
             capture_class_sums: false,
             threads: None,
-            consolidate: true,
             chunk_threshold: None,
             backend: EngineBackend::CycleAccurate,
-            fault_seed: None,
         }
     }
 
@@ -169,7 +159,7 @@ impl Default for ServeOptions {
 /// engine stream view — cycles, transfers, stalls) with the *dispatch*
 /// view: how much work the pool routed to each shard and how fast that
 /// shard turned results around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolShardStats {
     /// Shard index.
     pub shard: usize,
@@ -192,12 +182,13 @@ pub struct PoolShardStats {
 struct PoolMetrics {
     /// `matador_pool_flushes_total` — non-empty flushes executed.
     flushes: Arc<Counter>,
-    /// `matador_pool_flushes_consolidated_total` — flushes a multi-shard
-    /// pool ran whole on a single shard (the consolidation fast path).
+    /// `matador_pool_flushes_consolidated_total` — plans in which a
+    /// multi-unit pool ran a whole flush on one unit (a redirect round
+    /// that consolidates again counts again).
     consolidated: Arc<Counter>,
     /// `matador_pool_dispatched_total{policy=...}` — requests planned by
-    /// the configured dispatch policy (the spread path; consolidated
-    /// flushes bypass the planner and are counted above instead).
+    /// the configured dispatch policy (consolidated plans bypass the
+    /// policy and are counted above instead).
     dispatched: Arc<Counter>,
     /// `matador_pool_retries_total` — redirect rounds a resilient flush
     /// ran after shard failures (one per re-planning pass, not per
@@ -241,29 +232,25 @@ impl PoolMetrics {
     }
 }
 
-/// Bumps `matador_faults_injected_total{kind=...}`. Resolved lazily:
-/// only ever reached when a fault plan actually fires, never on the
-/// fault-free hot path.
-fn count_fault_injected(kind: &'static str) {
-    Registry::global()
-        .counter(
-            "matador_faults_injected_total",
-            &format!("kind=\"{kind}\""),
-            "Faults injected by the active fault plan, by kind.",
-        )
-        .inc();
-}
-
-/// Bumps `matador_faults_detected_total{kind=...}` — faults the pool
-/// *observed* (injected or genuine: `engine_error` counts here without
-/// ever being injected).
-fn count_fault_detected(kind: &'static str) {
-    Registry::global()
-        .counter(
+/// Bumps `matador_faults_injected_total{kind=...}` (faults the active
+/// plan injected) or, with `detected`, `matador_faults_detected_total`
+/// (faults the pool *observed*, injected or genuine: `engine_error`
+/// counts there without ever being injected). Resolved lazily: only
+/// ever reached when a fault fires, never on the fault-free hot path.
+fn count_fault(detected: bool, kind: &'static str) {
+    let (name, help) = if detected {
+        (
             "matador_faults_detected_total",
-            &format!("kind=\"{kind}\""),
             "Shard faults detected by the pool, by kind.",
         )
+    } else {
+        (
+            "matador_faults_injected_total",
+            "Faults injected by the active fault plan, by kind.",
+        )
+    };
+    Registry::global()
+        .counter(name, &format!("kind=\"{kind}\""), help)
         .inc();
 }
 
@@ -387,35 +374,26 @@ pub struct ShardPool<'a> {
     shared_chunk_cost: Option<u64>,
     /// Chunk-parallelism cost threshold, resolved once at construction.
     chunk_threshold: u64,
-    /// Whether small flushes may consolidate onto one shard
-    /// ([`ServeOptions::consolidate`]).
-    consolidate: bool,
     /// Pool-level metric handles (resolved once at construction).
     metrics: PoolMetrics,
     /// Per-shard metric handles, shard-index order.
     shard_metrics: Vec<ShardMetrics>,
-    /// Bus beats dispatched to each shard, pool lifetime — the
-    /// [`PoolShardStats::queued_beats`] source.
-    shard_queued_beats: Vec<u64>,
-    /// Flushes in which each shard executed at least one request.
-    shard_flushes: Vec<u64>,
+    /// Per-shard lifetime bookings: the queued-beats and flush counts of
+    /// [`ShardPool::shard_stats`] (its II fields come from the engines).
+    booked: Vec<PoolShardStats>,
     /// Execution units: each entry lists the member shards that must
     /// jointly execute a request. Standalone shards form singleton
     /// units; a partition group's members share one unit (members in
     /// shard order, units ordered by lead = lowest member index). The
-    /// dispatcher plans over units, so a partitioned design is one
-    /// logical executor however many shards its slices occupy.
+    /// flush plans over units, so a partitioned design is one logical
+    /// executor however many shards its slices occupy.
     units: Vec<Vec<usize>>,
-    /// Whether any shard belongs to a partition group — routes every
-    /// flush through [`ShardPool::flush_partitioned`], which merges the
-    /// members' partial class sums into each final winner.
-    grouped: bool,
     /// Runtime state of the installed [`FaultPlan`] (disarmed and free
     /// on pools without one).
     faults: FaultState,
-    /// Per-shard circuit breaker. Present on every pool; only the
-    /// resilient flush path ever records transitions, so a classic pool
-    /// stays permanently all-healthy.
+    /// Per-shard circuit breaker. Present on every pool; only resilient
+    /// triage ever records transitions, so a classic pool stays
+    /// permanently all-healthy.
     health: HealthTracker,
     /// Whether shard failures are contained, quarantined and redirected
     /// ([`ShardPool::with_fault_plan`]) instead of failing the flush
@@ -453,47 +431,42 @@ impl PoolEngine<'_> {
     }
 
     fn load(&self) -> ShardLoad {
-        match self {
-            PoolEngine::Cycle(e) => ShardLoad {
-                cycles: e.cycle(),
-                ii_cycles: e.observed_ii_cycles(),
-                ii_samples: e.observed_ii_samples(),
-            },
-            PoolEngine::Turbo(e) => ShardLoad {
-                cycles: e.cycle(),
-                ii_cycles: e.observed_ii_cycles(),
-                ii_samples: e.observed_ii_samples(),
-            },
+        let (cycles, ii_cycles, ii_samples) = match self {
+            PoolEngine::Cycle(e) => (e.cycle(), e.observed_ii_cycles(), e.observed_ii_samples()),
+            PoolEngine::Turbo(e) => (e.cycle(), e.observed_ii_cycles(), e.observed_ii_samples()),
+        };
+        ShardLoad {
+            cycles,
+            ii_cycles,
+            ii_samples,
         }
     }
 
     fn stats(&self, shard: usize) -> ShardStats {
-        match self {
-            PoolEngine::Cycle(e) => ShardStats {
-                shard,
-                cycles: e.cycle(),
-                datapoints: e.monitor().datapoints() as u64,
-                transfers: e.stream_transfers(),
-                stall_cycles: e.stream_stall_cycles(),
-            },
-            PoolEngine::Turbo(e) => ShardStats {
-                shard,
-                cycles: e.cycle(),
-                datapoints: e.datapoints(),
-                transfers: e.transfers(),
-                stall_cycles: e.stall_cycles(),
-            },
+        let (datapoints, transfers, stall_cycles) = match self {
+            PoolEngine::Cycle(e) => (
+                e.monitor().datapoints() as u64,
+                e.stream_transfers(),
+                e.stream_stall_cycles(),
+            ),
+            PoolEngine::Turbo(e) => (e.datapoints(), e.transfers(), e.stall_cycles()),
+        };
+        ShardStats {
+            shard,
+            cycles: self.load().cycles,
+            datapoints,
+            transfers,
+            stall_cycles,
         }
     }
 
     /// Runs this shard's slice of a flush.
     fn run(&mut self, inputs: &[BitVec], beats_per_request: u64) -> Result<ShardOutput, SimError> {
-        match self {
+        let (results, class_sums, first_beats) = match self {
             PoolEngine::Cycle(e) => {
                 let monitor_before = e.monitor().records().len();
                 let sums_before = e.class_sums_log().len();
                 let results = e.run_datapoints(inputs)?;
-                let class_sums = e.class_sums_log()[sums_before..].to_vec();
                 // A datapoint's beats transfer back-to-back before the
                 // next datapoint's, so fixed-size chunks recover each
                 // first-packet acceptance cycle from the monitor (ILA)
@@ -502,11 +475,11 @@ impl PoolEngine<'_> {
                     .chunks(beats_per_request as usize)
                     .map(|c| c[0].cycle)
                     .collect();
-                Ok(ShardOutput {
+                (
                     results,
-                    class_sums,
+                    e.class_sums_log()[sums_before..].to_vec(),
                     first_beats,
-                })
+                )
             }
             PoolEngine::Turbo(e) => {
                 let first_beats = (0..inputs.len())
@@ -514,14 +487,18 @@ impl PoolEngine<'_> {
                     .collect();
                 let sums_before = e.class_sums_log().len();
                 let results = e.run_datapoints(inputs)?;
-                let class_sums = e.class_sums_log()[sums_before..].to_vec();
-                Ok(ShardOutput {
+                (
                     results,
-                    class_sums,
+                    e.class_sums_log()[sums_before..].to_vec(),
                     first_beats,
-                })
+                )
             }
-        }
+        };
+        Ok(ShardOutput {
+            results,
+            class_sums,
+            first_beats,
+        })
     }
 }
 
@@ -529,109 +506,91 @@ impl PoolEngine<'_> {
 /// engine error; `Corrupted` is the parity check catching an injected
 /// [`crate::FaultKind::CorruptSum`] — the results exist but must never
 /// be served. A panicked slice produces neither: its outcome stays
-/// unset (see [`ShardRun::outcome`]).
+/// unset (see [`MemberResult::outcome`]).
 #[derive(Debug)]
 enum SliceError {
     Engine(SimError),
     Corrupted,
 }
 
-/// One engine shard wrapped with its slice's fault directives — the
-/// injection shim the flush path executes instead of the bare engine.
-/// With clean directives it is a transparent pass-through to
-/// [`PoolEngine::run`]: the fault-free path pays two branch tests.
-struct FaultyEngine<'e, 'a, 'd> {
-    engine: &'e mut PoolEngine<'a>,
-    directives: &'d SliceFaults,
-}
-
-impl FaultyEngine<'_, '_, '_> {
-    /// Runs the slice under its directives. An injected
-    /// [`SliceAction::Panic`] raises a real panic *before* touching the
-    /// engine — the worker dies exactly as a genuine bug would, and the
-    /// shard clock stays consistent for the eventual recovery probe.
-    fn run(
-        &mut self,
-        inputs: &[BitVec],
-        beats_per_request: u64,
-    ) -> Result<ShardOutput, SliceError> {
-        if self.directives.action == SliceAction::Panic {
-            panic!("injected fault: shard worker dies before accepting the slice");
-        }
-        if self.directives.pre_delay > 0 {
-            self.engine.inject_idle_cycles(self.directives.pre_delay);
-        }
-        let output = self
-            .engine
-            .run(inputs, beats_per_request)
-            .map_err(SliceError::Engine)?;
-        if self.directives.action == SliceAction::Corrupt {
-            return Err(SliceError::Corrupted);
-        }
-        Ok(output)
-    }
-}
-
-/// One shard's slice of a flush, mutated on a worker thread.
-struct ShardRun<'e, 'a> {
-    engine: &'e mut PoolEngine<'a>,
+/// What one member shard's run of a flush round left behind for triage.
+struct MemberResult {
+    shard: usize,
     beats_per_request: u64,
-    inputs: Vec<BitVec>,
-    /// Fault directives for this slice, planned on the pool thread
-    /// before workers spawn (clean outside resilient mode).
+    /// The shard's load before the run — the baseline of this round's
+    /// observed-II delta.
+    before: ShardLoad,
+    /// Fault directives, planned on the pool thread before execution
+    /// (clean on pools without an armed fault plan).
     directives: SliceFaults,
     /// `None` until the slice runs — and still `None` afterwards iff the
-    /// worker panicked (injected or genuine), which is how the resilient
-    /// reassembly detects a lost slice. Empty slices never run.
+    /// worker panicked (injected or genuine), which is how triage
+    /// detects a lost slice.
     outcome: Option<Result<ShardOutput, SliceError>>,
 }
 
-impl ShardRun<'_, '_> {
-    /// Executes a non-empty slice under its fault directives. May panic
-    /// (an injected [`SliceAction::Panic`], or a genuine engine bug);
-    /// resilient callers contain that with `catch_unwind` /
-    /// [`matador_par::try_par_map_mut_with`].
-    fn execute(&mut self) {
-        let mut faulty = FaultyEngine {
-            engine: self.engine,
-            directives: &self.directives,
-        };
-        self.outcome = Some(faulty.run(&self.inputs, self.beats_per_request));
+impl MemberResult {
+    /// The hard-fault cause that lost this member's slice, if it was
+    /// lost.
+    fn failure(&self) -> Option<&'static str> {
+        match &self.outcome {
+            Some(Ok(_)) => None,
+            Some(Err(SliceError::Engine(_))) => Some("engine_error"),
+            Some(Err(SliceError::Corrupted)) => Some("corrupt_sum"),
+            // An unset outcome after execution means the worker
+            // panicked — injected (the directive names it) or genuine.
+            None => Some(self.directives.hard.unwrap_or("panic")),
+        }
+    }
+
+    fn output(&mut self) -> &mut ShardOutput {
+        match &mut self.outcome {
+            Some(Ok(output)) => output,
+            _ => unreachable!("only served units reach assembly"),
+        }
     }
 }
 
-/// Pairs every engine with its slice of a flush: the assigned inputs
-/// move in (each request is assigned exactly once, so no clone on the
-/// serving hot path), the fault directives ride along, and the outcome
-/// slot starts unset. Borrows only the engines — the pool's other
-/// fields stay readable while the runs are alive.
-fn build_runs<'e, 'a>(
-    engines: &'e mut [PoolEngine<'a>],
-    profiles: &[ShardProfile],
-    work: &[Vec<usize>],
-    request_inputs: &mut [Option<BitVec>],
-    directives: Vec<SliceFaults>,
-) -> Vec<ShardRun<'e, 'a>> {
-    engines
-        .iter_mut()
-        .zip(profiles)
-        .zip(work)
-        .zip(directives)
-        .map(|(((engine, profile), indices), directives)| ShardRun {
-            engine,
-            beats_per_request: profile.beats_per_request,
-            inputs: indices
-                .iter()
-                .map(|&ri| {
-                    request_inputs[ri]
-                        .take()
-                        .expect("every request is assigned to exactly one shard")
-                })
-                .collect(),
-            directives,
-            outcome: None,
-        })
-        .collect()
+/// One member shard's run over its unit's slice, executed on a worker
+/// thread.
+struct MemberRun<'e, 'a, 'i> {
+    engine: &'e mut PoolEngine<'a>,
+    inputs: &'i [BitVec],
+    result: MemberResult,
+}
+
+impl MemberRun<'_, '_, '_> {
+    /// Runs the slice under its fault directives. An injected
+    /// [`SliceAction::Panic`] raises a real panic *before* touching the
+    /// engine — the worker dies exactly as a genuine bug would, and the
+    /// shard clock stays consistent for the eventual recovery probe. A
+    /// resilient flush contains the panic; a classic one propagates it.
+    fn execute(&mut self) {
+        let directives = &self.result.directives;
+        if directives.action == SliceAction::Panic {
+            panic!("injected fault: shard worker dies before accepting the slice");
+        }
+        if directives.pre_delay > 0 {
+            self.engine.inject_idle_cycles(directives.pre_delay);
+        }
+        let outcome = match self.engine.run(self.inputs, self.result.beats_per_request) {
+            Err(error) => Err(SliceError::Engine(error)),
+            Ok(_) if directives.action == SliceAction::Corrupt => Err(SliceError::Corrupted),
+            Ok(output) => Ok(output),
+        };
+        self.result.outcome = Some(outcome);
+    }
+}
+
+/// One shard of a pool under construction.
+struct ShardEntry<'a> {
+    design: &'a CompiledAccelerator,
+    /// The shard's turbo instruction tape; `None` runs the cycle-accurate
+    /// engine.
+    program: Option<TurboProgram>,
+    pipelined_sum: bool,
+    weight: u32,
+    partition_group: Option<u32>,
 }
 
 impl<'a> ShardPool<'a> {
@@ -656,66 +615,24 @@ impl<'a> ShardPool<'a> {
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
         options.validate()?;
-        let queue = RequestQueue::new(options.queue_depth)?;
-        // The turbo instruction tapes are immutable: compile them once
-        // per pool and hand every shard a copy.
+        // The turbo tape is immutable: compile it once, copy it per shard.
         let program = match options.backend {
             EngineBackend::CycleAccurate => None,
             EngineBackend::Turbo => Some(TurboProgram::compile(accel)),
         };
-        // Turbo shards in an all-turbo pool run serially in flush() —
-        // each one fans its slice out across the worker budget instead
-        // (chunk parallelism composes better than shard parallelism for
-        // identical tapes), so they inherit the pool's thread setting.
+        // Homogeneous turbo shards execute serially in a flush, each one
+        // fanning its slice out over the pool's worker budget instead.
         let shared_chunk_cost = program.as_ref().map(TurboProgram::chunk_cost);
-        let chunk_threshold = options
-            .chunk_threshold
-            .unwrap_or_else(matador_sim::configured_chunk_threshold);
-        let engines = (0..options.shards)
-            .map(|_| {
-                Self::build_engine(
-                    accel,
-                    program.as_ref(),
-                    options.pipelined_sum,
-                    options.capture_class_sums,
-                    options.threads,
-                    chunk_threshold,
-                )
+        let entries = (0..options.shards)
+            .map(|_| ShardEntry {
+                design: accel,
+                program: program.clone(),
+                pipelined_sum: options.pipelined_sum,
+                weight: 1,
+                partition_group: None,
             })
             .collect();
-        let mut pool = ShardPool {
-            designs: vec![accel; options.shards],
-            weights: vec![1; options.shards],
-            engines,
-            dispatcher: Dispatcher::new(options.policy),
-            queue,
-            capture_sums: options.capture_class_sums,
-            threads: options.threads,
-            widths: vec![accel.shape().features],
-            pipelined: vec![options.pipelined_sum; options.shards],
-            latencies: Vec::new(),
-            shared_chunk_cost,
-            chunk_threshold,
-            consolidate: options.consolidate,
-            metrics: PoolMetrics::resolve(options.policy),
-            shard_metrics: (0..options.shards).map(ShardMetrics::resolve).collect(),
-            shard_queued_beats: vec![0; options.shards],
-            shard_flushes: vec![0; options.shards],
-            units: (0..options.shards).map(|s| vec![s]).collect(),
-            grouped: false,
-            faults: FaultState::new(&FaultPlan::none(), options.shards),
-            health: HealthTracker::new(options.shards),
-            resilient: false,
-        };
-        if let Some(seed) = options.fault_seed {
-            pool.install_fault_plan(FaultPlan::seeded(
-                seed,
-                options.shards,
-                SEEDED_HORIZON_REQUESTS,
-                SEEDED_FAULTS_PER_SHARD,
-            ));
-        }
-        Ok(pool)
+        Self::from_entries(entries, &options, options.threads, shared_chunk_cost)
     }
 
     /// Creates a homogeneous pool in **resilient mode** with `plan`
@@ -738,22 +655,6 @@ impl<'a> ShardPool<'a> {
         plan: FaultPlan,
     ) -> Result<Self, ServeError> {
         let mut pool = Self::with_options(accel, options)?;
-        pool.install_fault_plan(plan);
-        Ok(pool)
-    }
-
-    /// [`ShardPool::with_fault_plan`] for a heterogeneous pool: one
-    /// engine per [`ShardSpec`], resilient mode, `plan` installed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ShardPool::heterogeneous`].
-    pub fn heterogeneous_with_fault_plan(
-        specs: &'a [ShardSpec],
-        options: ServeOptions,
-        plan: FaultPlan,
-    ) -> Result<Self, ServeError> {
-        let mut pool = Self::heterogeneous(specs, options)?;
         pool.install_fault_plan(plan);
         Ok(pool)
     }
@@ -781,127 +682,114 @@ impl<'a> ShardPool<'a> {
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
         ShardSpec::validate_all(specs)?;
-        let queue = RequestQueue::new(options.queue_depth)?;
-        // Each turbo spec compiles its own instruction tape: every spec
-        // owns its design, so there is no shared-design identity to
-        // dedupe on. Replicating one design across many turbo shards is
-        // the homogeneous path's job ([`ShardPool::with_options`]
-        // compiles once) — the heterogeneous path optimizes for specs
-        // that genuinely differ.
+        // Each turbo spec compiles its own tape (specs own their designs).
         // Heterogeneous shards execute under the pool's shard-level
-        // fan-out, so turbo engines pin their intra-batch chunking to the
-        // calling worker — shard- and chunk-level parallelism must not
-        // multiply.
+        // fan-out, so turbo engines pin their chunking to the calling
+        // worker — shard- and chunk-level parallelism must not multiply.
+        let entries = specs
+            .iter()
+            .map(|spec| ShardEntry {
+                design: &spec.design,
+                program: match spec.backend {
+                    EngineBackend::CycleAccurate => None,
+                    EngineBackend::Turbo => Some(TurboProgram::compile(&spec.design)),
+                },
+                pipelined_sum: spec.pipelined_sum,
+                weight: spec.weight,
+                partition_group: spec.partition_group,
+            })
+            .collect();
+        Self::from_entries(entries, &options, Some(1), None)
+    }
+
+    /// The one constructor behind the public ones: builds every shard's
+    /// engine from its entry and derives the admitted widths and the
+    /// execution units. `chunk_threads` caps each turbo engine's
+    /// intra-batch fan-out.
+    fn from_entries(
+        entries: Vec<ShardEntry<'a>>,
+        options: &ServeOptions,
+        chunk_threads: Option<usize>,
+        shared_chunk_cost: Option<u64>,
+    ) -> Result<Self, ServeError> {
+        let queue = RequestQueue::new(options.queue_depth)?;
         let chunk_threshold = options
             .chunk_threshold
             .unwrap_or_else(matador_sim::configured_chunk_threshold);
-        let engines = specs
-            .iter()
-            .map(|spec| {
-                let program = match spec.backend {
-                    EngineBackend::CycleAccurate => None,
-                    EngineBackend::Turbo => Some(TurboProgram::compile(&spec.design)),
-                };
-                // Partition-group members always capture class sums
-                // internally: the partitioned flush needs every member's
-                // partial sums to merge the final winner, whether or not
-                // the caller asked predictions to carry them.
-                Self::build_engine(
-                    &spec.design,
-                    program.as_ref(),
-                    spec.pipelined_sum,
-                    options.capture_class_sums || spec.partition_group.is_some(),
-                    Some(1),
-                    chunk_threshold,
-                )
-            })
-            .collect();
-        let mut widths: Vec<usize> = specs.iter().map(ShardSpec::width).collect();
+        let shards = entries.len();
+        let mut widths: Vec<usize> = entries.iter().map(|e| e.design.shape().features).collect();
         widths.sort_unstable();
         widths.dedup();
-        let mut pool = ShardPool {
-            designs: specs.iter().map(|s| &s.design).collect(),
-            weights: specs.iter().map(|s| s.weight).collect(),
-            engines,
+        let units = Self::units_of(&entries);
+        let designs = entries.iter().map(|e| e.design).collect();
+        let weights = entries.iter().map(|e| e.weight).collect();
+        let pipelined = entries.iter().map(|e| e.pipelined_sum).collect();
+        let engines = entries.into_iter().map(|entry| {
+            // Partition-group members always capture class sums
+            // internally: triage needs every member's partial sums to
+            // merge the final winner, whether or not the caller asked
+            // predictions to carry them.
+            let capture = options.capture_class_sums || entry.partition_group.is_some();
+            match entry.program {
+                None => {
+                    let mut engine = SimEngine::new(entry.design);
+                    engine.set_pipelined_sum(entry.pipelined_sum);
+                    engine.set_capture_class_sums(capture);
+                    PoolEngine::Cycle(Box::new(engine))
+                }
+                Some(program) => {
+                    let mut engine = TurboEngine::from_program(program);
+                    engine.set_pipelined_sum(entry.pipelined_sum);
+                    engine.set_capture_class_sums(capture);
+                    engine.set_chunk_threads(chunk_threads);
+                    engine.set_chunk_threshold(chunk_threshold);
+                    PoolEngine::Turbo(Box::new(engine))
+                }
+            }
+        });
+        Ok(ShardPool {
+            designs,
+            weights,
+            engines: engines.collect(),
             dispatcher: Dispatcher::new(options.policy),
             queue,
             capture_sums: options.capture_class_sums,
             threads: options.threads,
             widths,
-            pipelined: specs.iter().map(|s| s.pipelined_sum).collect(),
+            pipelined,
             latencies: Vec::new(),
-            shared_chunk_cost: None,
+            shared_chunk_cost,
             chunk_threshold,
-            consolidate: options.consolidate,
             metrics: PoolMetrics::resolve(options.policy),
-            shard_metrics: (0..specs.len()).map(ShardMetrics::resolve).collect(),
-            shard_queued_beats: vec![0; specs.len()],
-            shard_flushes: vec![0; specs.len()],
-            units: Self::units_from_specs(specs),
-            grouped: specs.iter().any(|s| s.partition_group.is_some()),
-            faults: FaultState::new(&FaultPlan::none(), specs.len()),
-            health: HealthTracker::new(specs.len()),
+            shard_metrics: (0..shards).map(ShardMetrics::resolve).collect(),
+            booked: (0..shards)
+                .map(|shard| PoolShardStats {
+                    shard,
+                    ..PoolShardStats::default()
+                })
+                .collect(),
+            units,
+            faults: FaultState::new(&FaultPlan::none(), shards),
+            health: HealthTracker::new(shards),
             resilient: false,
-        };
-        if let Some(seed) = options.fault_seed {
-            pool.install_fault_plan(FaultPlan::seeded(
-                seed,
-                specs.len(),
-                SEEDED_HORIZON_REQUESTS,
-                SEEDED_FAULTS_PER_SHARD,
-            ));
-        }
-        Ok(pool)
+        })
     }
 
-    fn build_engine(
-        accel: &'a CompiledAccelerator,
-        program: Option<&TurboProgram>,
-        pipelined_sum: bool,
-        capture_class_sums: bool,
-        chunk_threads: Option<usize>,
-        chunk_threshold: u64,
-    ) -> PoolEngine<'a> {
-        match program {
-            None => {
-                let mut engine = SimEngine::new(accel);
-                engine.set_pipelined_sum(pipelined_sum);
-                engine.set_capture_class_sums(capture_class_sums);
-                PoolEngine::Cycle(Box::new(engine))
-            }
-            Some(program) => {
-                let mut engine = TurboEngine::from_program(program.clone());
-                engine.set_pipelined_sum(pipelined_sum);
-                engine.set_capture_class_sums(capture_class_sums);
-                engine.set_chunk_threads(chunk_threads);
-                engine.set_chunk_threshold(chunk_threshold);
-                PoolEngine::Turbo(Box::new(engine))
-            }
-        }
-    }
-
-    /// Execution units from a spec list: a singleton unit per standalone
-    /// shard, one multi-member unit per partition group. Members are in
-    /// shard order; units are ordered by their lead (lowest) member, so
-    /// the layout is a deterministic function of the spec list alone.
-    fn units_from_specs(specs: &[ShardSpec]) -> Vec<Vec<usize>> {
-        let mut groups: std::collections::BTreeMap<u32, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (shard, spec) in specs.iter().enumerate() {
-            if let Some(group) = spec.partition_group {
-                groups.entry(group).or_default().push(shard);
-            }
-        }
-        let mut units = Vec::new();
-        for (shard, spec) in specs.iter().enumerate() {
-            match spec.partition_group {
+    /// Execution units from the shard entries: a singleton unit per
+    /// standalone shard, one multi-member unit per partition group.
+    /// Members are in shard order; units are ordered by their lead
+    /// (lowest) member, so the layout is a deterministic function of the
+    /// entries alone.
+    fn units_of(entries: &[ShardEntry<'_>]) -> Vec<Vec<usize>> {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        for (shard, entry) in entries.iter().enumerate() {
+            let group = entry.partition_group;
+            match units
+                .iter()
+                .position(|u| group.is_some() && entries[u[0]].partition_group == group)
+            {
+                Some(unit) => units[unit].push(shard),
                 None => units.push(vec![shard]),
-                Some(group) => {
-                    let members = &groups[&group];
-                    if members[0] == shard {
-                        units.push(members.clone());
-                    }
-                }
             }
         }
         units
@@ -914,15 +802,11 @@ impl<'a> ShardPool<'a> {
         &self.units
     }
 
-    /// Units whose members are all currently eligible for traffic — the
-    /// unit-level sibling of [`ShardPool::healthy_shards`]: a partition
-    /// group with even one quarantined member cannot serve (its partial
-    /// sums would be incomplete), so it counts as ineligible whole.
-    fn eligible_units(&self) -> usize {
-        self.units
-            .iter()
-            .filter(|members| members.iter().all(|&m| self.health.eligible(m)))
-            .count()
+    /// Whether every member of `unit` is currently eligible for traffic:
+    /// a partition group with even one quarantined member cannot serve
+    /// (its partial sums would be incomplete), so it is ineligible whole.
+    fn unit_eligible(&self, unit: usize) -> bool {
+        self.units[unit].iter().all(|&m| self.health.eligible(m))
     }
 
     /// Shard count.
@@ -967,44 +851,53 @@ impl<'a> ShardPool<'a> {
     /// these are plain per-pool fields — always collected, regardless of
     /// whether metrics recording is enabled.
     pub fn shard_stats(&self) -> Vec<PoolShardStats> {
-        self.engines
+        self.booked
             .iter()
-            .enumerate()
-            .map(|(shard, engine)| {
+            .zip(&self.engines)
+            .map(|(booked, engine)| {
                 let load = engine.load();
                 PoolShardStats {
-                    shard,
-                    queued_beats: self.shard_queued_beats[shard],
                     ii_cycles: load.ii_cycles,
                     ii_samples: load.ii_samples,
-                    flushes_served: self.shard_flushes[shard],
+                    ..*booked
                 }
             })
             .collect()
     }
 
-    /// Books one shard's slice of a completed flush: lifetime tracking
-    /// for [`ShardPool::shard_stats`] plus the per-shard registry
-    /// metrics. `ii_before` is the shard's (gap-cycles, gap-samples)
-    /// snapshot from before the slice ran; the delta is this flush's
-    /// observed-II contribution.
-    fn note_shard_work(
-        &mut self,
-        shard: usize,
-        requests: usize,
-        beats_per_request: u64,
-        ii_before: (u64, u64),
-    ) {
-        let beats = beats_per_request * requests as u64;
-        self.shard_queued_beats[shard] += beats;
-        self.shard_flushes[shard] += 1;
+    /// Books one member's slice of a served unit: lifetime tracking for
+    /// [`ShardPool::shard_stats`] and the per-shard registry metrics. On
+    /// a resilient pool (`modeled_ii` is `Some`) the slice also feeds the
+    /// circuit breaker, under one rule for every pool shape: a slice with
+    /// injected faults was already marked soft; otherwise a mean observed
+    /// II beyond [`II_OUTLIER_FACTOR`] × the modeled II is a soft
+    /// `"ii_outlier"` fault, and anything else counts toward recovery.
+    fn book_member(&mut self, run: &MemberResult, requests: usize, modeled_ii: Option<u64>) {
+        let shard = run.shard;
+        let beats = run.beats_per_request * requests as u64;
+        self.booked[shard].queued_beats += beats;
+        self.booked[shard].flushes_served += 1;
         let m = &self.shard_metrics[shard];
         m.requests.add(requests as u64);
         m.queued_beats.add(beats);
         let load = self.engines[shard].load();
-        let (cycles, samples) = (load.ii_cycles - ii_before.0, load.ii_samples - ii_before.1);
-        if samples > 0 {
-            m.ii_cycles.record(cycles.div_ceil(samples));
+        let cycles = load.ii_cycles - run.before.ii_cycles;
+        let samples = load.ii_samples - run.before.ii_samples;
+        let mean_ii = (samples > 0).then(|| cycles.div_ceil(samples));
+        if let Some(ii) = mean_ii {
+            m.ii_cycles.record(ii);
+        }
+        let Some(modeled_ii) = modeled_ii else {
+            return;
+        };
+        if !run.directives.is_clean() {
+            return;
+        }
+        if mean_ii.is_some_and(|ii| ii > II_OUTLIER_FACTOR.saturating_mul(modeled_ii.max(1))) {
+            count_fault(true, "ii_outlier");
+            self.health.note_soft(shard, "ii_outlier");
+        } else {
+            self.health.note_clean(shard);
         }
     }
 
@@ -1076,25 +969,19 @@ impl<'a> ShardPool<'a> {
         }
     }
 
-    /// Shards a flush of `pending` requests would actually execute on:
-    /// 1 when the pool's flush-consolidation heuristic would run the
-    /// whole flush on a single shard, the count of *healthy* shards
-    /// otherwise (never 0 — with everything quarantined the estimate
-    /// degrades to serial capacity rather than dividing by zero). The
-    /// front-end's drain model divides by this, not the raw shard
-    /// count — a consolidated flush drains serially, a browned-out pool
-    /// drains on what survives, and pretending otherwise would fire
-    /// deadline-pressure flushes far too late.
+    /// Units a flush of `pending` requests would actually execute on: 1
+    /// when the plan runs it whole on one unit (a one-unit pool, or a
+    /// small consolidated flush on a homogeneous turbo pool), else the
+    /// count of fully eligible units, never 0. The front-end's drain model
+    /// divides by this, not the raw shard count: a consolidated flush
+    /// drains serially, a partition group drains as one executor, and a
+    /// browned-out pool drains on what survives.
     pub fn flush_spread(&self, pending: usize) -> usize {
-        if pending > 0 && self.single_executor(pending).is_some() {
+        if pending > 0 && self.whole_flush_unit(pending).is_some() {
             1
-        } else if self.grouped {
-            // A partition group drains as one executor: its members run
-            // the same slice concurrently, so the spread is the count of
-            // fully-eligible *units*, not of member shards.
-            self.eligible_units().max(1)
         } else {
-            self.health.eligible_shards().max(1)
+            let eligible = (0..self.units.len()).filter(|&u| self.unit_eligible(u));
+            eligible.count().max(1)
         }
     }
 
@@ -1134,60 +1021,37 @@ impl<'a> ShardPool<'a> {
         }
     }
 
-    /// Checks that at least one shard serving `width` is currently
-    /// eligible for traffic (not quarantined). Trivially `Ok` on a
+    /// Checks that at least one unit serving `width` is currently
+    /// eligible for traffic (no quarantined member). Trivially `Ok` on a
     /// classic (non-resilient) pool and whenever every shard is healthy
     /// — the check costs two loads on the fault-free path.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ShardQuarantined`] when exactly one shard
-    /// serves the width (the precise single-shard diagnostic) and
-    /// [`ServeError::NoHealthyShard`] when several do but every one of
-    /// them is quarantined. A width no shard serves at all also reports
-    /// [`ServeError::NoHealthyShard`] — call [`ShardPool::check_width`]
-    /// first for the admission-grade diagnostics.
+    /// Returns [`ServeError::ShardQuarantined`] (naming a quarantined
+    /// member) when exactly one unit serves the width, else
+    /// [`ServeError::NoHealthyShard`] — also for a width no shard serves
+    /// (call [`ShardPool::check_width`] first for admission diagnostics).
     pub fn check_healthy(&self, width: usize) -> Result<(), ServeError> {
         if !self.resilient || self.health.all_healthy() {
             return Ok(());
         }
-        if self.grouped {
-            // Unit granularity: a partition group serves only when
-            // *every* member is eligible — a lone quarantined member
-            // makes its whole group's partial sums unmergeable.
-            let mut compatible = 0usize;
-            let mut blocked = 0usize;
-            for members in &self.units {
-                if self.designs[members[0]].shape().features != width {
-                    continue;
-                }
-                match members.iter().find(|&&m| !self.health.eligible(m)) {
-                    None => return Ok(()),
-                    Some(&m) => {
-                        compatible += 1;
-                        blocked = m;
-                    }
-                }
-            }
-            return if compatible == 1 {
-                Err(ServeError::ShardQuarantined { shard: blocked })
-            } else {
-                Err(ServeError::NoHealthyShard { width })
-            };
-        }
         let mut compatible = 0usize;
-        let mut last = 0usize;
-        for (shard, design) in self.designs.iter().enumerate() {
-            if design.shape().features == width {
-                if self.health.eligible(shard) {
-                    return Ok(());
+        let mut blocked = 0usize;
+        for members in &self.units {
+            if self.designs[members[0]].shape().features != width {
+                continue;
+            }
+            match members.iter().find(|&&m| !self.health.eligible(m)) {
+                None => return Ok(()),
+                Some(&m) => {
+                    compatible += 1;
+                    blocked = m;
                 }
-                compatible += 1;
-                last = shard;
             }
         }
         if compatible == 1 {
-            Err(ServeError::ShardQuarantined { shard: last })
+            Err(ServeError::ShardQuarantined { shard: blocked })
         } else {
             Err(ServeError::NoHealthyShard { width })
         }
@@ -1220,9 +1084,8 @@ impl<'a> ShardPool<'a> {
     }
 
     /// Whether the pool contains and redirects shard failures
-    /// (constructed via [`ShardPool::with_fault_plan`], armed via
-    /// [`ServeOptions::fault_seed`], or switched by an operator
-    /// [`ShardPool::quarantine_shard`]).
+    /// (constructed via [`ShardPool::with_fault_plan`], or switched by an
+    /// operator [`ShardPool::quarantine_shard`]).
     pub fn resilient(&self) -> bool {
         self.resilient
     }
@@ -1263,921 +1126,51 @@ impl<'a> ShardPool<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Shard`] if a shard's engine fails to drain;
-    /// the lowest failing shard index is reported. A hang is a toolflow
-    /// bug, not a recoverable condition: the failed flush's requests are
-    /// dropped (including any classified by surviving shards), no latency
-    /// samples are recorded for it, and surviving shards' cumulative
-    /// engine/monitor counters remain visible in [`ShardPool::report`].
+    /// Returns [`ServeError::Shard`] (the lowest failing shard) if a
+    /// shard's engine fails to drain — a toolflow bug: the flush's
+    /// requests are dropped and no latency samples are recorded, while
+    /// surviving shards' engine counters stay in [`ShardPool::report`].
+    /// A resilient pool instead redirects the failed requests and fails
+    /// only when no healthy capacity remains
+    /// ([`ServeError::NoHealthyShard`] / [`ServeError::ShardQuarantined`]).
     pub fn flush(&mut self) -> Result<Vec<Prediction>, ServeError> {
         let requests = self.queue.drain();
-        if requests.is_empty() {
+        let Some(first_id) = requests.first().map(|r| r.id) else {
             return Ok(Vec::new());
-        }
-        // Partition groups first: their flushes plan over units and
-        // merge member class sums, which none of the paths below do.
-        if self.grouped {
-            if self.resilient {
-                self.health.begin_flush();
-            }
-            return self.flush_partitioned(requests);
-        }
-        if self.resilient {
-            // Advance quarantine cooldowns (Quarantined → Probing)
-            // before anything is planned, so half-open probes ride
-            // ordinary traffic this flush.
-            self.health.begin_flush();
-            if let Some(shard) = self.single_executor(requests.len()) {
-                return self.flush_to_shard_resilient(shard, requests);
-            }
-            return self.flush_resilient(requests);
-        }
-        // Single-executor fast path: a one-shard pool, or a small flush
-        // on a homogeneous turbo pool (consolidation — every shard runs
-        // the same tape, so assignment is result-invisible and spreading
-        // work that is below one chunk threshold per shard only buys
-        // dispatch overhead). Skips planning and reassembly entirely.
-        if let Some(shard) = self.single_executor(requests.len()) {
-            return self.flush_to_shard(shard, requests);
-        }
-        self.metrics.flushes.inc();
-        self.metrics.dispatched.add(requests.len() as u64);
-        let profiles = self.shard_profiles();
-        let request_widths: Vec<usize> = requests.iter().map(|r| r.input.len()).collect();
-        let assignment = self.dispatcher.plan_profiles(&profiles, &request_widths);
-
-        // Per-shard work lists; order within a shard = submission order.
-        let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-        for (ri, &s) in assignment.iter().enumerate() {
-            work[s].push(ri);
-        }
-
-        // Move the drained inputs into their shard's work list (each
-        // request is assigned exactly once, so no clone is needed on the
-        // serving hot path); ids stay behind for result reassembly.
-        let request_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        let mut request_inputs: Vec<Option<BitVec>> =
-            requests.into_iter().map(|r| Some(r.input)).collect();
-        let directives: Vec<SliceFaults> = vec![SliceFaults::clean(); self.engines.len()];
-        let serial = self.shared_chunk_cost.is_some();
-        let threads = self.threads.unwrap_or_else(matador_par::configured_threads);
-        let mut runs = build_runs(
-            &mut self.engines,
-            &profiles,
-            &work,
-            &mut request_inputs,
-            directives,
+        };
+        // The queue drains whole and assigns ids consecutively, so a
+        // drained batch is one contiguous id block.
+        debug_assert_eq!(
+            requests[requests.len() - 1].id,
+            first_id + requests.len() as u64 - 1
         );
-        Self::execute_runs(serial, threads, self.resilient, &mut runs);
-
-        // Reassemble into submission order, surfacing the lowest failing
-        // shard as a typed error.
-        let mut slots: Vec<Option<Prediction>> = vec![None; request_ids.len()];
-        for (shard, run) in runs.into_iter().enumerate() {
-            let Some(outcome) = run.outcome else {
-                debug_assert!(work[shard].is_empty());
-                continue;
-            };
-            let output = match outcome {
-                Ok(output) => output,
-                Err(SliceError::Engine(error)) => return Err(ServeError::Shard { shard, error }),
-                Err(SliceError::Corrupted) => {
-                    unreachable!("corruption faults require a fault plan (resilient mode)")
-                }
-            };
-            debug_assert_eq!(output.results.len(), work[shard].len());
-            for (j, &ri) in work[shard].iter().enumerate() {
-                let latency = output.results[j].cycle - output.first_beats[j] + 1;
-                slots[ri] = Some(Prediction {
-                    request: request_ids[ri],
-                    winner: output.results[j].winner,
-                    shard,
-                    latency_cycles: latency,
-                    completed_at_cycle: output.results[j].cycle,
-                    class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-                });
-            }
-        }
-        let predictions: Vec<Prediction> = slots
-            .into_iter()
-            .map(|p| p.expect("every request was assigned to exactly one shard"))
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        for (shard, indices) in work.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let profile = profiles[shard];
-            self.note_shard_work(
-                shard,
-                indices.len(),
-                profile.beats_per_request,
-                (profile.load.ii_cycles, profile.load.ii_samples),
-            );
-        }
-        Ok(predictions)
+        let inputs: Vec<BitVec> = requests.into_iter().map(|r| r.input).collect();
+        self.run_flush(first_id, &inputs)
     }
 
-    /// Profile snapshots for the width-aware planner: cumulative cycles
-    /// (every flush drains its engines completely, so cumulative cycles
-    /// are exactly what distinguishes shards *across* flushes),
-    /// observed-II statistics for latency-aware planning, and each
-    /// shard's admitted width and per-datapoint beat cost.
-    fn shard_profiles(&self) -> Vec<ShardProfile> {
-        self.engines
-            .iter()
-            .zip(&self.designs)
-            .zip(&self.weights)
-            .map(|((engine, design), &weight)| ShardProfile {
-                load: engine.load(),
-                width: design.shape().features,
-                beats_per_request: design.shape().num_packets() as u64,
-                weight,
-            })
-            .collect()
-    }
-
-    /// Executes a flush's shard runs.
-    ///
-    /// All-turbo pools run their shards serially on the caller: each
-    /// shard's engine fans its own slice out across the full worker
-    /// budget (intra-shard chunk parallelism), which beats one thread
-    /// per shard for identical tapes and never oversubscribes. Pools
-    /// with cycle-accurate shards keep the shard-level fan-out — a
-    /// cycle engine is single-threaded by nature, and any turbo engines
-    /// beside it were pinned to their worker at construction.
-    ///
-    /// In resilient mode worker panics (injected or genuine) are
-    /// contained — on the caller via `catch_unwind`, across workers via
-    /// [`matador_par::try_par_map_mut_with`] — and show up as slices
-    /// whose outcome was never set. A classic pool propagates panics
-    /// unchanged.
-    fn execute_runs(serial: bool, threads: usize, resilient: bool, runs: &mut [ShardRun<'_, 'a>]) {
-        if serial {
-            for run in runs {
-                if run.inputs.is_empty() {
-                    continue;
-                }
-                if resilient {
-                    let _ = catch_unwind(AssertUnwindSafe(|| run.execute()));
-                } else {
-                    run.execute();
-                }
-            }
-        } else if resilient {
-            // The panic (if any) is already recorded as the slice's
-            // unset outcome; which one surfaced first is irrelevant.
-            let _ = matador_par::try_par_map_mut_with(threads, runs, |_, run| {
-                if !run.inputs.is_empty() {
-                    run.execute();
-                }
-            });
-        } else {
-            matador_par::par_map_mut_with(threads, runs, |_, run| {
-                if !run.inputs.is_empty() {
-                    run.execute();
-                }
-            });
-        }
-    }
-
-    /// The resilient spread flush: plan over eligible shards, execute
-    /// with fault injection and panic containment, then re-dispatch the
-    /// slices lost to hard faults onto surviving compatible shards until
-    /// everything is served — or no healthy capacity remains.
-    ///
-    /// Termination: every round that loses a slice quarantines at least
-    /// one previously-eligible shard (hard faults open its breaker, and
-    /// breakers cannot half-open again mid-flush — cooldowns only
-    /// advance in [`HealthTracker::begin_flush`]), so after at most
-    /// `shards` rounds the flush either completes or fails typed.
-    ///
-    /// Correctness under chaos: a lost slice contributes *nothing* — a
-    /// panicked worker never produced results and a corrupted slice is
-    /// discarded whole — so every served reply was computed cleanly by
-    /// some healthy shard, which is what keeps winners and class sums
-    /// bit-identical to the fault-free run.
-    fn flush_resilient(&mut self, requests: Vec<Request>) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        self.metrics.dispatched.add(requests.len() as u64);
-        let request_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        let request_widths: Vec<usize> = requests.iter().map(|r| r.input.len()).collect();
-        let mut request_inputs: Vec<Option<BitVec>> =
-            requests.into_iter().map(|r| Some(r.input)).collect();
-        let mut slots: Vec<Option<Prediction>> = vec![None; request_ids.len()];
-        let mut pending: Vec<usize> = (0..request_ids.len()).collect();
-        let mut round = 0u64;
-        while !pending.is_empty() {
-            // No healthy capacity for some pending width ⇒ the flush
-            // fails typed (its requests are dropped, exactly like the
-            // classic [`ServeError::Shard`] contract).
-            for &ri in &pending {
-                self.check_healthy(request_widths[ri])?;
-            }
-            if round > 0 {
-                self.metrics.retries.inc();
-                self.metrics.redirects.add(pending.len() as u64);
-            }
-            round += 1;
-            let profiles = self.shard_profiles();
-            let eligible: Vec<bool> = (0..self.engines.len())
-                .map(|s| self.health.eligible(s))
-                .collect();
-            let widths: Vec<usize> = pending.iter().map(|&ri| request_widths[ri]).collect();
-            let assignment = self.dispatcher.plan_eligible(&profiles, &widths, &eligible);
-            let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-            for (k, &s) in assignment.iter().enumerate() {
-                work[s].push(pending[k]);
-            }
-            // Fault directives are planned up front on the pool thread —
-            // the injector's state is single-threaded, workers only read
-            // their own directive.
-            let directives: Vec<SliceFaults> = (0..self.engines.len())
-                .map(|s| {
-                    if self.faults.armed() && !work[s].is_empty() {
-                        self.faults.plan_slice(s, work[s].len())
-                    } else {
-                        SliceFaults::clean()
-                    }
-                })
-                .collect();
-            for d in &directives {
-                for &label in &d.soft {
-                    count_fault_injected(label);
-                }
-                if let Some(label) = d.hard {
-                    count_fault_injected(label);
-                }
-            }
-            let modeled_ii = self.modeled_ii_cycles();
-            let serial = self.shared_chunk_cost.is_some();
-            let threads = self.threads.unwrap_or_else(matador_par::configured_threads);
-            let mut runs = build_runs(
-                &mut self.engines,
-                &profiles,
-                &work,
-                &mut request_inputs,
-                directives,
-            );
-            Self::execute_runs(serial, threads, true, &mut runs);
-
-            // Triage outcomes. Successful slices fill their slots; lost
-            // slices give their inputs back and queue for redirection.
-            let mut next_pending: Vec<usize> = Vec::new();
-            let mut soft_faults: Vec<(usize, &'static str)> = Vec::new();
-            let mut hard_faults: Vec<(usize, &'static str)> = Vec::new();
-            let mut served: Vec<usize> = Vec::new();
-            for (shard, run) in runs.into_iter().enumerate() {
-                let indices = &work[shard];
-                if indices.is_empty() {
-                    continue;
-                }
-                for &label in &run.directives.soft {
-                    soft_faults.push((shard, label));
-                }
-                let failure = match run.outcome {
-                    Some(Ok(output)) => {
-                        debug_assert_eq!(output.results.len(), indices.len());
-                        for (j, &ri) in indices.iter().enumerate() {
-                            slots[ri] = Some(Prediction {
-                                request: request_ids[ri],
-                                winner: output.results[j].winner,
-                                shard,
-                                latency_cycles: output.results[j].cycle - output.first_beats[j] + 1,
-                                completed_at_cycle: output.results[j].cycle,
-                                class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-                            });
-                        }
-                        served.push(shard);
-                        None
-                    }
-                    Some(Err(SliceError::Engine(_))) => Some("engine_error"),
-                    Some(Err(SliceError::Corrupted)) => Some("corrupt_sum"),
-                    // An unset outcome after execution means the worker
-                    // panicked — injected (the directive names it) or
-                    // genuine.
-                    None => Some(run.directives.hard.unwrap_or("panic")),
-                };
-                if let Some(cause) = failure {
-                    hard_faults.push((shard, cause));
-                    for (input, &ri) in run.inputs.into_iter().zip(indices) {
-                        request_inputs[ri] = Some(input);
-                    }
-                    next_pending.extend_from_slice(indices);
-                }
-            }
-
-            // Health bookkeeping, in deterministic shard order. Soft
-            // faults degrade; hard faults quarantine; a clean slice on a
-            // soft-fault-free shard counts toward recovery.
-            for &(shard, label) in &soft_faults {
-                count_fault_detected(label);
-                self.health.note_soft(shard, label);
-            }
-            for shard in served {
-                let before = profiles[shard].load;
-                self.note_shard_work(
-                    shard,
-                    work[shard].len(),
-                    profiles[shard].beats_per_request,
-                    (before.ii_cycles, before.ii_samples),
-                );
-                if soft_faults.iter().any(|&(s, _)| s == shard) {
-                    continue;
-                }
-                let after = self.engines[shard].load();
-                let (gap_cycles, gap_samples) = (
-                    after.ii_cycles - before.ii_cycles,
-                    after.ii_samples - before.ii_samples,
-                );
-                if gap_samples > 0
-                    && gap_cycles.div_ceil(gap_samples)
-                        > II_OUTLIER_FACTOR.saturating_mul(modeled_ii.max(1))
-                {
-                    count_fault_detected("ii_outlier");
-                    self.health.note_soft(shard, "ii_outlier");
-                } else {
-                    self.health.note_clean(shard);
-                }
-            }
-            for (shard, cause) in hard_faults {
-                count_fault_detected(cause);
-                self.health.note_hard(shard, cause);
-            }
-            // Submission order keeps redirect planning deterministic and
-            // independent of which shards failed in what order.
-            next_pending.sort_unstable();
-            pending = next_pending;
-        }
-        let predictions: Vec<Prediction> = slots
-            .into_iter()
-            .map(|p| p.expect("the redirect loop serves every request or fails typed"))
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        Ok(predictions)
-    }
-
-    /// The partition-group flush: plan over execution *units*, run every
-    /// member of a chosen unit over that unit's whole slice, and merge
-    /// the members' partial class sums into each final winner.
-    ///
-    /// Correctness rests on the partitioner's contract
-    /// ([`matador_sim::CompilePipeline::partition`]): each member's
-    /// design is the same architecture over a disjoint clause range cut
-    /// at even (polarity-preserving) boundaries, so summing the members'
-    /// class sums element-wise reproduces the monolithic sums exactly —
-    /// and because every part streams the same packet count, the
-    /// members' cycle stamps are identical to the monolithic engine's.
-    /// The served prediction carries the merged sums, the argmax winner,
-    /// the slowest member's latency/completion stamp, and the lead
-    /// (lowest-index) member as its shard attribution.
-    ///
-    /// In resilient mode a unit serves its slice only when *every*
-    /// member produced a clean output: a partial result is meaningless
-    /// (it is a vote subtotal), so any member failure discards the whole
-    /// unit's slice, quarantines the failed members and redirects the
-    /// requests to surviving units — the unit-level twin of
-    /// [`ShardPool::flush_resilient`], with the same termination
-    /// argument (every losing round quarantines at least one member,
-    /// and breakers cannot half-open mid-flush).
-    fn flush_partitioned(&mut self, requests: Vec<Request>) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        self.metrics.dispatched.add(requests.len() as u64);
-        let units = self.units.clone();
-        let request_ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        let request_widths: Vec<usize> = requests.iter().map(|r| r.input.len()).collect();
-        // Members of one unit each need their own copy of the slice, so
-        // inputs are cloned per run rather than moved (the ungrouped
-        // paths' zero-copy hand-off has no equivalent here).
-        let request_inputs: Vec<BitVec> = requests.into_iter().map(|r| r.input).collect();
-        let mut slots: Vec<Option<Prediction>> = vec![None; request_ids.len()];
-        let mut pending: Vec<usize> = (0..request_ids.len()).collect();
-        let mut round = 0u64;
-        while !pending.is_empty() {
-            if self.resilient {
-                for &ri in &pending {
-                    self.check_healthy(request_widths[ri])?;
-                }
-            }
-            if round > 0 {
-                self.metrics.retries.inc();
-                self.metrics.redirects.add(pending.len() as u64);
-            }
-            round += 1;
-            let profiles = self.shard_profiles();
-            // Unit profiles for the planner: the lead member stands in
-            // for the unit (a group's members share one width and beat
-            // cost by construction, and their clocks advance in
-            // lockstep); the unit's weight is its most conservative
-            // member's.
-            let unit_profiles: Vec<ShardProfile> = units
-                .iter()
-                .map(|members| ShardProfile {
-                    load: profiles[members[0]].load,
-                    width: profiles[members[0]].width,
-                    beats_per_request: profiles[members[0]].beats_per_request,
-                    weight: members
-                        .iter()
-                        .map(|&m| self.weights[m])
-                        .min()
-                        .expect("units are non-empty"),
-                })
-                .collect();
-            let widths: Vec<usize> = pending.iter().map(|&ri| request_widths[ri]).collect();
-            let assignment = if self.resilient {
-                let eligible: Vec<bool> = units
-                    .iter()
-                    .map(|members| members.iter().all(|&m| self.health.eligible(m)))
-                    .collect();
-                self.dispatcher
-                    .plan_eligible(&unit_profiles, &widths, &eligible)
-            } else {
-                self.dispatcher.plan_profiles(&unit_profiles, &widths)
-            };
-            // Per-unit work lists (order within a unit = submission
-            // order), expanded so every member runs its unit's slice.
-            let mut unit_work: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
-            for (k, &u) in assignment.iter().enumerate() {
-                unit_work[u].push(pending[k]);
-            }
-            let mut shard_work: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-            for (u, members) in units.iter().enumerate() {
-                for &m in members {
-                    shard_work[m] = unit_work[u].clone();
-                }
-            }
-            let directives: Vec<SliceFaults> = (0..self.engines.len())
-                .map(|s| {
-                    if self.faults.armed() && !shard_work[s].is_empty() {
-                        self.faults.plan_slice(s, shard_work[s].len())
-                    } else {
-                        SliceFaults::clean()
-                    }
-                })
-                .collect();
-            for d in &directives {
-                for &label in &d.soft {
-                    count_fault_injected(label);
-                }
-                if let Some(label) = d.hard {
-                    count_fault_injected(label);
-                }
-            }
-            let serial = self.shared_chunk_cost.is_some();
-            let threads = self.threads.unwrap_or_else(matador_par::configured_threads);
-            let mut runs: Vec<ShardRun<'_, 'a>> = self
-                .engines
-                .iter_mut()
-                .zip(&profiles)
-                .zip(&shard_work)
-                .zip(directives)
-                .map(|(((engine, profile), indices), directives)| ShardRun {
-                    engine,
-                    beats_per_request: profile.beats_per_request,
-                    inputs: indices
-                        .iter()
-                        .map(|&ri| request_inputs[ri].clone())
-                        .collect(),
-                    directives,
-                    outcome: None,
-                })
-                .collect();
-            Self::execute_runs(serial, threads, self.resilient, &mut runs);
-
-            // Tear the runs down into per-shard outcomes so units can be
-            // triaged while the pool's health state is mutable again.
-            let mut outcomes: Vec<Option<Result<ShardOutput, SliceError>>> =
-                Vec::with_capacity(runs.len());
-            let mut run_directives: Vec<SliceFaults> = Vec::with_capacity(runs.len());
-            for run in runs {
-                outcomes.push(run.outcome);
-                run_directives.push(run.directives);
-            }
-
-            // Soft faults degrade their shard whether or not the unit's
-            // slice also died — deterministic shard order.
-            for (shard, d) in run_directives.iter().enumerate() {
-                for &label in &d.soft {
-                    count_fault_detected(label);
-                    self.health.note_soft(shard, label);
-                }
-            }
-
-            // Triage per unit: all members clean → merge and serve; any
-            // failure → discard the whole slice and redirect.
-            let mut next_pending: Vec<usize> = Vec::new();
-            let mut hard_faults: Vec<(usize, &'static str)> = Vec::new();
-            for (u, members) in units.iter().enumerate() {
-                let indices = &unit_work[u];
-                if indices.is_empty() {
-                    continue;
-                }
-                let mut failed: Vec<(usize, &'static str)> = Vec::new();
-                for &m in members {
-                    match &outcomes[m] {
-                        Some(Ok(_)) => {}
-                        Some(Err(SliceError::Engine(error))) => {
-                            if !self.resilient {
-                                return Err(ServeError::Shard {
-                                    shard: m,
-                                    error: *error,
-                                });
-                            }
-                            failed.push((m, "engine_error"));
-                        }
-                        Some(Err(SliceError::Corrupted)) => failed.push((m, "corrupt_sum")),
-                        // An unset outcome after execution means the
-                        // worker panicked (only reachable in resilient
-                        // mode, where panics are contained).
-                        None => failed.push((m, run_directives[m].hard.unwrap_or("panic"))),
-                    }
-                }
-                if !failed.is_empty() {
-                    hard_faults.extend(failed);
-                    next_pending.extend_from_slice(indices);
-                    continue;
-                }
-                let lead = members[0];
-                for (j, &ri) in indices.iter().enumerate() {
-                    let mut merged: Vec<i32> = Vec::new();
-                    let mut latency = 0u64;
-                    let mut completed = 0u64;
-                    for &m in members {
-                        let Some(Ok(output)) = &outcomes[m] else {
-                            unreachable!("failed units never reach the merge")
-                        };
-                        if members.len() > 1 {
-                            if merged.is_empty() {
-                                merged.clone_from(&output.class_sums[j]);
-                            } else {
-                                for (acc, &s) in merged.iter_mut().zip(&output.class_sums[j]) {
-                                    *acc += s;
-                                }
-                            }
-                        }
-                        latency = latency.max(output.results[j].cycle - output.first_beats[j] + 1);
-                        completed = completed.max(output.results[j].cycle);
-                    }
-                    let Some(Ok(lead_output)) = &outcomes[lead] else {
-                        unreachable!("failed units never reach the merge")
-                    };
-                    let winner = if members.len() > 1 {
-                        tsetlin::tm::argmax(&merged)
-                    } else {
-                        lead_output.results[j].winner
-                    };
-                    let class_sums = self.capture_sums.then(|| {
-                        if members.len() > 1 {
-                            merged.clone()
-                        } else {
-                            lead_output.class_sums[j].clone()
-                        }
-                    });
-                    slots[ri] = Some(Prediction {
-                        request: request_ids[ri],
-                        winner,
-                        shard: lead,
-                        latency_cycles: latency,
-                        completed_at_cycle: completed,
-                        class_sums,
-                    });
-                }
-                // Every member did real engine work — book it per
-                // member (the report's per-shard streams stay honest),
-                // and clean runs count toward breaker recovery.
-                for &m in members {
-                    let before = profiles[m].load;
-                    self.note_shard_work(
-                        m,
-                        indices.len(),
-                        profiles[m].beats_per_request,
-                        (before.ii_cycles, before.ii_samples),
-                    );
-                    if self.resilient && run_directives[m].is_clean() {
-                        self.health.note_clean(m);
-                    }
-                }
-            }
-            for (shard, cause) in hard_faults {
-                count_fault_detected(cause);
-                self.health.note_hard(shard, cause);
-            }
-            // Submission order keeps redirect planning deterministic.
-            next_pending.sort_unstable();
-            pending = next_pending;
-        }
-        let predictions: Vec<Prediction> = slots
-            .into_iter()
-            .map(|p| p.expect("the partitioned flush serves every request or fails typed"))
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        Ok(predictions)
-    }
-
-    /// The shard a flush of `pending` requests should run on when one
-    /// shard can take it whole: the only shard of a one-shard pool, or —
-    /// on a homogeneous turbo pool with consolidation enabled — the
-    /// least-loaded shard (tie → lowest index) when the flush carries
-    /// less than one consolidation floor of tape work per shard.
-    ///
-    /// The floor is the chunk threshold *clamped to the built-in default*:
-    /// `chunk_threshold` is an intra-shard fan-out knob whose `u64::MAX`
-    /// sentinel means "never chunk", and before the clamp that sentinel
-    /// leaked into this decision — `spread_floor` saturated to `u64::MAX`
-    /// and every flush, however large, consolidated onto a single shard,
-    /// silently turning a multi-shard pool into one shard. Clamping keeps
-    /// the two knobs decoupled: threshold `0` still disables consolidation
-    /// (every flush spreads), the default passes through unchanged, and
-    /// `u64::MAX` disables chunking only, leaving consolidation at the
-    /// default floor.
-    fn single_executor(&self, pending: usize) -> Option<usize> {
-        if self.engines.len() == 1 {
-            return Some(0);
-        }
-        let chunk_cost = self.shared_chunk_cost?;
-        if !self.consolidate {
-            return None;
-        }
-        let lane_words = pending.div_ceil(matador_sim::LANES) as u64;
-        let batch_cost = chunk_cost.saturating_mul(lane_words);
-        if !Self::flush_consolidates(batch_cost, self.chunk_threshold, self.engines.len() as u64) {
-            return None;
-        }
-        // Resilient pools never consolidate onto a quarantined shard;
-        // with nothing eligible the flush falls through to the spread
-        // path, whose health check turns that into a typed error.
-        self.engines
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.resilient || self.health.eligible(i))
-            .min_by_key(|(i, e)| (e.load().cycles, *i))
-            .map(|(i, _)| i)
-    }
-
-    /// Whether a flush of `batch_cost` tape work (chunk cost × lane
-    /// words) may consolidate onto one shard of a `shards`-shard pool.
-    ///
-    /// The per-shard floor is `chunk_threshold` clamped to
-    /// [`matador_sim::DEFAULT_CHUNK_THRESHOLD`]: the threshold's
-    /// `u64::MAX` sentinel ("never chunk") must not leak into the
-    /// consolidation decision, where it would saturate the floor and
-    /// consolidate *every* flush — see [`ShardPool::single_executor`].
-    /// Threshold `0` keeps its "always spread" meaning for both knobs.
-    fn flush_consolidates(batch_cost: u64, chunk_threshold: u64, shards: u64) -> bool {
-        let spread_floor = chunk_threshold
-            .min(matador_sim::DEFAULT_CHUNK_THRESHOLD)
-            .saturating_mul(shards);
-        batch_cost < spread_floor
-    }
-
-    /// Runs one whole flush on `shard`, inline on the caller — the
-    /// fast path behind [`ShardPool::flush`]: no dispatch planning, no
-    /// cross-shard reassembly, predictions built in submission order
-    /// directly. The dispatcher's round-robin cursors are deliberately
-    /// left untouched: a consolidated flush never rotates them, which
-    /// keeps the assignment deterministic for any flush sequence.
-    fn flush_to_shard(
-        &mut self,
-        shard: usize,
-        requests: Vec<Request>,
-    ) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        if self.engines.len() > 1 {
-            self.metrics.consolidated.inc();
-        }
-        let before = self.engines[shard].load();
-        let beats = self.designs[shard].shape().num_packets() as u64;
-        let mut ids = Vec::with_capacity(requests.len());
-        let mut inputs = Vec::with_capacity(requests.len());
-        for r in requests {
-            ids.push(r.id);
-            inputs.push(r.input);
-        }
-        let output = self.engines[shard]
-            .run(&inputs, beats)
-            .map_err(|error| ServeError::Shard { shard, error })?;
-        debug_assert_eq!(output.results.len(), ids.len());
-        let predictions: Vec<Prediction> = ids
-            .into_iter()
-            .enumerate()
-            .map(|(j, request)| Prediction {
-                request,
-                winner: output.results[j].winner,
-                shard,
-                latency_cycles: output.results[j].cycle - output.first_beats[j] + 1,
-                completed_at_cycle: output.results[j].cycle,
-                class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-            })
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        self.note_shard_work(
-            shard,
-            predictions.len(),
-            beats,
-            (before.ii_cycles, before.ii_samples),
-        );
-        Ok(predictions)
-    }
-
-    /// The resilient twin of [`ShardPool::flush_to_shard`]: runs the
-    /// whole flush on one shard with fault injection and panic
-    /// containment, hopping to the next least-loaded eligible compatible
-    /// shard whenever the current candidate suffers a hard fault. The
-    /// hop terminates: every failed attempt quarantines its shard, and
-    /// breakers cannot half-open again mid-flush.
-    fn flush_to_shard_resilient(
-        &mut self,
-        mut shard: usize,
-        requests: Vec<Request>,
-    ) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        if self.engines.len() > 1 {
-            self.metrics.consolidated.inc();
-        }
-        let width = requests[0].input.len();
-        let mut ids = Vec::with_capacity(requests.len());
-        let mut inputs = Vec::with_capacity(requests.len());
-        for r in requests {
-            ids.push(r.id);
-            inputs.push(r.input);
-        }
-        loop {
-            self.check_healthy(width)?;
-            let directives = if self.faults.armed() {
-                self.faults.plan_slice(shard, inputs.len())
-            } else {
-                SliceFaults::clean()
-            };
-            for &label in &directives.soft {
-                count_fault_injected(label);
-            }
-            if let Some(label) = directives.hard {
-                count_fault_injected(label);
-            }
-            let before = self.engines[shard].load();
-            let beats = self.designs[shard].shape().num_packets() as u64;
-            let outcome = {
-                let engine = &mut self.engines[shard];
-                let mut faulty = FaultyEngine {
-                    engine,
-                    directives: &directives,
-                };
-                catch_unwind(AssertUnwindSafe(|| faulty.run(&inputs, beats)))
-            };
-            // Soft faults degrade the shard whether or not the slice
-            // also died; the breaker sees every injected symptom.
-            for &label in &directives.soft {
-                count_fault_detected(label);
-                self.health.note_soft(shard, label);
-            }
-            let failure = match outcome {
-                Ok(Ok(output)) => {
-                    debug_assert_eq!(output.results.len(), ids.len());
-                    let predictions: Vec<Prediction> = ids
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, request)| Prediction {
-                            request,
-                            winner: output.results[j].winner,
-                            shard,
-                            latency_cycles: output.results[j].cycle - output.first_beats[j] + 1,
-                            completed_at_cycle: output.results[j].cycle,
-                            class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-                        })
-                        .collect();
-                    self.latencies
-                        .extend(predictions.iter().map(|p| p.latency_cycles));
-                    self.note_shard_work(
-                        shard,
-                        predictions.len(),
-                        beats,
-                        (before.ii_cycles, before.ii_samples),
-                    );
-                    if directives.is_clean() {
-                        self.health.note_clean(shard);
-                    }
-                    return Ok(predictions);
-                }
-                Ok(Err(SliceError::Engine(_))) => "engine_error",
-                Ok(Err(SliceError::Corrupted)) => "corrupt_sum",
-                Err(_) => directives.hard.unwrap_or("panic"),
-            };
-            count_fault_detected(failure);
-            self.health.note_hard(shard, failure);
-            self.metrics.retries.inc();
-            self.metrics.redirects.add(ids.len() as u64);
-            // Redirect to the least-loaded surviving compatible shard;
-            // with none left, the health check at the loop head fails
-            // typed instead of retrying the dead candidate.
-            if let Some(next) = self
-                .engines
-                .iter()
-                .enumerate()
-                .filter(|&(s, _)| {
-                    self.health.eligible(s) && self.designs[s].shape().features == width
-                })
-                .min_by_key(|(s, e)| (e.load().cycles, *s))
-                .map(|(s, _)| s)
-            {
-                shard = next;
-            }
-        }
-    }
-
-    /// Runs one serve window on `shard` straight from the caller's
-    /// borrowed slice — the zero-copy twin of
-    /// [`ShardPool::flush_to_shard`] for inputs that never entered the
-    /// FIFO. Request ids are the contiguous block starting at
-    /// `first_id` (from [`RequestQueue::admit_block`]).
-    fn run_shard_window(
-        &mut self,
-        shard: usize,
-        first_id: u64,
-        inputs: &[BitVec],
-    ) -> Result<Vec<Prediction>, ServeError> {
-        self.metrics.flushes.inc();
-        if self.engines.len() > 1 {
-            self.metrics.consolidated.inc();
-        }
-        let before = self.engines[shard].load();
-        let beats = self.designs[shard].shape().num_packets() as u64;
-        let output = self.engines[shard]
-            .run(inputs, beats)
-            .map_err(|error| ServeError::Shard { shard, error })?;
-        debug_assert_eq!(output.results.len(), inputs.len());
-        let predictions: Vec<Prediction> = output
-            .results
-            .iter()
-            .enumerate()
-            .map(|(j, result)| Prediction {
-                request: first_id + j as u64,
-                winner: result.winner,
-                shard,
-                latency_cycles: result.cycle - output.first_beats[j] + 1,
-                completed_at_cycle: result.cycle,
-                class_sums: self.capture_sums.then(|| output.class_sums[j].clone()),
-            })
-            .collect();
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        self.note_shard_work(
-            shard,
-            predictions.len(),
-            beats,
-            (before.ii_cycles, before.ii_samples),
-        );
-        Ok(predictions)
-    }
-
-    /// Serves a whole batch: submits each datapoint, flushing whenever
-    /// the bounded queue fills, and once more at the end. Returns
-    /// predictions in input order. The queue's depth bound is respected
-    /// by flushing *before* it would overflow, so the backpressure
-    /// counter ([`RequestQueue::rejected`]) only ever reflects real
-    /// external rejections, never this loop's own batching.
-    ///
-    /// When the queue starts empty and a window lands on a single shard
-    /// (a one-shard pool, or a consolidated flush on a homogeneous turbo
-    /// pool), the window runs zero-copy from the borrowed slice with
-    /// block-admitted ids — identical results, ids, latencies, and
-    /// admission counters to the submit/flush path, minus the clones.
+    /// Serves a whole batch in input order, flushing whenever the bounded
+    /// queue fills and once more at the end — *before* it would overflow,
+    /// so [`RequestQueue::rejected`] only counts external rejections.
+    /// From an empty queue each flush window is a queue-capacity chunk of
+    /// `inputs`, block-admitted and run without entering the FIFO: the
+    /// same results, ids and counters as submit/flush, minus the clones.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::WidthMismatch`] /
     /// [`ServeError::NoCompatibleShard`] — checked for the *whole* batch
     /// up front, before anything is flushed, so a malformed input cannot
-    /// strand already-classified predictions — and propagates
-    /// [`ServeError::Shard`] from flushing.
+    /// strand already-classified predictions — and propagates every
+    /// [`ShardPool::flush`] error.
     pub fn serve(&mut self, inputs: &[BitVec]) -> Result<Vec<Prediction>, ServeError> {
         for input in inputs {
             self.check_width(input.len())?;
         }
         let mut out = Vec::with_capacity(inputs.len());
-        // Resilient pools always route through submit/flush: the fault
-        // injector and health bookkeeping bracket every slice there, and
-        // the zero-copy window path has no retry story for a borrowed
-        // slice. Fault-free pools keep the fast path untouched.
-        if self.queue.is_empty() && !self.resilient {
-            // Zero-copy path: with nothing pending, each flush window is
-            // exactly a queue-capacity chunk of the caller's slice. Any
-            // window a single shard can take whole runs straight off the
-            // borrowed inputs — ids come from a block admission, and the
-            // datapoints are never cloned into the FIFO.
+        if self.queue.is_empty() {
             for window in inputs.chunks(self.queue.capacity()) {
-                if let Some(shard) = self.single_executor(window.len()) {
-                    let first_id = self.queue.admit_block(window.len())?;
-                    out.extend(self.run_shard_window(shard, first_id, window)?);
-                } else {
-                    for input in window {
-                        self.queue.push(input.clone())?;
-                    }
-                    out.extend(self.flush()?);
-                }
+                let first_id = self.queue.admit_block(window.len())?;
+                out.extend(self.run_flush(first_id, window)?);
             }
             return Ok(out);
         }
@@ -2189,6 +1182,349 @@ impl<'a> ShardPool<'a> {
         }
         out.extend(self.flush()?);
         Ok(out)
+    }
+
+    /// The one flush datapath (see the module docs): plan, execute and
+    /// triage rounds until every request is served. Request `j` of
+    /// `inputs` carries id `first_id + j`. A classic pool runs one round;
+    /// a resilient pool's rounds terminate because each losing round
+    /// quarantines at least one shard and breakers cannot half-open
+    /// mid-flush (cooldowns advance only in `begin_flush`).
+    fn run_flush(
+        &mut self,
+        first_id: u64,
+        inputs: &[BitVec],
+    ) -> Result<Vec<Prediction>, ServeError> {
+        self.metrics.flushes.inc();
+        if self.resilient {
+            // Advance quarantine cooldowns (Quarantined → Probing) before
+            // anything is planned, so half-open probes ride ordinary
+            // traffic this flush.
+            self.health.begin_flush();
+        }
+        let mut served: Vec<(Vec<usize>, Vec<Prediction>)> = Vec::new();
+        let mut pending: Vec<usize> = (0..inputs.len()).collect();
+        let mut round = 0u64;
+        while !pending.is_empty() {
+            // No healthy capacity for some pending width ⇒ the flush
+            // fails typed (its requests are dropped, exactly like the
+            // classic [`ServeError::Shard`] contract).
+            if self.resilient {
+                for &ri in &pending {
+                    self.check_healthy(inputs[ri].len())?;
+                }
+            }
+            if round > 0 {
+                self.metrics.retries.inc();
+                self.metrics.redirects.add(pending.len() as u64);
+            }
+            round += 1;
+            let plan = self.plan(pending, inputs);
+            pending = self.execute_round(first_id, inputs, plan, &mut served)?;
+            // Submission order keeps redirect planning deterministic and
+            // independent of which shards failed in what order.
+            pending.sort_unstable();
+        }
+        let predictions = if served.len() == 1 {
+            served.pop().expect("one served unit").1
+        } else {
+            let mut slots: Vec<Option<Prediction>> = vec![None; inputs.len()];
+            for (indices, predictions) in served {
+                for (ri, p) in indices.into_iter().zip(predictions) {
+                    slots[ri] = Some(p);
+                }
+            }
+            slots
+                .into_iter()
+                .map(|p| p.expect("every request is served or the flush fails typed"))
+                .collect()
+        };
+        self.latencies
+            .extend(predictions.iter().map(|p| p.latency_cycles));
+        Ok(predictions)
+    }
+
+    /// The plan step: per-unit request lists (indices into the flush's
+    /// inputs, submission order, empty for idle units). One unit takes
+    /// every pending request when [`ShardPool::whole_flush_unit`] picks
+    /// one; otherwise the dispatch policy spreads them over the eligible
+    /// units. A unit's profile is its lead member's (a group's members
+    /// share one width and beat cost by construction, and their clocks
+    /// advance in lockstep) with its most conservative member's weight.
+    fn plan(&mut self, pending: Vec<usize>, inputs: &[BitVec]) -> Vec<Vec<usize>> {
+        let mut plan = vec![Vec::new(); self.units.len()];
+        if let Some(unit) = self.whole_flush_unit(pending.len()) {
+            // The dispatcher's round-robin cursors are deliberately left
+            // untouched: a consolidated flush never rotates them, which
+            // keeps the assignment deterministic for any flush sequence.
+            if self.units.len() > 1 {
+                self.metrics.consolidated.inc();
+            }
+            plan[unit] = pending;
+            return plan;
+        }
+        self.metrics.dispatched.add(pending.len() as u64);
+        let profiles: Vec<ShardProfile> = self
+            .units
+            .iter()
+            .map(|members| {
+                let design = self.designs[members[0]];
+                ShardProfile {
+                    load: self.engines[members[0]].load(),
+                    width: design.shape().features,
+                    beats_per_request: design.shape().num_packets() as u64,
+                    weight: members
+                        .iter()
+                        .map(|&m| self.weights[m])
+                        .min()
+                        .expect("units are non-empty"),
+                }
+            })
+            .collect();
+        let eligible: Vec<bool> = (0..self.units.len())
+            .map(|u| self.unit_eligible(u))
+            .collect();
+        let widths: Vec<usize> = pending.iter().map(|&ri| inputs[ri].len()).collect();
+        let assignment = self.dispatcher.plan_eligible(&profiles, &widths, &eligible);
+        for (ri, unit) in pending.into_iter().zip(assignment) {
+            plan[unit].push(ri);
+        }
+        plan
+    }
+
+    /// The unit a flush of `pending` requests runs on whole, if any: the
+    /// only unit of a one-unit pool, or — on a homogeneous turbo pool,
+    /// whose identical tapes make assignment result-invisible — the
+    /// least-loaded eligible shard (tie → lowest index) when the flush
+    /// carries less than one consolidation floor of work per shard.
+    /// Quarantined shards are never picked, so a redirect round's
+    /// re-plan *is* the hop to the least-loaded surviving shard.
+    fn whole_flush_unit(&self, pending: usize) -> Option<usize> {
+        if self.units.len() == 1 {
+            return Some(0);
+        }
+        let chunk_cost = self.shared_chunk_cost?;
+        let lane_words = pending.div_ceil(matador_sim::LANES) as u64;
+        let batch_cost = chunk_cost.saturating_mul(lane_words);
+        if !Self::flush_consolidates(batch_cost, self.chunk_threshold, self.units.len() as u64) {
+            return None;
+        }
+        // A homogeneous pool's units are its shards, in order.
+        (0..self.units.len())
+            .filter(|&shard| self.health.eligible(shard))
+            .min_by_key(|&shard| (self.engines[shard].load().cycles, shard))
+    }
+
+    /// Whether a flush of `batch_cost` tape work (chunk cost × lane
+    /// words) may consolidate onto one shard of a `shards`-shard pool.
+    ///
+    /// The per-shard floor is `chunk_threshold` clamped to
+    /// [`matador_sim::DEFAULT_CHUNK_THRESHOLD`], so the threshold's
+    /// `u64::MAX` "never chunk" sentinel cannot saturate the floor and
+    /// consolidate every flush. Threshold `0` spreads every flush, the
+    /// default passes through, and `u64::MAX` disables chunking only.
+    fn flush_consolidates(batch_cost: u64, chunk_threshold: u64, shards: u64) -> bool {
+        let spread_floor = chunk_threshold
+            .min(matador_sim::DEFAULT_CHUNK_THRESHOLD)
+            .saturating_mul(shards);
+        batch_cost < spread_floor
+    }
+
+    /// Executes one planned round and triages it per unit: served units'
+    /// predictions join `served`, and the requests of failed units are
+    /// returned for re-planning (resilient) or fail the flush (classic).
+    /// A lost slice contributes *nothing* — a panicked worker produced no
+    /// results, a corrupted slice is discarded, and any member failure
+    /// discards its whole unit (a lone partial sum is meaningless) — so
+    /// every served reply was computed cleanly by healthy shards, which
+    /// keeps chaos replies bit-identical to the fault-free run.
+    fn execute_round(
+        &mut self,
+        first_id: u64,
+        inputs: &[BitVec],
+        plan: Vec<Vec<usize>>,
+        served: &mut Vec<(Vec<usize>, Vec<Prediction>)>,
+    ) -> Result<Vec<usize>, ServeError> {
+        // A unit carrying the whole flush runs straight off `inputs`; a
+        // spread slice is gathered once and shared by the unit's members.
+        let slices: Vec<Cow<'_, [BitVec]>> = plan
+            .iter()
+            .map(|indices| {
+                if indices.len() == inputs.len() {
+                    Cow::Borrowed(inputs)
+                } else {
+                    Cow::Owned(indices.iter().map(|&ri| inputs[ri].clone()).collect())
+                }
+            })
+            .collect();
+        // The ii-outlier baseline, from before this round's work lands.
+        let modeled_ii = self.resilient.then(|| self.modeled_ii_cycles());
+
+        // Runs in unit order, members contiguous. Fault directives are
+        // planned up front on the pool thread — the injector's state is
+        // single-threaded, workers only read their own directive.
+        let mut engines: Vec<Option<&mut PoolEngine<'a>>> =
+            self.engines.iter_mut().map(Some).collect();
+        let mut runs: Vec<MemberRun<'_, 'a, '_>> = Vec::new();
+        for ((members, indices), slice) in self.units.iter().zip(&plan).zip(&slices) {
+            if indices.is_empty() {
+                continue;
+            }
+            for &shard in members {
+                let engine = engines[shard].take().expect("units partition the shards");
+                let directives = if self.faults.armed() {
+                    self.faults.plan_slice(shard, indices.len())
+                } else {
+                    SliceFaults::clean()
+                };
+                for &label in directives.soft.iter().chain(&directives.hard) {
+                    count_fault(false, label);
+                }
+                runs.push(MemberRun {
+                    result: MemberResult {
+                        shard,
+                        beats_per_request: self.designs[shard].shape().num_packets() as u64,
+                        before: engine.load(),
+                        directives,
+                        outcome: None,
+                    },
+                    engine,
+                    inputs: slice,
+                });
+            }
+        }
+        // Homogeneous turbo shards run serially on the caller: each
+        // engine fans its own slice out across the worker budget, which
+        // beats one thread per shard for identical tapes and never
+        // oversubscribes. Other pools fan out one worker per member — a
+        // cycle engine is single-threaded by nature, and heterogeneous
+        // turbo engines were pinned to their worker at construction.
+        let threads = if runs.len() == 1 || self.shared_chunk_cost.is_some() {
+            1
+        } else {
+            self.threads.unwrap_or_else(matador_par::configured_threads)
+        };
+        if self.resilient {
+            // A contained panic is already recorded as its run's unset
+            // outcome; which one surfaced first is irrelevant.
+            let _ = matador_par::try_par_map_mut_with(threads, &mut runs, |_, run| run.execute());
+        } else {
+            matador_par::par_map_mut_with(threads, &mut runs, |_, run| run.execute());
+        }
+        let mut results: Vec<MemberResult> = runs.into_iter().map(|run| run.result).collect();
+
+        // Classic fail-fast: the lowest failing shard fails the flush
+        // before anything is booked (engine errors are the only failure a
+        // classic pool observes — it lets panics propagate).
+        if !self.resilient {
+            let failed = results.iter().filter(|r| r.failure().is_some());
+            if let Some(MemberResult {
+                shard,
+                outcome: Some(Err(SliceError::Engine(error))),
+                ..
+            }) = failed.min_by_key(|r| r.shard)
+            {
+                return Err(ServeError::Shard {
+                    shard: *shard,
+                    error: *error,
+                });
+            }
+        }
+        // Soft faults degrade their shard whether or not the slice also
+        // died; the breaker sees every injected symptom.
+        for r in &results {
+            for &label in &r.directives.soft {
+                count_fault(true, label);
+                self.health.note_soft(r.shard, label);
+            }
+        }
+
+        let mut requeue = Vec::new();
+        let mut hard_faults: Vec<(usize, &'static str)> = Vec::new();
+        let mut rest = &mut results[..];
+        for (unit, indices) in plan.into_iter().enumerate() {
+            if indices.is_empty() {
+                continue;
+            }
+            let (unit_runs, tail) = std::mem::take(&mut rest).split_at_mut(self.units[unit].len());
+            rest = tail;
+            let failed: Vec<(usize, &'static str)> = unit_runs
+                .iter()
+                .filter_map(|r| Some((r.shard, r.failure()?)))
+                .collect();
+            if !failed.is_empty() {
+                hard_faults.extend(failed);
+                requeue.extend(indices);
+                continue;
+            }
+            let predictions = self.unit_predictions(first_id, &indices, unit_runs);
+            for run in unit_runs.iter() {
+                self.book_member(run, indices.len(), modeled_ii);
+            }
+            served.push((indices, predictions));
+        }
+        for (shard, cause) in hard_faults {
+            count_fault(true, cause);
+            self.health.note_hard(shard, cause);
+        }
+        Ok(requeue)
+    }
+
+    /// Builds a served unit's predictions, in its slice's order. A lone
+    /// shard's results are served as they are. A partition group's
+    /// partial class sums are merged element-wise into each winner —
+    /// exact by the partitioner's contract
+    /// ([`matador_sim::CompilePipeline::partition`]: disjoint clause
+    /// ranges cut at polarity-preserving boundaries) — and its prediction
+    /// carries the slowest member's latency/completion stamp (all parts
+    /// stream the same packets, so they agree) and the lead member as
+    /// its shard.
+    fn unit_predictions(
+        &self,
+        first_id: u64,
+        indices: &[usize],
+        runs: &mut [MemberResult],
+    ) -> Vec<Prediction> {
+        let lead = runs[0].shard;
+        let capture = self.capture_sums;
+        if let [run] = runs {
+            let output = run.output();
+            let stamps = output.results.iter().zip(&output.first_beats);
+            return (indices.iter().zip(stamps).enumerate())
+                .map(|(j, (&ri, (result, &first_beat)))| Prediction {
+                    request: first_id + ri as u64,
+                    winner: result.winner,
+                    shard: lead,
+                    latency_cycles: result.cycle - first_beat + 1,
+                    completed_at_cycle: result.cycle,
+                    class_sums: capture.then(|| std::mem::take(&mut output.class_sums[j])),
+                })
+                .collect();
+        }
+        let outputs: Vec<&mut ShardOutput> = runs.iter_mut().map(MemberResult::output).collect();
+        let prediction = |j: usize, ri: usize| {
+            let mut merged = vec![0i32; outputs[0].class_sums[j].len()];
+            let (mut latency, mut completed) = (0u64, 0u64);
+            for output in &outputs {
+                for (acc, &s) in merged.iter_mut().zip(&output.class_sums[j]) {
+                    *acc += s;
+                }
+                let cycle = output.results[j].cycle;
+                latency = latency.max(cycle - output.first_beats[j] + 1);
+                completed = completed.max(cycle);
+            }
+            Prediction {
+                request: first_id + ri as u64,
+                winner: tsetlin::tm::argmax(&merged),
+                shard: lead,
+                latency_cycles: latency,
+                completed_at_cycle: completed,
+                class_sums: capture.then_some(merged),
+            }
+        };
+        (indices.iter().enumerate())
+            .map(|(j, &ri)| prediction(j, ri))
+            .collect()
     }
 
     /// Merges every shard's stream statistics (engine cycles, monitor
@@ -2211,6 +1547,7 @@ mod tests {
     use matador_logic::cube::{Cube, Lit};
     use matador_logic::dag::Sharing;
     use matador_sim::AccelShape;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// 8-feature, 2-packet accelerator: class 0 votes for x0, class 1 for
     /// x4 (mirrors the engine's own test design).
@@ -2523,8 +1860,9 @@ mod tests {
                     options.capture_class_sums = true;
                     options.backend = backend;
                     // Shard *assignments* must match the cycle pool too,
-                    // so keep the turbo pool on the configured policy.
-                    options.consolidate = false;
+                    // so keep the turbo pool on the configured policy: a
+                    // zero consolidation floor spreads every flush.
+                    options.chunk_threshold = Some(0);
                     let mut pool = ShardPool::with_options(&a, options).expect("valid");
                     // Two batches exercise the cumulative shard clocks the
                     // stateful policies dispatch on.
@@ -2619,17 +1957,6 @@ mod tests {
             vec![0, 1, 2, 3, 0, 1, 2, 3],
             "threshold 0 spreads round-robin"
         );
-    }
-
-    #[test]
-    fn consolidation_off_spreads_even_tiny_turbo_flushes() {
-        let a = accel();
-        let mut options = ServeOptions::turbo(4);
-        options.consolidate = false;
-        let mut pool = ShardPool::with_options(&a, options).expect("valid");
-        let preds = pool.serve(&inputs(8)).expect("infallible");
-        let shards: Vec<usize> = preds.iter().map(|p| p.shard).collect();
-        assert_eq!(shards, vec![0, 1, 2, 3, 0, 1, 2, 3], "round-robin kept");
     }
 
     #[test]
@@ -2967,19 +2294,69 @@ mod tests {
     use crate::fault::FaultEvent;
     use crate::FaultKind;
 
+    /// A resilient pool with nothing to inject is observationally the
+    /// classic pool: on every pool shape (single shard, consolidated
+    /// turbo, cycle-accurate spread, partition group) and through both
+    /// entries (`serve` from an empty queue, `submit` then `serve`).
     #[test]
     fn empty_fault_plan_matches_the_classic_pool() {
         let a = accel();
-        let xs = inputs(13);
-        let mut classic = ShardPool::new(&a, 3).expect("valid");
-        let expected = classic.serve(&xs).expect("drains");
-        let mut resilient =
-            ShardPool::with_fault_plan(&a, ServeOptions::new(3), FaultPlan::none()).expect("valid");
-        assert!(resilient.resilient());
-        let got = resilient.serve(&xs).expect("drains");
-        assert_eq!(got, expected);
-        assert!(resilient.health_log().is_empty());
-        assert_eq!(resilient.healthy_shards(), 3);
+        let wide = wide_accel();
+        let group = partitioned_specs(&wide, 2, 0);
+        let options = |backend: EngineBackend, shards: usize| ServeOptions {
+            backend,
+            queue_depth: 8,
+            capture_class_sums: true,
+            ..ServeOptions::new(shards)
+        };
+        let xs = inputs(21);
+        for shape in [
+            "1-shard turbo",
+            "4-shard turbo",
+            "3-shard cycle",
+            "K=2 group",
+        ] {
+            for submit_first in [false, true] {
+                let run = |resilient: bool| {
+                    let mut pool = match shape {
+                        "1-shard turbo" => {
+                            ShardPool::with_options(&a, options(EngineBackend::Turbo, 1))
+                        }
+                        "4-shard turbo" => {
+                            ShardPool::with_options(&a, options(EngineBackend::Turbo, 4))
+                        }
+                        "3-shard cycle" => {
+                            ShardPool::with_options(&a, options(EngineBackend::CycleAccurate, 3))
+                        }
+                        _ => ShardPool::heterogeneous(
+                            &group,
+                            options(EngineBackend::CycleAccurate, 2),
+                        ),
+                    }
+                    .expect("valid");
+                    if resilient {
+                        pool.install_fault_plan(FaultPlan::none());
+                    }
+                    let mut preds = Vec::new();
+                    if submit_first {
+                        for x in &xs[..3] {
+                            pool.submit(x).expect("admitted");
+                        }
+                    }
+                    preds.extend(pool.serve(&xs).expect("drains"));
+                    preds.extend(pool.serve(&xs[..11]).expect("drains"));
+                    assert_eq!(pool.resilient(), resilient);
+                    assert!(pool.health_log().is_empty(), "{shape}");
+                    let queue = (pool.queue().accepted(), pool.queue().rejected());
+                    (preds, pool.report(), pool.shard_stats(), queue)
+                };
+                assert_eq!(
+                    run(true),
+                    run(false),
+                    "{shape}, submit first: {submit_first}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -3199,12 +2576,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_seed_option_arms_the_injector() {
+    fn seeded_fault_plan_arms_the_injector() {
         let a = accel();
-        let mut options = ServeOptions::new(2);
-        options.fault_seed = Some(11);
-        let pool = ShardPool::with_options(&a, options).expect("valid");
+        let plan = FaultPlan::seeded(11, 2, 256, 2);
+        let pool = ShardPool::with_fault_plan(&a, ServeOptions::new(2), plan).expect("valid");
         assert!(pool.resilient());
+        assert!(pool.faults.armed());
     }
 
     /// A partitionable twin of [`accel`]: the same 8-feature, 2-packet
@@ -3335,9 +2712,8 @@ mod tests {
                 at_request: 0,
                 kind: FaultKind::Panic,
             }]);
-            let mut pool =
-                ShardPool::heterogeneous_with_fault_plan(&specs, ServeOptions::new(4), plan)
-                    .expect("valid");
+            let mut pool = ShardPool::heterogeneous(&specs, ServeOptions::new(4)).expect("valid");
+            pool.install_fault_plan(plan);
             let preds = pool.serve(&xs).expect("a sibling unit absorbs the slice");
             // Zero drops, correct winners: the failed unit's whole slice
             // was discarded (a lone partial sum is meaningless) and
@@ -3355,9 +2731,8 @@ mod tests {
             let a = wide_accel();
             let specs = partitioned_specs(&a, 2, 0);
             let plan = FaultPlan::kill_shard(1, 0);
-            let mut pool =
-                ShardPool::heterogeneous_with_fault_plan(&specs, ServeOptions::new(2), plan)
-                    .expect("valid");
+            let mut pool = ShardPool::heterogeneous(&specs, ServeOptions::new(2)).expect("valid");
+            pool.install_fault_plan(plan);
             // The only unit serving width 8 has a permanently dead
             // member: the flush must fail typed, never spin.
             let err = pool.serve(&inputs(4)).unwrap_err();
