@@ -5,8 +5,7 @@
 use crate::config::MatadorConfig;
 use crate::design::AcceleratorDesign;
 use crate::verify::{verify_design, VerificationReport};
-use matador_serve::{DispatchPolicy, EngineBackend, ServeOptions, ServeSession, ShardSpec};
-use matador_sim::{CompileOptions, CompilePipeline, LatencyReport, SimEngine};
+use matador_sim::{LatencyReport, SimEngine};
 use matador_synth::report::ImplementationReport;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -78,205 +77,6 @@ impl FlowOutcome {
     /// Throughput in inferences/second at the implemented clock.
     pub fn throughput_inf_s(&self) -> f64 {
         self.latency.throughput_inf_s(self.implementation.clock_mhz)
-    }
-
-    /// Starts configuring a serving runtime over this design — the one
-    /// entry point for every pool shape the serving stack offers:
-    ///
-    /// ```no_run
-    /// # use matador::flow::{MatadorFlow, TrainSpec};
-    /// # use matador::config::MatadorConfig;
-    /// use matador_serve::{DispatchPolicy, EngineBackend};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// # let outcome: matador::flow::FlowOutcome = unimplemented!();
-    /// // Four replicated turbo shards with latency-aware dispatch.
-    /// let session = outcome
-    ///     .serving()
-    ///     .shards(4)
-    ///     .backend(EngineBackend::Turbo)
-    ///     .policy(DispatchPolicy::LatencyAware)
-    ///     .build()?;
-    ///
-    /// // The design clause-partitioned across two cooperating shards.
-    /// let partitioned = outcome.serving().partitions(2).build()?;
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// The builder starts from the design's own defaults (its class-sum
-    /// pipelining, one cycle-accurate shard, round-robin dispatch) and
-    /// ends with [`ServeBuilder::build`].
-    pub fn serving(&self) -> ServeBuilder<'_> {
-        ServeBuilder {
-            outcome: self,
-            options: ServeOptions {
-                pipelined_sum: self.design.config().pipeline_class_sum(),
-                ..ServeOptions::new(1)
-            },
-            policy_overridden: false,
-            specs: None,
-            partitions: 1,
-        }
-    }
-
-    /// This outcome's design as one shard of a heterogeneous pool:
-    /// compiled for simulation, inheriting the design's class-sum
-    /// pipelining, cycle-accurate backend, dispatch weight 1. Adjust with
-    /// the [`ShardSpec`] builder methods
-    /// (`.backend(…)`, `.weight(…)`) before pooling.
-    pub fn shard_spec(&self) -> ShardSpec {
-        ShardSpec::new(self.design.compile_for_sim())
-            .pipelined_sum(self.design.config().pipeline_class_sum())
-    }
-}
-
-/// Fluent configuration of a serving runtime over one [`FlowOutcome`],
-/// started by [`FlowOutcome::serving`] and finished by
-/// [`ServeBuilder::build`].
-///
-/// Three pool shapes, by precedence:
-///
-/// 1. [`ServeBuilder::specs`] — a heterogeneous pool of explicit
-///    [`ShardSpec`]s (dispatch defaults to
-///    [`DispatchPolicy::LatencyAware`] unless a policy was chosen).
-/// 2. [`ServeBuilder::partitions`] — this design clause-partitioned by
-///    the compile pipeline into cooperating shards that merge partial
-///    class sums, bit-identical to the monolithic pool.
-/// 3. Otherwise — a homogeneous pool of [`ServeBuilder::shards`]
-///    replicas of this design.
-#[derive(Debug, Clone)]
-pub struct ServeBuilder<'a> {
-    outcome: &'a FlowOutcome,
-    options: ServeOptions,
-    /// Whether [`ServeBuilder::policy`] or [`ServeBuilder::options`] was
-    /// called — gates the heterogeneous latency-aware default.
-    policy_overridden: bool,
-    specs: Option<Vec<ShardSpec>>,
-    partitions: usize,
-}
-
-impl ServeBuilder<'_> {
-    /// Pool size for the homogeneous (replicated) shape. Ignored when
-    /// [`ServeBuilder::specs`] or [`ServeBuilder::partitions`] decides
-    /// the shard count instead.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.options.shards = shards;
-        self
-    }
-
-    /// Execution backend for replicated or partitioned shards
-    /// ([`EngineBackend::Turbo`] is bit-identical to
-    /// [`EngineBackend::CycleAccurate`], only faster on the host).
-    /// Explicit specs carry their own backend instead.
-    #[must_use]
-    pub fn backend(mut self, backend: EngineBackend) -> Self {
-        self.options.backend = backend;
-        self
-    }
-
-    /// Dispatch policy. Choosing one explicitly also opts a spec pool
-    /// out of its [`DispatchPolicy::LatencyAware`] default.
-    #[must_use]
-    pub fn policy(mut self, policy: DispatchPolicy) -> Self {
-        self.options.policy = policy;
-        self.policy_overridden = true;
-        self
-    }
-
-    /// Bounded request-queue depth (typed backpressure beyond it).
-    #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.options.queue_depth = depth;
-        self
-    }
-
-    /// Whether predictions carry per-class vote sums.
-    #[must_use]
-    pub fn capture_class_sums(mut self, capture: bool) -> Self {
-        self.options.capture_class_sums = capture;
-        self
-    }
-
-    /// Worker threads for shard fan-out (results never depend on this).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = Some(threads);
-        self
-    }
-
-    /// Replaces the accumulated options wholesale — the escape hatch for
-    /// callers holding a ready-made [`ServeOptions`] (note this drops
-    /// the design-derived pipelining default and counts as choosing a
-    /// policy).
-    #[must_use]
-    pub fn options(mut self, options: ServeOptions) -> Self {
-        self.options = options;
-        self.policy_overridden = true;
-        self
-    }
-
-    /// A heterogeneous pool of explicit per-shard specs (typically this
-    /// outcome's [`FlowOutcome::shard_spec`] plus specs from other flow
-    /// runs). Requests are admitted and routed only to shards whose
-    /// feature width matches; dispatch defaults to
-    /// [`DispatchPolicy::LatencyAware`] so shards with heterogeneous IIs
-    /// split batches by estimated drain time. Takes precedence over
-    /// [`ServeBuilder::partitions`].
-    #[must_use]
-    pub fn specs(mut self, specs: Vec<ShardSpec>) -> Self {
-        self.specs = Some(specs);
-        self
-    }
-
-    /// Clause-partitions this design into (up to) `partitions`
-    /// cooperating shards via the compile pipeline
-    /// ([`matador_sim::CompilePipeline::partition`]): one partition
-    /// group serving as a single logical model, every request executed
-    /// on all members and their partial class sums merged — winners,
-    /// sums and cycle stamps bit-identical to the monolithic pool.
-    /// `1` (the default) keeps the design whole.
-    #[must_use]
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions;
-        self
-    }
-
-    /// Stands up the configured [`ServeSession`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Serve`] on degenerate configurations: zero
-    /// shards or queue depth, an empty or zero-weight spec list, or a
-    /// partition group mixing feature widths.
-    pub fn build(self) -> Result<ServeSession, crate::Error> {
-        let ServeBuilder {
-            outcome,
-            mut options,
-            policy_overridden,
-            specs,
-            partitions,
-        } = self;
-        if let Some(specs) = specs {
-            if !policy_overridden {
-                options.policy = DispatchPolicy::LatencyAware;
-            }
-            return ServeSession::heterogeneous(specs, options).map_err(Into::into);
-        }
-        if partitions > 1 {
-            let accel = outcome.design.compile_for_sim();
-            let plan = CompilePipeline::new(CompileOptions::default().with_partitions(partitions))
-                .partition(&accel);
-            let backend = options.backend;
-            let pipelined = options.pipelined_sum;
-            let specs: Vec<ShardSpec> = ShardSpec::partitioned(plan, 0)
-                .into_iter()
-                .map(|spec| spec.backend(backend).pipelined_sum(pipelined))
-                .collect();
-            return ServeSession::heterogeneous(specs, options).map_err(Into::into);
-        }
-        ServeSession::new(outcome.design.compile_for_sim(), options).map_err(Into::into)
     }
 }
 
@@ -439,6 +239,8 @@ impl MatadorFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matador_serve::{DispatchPolicy, EngineBackend, ServeOptions, ShardPool, ShardSpec};
+    use matador_sim::{CompileOptions, CompilePipeline};
     use tsetlin::bits::BitVec;
 
     fn tiny_task() -> (Vec<Sample>, Vec<Sample>) {
@@ -550,13 +352,12 @@ mod tests {
         let outcome = MatadorFlow::new(config)
             .run(spec(), &train, &test)
             .expect("flow succeeds");
+        let accel = outcome.design.compile_for_sim();
 
         // Zero shards is rejected through the unified error type.
-        let err = outcome
-            .serving()
-            .shards(0)
-            .build()
-            .expect_err("zero shards rejected");
+        let err: crate::Error = ShardPool::with_options(&accel, ServeOptions::new(0))
+            .expect_err("zero shards rejected")
+            .into();
         assert!(matches!(
             err,
             crate::Error::Serve(matador_serve::ServeError::ZeroShards)
@@ -567,14 +368,11 @@ mod tests {
         let mut winners = Vec::new();
         let mut pool_cycles = Vec::new();
         for shards in [1usize, 4] {
-            let mut session = outcome
-                .serving()
-                .shards(shards)
-                .build()
-                .expect("valid session");
-            let preds = session.serve(&batch).expect("drains");
+            let mut pool =
+                ShardPool::with_options(&accel, ServeOptions::new(shards)).expect("valid pool");
+            let preds = pool.serve(&batch).expect("drains");
             winners.push(preds.iter().map(|p| p.winner).collect::<Vec<_>>());
-            pool_cycles.push(session.report().pool_cycles);
+            pool_cycles.push(pool.report().pool_cycles);
         }
         assert_eq!(winners[0], winners[1]);
         assert!(
@@ -594,24 +392,30 @@ mod tests {
         let (train, test) = tiny_task();
         let config = MatadorConfig::builder()
             .bus_width(4)
-            .pipeline_class_sum(true) // the backend must inherit this
+            .pipeline_class_sum(true) // both backends must model this
             .build()
             .expect("valid");
         let outcome = MatadorFlow::new(config)
             .run(spec(), &train, &test)
             .expect("flow succeeds");
+        let accel = outcome.design.compile_for_sim();
         let batch: Vec<_> = test.iter().map(|s| s.input.clone()).collect();
 
         // One shard, so the comparison covers shard attribution and
         // per-shard stats too (on several shards a turbo pool would
         // consolidate this small batch — a different schedule; the pool
         // tests pin multi-shard assignments).
-        let mut cycle = outcome.serving().build().expect("valid session");
-        let mut turbo = outcome
-            .serving()
-            .backend(EngineBackend::Turbo)
-            .build()
-            .expect("valid session");
+        let options = ServeOptions {
+            pipelined_sum: outcome.design.config().pipeline_class_sum(),
+            ..ServeOptions::new(1)
+        };
+        assert!(options.pipelined_sum);
+        let mut cycle = ShardPool::with_options(&accel, options).expect("valid pool");
+        let turbo_options = ServeOptions {
+            backend: EngineBackend::Turbo,
+            ..options
+        };
+        let mut turbo = ShardPool::with_options(&accel, turbo_options).expect("valid pool");
         let from_cycle = cycle.serve(&batch).expect("drains");
         let from_turbo = turbo.serve(&batch).expect("infallible");
         // Same predictions, latencies and per-shard stream statistics —
@@ -639,17 +443,21 @@ mod tests {
 
         // Same model on two bus widths behind one pool: every request
         // gets the model's answer, whichever shard serves it.
-        let mut session = wide
-            .serving()
-            .specs(vec![wide.shard_spec(), narrow.shard_spec()])
-            .build()
-            .expect("valid session");
-        let preds = session.serve(&batch).expect("drains");
+        let specs = vec![
+            ShardSpec::new(wide.design.compile_for_sim()),
+            ShardSpec::new(narrow.design.compile_for_sim()),
+        ];
+        let options = ServeOptions {
+            policy: DispatchPolicy::LatencyAware,
+            ..ServeOptions::new(1)
+        };
+        let mut pool = ShardPool::heterogeneous(&specs, options).expect("valid pool");
+        let preds = pool.serve(&batch).expect("drains");
         for (x, p) in batch.iter().zip(&preds) {
             assert_eq!(p.winner, wide.model.predict(x));
         }
-        // The latency-aware default sends more of the batch to the
-        // 2-packet wide-bus shard than the 6-packet narrow-bus one.
+        // Latency-aware dispatch sends more of the batch to the 2-packet
+        // wide-bus shard than the 6-packet narrow-bus one.
         let to_wide = preds.iter().filter(|p| p.shard == 0).count();
         assert!(
             to_wide > preds.len() / 2,
@@ -661,8 +469,8 @@ mod tests {
         // shards share one feature width here, so the precise
         // single-width diagnostic applies (mixed-width pools report
         // `NoCompatibleShard`; see the serve crate's tests).
-        let err = session
-            .serve(&[tsetlin::bits::BitVec::zeros(5)])
+        let err = pool
+            .serve(&[BitVec::zeros(5)])
             .expect_err("no shard takes width 5");
         assert!(matches!(
             err,
@@ -671,21 +479,10 @@ mod tests {
                 got: 5
             }
         ));
-
-        // Degenerate spec lists converge into the unified error type.
-        let err = wide
-            .serving()
-            .specs(Vec::new())
-            .build()
-            .expect_err("empty spec list rejected");
-        assert!(matches!(
-            err,
-            crate::Error::Serve(matador_serve::ServeError::ZeroShards)
-        ));
     }
 
     #[test]
-    fn partitioned_serving_through_the_builder_matches_monolithic() {
+    fn partitioned_serving_matches_monolithic() {
         let (train, test) = tiny_task();
         let config = MatadorConfig::builder()
             .bus_width(4)
@@ -694,24 +491,23 @@ mod tests {
         let outcome = MatadorFlow::new(config)
             .run(spec(), &train, &test)
             .expect("flow succeeds");
+        let accel = outcome.design.compile_for_sim();
         let batch: Vec<_> = test.iter().map(|s| s.input.clone()).collect();
+        let options = ServeOptions {
+            capture_class_sums: true,
+            ..ServeOptions::new(1)
+        };
 
-        let mut mono = outcome
-            .serving()
-            .shards(1)
-            .capture_class_sums(true)
-            .build()
-            .expect("valid session");
+        let mut mono = ShardPool::with_options(&accel, options).expect("valid pool");
         let expected = mono.serve(&batch).expect("drains");
 
         // The same design split into two cooperating shards: one logical
         // model, every winner and merged class-sum vector identical.
-        let mut split = outcome
-            .serving()
-            .partitions(2)
-            .capture_class_sums(true)
-            .build()
-            .expect("valid session");
+        let plan =
+            CompilePipeline::new(CompileOptions::default().with_partitions(2)).partition(&accel);
+        let specs = ShardSpec::partitioned(plan, 0);
+        assert_eq!(specs.len(), 2);
+        let mut split = ShardPool::heterogeneous(&specs, options).expect("valid pool");
         let preds = split.serve(&batch).expect("drains");
         assert_eq!(preds.len(), expected.len());
         for (p, e) in preds.iter().zip(&expected) {

@@ -91,18 +91,6 @@ impl DispatchPolicy {
     }
 }
 
-impl ShardProfile {
-    /// A weight-1 profile for a shard of a homogeneous pool.
-    pub fn uniform(load: ShardLoad, width: usize, beats_per_request: u64) -> Self {
-        ShardProfile {
-            load,
-            width,
-            beats_per_request,
-            weight: 1,
-        }
-    }
-}
-
 /// Stateful dispatcher: carries the per-width round-robin cursors across
 /// flushes.
 #[derive(Debug, Clone)]
@@ -131,76 +119,29 @@ impl Dispatcher {
         self.policy
     }
 
-    /// Plans shard assignments for `requests` equal-cost requests of
-    /// `beats_per_request` beats each over a homogeneous pool, given the
-    /// shards' current load snapshots. Returns one shard index per
-    /// request, in request order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is empty (a pool always has ≥ 1 shard).
-    pub fn plan(
-        &mut self,
-        loads: &[ShardLoad],
-        requests: usize,
-        beats_per_request: u64,
-    ) -> Vec<usize> {
-        let profiles: Vec<ShardProfile> = loads
-            .iter()
-            .map(|&load| ShardProfile::uniform(load, 0, beats_per_request))
-            .collect();
-        self.plan_profiles(&profiles, &vec![0; requests])
-    }
-
     /// Plans shard assignments over a (possibly heterogeneous) pool: one
     /// profile per shard, one input width per request, in request order.
-    /// A request is only assigned to shards whose `width` matches its
-    /// own; the pool's admission layer guarantees at least one such shard
-    /// exists for every request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profiles` is empty or some request's width matches no
-    /// shard (both are pool invariants, enforced at admission).
-    pub fn plan_profiles(
-        &mut self,
-        profiles: &[ShardProfile],
-        request_widths: &[usize],
-    ) -> Vec<usize> {
-        self.plan_impl(profiles, request_widths, None)
-    }
-
-    /// [`Dispatcher::plan_profiles`] restricted to the shards the health
-    /// tracker still considers eligible: `eligible[s] == false` removes
-    /// shard `s` from every rotation and score comparison, exactly as if
-    /// the pool had been built without it. Round-robin cursors count
+    /// A request is only assigned to shards whose `width` matches its own
+    /// and whose `eligible` entry is `true`; an ineligible (quarantined)
+    /// shard drops out of every rotation and score comparison, exactly as
+    /// if the pool had been built without it. Round-robin cursors count
     /// positions within the *surviving* rotation, so the assignment stays
     /// a pure function of the (deterministic) health timeline.
     ///
     /// # Panics
     ///
     /// Panics if `profiles` is empty or some request's width matches no
-    /// *eligible* shard — the pool checks healthy capacity (and returns
-    /// [`crate::ServeError::NoHealthyShard`]) before planning.
-    pub fn plan_eligible(
+    /// eligible shard — the pool checks admission and healthy capacity
+    /// (returning [`crate::ServeError::NoHealthyShard`]) before planning.
+    pub fn plan(
         &mut self,
         profiles: &[ShardProfile],
         request_widths: &[usize],
         eligible: &[bool],
     ) -> Vec<usize> {
-        self.plan_impl(profiles, request_widths, Some(eligible))
-    }
-
-    fn plan_impl(
-        &mut self,
-        profiles: &[ShardProfile],
-        request_widths: &[usize],
-        eligible: Option<&[bool]>,
-    ) -> Vec<usize> {
         assert!(!profiles.is_empty(), "dispatcher needs at least one shard");
         let shards = profiles.len();
-        let compatible =
-            |s: usize, width: usize| profiles[s].width == width && eligible.is_none_or(|e| e[s]);
+        let compatible = |s: usize, width: usize| profiles[s].width == width && eligible[s];
         match self.policy {
             DispatchPolicy::RoundRobin => {
                 // One compatible-shard rotation per distinct width,
@@ -291,6 +232,32 @@ impl Dispatcher {
 mod tests {
     use super::*;
 
+    fn profile(load: ShardLoad, width: usize, beats: u64) -> ShardProfile {
+        ShardProfile {
+            load,
+            width,
+            beats_per_request: beats,
+            weight: 1,
+        }
+    }
+
+    /// Plans over every shard of the pool (an all-true eligibility mask).
+    fn plan_all(d: &mut Dispatcher, profiles: &[ShardProfile], widths: &[usize]) -> Vec<usize> {
+        d.plan(profiles, widths, &vec![true; profiles.len()])
+    }
+
+    /// Plans `requests` equal-cost requests of `beats` beats each over a
+    /// homogeneous pool of weight-1 shards with the given loads.
+    fn plan_uniform(
+        d: &mut Dispatcher,
+        loads: &[ShardLoad],
+        requests: usize,
+        beats: u64,
+    ) -> Vec<usize> {
+        let profiles: Vec<ShardProfile> = loads.iter().map(|&l| profile(l, 0, beats)).collect();
+        plan_all(d, &profiles, &vec![0; requests])
+    }
+
     fn cycles(loads: &[u64]) -> Vec<ShardLoad> {
         loads
             .iter()
@@ -304,22 +271,28 @@ mod tests {
     #[test]
     fn round_robin_cycles_and_carries_over() {
         let mut d = Dispatcher::new(DispatchPolicy::RoundRobin);
-        assert_eq!(d.plan(&cycles(&[0, 0, 0]), 4, 2), vec![0, 1, 2, 0]);
+        assert_eq!(
+            plan_uniform(&mut d, &cycles(&[0, 0, 0]), 4, 2),
+            vec![0, 1, 2, 0]
+        );
         // The cursor continues where the previous flush stopped.
-        assert_eq!(d.plan(&cycles(&[0, 0, 0]), 2, 2), vec![1, 2]);
+        assert_eq!(plan_uniform(&mut d, &cycles(&[0, 0, 0]), 2, 2), vec![1, 2]);
     }
 
     #[test]
     fn least_queued_balances_beats() {
         let mut d = Dispatcher::new(DispatchPolicy::LeastQueued);
         // Shard 1 starts loaded: first assignments avoid it.
-        assert_eq!(d.plan(&cycles(&[0, 10, 0]), 4, 5), vec![0, 2, 0, 2]);
+        assert_eq!(
+            plan_uniform(&mut d, &cycles(&[0, 10, 0]), 4, 5),
+            vec![0, 2, 0, 2]
+        );
     }
 
     #[test]
     fn least_queued_ties_break_to_lowest_index() {
         let mut d = Dispatcher::new(DispatchPolicy::LeastQueued);
-        assert_eq!(d.plan(&cycles(&[3, 3]), 3, 1), vec![0, 1, 0]);
+        assert_eq!(plan_uniform(&mut d, &cycles(&[3, 3]), 3, 1), vec![0, 1, 0]);
     }
 
     #[test]
@@ -330,7 +303,7 @@ mod tests {
             DispatchPolicy::LatencyAware,
         ] {
             let mut d = Dispatcher::new(policy);
-            assert_eq!(d.plan(&cycles(&[7]), 3, 13), vec![0, 0, 0]);
+            assert_eq!(plan_uniform(&mut d, &cycles(&[7]), 3, 13), vec![0, 0, 0]);
         }
     }
 
@@ -353,7 +326,7 @@ mod tests {
             ShardLoad::default(),
         ];
         let mut d = Dispatcher::new(DispatchPolicy::LatencyAware);
-        assert_eq!(d.plan(&loads, 6, 2), vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(plan_uniform(&mut d, &loads, 6, 2), vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -373,7 +346,7 @@ mod tests {
             },
         ];
         let mut d = Dispatcher::new(DispatchPolicy::LatencyAware);
-        let plan = d.plan(&loads, 8, 2);
+        let plan = plan_uniform(&mut d, &loads, 8, 2);
         let to_fast = plan.iter().filter(|&&s| s == 1).count();
         assert_eq!(plan[0], 0, "zero-queue tie breaks to the lowest index");
         assert_eq!(to_fast, 6, "plan {plan:?}");
@@ -413,7 +386,10 @@ mod tests {
             ];
             let plan_twice = || {
                 let mut d = Dispatcher::new(policy);
-                (d.plan(&a, 9, 4), d.plan(&b, 6, 4))
+                (
+                    plan_uniform(&mut d, &a, 9, 4),
+                    plan_uniform(&mut d, &b, 6, 4),
+                )
             };
             assert_eq!(plan_twice(), plan_twice());
         }
@@ -426,10 +402,10 @@ mod tests {
     fn round_robin_never_starves_a_shard_under_mixed_widths() {
         let profiles: Vec<ShardProfile> = [(8usize, 2u64), (8, 2), (16, 4)]
             .iter()
-            .map(|&(width, beats)| ShardProfile::uniform(ShardLoad::default(), width, beats))
+            .map(|&(width, beats)| profile(ShardLoad::default(), width, beats))
             .collect();
         let mut d = Dispatcher::new(DispatchPolicy::RoundRobin);
-        let plan = d.plan_profiles(&profiles, &[8, 16, 8, 16, 8, 16, 8, 16]);
+        let plan = plan_all(&mut d, &profiles, &[8, 16, 8, 16, 8, 16, 8, 16]);
         assert_eq!(plan, vec![0, 2, 1, 2, 0, 2, 1, 2]);
     }
 
@@ -439,10 +415,10 @@ mod tests {
     fn round_robin_skips_incompatible_shards() {
         let profiles: Vec<ShardProfile> = [(8usize, 2u64), (16, 4), (8, 2)]
             .iter()
-            .map(|&(width, beats)| ShardProfile::uniform(ShardLoad::default(), width, beats))
+            .map(|&(width, beats)| profile(ShardLoad::default(), width, beats))
             .collect();
         let mut d = Dispatcher::new(DispatchPolicy::RoundRobin);
-        let plan = d.plan_profiles(&profiles, &[8, 16, 8, 8, 16, 8]);
+        let plan = plan_all(&mut d, &profiles, &[8, 16, 8, 8, 16, 8]);
         assert_eq!(plan, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -451,11 +427,10 @@ mod tests {
         // Shard 0 (width 8) costs 4 beats/request, shard 1 (width 8)
         // costs 1: least-queued load leveling sends ~4 requests to shard
         // 1 per shard-0 request. Shard 2 takes every width-16 request.
-        let mk =
-            |width: usize, beats: u64| ShardProfile::uniform(ShardLoad::default(), width, beats);
+        let mk = |width: usize, beats: u64| profile(ShardLoad::default(), width, beats);
         let profiles = [mk(8, 4), mk(8, 1), mk(16, 2)];
         let mut d = Dispatcher::new(DispatchPolicy::LeastQueued);
-        let plan = d.plan_profiles(&profiles, &[8, 8, 8, 8, 8, 16, 16]);
+        let plan = plan_all(&mut d, &profiles, &[8, 8, 8, 8, 8, 16, 16]);
         assert_eq!(plan[5..], [2, 2]);
         let to_cheap = plan[..5].iter().filter(|&&s| s == 1).count();
         assert_eq!(to_cheap, 4, "plan {plan:?}");
@@ -474,7 +449,7 @@ mod tests {
             };
             let profiles = [mk(1), mk(3)];
             let mut d = Dispatcher::new(policy);
-            let plan = d.plan_profiles(&profiles, &[8; 8]);
+            let plan = plan_all(&mut d, &profiles, &[8; 8]);
             let to_heavy = plan.iter().filter(|&&s| s == 1).count();
             assert_eq!(to_heavy, 6, "{policy:?} plan {plan:?}");
         }
@@ -485,18 +460,18 @@ mod tests {
         // Same feature width served by a wide bus (2 beats/datapoint) and
         // a narrow bus (8 beats/datapoint), no history: the wide shard
         // absorbs ~4× the requests.
-        let mk = |beats: u64| ShardProfile::uniform(ShardLoad::default(), 8, beats);
+        let mk = |beats: u64| profile(ShardLoad::default(), 8, beats);
         let profiles = [mk(8), mk(2)];
         let mut d = Dispatcher::new(DispatchPolicy::LatencyAware);
-        let plan = d.plan_profiles(&profiles, &[8; 10]);
+        let plan = plan_all(&mut d, &profiles, &[8; 10]);
         let to_wide = plan.iter().filter(|&&s| s == 1).count();
         assert_eq!(to_wide, 8, "plan {plan:?}");
     }
 
     #[test]
-    fn plan_eligible_excludes_masked_shards_under_every_policy() {
+    fn plan_excludes_masked_shards_under_every_policy() {
         let profiles: Vec<ShardProfile> = (0..4)
-            .map(|_| ShardProfile::uniform(ShardLoad::default(), 8, 2))
+            .map(|_| profile(ShardLoad::default(), 8, 2))
             .collect();
         for policy in [
             DispatchPolicy::RoundRobin,
@@ -504,7 +479,7 @@ mod tests {
             DispatchPolicy::LatencyAware,
         ] {
             let mut d = Dispatcher::new(policy);
-            let plan = d.plan_eligible(&profiles, &[8; 8], &[true, false, true, true]);
+            let plan = d.plan(&profiles, &[8; 8], &[true, false, true, true]);
             assert!(
                 plan.iter().all(|&s| s != 1),
                 "{policy:?} routed to a quarantined shard: {plan:?}"
@@ -516,38 +491,15 @@ mod tests {
     #[test]
     fn round_robin_rotates_over_the_surviving_shards_only() {
         let profiles: Vec<ShardProfile> = (0..3)
-            .map(|_| ShardProfile::uniform(ShardLoad::default(), 8, 2))
+            .map(|_| profile(ShardLoad::default(), 8, 2))
             .collect();
         let mut d = Dispatcher::new(DispatchPolicy::RoundRobin);
-        let plan = d.plan_eligible(&profiles, &[8; 6], &[true, false, true]);
+        let plan = d.plan(&profiles, &[8; 6], &[true, false, true]);
         assert_eq!(plan, vec![0, 2, 0, 2, 0, 2]);
         // Shard 1 recovers: the rotation widens again, cursor intact.
-        let plan = d.plan_eligible(&profiles, &[8; 3], &[true, true, true]);
+        let plan = d.plan(&profiles, &[8; 3], &[true, true, true]);
         assert_eq!(plan.len(), 3);
         assert!(plan.contains(&1), "recovered shard rejoins: {plan:?}");
-    }
-
-    #[test]
-    fn plan_eligible_with_full_mask_matches_plan_profiles() {
-        let profiles = [
-            ShardProfile::uniform(ShardLoad::default(), 8, 2),
-            ShardProfile::uniform(ShardLoad::default(), 16, 4),
-            ShardProfile::uniform(ShardLoad::default(), 8, 8),
-        ];
-        let widths = [8usize, 16, 8, 8, 16, 8];
-        for policy in [
-            DispatchPolicy::RoundRobin,
-            DispatchPolicy::LeastQueued,
-            DispatchPolicy::LatencyAware,
-        ] {
-            let mut a = Dispatcher::new(policy);
-            let mut b = Dispatcher::new(policy);
-            assert_eq!(
-                a.plan_profiles(&profiles, &widths),
-                b.plan_eligible(&profiles, &widths, &[true; 3]),
-                "{policy:?}"
-            );
-        }
     }
 
     #[test]
@@ -563,8 +515,8 @@ mod tests {
                 beats_per_request: 2,
                 weight: 2,
             },
-            ShardProfile::uniform(ShardLoad::default(), 16, 4),
-            ShardProfile::uniform(ShardLoad::default(), 8, 8),
+            profile(ShardLoad::default(), 16, 4),
+            profile(ShardLoad::default(), 8, 8),
         ];
         let widths = [8usize, 16, 8, 8, 16, 8, 8];
         for policy in [
@@ -575,8 +527,8 @@ mod tests {
             let plan_twice = || {
                 let mut d = Dispatcher::new(policy);
                 (
-                    d.plan_profiles(&profiles, &widths),
-                    d.plan_profiles(&profiles, &widths),
+                    plan_all(&mut d, &profiles, &widths),
+                    plan_all(&mut d, &profiles, &widths),
                 )
             };
             assert_eq!(plan_twice(), plan_twice());

@@ -153,8 +153,8 @@ impl TokenBucket {
     }
 
     /// Takes one request's worth of tokens, or reports how many cycles
-    /// until the bucket will have refilled enough (`u64::MAX` when the
-    /// rate is zero).
+    /// until the bucket will have refilled enough (`u64::MAX` when it
+    /// never will: a zero rate, or a capacity below one request).
     fn try_take(&mut self, now: u64) -> Result<(), u64> {
         let elapsed = now.saturating_sub(self.last_refill);
         self.level = self
@@ -165,7 +165,7 @@ impl TokenBucket {
         if self.level >= MILLITOKENS_PER_REQUEST {
             self.level -= MILLITOKENS_PER_REQUEST;
             Ok(())
-        } else if self.rate == 0 {
+        } else if self.rate == 0 || self.capacity < MILLITOKENS_PER_REQUEST {
             Err(u64::MAX)
         } else {
             Err((MILLITOKENS_PER_REQUEST - self.level).div_ceil(self.rate))
@@ -1316,6 +1316,32 @@ mod tests {
                 retry_cycles: u64::MAX,
             }
         );
+
+        // A zero burst never admits, whatever the refill rate: its bucket
+        // cannot hold one request, so no retry horizon is honest.
+        let mut f = front(
+            &accel,
+            FrontOptions {
+                quota: Some(TenantQuota {
+                    burst_requests: 0,
+                    millitokens_per_cycle: 1_000,
+                }),
+                ..FrontOptions::new()
+            },
+        );
+        for _ in 0..2 {
+            let err = f
+                .submit(&class0(4), 1_000_000, 0)
+                .expect_err("zero burst admits nothing");
+            assert_eq!(
+                err,
+                ServeError::QuotaExceeded {
+                    tenant: 0,
+                    retry_cycles: u64::MAX,
+                }
+            );
+            f.advance_to(f.now() + 1_000).expect("advance");
+        }
     }
 
     #[test]

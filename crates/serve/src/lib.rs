@@ -73,7 +73,6 @@ pub mod health;
 pub mod pool;
 pub mod queue;
 pub mod report;
-pub mod session;
 pub mod spec;
 
 pub use dispatch::{DispatchPolicy, Dispatcher, ShardLoad, ShardProfile};
@@ -88,5 +87,4 @@ pub use matador_sim::{EngineBackend, PartitionPlan};
 pub use pool::{PoolShardStats, Prediction, ServeOptions, ShardPool};
 pub use queue::{Request, RequestQueue, DEFAULT_QUEUE_DEPTH};
 pub use report::{percentile_per_mille, ShardStats, ThroughputReport};
-pub use session::ServeSession;
 pub use spec::ShardSpec;

@@ -118,34 +118,6 @@ impl ServeOptions {
             ..ServeOptions::new(shards)
         }
     }
-
-    /// Rejects degenerate options — the single source of truth for both
-    /// [`ShardPool::with_options`] and [`crate::ServeSession::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ZeroShards`] or [`ServeError::ZeroQueueDepth`].
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.shards == 0 {
-            return Err(ServeError::ZeroShards);
-        }
-        self.validate_queue_depth()
-    }
-
-    /// The spec-independent half of [`ServeOptions::validate`]: the
-    /// heterogeneous constructors check shard count through
-    /// [`ShardSpec::validate_all`] (the `shards` field is superseded by
-    /// the spec list) but share this queue-depth check.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ZeroQueueDepth`].
-    pub fn validate_queue_depth(&self) -> Result<(), ServeError> {
-        if self.queue_depth == 0 {
-            return Err(ServeError::ZeroQueueDepth);
-        }
-        Ok(())
-    }
 }
 
 impl Default for ServeOptions {
@@ -294,8 +266,7 @@ impl ShardMetrics {
 /// One completed inference.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Prediction {
-    /// Id assigned at submission (monotonic per pool; a
-    /// [`crate::ServeSession`] rebases ids to stay monotonic per session).
+    /// Id assigned at submission (monotonic per pool).
     pub request: u64,
     /// Winning class index.
     pub winner: usize,
@@ -320,9 +291,10 @@ pub struct Prediction {
 /// A pool retains per-request latency samples and each engine's
 /// monitor/result/sum logs for its whole lifetime — memory grows with the
 /// total requests served, which is what makes the cumulative
-/// [`ShardPool::report`] possible. Scope a pool to a bounded serving
-/// window and roll its report up (exactly what [`crate::ServeSession`]
-/// does per batch) rather than holding one pool open indefinitely.
+/// [`ShardPool::report`] possible. To bound memory, scope a pool to a
+/// serving window: take its report, drop it and build a fresh one
+/// (engines restart post-reset) rather than holding one pool open
+/// indefinitely.
 ///
 /// # Examples
 ///
@@ -594,15 +566,6 @@ struct ShardEntry<'a> {
 }
 
 impl<'a> ShardPool<'a> {
-    /// Creates a pool of `shards` engines with default options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ZeroShards`] when `shards == 0`.
-    pub fn new(accel: &'a CompiledAccelerator, shards: usize) -> Result<Self, ServeError> {
-        Self::with_options(accel, ServeOptions::new(shards))
-    }
-
     /// Creates a homogeneous pool — every shard runs `accel` — from
     /// explicit [`ServeOptions`].
     ///
@@ -614,7 +577,9 @@ impl<'a> ShardPool<'a> {
         accel: &'a CompiledAccelerator,
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
-        options.validate()?;
+        if options.shards == 0 {
+            return Err(ServeError::ZeroShards);
+        }
         // The turbo tape is immutable: compile it once, copy it per shard.
         let program = match options.backend {
             EngineBackend::CycleAccurate => None,
@@ -705,7 +670,8 @@ impl<'a> ShardPool<'a> {
     /// The one constructor behind the public ones: builds every shard's
     /// engine from its entry and derives the admitted widths and the
     /// execution units. `chunk_threads` caps each turbo engine's
-    /// intra-batch fan-out.
+    /// intra-batch fan-out. Building the queue is every constructor's
+    /// queue-depth check ([`RequestQueue::new`]).
     fn from_entries(
         entries: Vec<ShardEntry<'a>>,
         options: &ServeOptions,
@@ -1285,7 +1251,7 @@ impl<'a> ShardPool<'a> {
             .map(|u| self.unit_eligible(u))
             .collect();
         let widths: Vec<usize> = pending.iter().map(|&ri| inputs[ri].len()).collect();
-        let assignment = self.dispatcher.plan_eligible(&profiles, &widths, &eligible);
+        let assignment = self.dispatcher.plan(&profiles, &widths, &eligible);
         for (ri, unit) in pending.into_iter().zip(assignment) {
             plan[unit].push(ri);
         }
@@ -1634,8 +1600,21 @@ mod tests {
     fn zero_shards_is_a_typed_error() {
         let a = accel();
         assert!(matches!(
-            ShardPool::new(&a, 0).unwrap_err(),
+            ShardPool::with_options(&a, ServeOptions::new(0)).unwrap_err(),
             ServeError::ZeroShards
+        ));
+        // A zero queue depth is typed on both constructors.
+        let options = ServeOptions {
+            queue_depth: 0,
+            ..ServeOptions::new(1)
+        };
+        assert!(matches!(
+            ShardPool::with_options(&a, options).unwrap_err(),
+            ServeError::ZeroQueueDepth
+        ));
+        assert!(matches!(
+            ShardPool::heterogeneous(&[ShardSpec::new(accel())], options).unwrap_err(),
+            ServeError::ZeroQueueDepth
         ));
     }
 
@@ -1648,7 +1627,7 @@ mod tests {
             .map(|x| tsetlin::tm::argmax(&a.reference_class_sums(x)))
             .collect();
         for shards in [1, 2, 3, 8] {
-            let mut pool = ShardPool::new(&a, shards).expect("valid");
+            let mut pool = ShardPool::with_options(&a, ServeOptions::new(shards)).expect("valid");
             let winners: Vec<usize> = pool
                 .serve(&xs)
                 .expect("drains")
@@ -1662,7 +1641,7 @@ mod tests {
     #[test]
     fn round_robin_spreads_requests() {
         let a = accel();
-        let mut pool = ShardPool::new(&a, 4).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(4)).expect("valid");
         let preds = pool.serve(&inputs(8)).expect("drains");
         let shards: Vec<usize> = preds.iter().map(|p| p.shard).collect();
         assert_eq!(shards, vec![0, 1, 2, 3, 0, 1, 2, 3]);
@@ -1671,7 +1650,7 @@ mod tests {
     #[test]
     fn width_mismatch_is_typed() {
         let a = accel();
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         let err = pool.submit(&BitVec::zeros(5)).unwrap_err();
         assert_eq!(
             err,
@@ -1725,7 +1704,7 @@ mod tests {
     #[test]
     fn latency_matches_single_engine_formula() {
         let a = accel(); // 2 packets → latency 2 + 3
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         let preds = pool.serve(&inputs(4)).expect("drains");
         for p in &preds {
             assert_eq!(p.latency_cycles, 2 + 3, "{p:?}");
@@ -1761,7 +1740,7 @@ mod tests {
             );
         }
         // Off by default: no sums carried.
-        let mut plain = ShardPool::new(&a, 2).expect("valid");
+        let mut plain = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         assert!(plain.serve(&xs).expect("drains")[0].class_sums.is_none());
     }
 
@@ -1770,7 +1749,7 @@ mod tests {
         let a = accel();
         let xs = inputs(32);
         let pool_cycles = |shards: usize| {
-            let mut pool = ShardPool::new(&a, shards).expect("valid");
+            let mut pool = ShardPool::with_options(&a, ServeOptions::new(shards)).expect("valid");
             pool.serve(&xs).expect("drains");
             pool.report().pool_cycles
         };
@@ -1839,7 +1818,7 @@ mod tests {
     #[test]
     fn empty_flush_is_a_no_op() {
         let a = accel();
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         assert!(pool.flush().expect("trivially drains").is_empty());
         assert_eq!(pool.report().datapoints, 0);
     }
@@ -2024,7 +2003,7 @@ mod tests {
     #[test]
     fn drain_model_accessors_reflect_the_designs() {
         let a = accel(); // 2 packets/datapoint
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         assert_eq!(pool.latency_floor_cycles(), 2 + 3);
         assert_eq!(pool.beats_for_width(8), 2);
         assert_eq!(pool.beats_for_width(99), 1, "unserved width falls back");
@@ -2045,7 +2024,7 @@ mod tests {
     #[test]
     fn completion_stamps_match_shard_clocks() {
         let a = accel();
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         let before = pool.shard_cycles();
         let preds = pool.serve(&inputs(6)).expect("drains");
         let after = pool.shard_cycles();
@@ -2226,7 +2205,7 @@ mod tests {
     #[test]
     fn shard_stats_track_dispatched_work_per_shard() {
         let a = accel(); // 2 beats/datapoint
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         assert!(pool
             .shard_stats()
             .iter()
@@ -2266,7 +2245,7 @@ mod tests {
         // pool, observation for observation.
         let a = accel();
         let xs = inputs(9);
-        let mut homo = ShardPool::new(&a, 2).expect("valid");
+        let mut homo = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         let homo_preds = homo.serve(&xs).expect("drains");
         let specs = vec![ShardSpec::new(a.clone()), ShardSpec::new(a.clone())];
         let mut hetero = ShardPool::heterogeneous(&specs, ServeOptions::new(2)).expect("valid");
@@ -2466,7 +2445,7 @@ mod tests {
         with_quiet_panics(|| {
             let a = accel();
             let xs = inputs(32);
-            let mut reference = ShardPool::new(&a, 4).expect("valid");
+            let mut reference = ShardPool::with_options(&a, ServeOptions::new(4)).expect("valid");
             let expected: Vec<usize> = reference
                 .serve(&xs)
                 .expect("drains")
@@ -2538,7 +2517,7 @@ mod tests {
     #[test]
     fn operator_quarantine_brownouts_admission() {
         let a = accel();
-        let mut pool = ShardPool::new(&a, 2).expect("valid");
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
         assert!(!pool.resilient());
         pool.quarantine_shard(1);
         assert!(pool.resilient());

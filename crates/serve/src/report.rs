@@ -11,15 +11,14 @@
 //! Every latency sample entering [`ThroughputReport::merge`] is a
 //! **duration** in cycles, not a timestamp: first-packet acceptance →
 //! `result_valid`, measured on the executing shard's own clock. Durations
-//! are origin-free, which is what makes cross-batch aggregation sound —
-//! a [`crate::ServeSession`] runs each batch on a fresh pool whose shard
-//! clocks restart at zero, and concatenating *timestamps* across batches
-//! would silently mix incomparable origins. The front-end's per-request
-//! samples are durations on a different span (admission → delivery on the
-//! front's virtual clock, so they include queueing, batching and reorder
-//! wait); both spans quote the same clock, so their percentiles are
-//! directly comparable — the front-end's are an upper bound on the pool's
-//! service-only numbers.
+//! are origin-free, which is what makes cross-pool aggregation sound — a
+//! fresh pool's shard clocks restart at zero, and concatenating
+//! *timestamps* across pools would silently mix incomparable origins.
+//! The front-end's per-request samples are durations on a different span
+//! (admission → delivery on the front's virtual clock, so they include
+//! queueing, batching and reorder wait); both spans quote the same clock,
+//! so their percentiles are directly comparable — the front-end's are an
+//! upper bound on the pool's service-only numbers.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,27 +35,6 @@ pub struct ShardStats {
     pub transfers: u64,
     /// Cycles this shard's stream spent stalled under backpressure.
     pub stall_cycles: u64,
-}
-
-impl ShardStats {
-    /// An idle shard's statistics.
-    pub fn idle(shard: usize) -> Self {
-        ShardStats {
-            shard,
-            cycles: 0,
-            datapoints: 0,
-            transfers: 0,
-            stall_cycles: 0,
-        }
-    }
-
-    /// Accumulates `other` (a later batch on the same shard) into `self`.
-    pub fn absorb(&mut self, other: &ShardStats) {
-        self.cycles += other.cycles;
-        self.datapoints += other.datapoints;
-        self.transfers += other.transfers;
-        self.stall_cycles += other.stall_cycles;
-    }
 }
 
 /// Whole-pool latency/throughput characterization.
@@ -194,14 +172,5 @@ mod tests {
         let empty = ThroughputReport::merge(vec![stats(0, 0, 0)], &[]);
         assert_eq!(empty.latency_p50_cycles, 0);
         assert_eq!(empty.throughput_inf_s(50.0), 0.0);
-    }
-
-    #[test]
-    fn absorb_accumulates_batches() {
-        let mut a = stats(0, 100, 10);
-        a.absorb(&stats(0, 50, 5));
-        assert_eq!(a.cycles, 150);
-        assert_eq!(a.datapoints, 15);
-        assert_eq!(a.transfers, 30);
     }
 }

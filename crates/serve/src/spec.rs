@@ -6,8 +6,7 @@
 //! generated designs at once. A [`ShardSpec`] describes one shard of such
 //! a deployment: the compiled design it runs, the execution backend
 //! simulating it, and a static dispatch weight. A `Vec<ShardSpec>` stands
-//! up a mixed pool via [`crate::ShardPool::heterogeneous`] or an owning
-//! [`crate::ServeSession::heterogeneous`].
+//! up a mixed pool via [`crate::ShardPool::heterogeneous`].
 
 use crate::error::ServeError;
 use matador_sim::{CompiledAccelerator, EngineBackend, PartitionPlan};
@@ -140,9 +139,8 @@ impl ShardSpec {
         self.design.shape().num_packets() as u64
     }
 
-    /// Validates a whole spec list — the single source of truth for both
-    /// [`crate::ShardPool::heterogeneous`] and
-    /// [`crate::ServeSession::heterogeneous`].
+    /// Validates a whole spec list, as [`crate::ShardPool::heterogeneous`]
+    /// does before building any engine.
     ///
     /// # Errors
     ///

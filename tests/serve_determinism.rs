@@ -147,7 +147,7 @@ fn multi_shard_pools_strictly_reduce_wall_clock() {
 
     let mut last_cycles = u64::MAX;
     for shards in SHARD_COUNTS {
-        let mut pool = ShardPool::new(&accel, shards).expect("valid");
+        let mut pool = ShardPool::with_options(&accel, ServeOptions::new(shards)).expect("valid");
         pool.serve(&inputs).expect("engines drain");
         let report = pool.report();
         assert_eq!(report.datapoints, inputs.len() as u64, "shards={shards}");
