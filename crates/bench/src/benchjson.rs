@@ -93,6 +93,7 @@ impl BenchArtifact {
     /// environment that produced it: the git revision (`GITHUB_SHA` in
     /// CI, `git rev-parse HEAD` locally), the raw `MATADOR_THREADS`
     /// setting (or `null` when unset), the host's logical CPU count,
+    /// the turbo datapath's runtime-selected transpose and vote kernels,
     /// and an ISO-8601 UTC timestamp. Perf numbers without this context
     /// are unreviewable a week later — every artifact writer calls this
     /// once before `write`.
@@ -105,12 +106,16 @@ impl BenchArtifact {
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
+        let kernels = matador_sim::host_kernels();
         self.push_field(
             "run",
             format!(
                 "{{\"git_rev\": \"{}\", \"matador_threads\": {threads_env}, \
-                 \"host_cpus\": {cpus}, \"timestamp\": \"{}\"}}",
+                 \"host_cpus\": {cpus}, \"turbo_kernels\": {{\"transpose\": \"{}\", \
+                 \"vote\": \"{}\"}}, \"timestamp\": \"{}\"}}",
                 json_escape(&git_rev()),
+                kernels.transpose.name(),
+                kernels.vote.name(),
                 iso8601_utc(now)
             ),
         );
@@ -219,7 +224,15 @@ mod tests {
         let mut artifact = BenchArtifact::new("x", "y", 0, 0, 1);
         artifact.push_run_metadata();
         let json = artifact.to_json();
-        for key in ["git_rev", "matador_threads", "host_cpus", "timestamp"] {
+        for key in [
+            "git_rev",
+            "matador_threads",
+            "host_cpus",
+            "turbo_kernels",
+            "transpose",
+            "vote",
+            "timestamp",
+        ] {
             assert!(
                 json.contains(&format!("\"{key}\": ")),
                 "missing {key}: {json}"

@@ -6,7 +6,8 @@
 //! generated (or cache-loaded); every pass combination — raw flatten,
 //! CSE only, scheduling only, the default pipeline — compiles the same
 //! design, reporting tape size before/after, CSE dedup hits, scheduler
-//! operand distance and best-of-repeats compile wall-clock. The
+//! operand distance, clause-AND word-ops before/after constant-1
+//! elision and best-of-repeats compile wall-clock. The
 //! partitioner then cuts the design into each requested K and a
 //! K-shard partition-group pool must reproduce the monolithic pool's
 //! winners bit for bit (always asserted; a mismatch fails the run).
@@ -208,13 +209,16 @@ fn run() -> Result<bool, matador::Error> {
     println!();
     for c in &cells {
         println!(
-            "  {:>13}  tape {:>6} -> {:<6} dedup {:>4}  distance {:>8} -> {:<8} ({:.4}s)",
+            "  {:>13}  tape {:>6} -> {:<6} dedup {:>4}  distance {:>8} -> {:<8} \
+             clause ANDs {:>6} -> {:<6} ({:.4}s)",
             c.name,
             c.stats.tape_before,
             c.stats.tape_after,
             c.stats.cse_dedup_hits,
             c.stats.schedule_distance_before,
             c.stats.schedule_distance_after,
+            c.stats.clause_ands_before,
+            c.stats.clause_ands_after,
             c.wall_s
         );
     }
@@ -265,13 +269,16 @@ fn run() -> Result<bool, matador::Error> {
         artifact.push_row(format!(
             "{{\"passes\": \"{}\", \"tape_before\": {}, \"tape_after\": {}, \
              \"cse_dedup_hits\": {}, \"schedule_distance_before\": {}, \
-             \"schedule_distance_after\": {}, \"compile_wall_s\": {:.6}}}",
+             \"schedule_distance_after\": {}, \"clause_ands_before\": {}, \
+             \"clause_ands_after\": {}, \"compile_wall_s\": {:.6}}}",
             c.name,
             c.stats.tape_before,
             c.stats.tape_after,
             c.stats.cse_dedup_hits,
             c.stats.schedule_distance_before,
             c.stats.schedule_distance_after,
+            c.stats.clause_ands_before,
+            c.stats.clause_ands_after,
             c.wall_s
         ));
     }

@@ -211,8 +211,8 @@ impl CompileOptions {
     }
 }
 
-/// Per-pass statistics for one pipeline run; also accumulated into the
-/// `matador_compile_*` counters.
+/// Per-pass statistics for one pipeline run; the tape and dedup figures
+/// are also accumulated into the `matador_compile_*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Tape instructions across all windows after lowering, before any
@@ -228,6 +228,13 @@ pub struct PassStats {
     pub schedule_distance_before: u64,
     /// The same sum after rescheduling (0 when scheduling is off).
     pub schedule_distance_after: u64,
+    /// Clause-AND word-ops per lane word before constant-1 elision: one
+    /// per window × clause partial output.
+    pub clause_ands_before: usize,
+    /// Clause-AND word-ops the program executes per lane word: the
+    /// partials that are not the constant-1 slot (a clause with no
+    /// literal in that window).
+    pub clause_ands_after: usize,
 }
 
 /// A compiled program plus the per-pass stats of the run that built it.
@@ -276,15 +283,15 @@ impl CompilePipeline {
             stats.schedule_distance_after = outcome.distance_after;
         }
         stats.tape_after = tape_len(&windows);
+        stats.clause_ands_before = windows.iter().map(|w| w.outputs.len()).sum();
+        let program = TurboProgram::from_tapes(shape, windows);
+        stats.clause_ands_after = program.clause_ands();
         let metrics = compile_metrics();
         metrics.runs.inc();
         metrics.tape_before.add(stats.tape_before as u64);
         metrics.tape_after.add(stats.tape_after as u64);
         metrics.dedup_hits.add(stats.cse_dedup_hits as u64);
-        Compiled {
-            program: TurboProgram::from_tapes(shape, windows),
-            stats,
-        }
+        Compiled { program, stats }
     }
 
     /// Splits `accel` into [`CompileOptions::partitions`] standalone

@@ -7,9 +7,15 @@
 //! content can be flattened once into a topologically-ordered instruction
 //! tape (`WindowProgram` inside [`TurboProgram`]) and evaluated over
 //! `u64` words where **bit `l` is datapoint `l`** — 64 independent
-//! classifications advance per AND/NOT instruction. Class sums follow
-//! from a 64×64 bit transpose of the fired-clause lane words and two
-//! popcounts per class block.
+//! classifications advance per AND/NOT instruction. Each window's clause
+//! outputs are ANDed into the fired-clause accumulator, skipping the
+//! constant-1 outputs of clauses with no literal in that window (the
+//! hardware spends no gate on them either). Class sums follow from a
+//! 64×64 bit transpose of the fired-clause lane words and a lane-parallel
+//! vote kernel: per class and 64-clause block, the `+`/`−` vote masks are
+//! popcounted against all 64 lane words at once, multiversioned for
+//! AVX-512 `VPOPCNTDQ`, AVX2 and the portable baseline and picked by
+//! runtime CPU feature detection ([`host_kernels`]), never `target-cpu`.
 //!
 //! Two layers of batch-level amortization sit on top of the original
 //! word-parallel scheme:
@@ -45,7 +51,7 @@
 //! batch.
 
 use crate::accel::{AccelShape, CompiledAccelerator};
-use crate::compile::ir::WindowProgram;
+use crate::compile::ir::{Op, WindowProgram};
 use crate::engine::{SimError, SimResult};
 use matador_obs::{Counter, Histogram, Registry};
 use std::sync::{Arc, OnceLock};
@@ -74,25 +80,23 @@ fn turbo_metrics() -> &'static TurboMetrics {
     static METRICS: OnceLock<TurboMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let registry = Registry::global();
-        // Which 64×64 transpose kernel this process dispatches to —
-        // fixed per host, so a gauge set once at resolution.
-        let avx2 = {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx2")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        };
+        // Which kernels this process dispatches to — fixed per host, so
+        // gauges set once at resolution.
+        let kernels = host_kernels();
         registry
             .gauge(
                 "matador_turbo_transpose_avx2",
                 "",
                 "1 when the AVX2 64x64 transpose kernel is selected, 0 for scalar.",
             )
-            .set(i64::from(avx2));
+            .set(i64::from(kernels.transpose == TransposeKernel::Avx2));
+        registry
+            .gauge(
+                "matador_turbo_vote_kernel",
+                "",
+                "Selected vote kernel: 0 portable, 1 avx2, 2 avx512-vpopcntdq.",
+            )
+            .set(kernels.vote as i64);
         TurboMetrics {
             batches: registry.counter(
                 "matador_turbo_batches_total",
@@ -150,6 +154,94 @@ pub fn configured_chunk_threshold() -> u64 {
     }
 }
 
+/// The 64×64 transpose kernel a process dispatches to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransposeKernel {
+    /// Portable six-stage butterfly over `u64` rows.
+    Scalar,
+    /// The same butterfly, four rows per AVX2 vector.
+    Avx2,
+}
+
+impl TransposeKernel {
+    /// Short stable name, as recorded in benchmark artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            TransposeKernel::Scalar => "scalar",
+            TransposeKernel::Avx2 => "avx2",
+        }
+    }
+}
+
+/// The vote-popcount kernel a process dispatches to. The discriminant is
+/// the value of the `matador_turbo_vote_kernel` gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VoteKernel {
+    /// Baseline x86-64 / non-x86 code generation (software popcount on
+    /// the x86-64 baseline).
+    Portable = 0,
+    /// Compiled with `avx2,popcnt` (vectorized `vpshufb`/`vpsadbw`
+    /// popcount).
+    Avx2 = 1,
+    /// Compiled with `avx512f,avx512vpopcntdq` (vectorized `vpopcntq`).
+    Avx512Vpopcntdq = 2,
+}
+
+impl VoteKernel {
+    /// Short stable name, as recorded in benchmark artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            VoteKernel::Portable => "portable",
+            VoteKernel::Avx2 => "avx2",
+            VoteKernel::Avx512Vpopcntdq => "avx512-vpopcntdq",
+        }
+    }
+}
+
+/// The SIMD kernels the turbo datapath runs on this host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostKernels {
+    /// Input bit-slicing / clause-word pivot kernel.
+    pub transpose: TransposeKernel,
+    /// Class-sum vote kernel.
+    pub vote: VoteKernel,
+}
+
+/// The kernels selected for this process, resolved once from runtime CPU
+/// feature detection. The choice never depends on `target-cpu`: one
+/// binary runs the best kernel every host supports.
+pub fn host_kernels() -> HostKernels {
+    static KERNELS: OnceLock<HostKernels> = OnceLock::new();
+    *KERNELS.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let avx2 = has!("avx2");
+            HostKernels {
+                transpose: if avx2 {
+                    TransposeKernel::Avx2
+                } else {
+                    TransposeKernel::Scalar
+                },
+                vote: if has!("avx512f") && has!("avx512vpopcntdq") {
+                    VoteKernel::Avx512Vpopcntdq
+                } else if avx2 && has!("popcnt") {
+                    VoteKernel::Avx2
+                } else {
+                    VoteKernel::Portable
+                },
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            HostKernels {
+                transpose: TransposeKernel::Scalar,
+                vote: VoteKernel::Portable,
+            }
+        }
+    })
+}
+
 /// In-place transpose of a 64×64 bit matrix: `a[r]` bit `b` becomes
 /// `a[b]` bit `r` (LSB-first row/column convention) — the pivot between
 /// datapoint-major and lane-major bit layouts on both ends of the
@@ -158,9 +250,9 @@ fn transpose_64x64(a: &mut [u64]) {
     debug_assert_eq!(a.len(), LANES);
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just confirmed at runtime and the
-            // slice holds exactly `LANES` words (asserted above).
+        if host_kernels().transpose == TransposeKernel::Avx2 {
+            // SAFETY: `host_kernels` selects AVX2 only after confirming
+            // it at runtime, and the slice holds exactly `LANES` words.
             unsafe { avx2::transpose_64x64_avx2(a) };
             return;
         }
@@ -259,6 +351,99 @@ mod avx2 {
     }
 }
 
+/// Per class: `(block, +1-vote mask, −1-vote mask)` over 64-clause
+/// blocks of the fired-clause vector.
+type ClassVotes = [Vec<(usize, u64, u64)>];
+
+/// The vote masks of `shape`: clause `j` of a class votes `+1` when `j`
+/// is even and `−1` when odd. A class whose clauses straddle a 64-clause
+/// block boundary gets one entry per block it touches.
+fn class_vote_masks(shape: &AccelShape) -> Vec<Vec<(usize, u64, u64)>> {
+    let cpc = shape.clauses_per_class;
+    (0..shape.classes)
+        .map(|class| {
+            let mut votes: Vec<(usize, u64, u64)> = Vec::new();
+            for j in 0..cpc {
+                let cc = class * cpc + j;
+                let (t, bit) = (cc / LANES, cc % LANES);
+                if votes.last().map(|v| v.0) != Some(t) {
+                    votes.push((t, 0, 0));
+                }
+                let last = votes.last_mut().expect("just pushed");
+                if j % 2 == 0 {
+                    last.1 |= 1u64 << bit;
+                } else {
+                    last.2 |= 1u64 << bit;
+                }
+            }
+            votes
+        })
+        .collect()
+}
+
+/// Class sums for one lane-word column. `lanes[t*LANES + l]` is lane
+/// `l`'s fired-clause word for block `t`; the sums of the first `n`
+/// lanes land in `out[l*classes + class]`. The loop runs class → vote
+/// block → the block's 64 contiguous lane words, accumulating into a
+/// `[i32; LANES]`, so the inner loop is a 64-wide AND + popcount that
+/// vectorizes wherever the target has a vector popcount. One body,
+/// compiled once per [`VoteKernel`].
+#[inline(always)]
+fn vote_sums_body(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
+    let classes = class_votes.len();
+    for (class, votes) in class_votes.iter().enumerate() {
+        let mut sums = [0i32; LANES];
+        for &(t, pos, neg) in votes {
+            let words: &[u64; LANES] = lanes[t * LANES..][..LANES]
+                .try_into()
+                .expect("one block of lane words");
+            for (sum, &word) in sums.iter_mut().zip(words) {
+                *sum += (word & pos).count_ones() as i32 - (word & neg).count_ones() as i32;
+            }
+        }
+        for (l, &sum) in sums[..n].iter().enumerate() {
+            out[l * classes + class] = sum;
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn vote_sums_avx512(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
+    vote_sums_body(lanes, class_votes, n, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn vote_sums_avx2(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
+    vote_sums_body(lanes, class_votes, n, out);
+}
+
+/// Dispatches [`vote_sums_body`] to `kernel`'s compilation.
+///
+/// # Safety
+///
+/// The host must support `kernel`'s CPU features — guaranteed for
+/// [`host_kernels`]`().vote` and for [`VoteKernel::Portable`].
+unsafe fn vote_sums(
+    kernel: VoteKernel,
+    lanes: &[u64],
+    class_votes: &ClassVotes,
+    n: usize,
+    out: &mut [i32],
+) {
+    debug_assert!(n <= LANES);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller guarantees the host supports the kernel.
+        VoteKernel::Avx512Vpopcntdq => unsafe { vote_sums_avx512(lanes, class_votes, n, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        VoteKernel::Avx2 => unsafe { vote_sums_avx2(lanes, class_votes, n, out) },
+        _ => vote_sums_body(lanes, class_votes, n, out),
+    }
+}
+
 /// Reusable lane-word scratch arena for a [`TurboProgram`]; every buffer
 /// warms to its final (full-strip) size on the first block and is reused
 /// for the life of the owner — evaluation itself never allocates.
@@ -304,6 +489,10 @@ pub(crate) struct TurboScratch {
 pub struct TurboProgram {
     shape: AccelShape,
     windows: Vec<WindowProgram>,
+    /// Per window: the `(clause, tape slot)` partials ANDed into the
+    /// fired-clause accumulator. Constant-1 outputs (the clause has no
+    /// literal in that window) are left out — ANDing them is a no-op.
+    clause_ands: Vec<Vec<(u32, u32)>>,
     /// Per class: `(block, +1-vote mask, −1-vote mask)` over 64-clause
     /// blocks of the fired-clause vector.
     class_votes: Vec<Vec<(usize, u64, u64)>>,
@@ -328,37 +517,29 @@ impl TurboProgram {
     }
 
     /// Packages already-lowered (and possibly optimized) window tapes
-    /// into an executable program: precomputes the per-class vote masks
-    /// and the cost-model bookkeeping. The pipeline's exit point.
+    /// into an executable program: precomputes the non-constant clause
+    /// partials per window, the per-class vote masks and the cost-model
+    /// bookkeeping. The pipeline's exit point, so every pass combination
+    /// and every partition part gets the constant-1 elision.
     pub(crate) fn from_tapes(shape: AccelShape, windows: Vec<WindowProgram>) -> Self {
         let max_slots = windows.iter().map(|w| w.ops.len()).max().unwrap_or(0);
         let tape_len = windows.iter().map(|w| w.ops.len()).sum();
-        let c = shape.total_clauses();
-        let blocks = c.div_ceil(LANES).max(1);
-        let cpc = shape.clauses_per_class;
-        let class_votes = (0..shape.classes)
-            .map(|class| {
-                let mut votes: Vec<(usize, u64, u64)> = Vec::new();
-                for j in 0..cpc {
-                    let cc = class * cpc + j;
-                    let (t, bit) = (cc / LANES, cc % LANES);
-                    if votes.last().map(|v| v.0) != Some(t) {
-                        votes.push((t, 0, 0));
-                    }
-                    let last = votes.last_mut().expect("just pushed");
-                    if j % 2 == 0 {
-                        last.1 |= 1u64 << bit;
-                    } else {
-                        last.2 |= 1u64 << bit;
-                    }
-                }
-                votes
+        let blocks = shape.total_clauses().div_ceil(LANES).max(1);
+        let clause_ands = windows
+            .iter()
+            .map(|w| {
+                (0u32..)
+                    .zip(&w.outputs)
+                    .filter(|&(_, &s)| w.ops[s as usize] != Op::Const1)
+                    .map(|(cl, &s)| (cl, s))
+                    .collect()
             })
             .collect();
         TurboProgram {
             shape,
             windows,
-            class_votes,
+            clause_ands,
+            class_votes: class_vote_masks(&shape),
             blocks,
             max_slots,
             tape_len,
@@ -368,6 +549,12 @@ impl TurboProgram {
     /// The architectural shape the program was compiled from.
     pub fn shape(&self) -> &AccelShape {
         &self.shape
+    }
+
+    /// Clause-AND word-ops per 64-datapoint lane word: the window ×
+    /// clause partials that are not the constant-1 slot.
+    pub(crate) fn clause_ands(&self) -> usize {
+        self.clause_ands.iter().map(Vec::len).sum()
     }
 
     /// Tape instructions executed per 64-datapoint lane word — the
@@ -564,6 +751,7 @@ impl TurboProgram {
         let w = self.shape.bus_width;
         let c = self.shape.total_clauses();
         let classes = self.shape.classes;
+        let vote = host_kernels().vote;
         debug_assert_eq!(out.len(), chunk.len() * classes);
         // Buffers warm to full-strip size once; narrower strips borrow a
         // prefix, so re-running at any width never reallocates.
@@ -599,10 +787,10 @@ impl TurboProgram {
             }
             let nodes = &mut scratch.nodes[..program.ops.len() * W];
             program.eval_strip::<W>(lane_inputs, nodes);
-            for (cl, &s) in program.outputs.iter().enumerate() {
-                let s = s as usize * W;
+            for &(cl, s) in &self.clause_ands[k] {
+                let (cl, s) = (cl as usize * W, s as usize * W);
                 for wd in 0..W {
-                    acc[cl * W + wd] &= nodes[s + wd];
+                    acc[cl + wd] &= nodes[s + wd];
                 }
             }
         }
@@ -622,16 +810,16 @@ impl TurboProgram {
                 }
                 transpose_64x64(dst);
             }
-            for l in 0..(chunk.len() - col).min(LANES) {
-                let o = (col + l) * classes;
-                for (cls, votes) in self.class_votes.iter().enumerate() {
-                    let mut sum = 0i32;
-                    for &(t, pos, neg) in votes {
-                        let word = scratch.lanes[t * LANES + l];
-                        sum += (word & pos).count_ones() as i32 - (word & neg).count_ones() as i32;
-                    }
-                    out[o + cls] = sum;
-                }
+            let n = (chunk.len() - col).min(LANES);
+            // SAFETY: `vote` is the host's runtime-detected kernel.
+            unsafe {
+                vote_sums(
+                    vote,
+                    &scratch.lanes,
+                    &self.class_votes,
+                    n,
+                    &mut out[col * classes..][..n * classes],
+                );
             }
         }
     }
@@ -988,6 +1176,165 @@ mod tests {
             // SAFETY: AVX2 was detected above; the array has 64 words.
             unsafe { avx2::transpose_64x64_avx2(&mut vector) };
             assert_eq!(scalar, vector);
+        }
+    }
+
+    /// The per-lane vote loop the lane-parallel kernels replaced (lane →
+    /// class → block, two scalar popcounts per step), kept as their
+    /// reference.
+    fn vote_sums_reference(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
+        let classes = class_votes.len();
+        for l in 0..n {
+            for (class, votes) in class_votes.iter().enumerate() {
+                let mut sum = 0i32;
+                for &(t, pos, neg) in votes {
+                    let word = lanes[t * LANES + l];
+                    sum += (word & pos).count_ones() as i32 - (word & neg).count_ones() as i32;
+                }
+                out[l * classes + class] = sum;
+            }
+        }
+    }
+
+    /// Every vote kernel whose CPU features this host has.
+    fn supported_vote_kernels() -> Vec<VoteKernel> {
+        let mut kernels = vec![VoteKernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("popcnt") {
+                kernels.push(VoteKernel::Avx2);
+            }
+            if has!("avx512f") && has!("avx512vpopcntdq") {
+                kernels.push(VoteKernel::Avx512Vpopcntdq);
+            }
+        }
+        kernels
+    }
+
+    #[test]
+    fn vote_kernels_match_per_lane_reference() {
+        assert!(supported_vote_kernels().contains(&host_kernels().vote));
+        // 50 clauses per class is not a multiple of 64: classes 1 and 2
+        // straddle block boundaries.
+        let shape = AccelShape {
+            bus_width: 4,
+            features: 4,
+            classes: 3,
+            clauses_per_class: 50,
+        };
+        let votes = class_vote_masks(&shape);
+        assert!(votes.iter().filter(|v| v.len() > 1).count() == 2);
+        let words = shape.total_clauses().div_ceil(LANES) * LANES;
+        let mut s = 0x1319_8A2E_0370_7344u64;
+        for kernel in supported_vote_kernels() {
+            for n in [1usize, 37, 63, 64] {
+                for _ in 0..8 {
+                    let lanes: Vec<u64> = (0..words)
+                        .map(|_| {
+                            s = s
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            s
+                        })
+                        .collect();
+                    let mut expected = vec![0; n * shape.classes];
+                    vote_sums_reference(&lanes, &votes, n, &mut expected);
+                    let mut got = vec![i32::MIN; n * shape.classes];
+                    // SAFETY: only kernels the host supports are listed.
+                    unsafe { vote_sums(kernel, &lanes, &votes, n, &mut got) };
+                    assert_eq!(got, expected, "{kernel:?} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_one_partials_are_elided_from_the_work_count() {
+        for options in [
+            crate::compile::CompileOptions::none(),
+            crate::compile::CompileOptions::default(),
+        ] {
+            let stats = crate::compile::CompilePipeline::new(options)
+                .compile(&accel())
+                .stats;
+            // Window 1 has three `Cube::one()` clauses.
+            assert_eq!(
+                (stats.clause_ands_before, stats.clause_ands_after),
+                (8, 5),
+                "{options:?}"
+            );
+        }
+    }
+
+    /// Three 4-bit windows, two classes of four clauses. Clause 0 is
+    /// `Cube::one()` in every window, clause 1 in every window but the
+    /// middle one, and the last window's outputs are all constant.
+    /// Clauses 2 and 3 are equal, so class 0's sum is `1 − x[6]`.
+    fn constant_clause_accel() -> CompiledAccelerator {
+        let shape = AccelShape {
+            bus_width: 4,
+            features: 12,
+            classes: 2,
+            clauses_per_class: 4,
+        };
+        let one = Cube::one;
+        let lit = |l: Lit| Cube::from_lits([l]);
+        let w0 = vec![
+            one(),
+            one(),
+            lit(Lit::pos(0)),
+            lit(Lit::pos(0)),
+            lit(Lit::neg(1)),
+            lit(Lit::pos(1)),
+            one(),
+            one(),
+        ];
+        let w1 = vec![
+            one(),
+            lit(Lit::pos(2)),
+            one(),
+            one(),
+            lit(Lit::pos(3)),
+            one(),
+            lit(Lit::neg(0)),
+            Cube::from_lits([Lit::neg(2), Lit::pos(1)]),
+        ];
+        let w2 = vec![one(); 8];
+        CompiledAccelerator::from_window_cubes(shape, &[w0, w1, w2], Sharing::Enabled)
+    }
+
+    #[test]
+    fn constant_clauses_match_reference_and_cycle_engine() {
+        let a = constant_clause_accel();
+        let mut s = 0x4528_21E6_38D0_1377u64;
+        let xs: Vec<BitVec> = (0..300)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let bits: Vec<usize> = (0..12).filter(|b| (s >> (b + 20)) & 1 == 1).collect();
+                BitVec::from_indices(12, &bits)
+            })
+            .collect();
+        let mut cycle = SimEngine::new(&a);
+        cycle.set_capture_class_sums(true);
+        cycle.run_datapoints(&xs).expect("drains");
+        for options in [
+            crate::compile::CompileOptions::none(),
+            crate::compile::CompileOptions::default(),
+        ] {
+            let compiled = crate::compile::CompilePipeline::new(options).compile(&a);
+            // 4 partials in windows 0 and 1 each, none in window 2.
+            assert_eq!(compiled.stats.clause_ands_after, 8, "{options:?}");
+            let sums = compiled.program.class_sums(&xs);
+            assert_eq!(sums, cycle.class_sums_log(), "{options:?}");
+            for (x, s) in xs.iter().zip(&sums) {
+                assert_eq!(s, &a.reference_class_sums(x), "{options:?} input {x}");
+                // Clause 0 fires in every lane; clause 1 exactly when
+                // x[6] (window 1, bit 2) is set.
+                assert_eq!(s[0], 1 - i32::from(x.get(6)), "{options:?} input {x}");
+            }
         }
     }
 
