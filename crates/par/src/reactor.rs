@@ -67,15 +67,18 @@ impl TimerWheel {
     /// Pops every timer with `tick <= now`, in ascending `(tick, token)`
     /// order.
     pub fn pop_expired(&mut self, now: u64) -> Vec<(u64, u64)> {
-        let mut expired = Vec::new();
-        while let Some(Reverse((tick, token))) = self.heap.peek().copied() {
-            if tick > now {
-                break;
-            }
-            self.heap.pop();
-            expired.push((tick, token));
+        std::iter::from_fn(|| self.pop_due(now)).collect()
+    }
+
+    /// Pops the earliest timer if its `tick <= now`, without allocating:
+    /// repeated calls yield what [`TimerWheel::pop_expired`] returns.
+    pub fn pop_due(&mut self, now: u64) -> Option<(u64, u64)> {
+        let Reverse((tick, token)) = self.heap.peek().copied()?;
+        if tick > now {
+            return None;
         }
-        expired
+        self.heap.pop();
+        Some((tick, token))
     }
 
     /// Number of armed timers (stale re-arms included).
@@ -178,6 +181,19 @@ mod tests {
         assert_eq!(wheel.next_deadline(), Some(8));
         assert_eq!(wheel.pop_expired(7), vec![]);
         assert_eq!(wheel.pop_expired(100), vec![(8, 0)]);
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn pop_due_yields_one_expired_timer_at_a_time() {
+        let mut wheel = TimerWheel::new();
+        wheel.arm(5, 1);
+        wheel.arm(3, 2);
+        wheel.arm(5, 0);
+        assert_eq!(wheel.pop_due(4), Some((3, 2)));
+        assert_eq!(wheel.pop_due(4), None);
+        assert_eq!(wheel.pop_due(5), Some((5, 0)));
+        assert_eq!(wheel.pop_due(5), Some((5, 1)));
         assert!(wheel.is_empty());
     }
 

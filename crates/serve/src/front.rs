@@ -55,10 +55,17 @@
 //! intact — the same seeded trace replays bit-identically at any
 //! `MATADOR_THREADS` and shard count — while a real-time driver simply
 //! maps wall-clock time onto the virtual clock and parks between events
-//! on [`matador_par::reactor::Parker`]. Timer scheduling rides on
-//! [`matador_par::reactor::TimerWheel`] with lazy cancellation: stale
-//! timers are re-checked against current state when they expire, never
-//! descheduled.
+//! on [`matador_par::reactor::Parker`].
+//!
+//! Admission is O(1) in the pending set. The tightest pending deadline
+//! is cached (lowered at admit, recomputed when a batch forms), and so
+//! are the pool's latency floor and modeled II (refreshed after every
+//! pool flush, the only place they change). Only the newest idle tick
+//! can fire, so it is one slot; deadline-pressure re-checks ride on
+//! [`matador_par::reactor::TimerWheel`] with lazy cancellation (stale
+//! ones re-check current state), after the idle check at a shared tick.
+//! Inputs are copied once, into recycled buffers, and a batch reaches
+//! [`ShardPool::serve`] as one slice.
 //!
 //! ## Observability
 //!
@@ -106,7 +113,7 @@ use crate::pool::ShardPool;
 use crate::report::ThroughputReport;
 use matador_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry, TraceId};
 use matador_par::reactor::TimerWheel;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tsetlin::bits::BitVec;
 
@@ -114,11 +121,6 @@ use tsetlin::bits::BitVec;
 /// kept in integer millitokens so sub-request-per-cycle refill rates
 /// stay exact — no floating point in the admission path.
 pub const MILLITOKENS_PER_REQUEST: u64 = 1_000;
-
-/// Timer token: idle-tick flush check.
-const TOKEN_IDLE: u64 = 0;
-/// Timer token: deadline-pressure flush check.
-const TOKEN_DEADLINE: u64 = 1;
 
 /// Per-tenant rate limit: a token bucket in requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,17 +202,25 @@ impl FlushTrigger {
     }
 }
 
-/// Stable `reason` label for an admission rejection.
-fn rejection_reason(error: &ServeError) -> &'static str {
+/// Stable `reason` labels for admission rejections.
+const REJECTION_REASONS: [&str; 6] = [
+    "quota_exceeded",
+    "deadline_unmeetable",
+    "queue_full",
+    "width_mismatch",
+    "no_healthy_shard",
+    "other",
+];
+
+/// The [`REJECTION_REASONS`] index of an admission rejection.
+fn rejection_reason(error: &ServeError) -> usize {
     match error {
-        ServeError::QuotaExceeded { .. } => "quota_exceeded",
-        ServeError::DeadlineUnmeetable { .. } => "deadline_unmeetable",
-        ServeError::QueueFull { .. } => "queue_full",
-        ServeError::WidthMismatch { .. } | ServeError::NoCompatibleShard { .. } => "width_mismatch",
-        ServeError::ShardQuarantined { .. } | ServeError::NoHealthyShard { .. } => {
-            "no_healthy_shard"
-        }
-        _ => "other",
+        ServeError::QuotaExceeded { .. } => 0,
+        ServeError::DeadlineUnmeetable { .. } => 1,
+        ServeError::QueueFull { .. } => 2,
+        ServeError::WidthMismatch { .. } | ServeError::NoCompatibleShard { .. } => 3,
+        ServeError::ShardQuarantined { .. } | ServeError::NoHealthyShard { .. } => 4,
+        _ => 5,
     }
 }
 
@@ -221,16 +231,10 @@ fn rejection_reason(error: &ServeError) -> &'static str {
 #[derive(Debug, Clone)]
 struct FrontMetrics {
     admitted: Arc<Counter>,
-    rejected_quota: Arc<Counter>,
-    rejected_deadline: Arc<Counter>,
-    rejected_queue_full: Arc<Counter>,
-    rejected_width: Arc<Counter>,
-    rejected_unhealthy: Arc<Counter>,
-    rejected_other: Arc<Counter>,
-    batches_lane_block: Arc<Counter>,
-    batches_deadline: Arc<Counter>,
-    batches_idle: Arc<Counter>,
-    batches_drain: Arc<Counter>,
+    /// Indexed by [`rejection_reason`].
+    rejected: [Arc<Counter>; 6],
+    /// Indexed by `FlushTrigger as usize`.
+    batches: [Arc<Counter>; 4],
     batch_size: Arc<Histogram>,
     slack_at_flush: Arc<Histogram>,
     delivery_latency: Arc<Histogram>,
@@ -242,36 +246,32 @@ struct FrontMetrics {
 impl FrontMetrics {
     fn resolve() -> Self {
         let r = Registry::global();
-        let rejected = |reason: &str| {
-            r.counter(
-                "matador_front_rejected_total",
-                &format!("reason=\"{reason}\""),
-                "Submissions rejected at admission, by outcome.",
-            )
-        };
-        let batches = |trigger: &str| {
-            r.counter(
-                "matador_front_batches_total",
-                &format!("trigger=\"{trigger}\""),
-                "Batches flushed, by trigger.",
-            )
-        };
+        let triggers = [
+            FlushTrigger::LaneBlockFull,
+            FlushTrigger::DeadlinePressure,
+            FlushTrigger::IdleTick,
+            FlushTrigger::Drain,
+        ];
         FrontMetrics {
             admitted: r.counter(
                 "matador_front_admitted_total",
                 "",
                 "Submissions admitted into a tenant queue.",
             ),
-            rejected_quota: rejected("quota_exceeded"),
-            rejected_deadline: rejected("deadline_unmeetable"),
-            rejected_queue_full: rejected("queue_full"),
-            rejected_width: rejected("width_mismatch"),
-            rejected_unhealthy: rejected("no_healthy_shard"),
-            rejected_other: rejected("other"),
-            batches_lane_block: batches("lane_block_full"),
-            batches_deadline: batches("deadline_pressure"),
-            batches_idle: batches("idle_tick"),
-            batches_drain: batches("drain"),
+            rejected: REJECTION_REASONS.map(|reason| {
+                r.counter(
+                    "matador_front_rejected_total",
+                    &format!("reason=\"{reason}\""),
+                    "Submissions rejected at admission, by outcome.",
+                )
+            }),
+            batches: triggers.map(|trigger| {
+                r.counter(
+                    "matador_front_batches_total",
+                    &format!("trigger=\"{}\"", trigger.as_label()),
+                    "Batches flushed, by trigger.",
+                )
+            }),
             batch_size: r.histogram(
                 "matador_front_batch_size",
                 "",
@@ -302,26 +302,6 @@ impl FrontMetrics {
                 "",
                 "Requests admitted but not yet flushed.",
             ),
-        }
-    }
-
-    fn rejected(&self, error: &ServeError) -> &Counter {
-        match rejection_reason(error) {
-            "quota_exceeded" => &self.rejected_quota,
-            "deadline_unmeetable" => &self.rejected_deadline,
-            "queue_full" => &self.rejected_queue_full,
-            "width_mismatch" => &self.rejected_width,
-            "no_healthy_shard" => &self.rejected_unhealthy,
-            _ => &self.rejected_other,
-        }
-    }
-
-    fn batches(&self, trigger: FlushTrigger) -> &Counter {
-        match trigger {
-            FlushTrigger::LaneBlockFull => &self.batches_lane_block,
-            FlushTrigger::DeadlinePressure => &self.batches_deadline,
-            FlushTrigger::IdleTick => &self.batches_idle,
-            FlushTrigger::Drain => &self.batches_drain,
         }
     }
 }
@@ -461,50 +441,41 @@ impl Default for FrontOptions {
     }
 }
 
-/// One admitted-but-not-yet-flushed request in a tenant's FIFO.
-#[derive(Debug, Clone)]
-struct Admitted {
+/// What the front keeps about an admitted request besides its input.
+#[derive(Debug, Clone, Copy)]
+struct Ticket {
     seq: u64,
-    input: BitVec,
     deadline: u64,
     submitted_at: u64,
     /// Flight-recorder span carried through batch → shard → delivery.
     trace: TraceId,
 }
 
-/// A pool prediction lifted onto the front's virtual clock, ordered by
-/// `(at, shard, request)` before it enters the reorder stage.
-struct Completion {
-    at: u64,
-    shard: usize,
-    request: u64,
-    winner: usize,
-    class_sums: Option<Vec<i32>>,
-}
-
-/// A completed prediction parked in the reorder stage until every
-/// earlier same-tenant sequence number has been delivered.
+/// A reorder-ring slot: one per admitted sequence number that the
+/// delivery cursor has not passed yet.
 #[derive(Debug, Clone)]
-struct Parked {
-    reply: Reply,
-    completed_at: u64,
-    trace: TraceId,
+enum Slot {
+    /// Queued or in flight.
+    Waiting,
+    /// Dropped by brownout shedding: it will never complete, so the
+    /// cursor hops it and later replies are not held hostage.
+    Shed,
+    /// Completed and parked until every earlier sequence number has
+    /// been delivered; `delivered_at` holds the completion time.
+    Done(Reply, TraceId),
 }
 
 /// Per-tenant serving state: FIFO of admitted requests, DRR deficit,
-/// quota bucket, and the reorder stage's delivery cursor.
+/// quota bucket, and the reorder ring.
 #[derive(Debug, Clone)]
 struct Tenant {
-    queue: VecDeque<Admitted>,
+    queue: VecDeque<(BitVec, Ticket)>,
     bucket: Option<TokenBucket>,
     deficit: u64,
     next_seq: u64,
     next_deliver_seq: u64,
-    parked: BTreeMap<u64, Parked>,
-    /// Sequence numbers dropped by brownout shedding; the delivery
-    /// cursor skips them so later replies are not held hostage by a
-    /// request that will never complete.
-    shed_seqs: BTreeSet<u64>,
+    /// Slot of sequence number `next_deliver_seq + i` at index `i`.
+    ring: VecDeque<Slot>,
     /// Published queue depth / DRR deficit, labelled by tenant id.
     depth_gauge: Arc<Gauge>,
     deficit_gauge: Arc<Gauge>,
@@ -519,8 +490,7 @@ impl Tenant {
             deficit: 0,
             next_seq: 0,
             next_deliver_seq: 0,
-            parked: BTreeMap::new(),
-            shed_seqs: BTreeSet::new(),
+            ring: VecDeque::new(),
             depth_gauge: Registry::global().gauge(
                 "matador_front_tenant_queue_depth",
                 &labels,
@@ -537,6 +507,11 @@ impl Tenant {
     fn publish_gauges(&self) {
         self.depth_gauge.set(self.queue.len() as i64);
         self.deficit_gauge.set(self.deficit as i64);
+    }
+
+    /// The reorder-ring slot of sequence number `seq`.
+    fn slot(&mut self, seq: u64) -> &mut Slot {
+        &mut self.ring[(seq - self.next_deliver_seq) as usize]
     }
 }
 
@@ -555,8 +530,22 @@ pub struct Front<'a> {
     busy_until: Vec<u64>,
     tenants: BTreeMap<u32, Tenant>,
     pending_total: usize,
+    /// The tightest deadline among pending requests.
+    tightest: Option<u64>,
+    /// The pool's latency floor and modeled II, refreshed after each
+    /// pool flush (the only place health and engine history change).
+    floor: u64,
+    ii: u64,
+    /// Deadline-pressure re-checks.
     timers: TimerWheel,
-    last_activity: u64,
+    /// The one idle tick that can fire: last admit + `idle_cycles`.
+    idle_at: Option<u64>,
+    /// The batch being flushed, and its inputs in the same order (reused
+    /// across flushes).
+    batch: Vec<(u32, Ticket)>,
+    inputs: Vec<BitVec>,
+    /// Flushed input buffers, recycled by admission (≤ `lane_block`).
+    spare: Vec<BitVec>,
     delivered: Vec<Reply>,
     shed: Vec<ShedNotice>,
     batches: Vec<BatchRecord>,
@@ -586,16 +575,21 @@ impl<'a> Front<'a> {
                 capacity: pool.queue().capacity(),
             });
         }
-        let busy_until = vec![0; pool.shards()];
         Ok(Front {
+            busy_until: vec![0; pool.shards()],
+            floor: pool.latency_floor_cycles(),
+            ii: pool.modeled_ii_cycles(),
             pool,
             options,
             now: 0,
-            busy_until,
             tenants: BTreeMap::new(),
             pending_total: 0,
+            tightest: None,
             timers: TimerWheel::new(),
-            last_activity: 0,
+            idle_at: None,
+            batch: Vec::new(),
+            inputs: Vec::new(),
+            spare: Vec::new(),
             delivered: Vec::new(),
             shed: Vec::new(),
             batches: Vec::new(),
@@ -653,12 +647,13 @@ impl<'a> Front<'a> {
     /// per-request initiation interval over the parallel width a flush
     /// of that size would actually use ([`ShardPool::flush_spread`] — a
     /// consolidated flush runs on one shard), plus the latency floor
-    /// for the last request to emerge.
+    /// for the last request to emerge. II and floor are as of the last
+    /// pool flush (neither changes in between).
     pub fn drain_estimate_cycles(&self, pending: usize) -> u64 {
         (pending as u64)
             .div_ceil(self.pool.flush_spread(pending) as u64)
-            .saturating_mul(self.pool.modeled_ii_cycles())
-            .saturating_add(self.pool.latency_floor_cycles())
+            .saturating_mul(self.ii)
+            .saturating_add(self.floor)
     }
 
     /// Submits one request for `tenant` with an absolute virtual-cycle
@@ -691,13 +686,14 @@ impl<'a> Front<'a> {
             Ok(seq) => Ok(seq),
             Err(e) => {
                 self.rejected += 1;
-                self.metrics.rejected(&e).inc();
+                let reason = rejection_reason(&e);
+                self.metrics.rejected[reason].inc();
                 // Rejections are traced too: the seq the request would
                 // have received, with the rejection reason as outcome.
                 let seq = self.tenants.get(&tenant).map_or(0, |t| t.next_seq);
-                let reason = rejection_reason(&e);
                 let trace = self.flight.begin(tenant, seq, self.now, deadline);
-                self.flight.update(trace, |l| l.rejected = Some(reason));
+                self.flight
+                    .update(trace, |l| l.rejected = Some(REJECTION_REASONS[reason]));
                 Err(e)
             }
         }
@@ -714,11 +710,11 @@ impl<'a> Front<'a> {
                 capacity: self.options.max_pending,
             });
         }
-        let earliest = self.now + self.pool.latency_floor_cycles();
+        let now = self.now;
+        let earliest = now.saturating_add(self.floor);
         if deadline < earliest {
             return Err(ServeError::DeadlineUnmeetable { deadline, earliest });
         }
-        let now = self.now;
         let quota = self.options.quota;
         let entry = self
             .tenants
@@ -734,75 +730,79 @@ impl<'a> Front<'a> {
         }
         let seq = entry.next_seq;
         entry.next_seq += 1;
-        let trace = self.flight.begin(tenant, seq, now, deadline);
-        let entry = self
-            .tenants
-            .get_mut(&tenant)
-            .expect("tenant entry created above");
-        entry.queue.push_back(Admitted {
+        let input = match self.spare.pop() {
+            Some(mut buffer) if buffer.len() == input.len() => {
+                buffer.copy_from(input);
+                buffer
+            }
+            _ => input.clone(),
+        };
+        let ticket = Ticket {
             seq,
-            input: input.clone(),
             deadline,
             submitted_at: now,
-            trace,
-        });
+            trace: self.flight.begin(tenant, seq, now, deadline),
+        };
+        entry.queue.push_back((input, ticket));
+        entry.ring.push_back(Slot::Waiting);
         entry.publish_gauges();
         self.pending_total += 1;
+        self.tightest = Some(self.tightest.map_or(deadline, |t| t.min(deadline)));
         self.accepted += 1;
         self.metrics.admitted.inc();
         self.metrics.pending.set(self.pending_total as i64);
-        self.last_activity = now;
         if self.options.idle_cycles > 0 {
-            self.timers
-                .arm(now.saturating_add(self.options.idle_cycles), TOKEN_IDLE);
+            self.idle_at = Some(now.saturating_add(self.options.idle_cycles));
         }
         if self.pending_total >= self.options.lane_block {
             self.flush_batch(FlushTrigger::LaneBlockFull)?;
-        } else if self.deadline_pressure() {
+            return Ok(seq);
+        }
+        let guard = self.drain_estimate_cycles(self.pending_total);
+        if self.under_pressure(guard) {
             self.flush_batch(FlushTrigger::DeadlinePressure)?;
         } else {
             // Arm a pressure check for the point at which draining the
             // *current* pending set would start eating this deadline's
             // slack. Lazily cancelled: if the set has grown by then, a
             // fill or an earlier pressure flush already handled it.
-            let guard = self.drain_estimate_cycles(self.pending_total);
-            self.timers
-                .arm(deadline.saturating_sub(guard).max(now), TOKEN_DEADLINE);
+            self.timers.arm(deadline.saturating_sub(guard).max(now), 0);
         }
         Ok(seq)
     }
 
     /// Advances the virtual clock to `cycle`, firing any timer-driven
     /// flushes (idle ticks, deadline pressure) that fall in between, in
-    /// deterministic `(tick, token)` order. Monotonic: a `cycle` in the
-    /// past only processes timers already due.
+    /// tick order — at a shared tick the idle check runs first.
+    /// Monotonic: a `cycle` in the past only processes timers already
+    /// due.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Shard`] if a timer-driven flush's engine
     /// fails to drain.
     pub fn advance_to(&mut self, cycle: u64) -> Result<(), ServeError> {
-        while let Some(tick) = self.timers.next_deadline() {
-            if tick > cycle {
+        loop {
+            let next = self.idle_at.into_iter().chain(self.timers.next_deadline());
+            let Some(tick) = next.min().filter(|&tick| tick <= cycle) else {
                 break;
-            }
+            };
             self.now = self.now.max(tick);
-            for (_, token) in self.timers.pop_expired(tick) {
-                if self.pending_total == 0 {
-                    continue; // stale timer: nothing to flush
-                }
-                match token {
-                    TOKEN_IDLE => {
-                        if self.now >= self.last_activity.saturating_add(self.options.idle_cycles) {
-                            self.flush_batch(FlushTrigger::IdleTick)?;
-                        }
-                    }
-                    _ => {
-                        if self.deadline_pressure() {
-                            self.flush_batch(FlushTrigger::DeadlinePressure)?;
-                        }
-                    }
-                }
+            // Every check due at this tick is consumed. Every admit leaves
+            // fewer than `lane_block` requests pending, so one flush empties
+            // the set and makes the other checks stale.
+            let idle = self.idle_at.take_if(|&mut at| at == tick).is_some();
+            let mut recheck = false;
+            while self.timers.pop_due(tick).is_some() {
+                recheck = true;
+            }
+            if self.pending_total == 0 {
+                continue;
+            } else if idle {
+                self.flush_batch(FlushTrigger::IdleTick)?;
+            } else if recheck && self.under_pressure(self.drain_estimate_cycles(self.pending_total))
+            {
+                self.flush_batch(FlushTrigger::DeadlinePressure)?;
             }
         }
         self.now = self.now.max(cycle);
@@ -863,52 +863,38 @@ impl<'a> Front<'a> {
         ThroughputReport::merge(self.pool.report().shards, &self.latencies)
     }
 
-    /// Whether the tightest pending deadline's slack is at or below the
-    /// modeled time to drain the whole pending set.
-    fn deadline_pressure(&self) -> bool {
-        let tightest = self
-            .tenants
-            .values()
-            .flat_map(|t| t.queue.iter().map(|a| a.deadline))
-            .min();
-        match tightest {
-            Some(deadline) => {
-                deadline.saturating_sub(self.now) <= self.drain_estimate_cycles(self.pending_total)
-            }
-            None => false,
-        }
+    /// Whether the tightest pending deadline's slack is at or below
+    /// `drain`, the modeled time to drain the pending set.
+    fn under_pressure(&self, drain: u64) -> bool {
+        self.tightest
+            .is_some_and(|deadline| deadline.saturating_sub(self.now) <= drain)
     }
 
-    /// Deficit-round-robin batch formation: tenants in id order each
-    /// earn `drr_quantum` requests of credit per round and spend it
-    /// from their FIFO, until the batch fills a lane block or the
-    /// pending set is empty. Deficits persist across batches for
-    /// backlogged tenants and reset when a tenant's queue empties
-    /// (classic DRR), so a bursty tenant cannot starve a quiet one.
-    fn form_batch(&mut self) -> Vec<(u32, Admitted)> {
-        let ids: Vec<u32> = self.tenants.keys().copied().collect();
-        let mut batch: Vec<(u32, Admitted)> = Vec::new();
-        loop {
+    /// Deficit-round-robin batch formation into `batch`/`inputs`:
+    /// tenants in id order each earn `drr_quantum` requests of credit
+    /// per round and spend it from their FIFO, until the batch fills a
+    /// lane block or the pending set is empty. Deficits persist across
+    /// batches for backlogged tenants and reset when a tenant's queue
+    /// empties (classic DRR), so a bursty tenant cannot starve a quiet
+    /// one.
+    fn form_batch(&mut self) {
+        self.batch.clear();
+        self.inputs.clear();
+        let lane_block = self.options.lane_block;
+        'rounds: loop {
             let mut progressed = false;
-            for &id in &ids {
-                let tenant = self
-                    .tenants
-                    .get_mut(&id)
-                    .expect("tenant ids snapshot: entries are never removed");
+            for (&id, tenant) in &mut self.tenants {
                 if tenant.queue.is_empty() {
                     tenant.deficit = 0;
                     continue;
                 }
                 tenant.deficit = tenant.deficit.saturating_add(self.options.drr_quantum);
-                while tenant.deficit > 0
-                    && batch.len() < self.options.lane_block
-                    && !tenant.queue.is_empty()
-                {
-                    let admitted = tenant
-                        .queue
-                        .pop_front()
-                        .expect("loop guard: queue is non-empty");
-                    batch.push((id, admitted));
+                while tenant.deficit > 0 && self.batch.len() < lane_block {
+                    let Some((input, ticket)) = tenant.queue.pop_front() else {
+                        break;
+                    };
+                    self.inputs.push(input);
+                    self.batch.push((id, ticket));
                     tenant.deficit -= 1;
                     progressed = true;
                 }
@@ -916,17 +902,20 @@ impl<'a> Front<'a> {
                     tenant.deficit = 0;
                 }
                 tenant.publish_gauges();
-                if batch.len() == self.options.lane_block {
-                    self.pending_total -= batch.len();
-                    return batch;
+                if self.batch.len() == lane_block {
+                    break 'rounds;
                 }
             }
             if !progressed {
                 break;
             }
         }
-        self.pending_total -= batch.len();
-        batch
+        self.pending_total -= self.batch.len();
+        self.tightest = self
+            .tenants
+            .values()
+            .flat_map(|t| t.queue.iter().map(|(_, ticket)| ticket.deadline))
+            .min();
     }
 
     /// Forms one batch, executes it on the pool, virtualizes the
@@ -950,142 +939,116 @@ impl<'a> Front<'a> {
     /// least hope go first; survivors flush normally. Each shed is
     /// recorded as a [`ShedNotice`], counted, traced, and skipped by
     /// the tenant's delivery cursor.
-    fn shed_hopeless(&mut self, batch: Vec<(u32, Admitted)>) -> Vec<(u32, Admitted)> {
-        let earliest = self.now.saturating_add(self.pool.latency_floor_cycles());
-        let mut kept = Vec::with_capacity(batch.len());
-        for (tenant_id, admitted) in batch {
-            if admitted.deadline >= earliest {
-                kept.push((tenant_id, admitted));
+    fn shed_hopeless(&mut self) {
+        let earliest = self.now.saturating_add(self.floor);
+        let mut kept = 0;
+        for j in 0..self.batch.len() {
+            let (tenant_id, ticket) = self.batch[j];
+            if ticket.deadline >= earliest {
+                self.batch.swap(kept, j);
+                self.inputs.swap(kept, j);
+                kept += 1;
                 continue;
             }
             self.metrics.shed.inc();
             self.flight
-                .update(admitted.trace, |l| l.rejected = Some("shed"));
+                .update(ticket.trace, |l| l.rejected = Some("shed"));
             let tenant = self
                 .tenants
                 .get_mut(&tenant_id)
                 .expect("admitted requests always have a tenant entry");
-            tenant.shed_seqs.insert(admitted.seq);
+            *tenant.slot(ticket.seq) = Slot::Shed;
             self.shed.push(ShedNotice {
                 tenant: tenant_id,
-                seq: admitted.seq,
-                deadline: admitted.deadline,
+                seq: ticket.seq,
+                deadline: ticket.deadline,
                 shed_at: self.now,
             });
         }
-        kept
+        self.batch.truncate(kept);
+        self.inputs.truncate(kept);
     }
 
     fn flush_batch_inner(&mut self, trigger: FlushTrigger) -> Result<(), ServeError> {
-        let mut batch = self.form_batch();
+        self.form_batch();
         if self.options.shed_on_brownout {
-            batch = self.shed_hopeless(batch);
+            self.shed_hopeless();
         }
-        if batch.is_empty() {
+        if self.batch.is_empty() {
             return Ok(());
         }
-        let size = batch.len();
-        self.metrics.batches(trigger).inc();
-        self.metrics.batch_size.record(size as u64);
+        self.metrics.batches[trigger as usize].inc();
+        self.metrics.batch_size.record(self.batch.len() as u64);
         self.metrics.pending.set(self.pending_total as i64);
-        let trigger_label = trigger.as_label();
         let now = self.now;
-        for (_, admitted) in &batch {
+        for (_, ticket) in &self.batch {
             self.metrics
                 .slack_at_flush
-                .record(admitted.deadline.saturating_sub(now));
-            self.flight.update(admitted.trace, |l| {
+                .record(ticket.deadline.saturating_sub(now));
+            self.flight.update(ticket.trace, |l| {
                 l.batched_at = Some(now);
-                l.trigger = Some(trigger_label);
+                l.trigger = Some(trigger.as_label());
             });
         }
+        // `lane_block` ≤ the queue depth, so this is one pool window.
         let before = self.pool.shard_cycles();
-        let mut meta: BTreeMap<u64, (u32, Admitted)> = BTreeMap::new();
-        for (tenant, admitted) in batch {
-            let id = self.pool.submit(&admitted.input)?;
-            meta.insert(id, (tenant, admitted));
-        }
-        let predictions = self.pool.flush()?;
+        let served = self.pool.serve(&self.inputs);
+        self.floor = self.pool.latency_floor_cycles();
+        self.ii = self.pool.modeled_ii_cycles();
+        let room = self.options.lane_block.saturating_sub(self.spare.len());
+        self.spare.extend(self.inputs.drain(..).take(room));
+        let mut predictions = served?;
         let after = self.pool.shard_cycles();
 
         // Virtualize: each shard's slice starts when the shard is next
         // free on the front's clock, and a request completes its
         // shard-local stamp's worth of cycles after that start.
-        let starts: Vec<u64> = self
-            .busy_until
-            .iter()
-            .map(|&busy| busy.max(self.now))
-            .collect();
+        let first_id = predictions.iter().map(|p| p.request).min().unwrap_or(0);
+        for p in &mut predictions {
+            let start = self.busy_until[p.shard].max(now);
+            p.completed_at_cycle = start.saturating_add(p.completed_at_cycle - before[p.shard]);
+        }
         for (shard, (&b, &a)) in before.iter().zip(&after).enumerate() {
             if a > b {
-                self.busy_until[shard] = starts[shard] + (a - b);
+                self.busy_until[shard] = self.busy_until[shard].max(now).saturating_add(a - b);
             }
         }
-        let mut completions: Vec<Completion> = predictions
-            .into_iter()
-            .map(|p| Completion {
-                at: starts[p.shard] + (p.completed_at_cycle - before[p.shard]),
-                shard: p.shard,
-                request: p.request,
-                winner: p.winner,
-                class_sums: p.class_sums,
-            })
-            .collect();
-        completions.sort_unstable_by_key(|c| (c.at, c.shard, c.request));
+        predictions.sort_unstable_by_key(|p| (p.completed_at_cycle, p.shard, p.request));
 
-        // Reorder stage: park each completion under its tenant's
-        // sequence number, then release every reply whose predecessors
-        // have all completed. A reply released by a *later* completion
-        // is stamped with that completion's time — it could not have
-        // been handed back any earlier.
-        for Completion {
-            at: completed_at,
-            shard,
-            request,
-            winner,
-            class_sums,
-        } in completions
-        {
-            let (tenant_id, admitted) = meta
-                .remove(&request)
-                .expect("every prediction answers a request submitted this flush");
-            self.flight.update(admitted.trace, |l| {
-                l.shard = Some(shard);
+        // Reorder stage: park each completion in its tenant's ring, then
+        // release every reply whose predecessors have all completed (or
+        // been shed). A reply released by a *later* completion is
+        // stamped with that completion's time — it could not have been
+        // handed back any earlier.
+        for p in predictions {
+            let completed_at = p.completed_at_cycle;
+            let (tenant_id, ticket) = self.batch[(p.request - first_id) as usize];
+            self.flight.update(ticket.trace, |l| {
+                l.shard = Some(p.shard);
                 l.completed_at = Some(completed_at);
             });
             let tenant = self
                 .tenants
                 .get_mut(&tenant_id)
                 .expect("admitted requests always have a tenant entry");
-            tenant.parked.insert(
-                admitted.seq,
-                Parked {
-                    reply: Reply {
-                        tenant: tenant_id,
-                        seq: admitted.seq,
-                        request,
-                        winner,
-                        class_sums,
-                        shard,
-                        submitted_at: admitted.submitted_at,
-                        deadline: admitted.deadline,
-                        delivered_at: 0, // stamped at release below
-                    },
-                    completed_at,
-                    trace: admitted.trace,
-                },
-            );
-            loop {
-                // Shed sequence numbers will never complete: hop the
-                // cursor over them so the replies behind are released.
-                while tenant.shed_seqs.remove(&tenant.next_deliver_seq) {
-                    tenant.next_deliver_seq += 1;
-                }
-                let Some(parked) = tenant.parked.remove(&tenant.next_deliver_seq) else {
-                    break;
+            let reply = Reply {
+                tenant: tenant_id,
+                seq: ticket.seq,
+                request: p.request,
+                winner: p.winner,
+                class_sums: p.class_sums,
+                shard: p.shard,
+                submitted_at: ticket.submitted_at,
+                deadline: ticket.deadline,
+                delivered_at: completed_at, // raised at release below
+            };
+            *tenant.slot(ticket.seq) = Slot::Done(reply, ticket.trace);
+            while !matches!(tenant.ring.front(), None | Some(Slot::Waiting)) {
+                tenant.next_deliver_seq += 1;
+                let Some(Slot::Done(mut reply, trace)) = tenant.ring.pop_front() else {
+                    continue; // a shed sequence number: hop it
                 };
-                let mut reply = parked.reply;
-                reply.delivered_at = parked.completed_at.max(completed_at);
+                reply.delivered_at = reply.delivered_at.max(completed_at);
                 let latency = reply.delivered_at - reply.submitted_at;
                 self.latencies.push(latency);
                 self.metrics.delivery_latency.record(latency);
@@ -1093,15 +1056,14 @@ impl<'a> Front<'a> {
                     self.metrics.deadline_misses.inc();
                 }
                 self.flight
-                    .update(parked.trace, |l| l.delivered_at = Some(reply.delivered_at));
+                    .update(trace, |l| l.delivered_at = Some(reply.delivered_at));
                 self.delivered.push(reply);
-                tenant.next_deliver_seq += 1;
             }
         }
         self.batches.push(BatchRecord {
             at: self.now,
             trigger,
-            size,
+            size: self.batch.len(),
         });
         Ok(())
     }
@@ -1461,6 +1423,26 @@ mod tests {
         assert!(front_report.latency_p50_cycles >= 5_000);
         assert!(front_report.latency_p50_cycles > pool_report.latency_p50_cycles);
         assert_eq!(front_report.shards, pool_report.shards);
+    }
+
+    #[test]
+    fn admission_saturates_at_the_end_of_the_clock() {
+        let accel = accel();
+        let mut f = front(&accel, FrontOptions::new());
+        f.advance_to(u64::MAX - 1).expect("advance");
+        assert_eq!(
+            f.submit(&class0(4), u64::MAX - 1, 0)
+                .expect_err("inside the floor"),
+            ServeError::DeadlineUnmeetable {
+                deadline: u64::MAX - 1,
+                earliest: u64::MAX,
+            }
+        );
+        f.submit(&class1(4), u64::MAX, 0).expect("admitted");
+        f.drain().expect("drains");
+        let replies = f.take_replies();
+        assert_eq!(replies.len(), 1);
+        assert_eq!((replies[0].winner, replies[0].delivered_at), (1, u64::MAX));
     }
 
     #[test]
