@@ -1,13 +1,14 @@
 //! The untyped tape IR every pass of the pipeline transforms: one
-//! topologically-ordered instruction list per window, operating on
-//! lane-word strips.
+//! topologically-ordered instruction list per window.
 //!
 //! Lowering ([`WindowProgram::lower`]) flattens a [`LogicDag`] into slot
 //! indices; later passes ([`crate::compile::CompilePipeline`]) rewrite
 //! the tape but never its meaning — every transform preserves the value
 //! of every output slot bit-for-bit, which is what keeps the turbo
 //! backend's winners, class sums and cycle stamps identical across pass
-//! combinations.
+//! combinations. The IR is never executed as is: at the pipeline exit
+//! `TurboProgram::from_tapes` folds every `Input`/`NotInput`/constant
+//! slot into the operands of a flat AND tape.
 
 use matador_logic::dag::{LogicDag, Node};
 
@@ -62,37 +63,5 @@ impl WindowProgram {
         }
         let outputs = dag.outputs().iter().map(|o| slot[o.index()]).collect();
         WindowProgram { ops, outputs }
-    }
-
-    /// Runs the tape over a strip of `W` lane words per slot:
-    /// `inputs[b*W..b*W+W]` carries window bit `b` of up to `W·64`
-    /// datapoints, `nodes` receives every slot's strip at the same
-    /// stride. Monomorphized per strip width so the per-instruction word
-    /// loop unrolls — one op decode advances `W` lane words.
-    pub(crate) fn eval_strip<const W: usize>(&self, inputs: &[u64], nodes: &mut [u64]) {
-        debug_assert!(nodes.len() >= self.ops.len() * W);
-        for (i, op) in self.ops.iter().enumerate() {
-            let o = i * W;
-            match *op {
-                Op::Const0 => nodes[o..o + W].fill(0),
-                Op::Const1 => nodes[o..o + W].fill(!0),
-                Op::Input(b) => {
-                    let s = b as usize * W;
-                    nodes[o..o + W].copy_from_slice(&inputs[s..s + W]);
-                }
-                Op::NotInput(b) => {
-                    let s = b as usize * W;
-                    for w in 0..W {
-                        nodes[o + w] = !inputs[s + w];
-                    }
-                }
-                Op::And(a, b) => {
-                    let (a, b) = (a as usize * W, b as usize * W);
-                    for w in 0..W {
-                        nodes[o + w] = nodes[a + w] & nodes[b + w];
-                    }
-                }
-            }
-        }
     }
 }

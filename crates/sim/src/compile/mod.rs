@@ -235,6 +235,12 @@ pub struct PassStats {
     /// partials that are not the constant-1 slot (a clause with no
     /// literal in that window).
     pub clause_ands_after: usize,
+    /// Tape AND word-ops the program executes per lane word once window
+    /// inputs, their complements and the constants are folded into AND
+    /// operands: the hardware's AND2 gate count (Σ
+    /// `LogicDag::and2_count`), less any duplicate gates CSE merged
+    /// (there are none under Fig 3 sharing).
+    pub tape_ands: usize,
 }
 
 /// A compiled program plus the per-pass stats of the run that built it.
@@ -286,6 +292,7 @@ impl CompilePipeline {
         stats.clause_ands_before = windows.iter().map(|w| w.outputs.len()).sum();
         let program = TurboProgram::from_tapes(shape, windows);
         stats.clause_ands_after = program.clause_ands();
+        stats.tape_ands = program.tape_ands();
         let metrics = compile_metrics();
         metrics.runs.inc();
         metrics.tape_before.add(stats.tape_before as u64);
@@ -385,6 +392,28 @@ mod tests {
         );
         // The two windows lower to identical tapes.
         assert_eq!(compiled.stats.cse_dedup_hits, 1);
+    }
+
+    #[test]
+    fn tape_ands_are_the_and2_gates_cse_leaves() {
+        for sharing in [Sharing::Enabled, Sharing::DontTouch] {
+            let a = accel(sharing);
+            let gates: usize = a
+                .windows()
+                .iter()
+                .map(matador_logic::dag::LogicDag::and2_count)
+                .sum();
+            let raw = CompilePipeline::new(CompileOptions::none()).compile(&a);
+            assert_eq!(raw.stats.tape_ands, gates, "{sharing:?}");
+            let optimized = CompilePipeline::default().compile(&a);
+            if sharing == Sharing::Enabled {
+                // Fig 3 sharing already merged every duplicate gate.
+                assert_eq!(optimized.stats.tape_ands, gates);
+            } else {
+                // Without it, CSE merges the duplicate cubes' gates.
+                assert!(optimized.stats.tape_ands < gates, "{:?}", optimized.stats);
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::fmt;
 use tsetlin::bits::BitVec;
 use tsetlin::tm::argmax;
 
-/// Typed failure of the cycle-accurate engine.
+/// Typed failure of a simulation engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -29,6 +29,16 @@ pub enum SimError {
         stalled: bool,
         /// AXI beats still queued in the stream master.
         pending_beats: usize,
+    },
+    /// A datapoint's width differs from the design's feature count. The
+    /// turbo engine checks a whole batch before it runs any of it.
+    InputWidth {
+        /// Position of the first offending datapoint in the batch.
+        index: usize,
+        /// The design's feature count.
+        expected: usize,
+        /// The datapoint's width.
+        got: usize,
     },
 }
 
@@ -47,6 +57,14 @@ impl fmt::Display for SimError {
                     if *stalled { "asserted" } else { "deasserted" }
                 )
             }
+            SimError::InputWidth {
+                index,
+                expected,
+                got,
+            } => write!(
+                f,
+                "input width mismatch: datapoint {index} has {got} bits, the design takes {expected}"
+            ),
         }
     }
 }

@@ -1,34 +1,51 @@
-//! The bit-sliced turbo inference backend: 64 datapoints per instruction
-//! pass, blocked 4-word strips, and work-sized intra-batch parallelism.
+//! The bit-sliced turbo inference backend: 64 datapoints per AND word,
+//! blocked 4-word strips, and work-sized intra-batch parallelism.
 //!
 //! The cycle engine re-walks every window DAG one datapoint and one
 //! boolean at a time. Nothing about the *answer* needs that: the paper's
-//! architecture is fully feed-forward, so each window's combinational
-//! content can be flattened once into a topologically-ordered instruction
-//! tape (`WindowProgram` inside [`TurboProgram`]) and evaluated over
-//! `u64` words where **bit `l` is datapoint `l`** — 64 independent
-//! classifications advance per AND/NOT instruction. Each window's clause
-//! outputs are ANDed into the fired-clause accumulator, skipping the
+//! architecture is fully feed-forward, and its datapath is nothing but
+//! AND gates fed by input literals and their inverters. Each window is
+//! therefore lowered once into a flat tape of `(a, b)` AND pairs and
+//! evaluated over `u64` words where **bit `l` is datapoint `l`** — 64
+//! independent classifications advance per AND.
+//!
+//! The tape runs over one slot space per strip, which starts with a fixed
+//! input prefix: the window's bit-sliced inputs, their complements,
+//! constant 1 and constant 0. The compiler IR's `Input`, `NotInput` and
+//! constant instructions are folded into AND operands pointing at that
+//! prefix, so they never execute, and the loop over a window's tape has
+//! no per-instruction decode. On the KWS-6 design that is 3760 ANDs per
+//! lane word out of 4519 IR instructions, and on MNIST 6162 out of 7709
+//! — exactly the hardware's AND2 gate count
+//! ([`PassStats::tape_ands`](crate::compile::PassStats::tape_ands)).
+//!
+//! A strip is bit-sliced once, before any tape runs: one pass per
+//! 64-datapoint column reads each request's words once for all windows
+//! and transposes each window's 64×64 block into a per-strip input area,
+//! from which each window copies its prefix. Each window's clause
+//! outputs are then ANDed into the fired-clause accumulator, skipping the
 //! constant-1 outputs of clauses with no literal in that window (the
-//! hardware spends no gate on them either). Class sums follow from a
-//! 64×64 bit transpose of the fired-clause lane words and a lane-parallel
-//! vote kernel: per class and 64-clause block, the `+`/`−` vote masks are
-//! popcounted against all 64 lane words at once, multiversioned for
-//! AVX-512 `VPOPCNTDQ`, AVX2 and the portable baseline and picked by
-//! runtime CPU feature detection ([`host_kernels`]), never `target-cpu`.
+//! hardware spends no gate on them either); a partial that is a bare
+//! literal or a constant points straight into the prefix. Class sums
+//! follow from a 64×64 bit transpose of the fired-clause lane words and a
+//! lane-parallel vote kernel: per class and 64-clause block, the `+`/`−`
+//! vote masks are popcounted against all 64 lane words at once,
+//! multiversioned for AVX-512 `VPOPCNTDQ`, AVX2 and the portable baseline
+//! and picked by runtime CPU feature detection ([`host_kernels`]), never
+//! `target-cpu`.
 //!
 //! Two layers of batch-level amortization sit on top of the original
 //! word-parallel scheme:
 //!
-//! - **Blocked tape dispatch.** Instructions are not fetched once per
-//!   (instruction × lane word): each tape visit evaluates a *strip* of up
-//!   to [`BLOCK_WORDS`] lane words (256 datapoints), monomorphized per
-//!   strip width so a full strip does 4× the work per op decode and a
-//!   ragged final chunk narrows to exactly the words it needs — batch
-//!   work is proportional to `⌈n / 64⌉` lane words at every batch size.
+//! - **Blocked tape dispatch.** AND pairs are not fetched once per
+//!   (pair × lane word): each tape visit evaluates a *strip* of up to
+//!   [`BLOCK_WORDS`] lane words (256 datapoints), monomorphized per strip
+//!   width so a full strip does 4× the work per pair fetched and a ragged
+//!   final chunk narrows to exactly the words it needs — batch work is
+//!   proportional to `⌈n / 64⌉` lane words at every batch size.
 //! - **Chunk fan-out** ([`TurboProgram::class_sums_chunked`]). Large
 //!   batches split their lane-word blocks across `matador-par` workers,
-//!   governed by a cost model (tape instructions × lane words per
+//!   governed by a cost model (IR tape instructions × lane words per
 //!   worker, see [`TurboProgram::batch_cost`]): batches below
 //!   [`configured_chunk_threshold`] per worker stay serial on the caller
 //!   so small flushes never pay thread overhead. Lanes are independent,
@@ -449,10 +466,13 @@ unsafe fn vote_sums(
 /// for the life of the owner — evaluation itself never allocates.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TurboScratch {
-    /// Bit-sliced window input, strip-major: bit `b`'s words at
-    /// `[b*BLOCK_WORDS..]`.
-    lane_inputs: Vec<u64>,
-    /// Tape slot strips.
+    /// The strip's bit-sliced inputs, one 64×64 block per window and
+    /// lane-word column of a `W`-word strip: after the transpose, word
+    /// `b` of block `k*W + wi` is window `k`'s bit `b` for column `wi`'s
+    /// 64 datapoints.
+    inputs: Vec<u64>,
+    /// The slot space, `W` lane words per slot: the window's input
+    /// prefix, then its AND area.
     nodes: Vec<u64>,
     /// Fired-clause strips accumulated (ANDed) across windows.
     acc: Vec<u64>,
@@ -461,10 +481,70 @@ pub(crate) struct TurboScratch {
     lanes: Vec<u64>,
 }
 
+/// One window lowered onto the slot space: a branch-free AND tape plus
+/// the partials it feeds into the fired-clause accumulator.
+#[derive(Debug, Clone)]
+struct FoldedWindow {
+    /// `(a, b)` operand slots; pair `i` writes slot `prefix_slots + i`.
+    ands: Vec<(u32, u32)>,
+    /// `(clause, slot)` partials ANDed into the fired-clause accumulator.
+    /// Constant-1 outputs (the clause has no literal in that window) are
+    /// left out — ANDing them is a no-op.
+    clause_ands: Vec<(u32, u32)>,
+}
+
+impl FoldedWindow {
+    /// Folds an IR tape onto the slot space of a `bits`-wide bus:
+    /// `Input`, `NotInput` and constant ops become references into the
+    /// input prefix and never execute; each `And` becomes one pair
+    /// writing the next slot after the prefix.
+    fn fold(tape: &WindowProgram, bits: usize) -> Self {
+        let slot_u32 = |s: usize| u32::try_from(s).expect("slot space fits u32");
+        let one = slot_u32(2 * bits);
+        let mut slot = Vec::with_capacity(tape.ops.len());
+        let mut ands = Vec::new();
+        for op in &tape.ops {
+            slot.push(match *op {
+                Op::Input(b) => u32::from(b),
+                Op::NotInput(b) => slot_u32(bits + usize::from(b)),
+                Op::Const1 => one,
+                Op::Const0 => one + 1,
+                Op::And(a, b) => {
+                    ands.push((slot[a as usize], slot[b as usize]));
+                    slot_u32(prefix_slots(bits) + ands.len() - 1)
+                }
+            });
+        }
+        let clause_ands = (0u32..)
+            .zip(&tape.outputs)
+            .map(|(cl, &s)| (cl, slot[s as usize]))
+            .filter(|&(_, s)| s != one)
+            .collect();
+        FoldedWindow { ands, clause_ands }
+    }
+}
+
+/// Slots in the input prefix of a `bits`-wide bus: the window's bits,
+/// their complements, constant 1 and constant 0.
+fn prefix_slots(bits: usize) -> usize {
+    2 * bits + 2
+}
+
 /// A compiled accelerator flattened for bit-sliced batch evaluation.
 ///
 /// Shareable and immutable: compile once per design, evaluate any number
 /// of batches. [`TurboEngine`] adds the analytic clock on top.
+///
+/// Each window is a flat tape of AND pairs over one slot space of `W`
+/// lane words per slot, for a `w`-bit bus:
+///
+/// | slots | content |
+/// |---|---|
+/// | `b` for `b < w` | window input bit `b` |
+/// | `w + b` | its complement |
+/// | `2w` | constant 1 |
+/// | `2w + 1` | constant 0 |
+/// | `2w + 2 + i` | the window's `i`-th AND |
 ///
 /// # Examples
 ///
@@ -488,19 +568,18 @@ pub(crate) struct TurboScratch {
 #[derive(Debug, Clone)]
 pub struct TurboProgram {
     shape: AccelShape,
-    windows: Vec<WindowProgram>,
-    /// Per window: the `(clause, tape slot)` partials ANDed into the
-    /// fired-clause accumulator. Constant-1 outputs (the clause has no
-    /// literal in that window) are left out — ANDing them is a no-op.
-    clause_ands: Vec<Vec<(u32, u32)>>,
+    /// Per window: the folded AND tape and its clause partials.
+    windows: Vec<FoldedWindow>,
     /// Per class: `(block, +1-vote mask, −1-vote mask)` over 64-clause
     /// blocks of the fired-clause vector.
     class_votes: Vec<Vec<(usize, u64, u64)>>,
     /// 64-clause blocks in the fired-clause vector.
     blocks: usize,
-    max_slots: usize,
-    /// Total tape instructions across windows — the cost-model unit for
-    /// one lane word of evaluation.
+    /// Slots in the slot space: the input prefix plus the largest
+    /// window's AND area.
+    slots: usize,
+    /// Total IR tape instructions across windows — the cost-model unit
+    /// for one lane word of evaluation.
     tape_len: usize,
 }
 
@@ -517,32 +596,32 @@ impl TurboProgram {
     }
 
     /// Packages already-lowered (and possibly optimized) window tapes
-    /// into an executable program: precomputes the non-constant clause
-    /// partials per window, the per-class vote masks and the cost-model
-    /// bookkeeping. The pipeline's exit point, so every pass combination
-    /// and every partition part gets the constant-1 elision.
-    pub(crate) fn from_tapes(shape: AccelShape, windows: Vec<WindowProgram>) -> Self {
-        let max_slots = windows.iter().map(|w| w.ops.len()).max().unwrap_or(0);
-        let tape_len = windows.iter().map(|w| w.ops.len()).sum();
-        let blocks = shape.total_clauses().div_ceil(LANES).max(1);
-        let clause_ands = windows
+    /// into an executable program: folds each tape onto the strip's slot
+    /// space (see [`FoldedWindow::fold`]), precomputes the per-class vote
+    /// masks and the cost-model bookkeeping. The pipeline's exit point,
+    /// so every pass combination and every partition part runs folded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus is wider than one 64-lane transpose block.
+    pub(crate) fn from_tapes(shape: AccelShape, tapes: Vec<WindowProgram>) -> Self {
+        let bits = shape.bus_width;
+        assert!(
+            bits <= LANES,
+            "a {bits}-bit bus exceeds one {LANES}-bit packet"
+        );
+        let windows: Vec<FoldedWindow> = tapes
             .iter()
-            .map(|w| {
-                (0u32..)
-                    .zip(&w.outputs)
-                    .filter(|&(_, &s)| w.ops[s as usize] != Op::Const1)
-                    .map(|(cl, &s)| (cl, s))
-                    .collect()
-            })
+            .map(|tape| FoldedWindow::fold(tape, bits))
             .collect();
+        let max_ands = windows.iter().map(|w| w.ands.len()).max().unwrap_or(0);
         TurboProgram {
             shape,
             windows,
-            clause_ands,
             class_votes: class_vote_masks(&shape),
-            blocks,
-            max_slots,
-            tape_len,
+            blocks: shape.total_clauses().div_ceil(LANES).max(1),
+            slots: prefix_slots(bits) + max_ands,
+            tape_len: tapes.iter().map(|w| w.ops.len()).sum(),
         }
     }
 
@@ -554,11 +633,22 @@ impl TurboProgram {
     /// Clause-AND word-ops per 64-datapoint lane word: the window ×
     /// clause partials that are not the constant-1 slot.
     pub(crate) fn clause_ands(&self) -> usize {
-        self.clause_ands.iter().map(Vec::len).sum()
+        self.windows.iter().map(|w| w.clause_ands.len()).sum()
     }
 
-    /// Tape instructions executed per 64-datapoint lane word — the
-    /// per-unit cost in the chunk-parallelism model.
+    /// Tape AND word-ops per 64-datapoint lane word after input folding:
+    /// the only instructions the evaluator executes.
+    pub(crate) fn tape_ands(&self) -> usize {
+        self.windows.iter().map(|w| w.ands.len()).sum()
+    }
+
+    /// IR tape instructions per 64-datapoint lane word — the per-unit
+    /// cost in the chunk-parallelism model and in `ShardPool` flush
+    /// planning. It counts the instructions before input folding (the
+    /// evaluator runs only [`PassStats::tape_ands`] of them), so every
+    /// fan-out and consolidation decision stays what it was.
+    ///
+    /// [`PassStats::tape_ands`]: crate::compile::PassStats::tape_ands
     pub fn chunk_cost(&self) -> u64 {
         self.tape_len as u64
     }
@@ -630,7 +720,8 @@ impl TurboProgram {
     ) -> Vec<Vec<i32>> {
         let mut scratches = Vec::new();
         let mut flat = Vec::new();
-        self.class_sums_flat_into(inputs, threads, threshold, &mut scratches, &mut flat);
+        self.class_sums_flat_into(inputs, threads, threshold, &mut scratches, &mut flat)
+            .unwrap_or_else(|e| panic!("{e}"));
         flat.chunks(self.shape.classes.max(1))
             .map(<[i32]>::to_vec)
             .collect()
@@ -651,7 +742,8 @@ impl TurboProgram {
             configured_chunk_threshold(),
             &mut scratches,
             &mut flat,
-        );
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         flat.chunks(self.shape.classes.max(1)).map(argmax).collect()
     }
 
@@ -660,6 +752,12 @@ impl TurboProgram {
     /// caller-owned buffers. `scratches` grows to one arena per worker on
     /// first use and is reused thereafter; warmed callers (the
     /// [`TurboEngine`] serial path) touch the allocator zero times.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InputWidth`] for the first input whose width differs
+    /// from the shape's `features` — checked once for the whole batch,
+    /// before anything (buffers, metrics) is touched.
     pub(crate) fn class_sums_flat_into(
         &self,
         inputs: &[BitVec],
@@ -667,13 +765,21 @@ impl TurboProgram {
         threshold: u64,
         scratches: &mut Vec<TurboScratch>,
         out: &mut Vec<i32>,
-    ) {
+    ) -> Result<(), SimError> {
+        let features = self.shape.features;
+        if let Some(index) = inputs.iter().position(|x| x.len() != features) {
+            return Err(SimError::InputWidth {
+                index,
+                expected: features,
+                got: inputs[index].len(),
+            });
+        }
         let n = inputs.len();
         let classes = self.shape.classes;
         out.clear();
         out.resize(n * classes, 0);
         if n == 0 || classes == 0 {
-            return;
+            return Ok(());
         }
         let workers = self.plan_workers(n, threads, threshold);
         let metrics = turbo_metrics();
@@ -692,7 +798,7 @@ impl TurboProgram {
             {
                 self.chunk_class_sums_into(chunk, scratch, o);
             }
-            return;
+            return Ok(());
         }
         // Contiguous, block-aligned spans — one scratch arena per worker.
         // Lanes are independent, so the partition is invisible in `out`.
@@ -722,6 +828,7 @@ impl TurboProgram {
                 self.chunk_class_sums_into(chunk, span.scratch, o);
             }
         });
+        Ok(())
     }
 
     /// Evaluates one ≤[`BLOCK_LANES`]-datapoint chunk at the narrowest
@@ -738,9 +845,10 @@ impl TurboProgram {
     }
 
     /// Strip-width-`W` blocked evaluation of one chunk: bit-slice the
-    /// inputs, run every window tape over `W`-word strips, accumulate
-    /// fired clauses, then transpose one lane-word column at a time into
-    /// per-datapoint class sums.
+    /// chunk once, then per window fill the input prefix, run the AND
+    /// tape and fold its partials into the fired-clause accumulator, and
+    /// finally transpose one lane-word column at a time into
+    /// per-datapoint class sums. Input widths are already checked.
     fn block_class_sums<const W: usize>(
         &self,
         chunk: &[BitVec],
@@ -748,49 +856,43 @@ impl TurboProgram {
         out: &mut [i32],
     ) {
         debug_assert!(chunk.len() <= W * LANES);
-        let w = self.shape.bus_width;
+        let bits = self.shape.bus_width;
         let c = self.shape.total_clauses();
         let classes = self.shape.classes;
         let vote = host_kernels().vote;
         debug_assert_eq!(out.len(), chunk.len() * classes);
         // Buffers warm to full-strip size once; narrower strips borrow a
         // prefix, so re-running at any width never reallocates.
-        scratch.lane_inputs.resize(w * BLOCK_WORDS, 0);
-        scratch.nodes.resize(self.max_slots * BLOCK_WORDS, 0);
+        scratch
+            .inputs
+            .resize(self.windows.len() * BLOCK_WORDS * LANES, 0);
+        scratch.nodes.resize(self.slots * BLOCK_WORDS, 0);
         scratch.acc.resize(c * BLOCK_WORDS, 0);
         scratch.lanes.resize(self.blocks * LANES, 0);
 
-        for x in chunk {
-            assert_eq!(x.len(), self.shape.features, "input width mismatch");
-        }
-        let acc = &mut scratch.acc[..c * W];
+        let inputs = &mut scratch.inputs[..self.windows.len() * W * LANES];
+        self.bit_slice::<W>(chunk, inputs);
+        let (nodes, _) = scratch.nodes[..self.slots * W].as_chunks_mut::<W>();
+        nodes[2 * bits] = [!0; W];
+        nodes[2 * bits + 1] = [0; W];
+        let (acc, _) = scratch.acc[..c * W].as_chunks_mut::<W>();
         // Empty clauses fire until a window vetoes them.
-        acc.fill(!0);
-        for (k, program) in self.windows.iter().enumerate() {
-            // Bit-slice the chunk one lane-word column at a time: gather
-            // up to 64 datapoints' window words and pivot them with one
-            // 64×64 transpose, so bit `b`'s strip holds window bit `b` of
-            // every datapoint (datapoint `l` → word `l/64`, bit `l%64`).
-            // Unused lanes stay zero (all-zero phantom datapoints) and
-            // are never read back.
-            let lane_inputs = &mut scratch.lane_inputs[..w * W];
-            for wi in 0..W {
-                let col = wi * LANES;
-                let mut gather = [0u64; LANES];
-                for (g, x) in gather.iter_mut().zip(&chunk[col.min(chunk.len())..]) {
-                    *g = x.extract_word(k * w, w);
-                }
-                transpose_64x64(&mut gather);
-                for (b, &word) in gather[..w].iter().enumerate() {
-                    lane_inputs[b * W + wi] = word;
-                }
+        acc.fill([!0; W]);
+        let and_base = prefix_slots(bits);
+        for (window, columns) in self.windows.iter().zip(inputs.chunks_exact(W * LANES)) {
+            for b in 0..bits {
+                let word: [u64; W] = std::array::from_fn(|wi| columns[wi * LANES + b]);
+                nodes[b] = word;
+                nodes[bits + b] = word.map(|x| !x);
             }
-            let nodes = &mut scratch.nodes[..program.ops.len() * W];
-            program.eval_strip::<W>(lane_inputs, nodes);
-            for &(cl, s) in &self.clause_ands[k] {
-                let (cl, s) = (cl as usize * W, s as usize * W);
-                for wd in 0..W {
-                    acc[cl + wd] &= nodes[s + wd];
+            for (i, &(a, b)) in window.ands.iter().enumerate() {
+                let (a, b) = (nodes[a as usize], nodes[b as usize]);
+                nodes[and_base + i] = std::array::from_fn(|wd| a[wd] & b[wd]);
+            }
+            for &(cl, s) in &window.clause_ands {
+                let (fired, partial) = (&mut acc[cl as usize], nodes[s as usize]);
+                for (f, p) in fired.iter_mut().zip(partial) {
+                    *f &= p;
                 }
             }
         }
@@ -805,8 +907,7 @@ impl TurboProgram {
             for t in 0..self.blocks {
                 let dst = &mut scratch.lanes[t * LANES..(t + 1) * LANES];
                 for (j, d) in dst.iter_mut().enumerate() {
-                    let cc = t * LANES + j;
-                    *d = if cc < c { acc[cc * W + wi] } else { 0 };
+                    *d = acc.get(t * LANES + j).map_or(0, |fired| fired[wi]);
                 }
                 transpose_64x64(dst);
             }
@@ -820,6 +921,32 @@ impl TurboProgram {
                     n,
                     &mut out[col * classes..][..n * classes],
                 );
+            }
+        }
+    }
+
+    /// Bit-slices a chunk into `inputs`, one lane-word column at a time:
+    /// each request's words are read once, for every window, into row
+    /// `l` of the window's 64×64 block for that column, and each block is
+    /// then transposed in place, so word `b` holds window bit `b` of the
+    /// column's datapoints (datapoint `col + l` → bit `l`). Lanes past
+    /// the chunk are all-zero phantom datapoints that are never read
+    /// back.
+    fn bit_slice<const W: usize>(&self, chunk: &[BitVec], inputs: &mut [u64]) {
+        let bits = self.shape.bus_width;
+        let windows = self.windows.len();
+        for wi in 0..W {
+            let col = (wi * LANES).min(chunk.len());
+            let rows = &chunk[col..(col + LANES).min(chunk.len())];
+            for (l, x) in rows.iter().enumerate() {
+                for k in 0..windows {
+                    inputs[(k * W + wi) * LANES + l] = x.extract_word(k * bits, bits);
+                }
+            }
+            for k in 0..windows {
+                let block = &mut inputs[(k * W + wi) * LANES..][..LANES];
+                block[rows.len()..].fill(0);
+                transpose_64x64(block);
             }
         }
     }
@@ -961,12 +1088,10 @@ impl TurboEngine {
     ///
     /// # Errors
     ///
-    /// Infallible today (the turbo path cannot stall); typed as
-    /// [`SimError`] so drivers stay backend-agnostic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input's width differs from the design's features.
+    /// [`SimError::InputWidth`] if any input's width differs from the
+    /// design's features; the batch is checked before any of it runs, so
+    /// the clock and counters are left untouched. The turbo path cannot
+    /// stall, so it never returns the cycle engine's drain error.
     pub fn run_datapoints(&mut self, inputs: &[BitVec]) -> Result<Vec<SimResult>, SimError> {
         let before = self.results.len();
         self.run_datapoints_extend(inputs)?;
@@ -980,12 +1105,8 @@ impl TurboEngine {
     ///
     /// # Errors
     ///
-    /// Infallible today; typed as [`SimError`] so drivers stay
-    /// backend-agnostic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input's width differs from the design's features.
+    /// [`SimError::InputWidth`], as for [`TurboEngine::run_datapoints`];
+    /// `out` is left untouched.
     pub fn run_datapoints_into(
         &mut self,
         inputs: &[BitVec],
@@ -1018,7 +1139,7 @@ impl TurboEngine {
             self.chunk_threshold,
             &mut self.scratches,
             &mut self.sums_flat,
-        );
+        )?;
         let classes = self.program.shape().classes.max(1);
         for (i, sums) in self.sums_flat.chunks(classes).enumerate() {
             self.results.push(SimResult {
@@ -1338,6 +1459,188 @@ mod tests {
         }
     }
 
+    /// Four windows of a 5-bit bus over 17 features, so the last window
+    /// holds 2 bits. In window 0 clauses 0 and 1 are the bare literals
+    /// `x0` and `¬x4`, so their partials are input-prefix slots. Window
+    /// 1's outputs are all constant: `Cube::one()`, or 0 for the
+    /// contradictory cubes of clauses 1, 4, 7 and 10. The ragged window
+    /// reads its top bit both ways.
+    fn folding_accel() -> CompiledAccelerator {
+        let shape = AccelShape {
+            bus_width: 5,
+            features: 17,
+            classes: 3,
+            clauses_per_class: 4,
+        };
+        let one = Cube::one;
+        let cube = |lits: &[Lit]| Cube::from_lits(lits.iter().copied());
+        let (p, n) = (Lit::pos, Lit::neg);
+        let w0 = vec![
+            cube(&[p(0)]),
+            cube(&[n(4)]),
+            cube(&[p(1), n(2)]),
+            one(),
+            cube(&[n(0)]),
+            cube(&[p(3)]),
+            cube(&[p(1), n(2), p(4)]),
+            one(),
+            cube(&[p(2)]),
+            cube(&[n(1), n(3)]),
+            one(),
+            cube(&[p(4), p(0)]),
+        ];
+        let w1 = (0..12)
+            .map(|cl| {
+                if cl % 3 == 1 {
+                    cube(&[p(2), n(2)])
+                } else {
+                    one()
+                }
+            })
+            .collect();
+        let w2 = vec![
+            one(),
+            cube(&[p(0), p(1)]),
+            cube(&[n(3)]),
+            cube(&[p(2), n(4)]),
+            cube(&[p(0), p(1), n(3)]),
+            one(),
+            cube(&[n(0)]),
+            cube(&[p(4)]),
+            one(),
+            cube(&[p(1), p(2), p(3)]),
+            cube(&[n(2)]),
+            one(),
+        ];
+        let w3 = vec![
+            cube(&[p(1)]),
+            cube(&[n(1)]),
+            cube(&[p(0), n(1)]),
+            one(),
+            cube(&[n(0)]),
+            one(),
+            cube(&[p(0), p(1)]),
+            cube(&[n(0), n(1)]),
+            one(),
+            cube(&[p(1)]),
+            one(),
+            cube(&[n(1)]),
+        ];
+        CompiledAccelerator::from_window_cubes(shape, &[w0, w1, w2, w3], Sharing::Enabled)
+    }
+
+    /// `n` pseudo-random datapoints of `features` bits.
+    fn random_inputs(features: usize, n: usize, mut seed: u64) -> Vec<BitVec> {
+        (0..n)
+            .map(|_| {
+                let bits: Vec<usize> = (0..features)
+                    .filter(|_| {
+                        seed = seed
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        seed >> 63 == 1
+                    })
+                    .collect();
+                BitVec::from_indices(features, &bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn folded_partials_read_the_input_prefix_and_constants() {
+        let bits = 5u32;
+        for options in [
+            crate::compile::CompileOptions::none(),
+            crate::compile::CompileOptions::default(),
+        ] {
+            let program = crate::compile::CompilePipeline::new(options)
+                .compile(&folding_accel())
+                .program;
+            let w0 = &program.windows[0];
+            // `x0` is input slot 0 and `¬x4` complement slot `bits + 4`.
+            assert!(w0.clause_ands.contains(&(0, 0)), "{options:?}");
+            assert!(w0.clause_ands.contains(&(1, bits + 4)), "{options:?}");
+            assert!(w0.clause_ands.contains(&(4, bits)), "{options:?}");
+            // The all-constant window runs no AND; its constant-0
+            // partials read the prefix's constant-0 slot and its
+            // constant-1 partials are elided.
+            let w1 = &program.windows[1];
+            assert!(w1.ands.is_empty(), "{options:?}");
+            let zero = 2 * bits + 1;
+            assert_eq!(
+                w1.clause_ands,
+                [(1, zero), (4, zero), (7, zero), (10, zero)],
+                "{options:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn folded_tapes_match_reference_and_cycle_engine_at_every_strip_width() {
+        let a = folding_accel();
+        assert_eq!(a.shape().num_packets(), 4, "17 bits on a 5-bit bus");
+        let xs = random_inputs(17, 257, 0x0B5E_55ED_F01D_ED00);
+        let mut cycle = SimEngine::new(&a);
+        cycle.set_capture_class_sums(true);
+        cycle.run_datapoints(&xs).expect("drains");
+        let expected = cycle.class_sums_log();
+        for (x, sums) in xs.iter().zip(expected) {
+            assert_eq!(sums, &a.reference_class_sums(x), "input {x}");
+        }
+        for options in [
+            crate::compile::CompileOptions::none(),
+            crate::compile::CompileOptions::default(),
+        ] {
+            let program = crate::compile::CompilePipeline::new(options)
+                .compile(&a)
+                .program;
+            // Strip widths 1–4, full and ragged, and one word past a
+            // whole strip.
+            for n in [1usize, 63, 64, 65, 255, 256, 257] {
+                let sums = program.class_sums_chunked_with(&xs[..n], 1, u64::MAX);
+                assert_eq!(sums, expected[..n], "{options:?} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "65-bit bus exceeds one 64-bit packet")]
+    fn a_bus_wider_than_a_transpose_block_is_rejected() {
+        let shape = AccelShape {
+            bus_width: 65,
+            features: 65,
+            classes: 2,
+            clauses_per_class: 2,
+        };
+        let cubes = vec![vec![Cube::from_lits([Lit::pos(64)]); 4]];
+        TurboProgram::compile(&CompiledAccelerator::from_window_cubes(
+            shape,
+            &cubes,
+            Sharing::Enabled,
+        ));
+    }
+
+    #[test]
+    fn tape_ands_equal_the_hardware_and2_gate_count() {
+        // `accel()` is all single literals (no gates); the others are not.
+        for a in [accel(), constant_clause_accel(), folding_accel()] {
+            let gates: usize = a
+                .windows()
+                .iter()
+                .map(matador_logic::dag::LogicDag::and2_count)
+                .sum();
+            for options in [
+                crate::compile::CompileOptions::none(),
+                crate::compile::CompileOptions::default(),
+            ] {
+                let stats = crate::compile::CompilePipeline::new(options)
+                    .compile(&a)
+                    .stats;
+                assert_eq!(stats.tape_ands, gates, "{options:?}");
+            }
+        }
+    }
+
     #[test]
     fn batch_sums_match_reference_across_chunk_boundaries() {
         let a = accel();
@@ -1447,6 +1750,37 @@ mod tests {
         turbo.run_datapoints(&inputs(5)).expect("infallible");
         assert!(turbo.class_sums_log().is_empty());
         assert_eq!(turbo.results().len(), 5);
+    }
+
+    #[test]
+    fn engine_rejects_a_wrong_width_batch_before_running_it() {
+        let a = accel();
+        let mut turbo = TurboEngine::new(&a);
+        turbo.run_datapoints(&inputs(3)).expect("widths match");
+        let (cycle, datapoints, transfers) = (turbo.cycle(), turbo.datapoints(), turbo.transfers());
+        let mut bad = inputs(70);
+        bad[65] = BitVec::zeros(7);
+        let expected = SimError::InputWidth {
+            index: 65,
+            expected: 8,
+            got: 7,
+        };
+        assert_eq!(turbo.run_datapoints(&bad), Err(expected));
+        let mut out = Vec::new();
+        assert_eq!(turbo.run_datapoints_into(&bad, &mut out), Err(expected));
+        assert!(out.is_empty());
+        assert!(expected.to_string().contains("input width mismatch"));
+        assert_eq!(turbo.cycle(), cycle);
+        assert_eq!(turbo.datapoints(), datapoints);
+        assert_eq!(turbo.transfers(), transfers);
+        assert_eq!(turbo.results().len(), 3);
+        // The engine is still usable, and its clock continues unbroken.
+        let mut reference = TurboEngine::new(&a);
+        reference.run_datapoints(&inputs(3)).expect("widths match");
+        assert_eq!(
+            turbo.run_datapoints(&inputs(5)),
+            reference.run_datapoints(&inputs(5))
+        );
     }
 
     #[test]

@@ -282,6 +282,7 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `width > 64`.
+    #[inline]
     pub fn extract_word(&self, start: usize, width: usize) -> u64 {
         assert!(width <= 64, "cannot extract more than 64 bits");
         if width == 0 || start >= self.len {
