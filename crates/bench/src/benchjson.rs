@@ -93,7 +93,7 @@ impl BenchArtifact {
     /// environment that produced it: the git revision (`GITHUB_SHA` in
     /// CI, `git rev-parse HEAD` locally), the raw `MATADOR_THREADS`
     /// setting (or `null` when unset), the host's logical CPU count,
-    /// the turbo datapath's runtime-selected transpose and vote kernels,
+    /// the turbo datapath's runtime-selected transpose and count kernels,
     /// and an ISO-8601 UTC timestamp. Perf numbers without this context
     /// are unreviewable a week later — every artifact writer calls this
     /// once before `write`.
@@ -112,10 +112,10 @@ impl BenchArtifact {
             format!(
                 "{{\"git_rev\": \"{}\", \"matador_threads\": {threads_env}, \
                  \"host_cpus\": {cpus}, \"turbo_kernels\": {{\"transpose\": \"{}\", \
-                 \"vote\": \"{}\"}}, \"timestamp\": \"{}\"}}",
+                 \"count\": \"{}\"}}, \"timestamp\": \"{}\"}}",
                 json_escape(&git_rev()),
                 kernels.transpose.name(),
-                kernels.vote.name(),
+                kernels.count.name(),
                 iso8601_utc(now)
             ),
         );
@@ -230,7 +230,7 @@ mod tests {
             "host_cpus",
             "turbo_kernels",
             "transpose",
-            "vote",
+            "count",
             "timestamp",
         ] {
             assert!(

@@ -8,7 +8,9 @@
 //! design, reporting tape size before/after, CSE dedup hits, scheduler
 //! operand distance, clause-AND word-ops before/after constant-1
 //! elision, the AND word-ops of the input-folded tape the evaluator
-//! runs (`tape_ands`) and best-of-repeats compile wall-clock. The
+//! runs (`tape_ands`), the class-sum stage's 64×64 transposes per
+//! lane-word column (`sum_transposes`) and best-of-repeats compile
+//! wall-clock. The
 //! partitioner then cuts the design into each requested K and a
 //! K-shard partition-group pool must reproduce the monolithic pool's
 //! winners bit for bit (always asserted; a mismatch fails the run).
@@ -211,7 +213,7 @@ fn run() -> Result<bool, matador::Error> {
     for c in &cells {
         println!(
             "  {:>13}  tape {:>6} -> {:<6} dedup {:>4}  distance {:>8} -> {:<8} \
-             clause ANDs {:>6} -> {:<6} tape ANDs {:>6} ({:.4}s)",
+             clause ANDs {:>6} -> {:<6} tape ANDs {:>6} sum transposes {:>2} ({:.4}s)",
             c.name,
             c.stats.tape_before,
             c.stats.tape_after,
@@ -221,6 +223,7 @@ fn run() -> Result<bool, matador::Error> {
             c.stats.clause_ands_before,
             c.stats.clause_ands_after,
             c.stats.tape_ands,
+            c.stats.sum_transposes,
             c.wall_s
         );
     }
@@ -272,7 +275,8 @@ fn run() -> Result<bool, matador::Error> {
             "{{\"passes\": \"{}\", \"tape_before\": {}, \"tape_after\": {}, \
              \"cse_dedup_hits\": {}, \"schedule_distance_before\": {}, \
              \"schedule_distance_after\": {}, \"clause_ands_before\": {}, \
-             \"clause_ands_after\": {}, \"tape_ands\": {}, \"compile_wall_s\": {:.6}}}",
+             \"clause_ands_after\": {}, \"tape_ands\": {}, \"sum_transposes\": {}, \
+             \"compile_wall_s\": {:.6}}}",
             c.name,
             c.stats.tape_before,
             c.stats.tape_after,
@@ -282,6 +286,7 @@ fn run() -> Result<bool, matador::Error> {
             c.stats.clause_ands_before,
             c.stats.clause_ands_after,
             c.stats.tape_ands,
+            c.stats.sum_transposes,
             c.wall_s
         ));
     }

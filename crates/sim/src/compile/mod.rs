@@ -241,6 +241,11 @@ pub struct PassStats {
     /// `LogicDag::and2_count`), less any duplicate gates CSE merged
     /// (there are none under Fig 3 sharing).
     pub tape_ands: usize,
+    /// 64×64 bit transposes per lane-word column in the class-sum stage:
+    /// each transpose pivots the `+` and `−` count planes of
+    /// `⌊64 / 2k⌋` whole classes (`k` planes per sign) into per-lane
+    /// fields. 2 on quick KWS-6 and 3 on quick MNIST.
+    pub sum_transposes: usize,
 }
 
 /// A compiled program plus the per-pass stats of the run that built it.
@@ -293,6 +298,7 @@ impl CompilePipeline {
         let program = TurboProgram::from_tapes(shape, windows);
         stats.clause_ands_after = program.clause_ands();
         stats.tape_ands = program.tape_ands();
+        stats.sum_transposes = program.sum_transposes();
         let metrics = compile_metrics();
         metrics.runs.inc();
         metrics.tape_before.add(stats.tape_before as u64);
@@ -412,6 +418,32 @@ mod tests {
             } else {
                 // Without it, CSE merges the duplicate cubes' gates.
                 assert!(optimized.stats.tape_ands < gates, "{:?}", optimized.stats);
+            }
+        }
+    }
+
+    #[test]
+    fn sum_transposes_pin_the_class_sum_stage_work() {
+        // (classes, clauses per class, transposes per lane-word column):
+        // quick KWS-6 has 8 count planes per sign, so 4 classes share a
+        // 64-row block; quick MNIST has 7, so 4 again; CIFAR-2 has 9.
+        for (classes, cpc, transposes) in [(6, 300, 2), (10, 200, 3), (2, 1000, 1)] {
+            let shape = AccelShape {
+                bus_width: 4,
+                features: 4,
+                classes,
+                clauses_per_class: cpc,
+            };
+            let cubes: Vec<Cube> = (0..classes * cpc)
+                .map(|c| Cube::from_lits([Lit::pos((c % 4) as u32)]))
+                .collect();
+            let a = CompiledAccelerator::from_window_cubes(shape, &[cubes], Sharing::Enabled);
+            for options in [CompileOptions::none(), CompileOptions::default()] {
+                let stats = CompilePipeline::new(options).compile(&a).stats;
+                assert_eq!(
+                    stats.sum_transposes, transposes,
+                    "{classes}x{cpc} {options:?}"
+                );
             }
         }
     }

@@ -39,7 +39,7 @@ pub use accel::{AccelShape, CompiledAccelerator, WindowScratch};
 pub use compile::{CompileOptions, CompilePipeline, Compiled, PartitionPlan, PassStats};
 pub use engine::{CycleTrace, LatencyReport, SimEngine, SimError, SimResult};
 pub use turbo::{
-    configured_chunk_threshold, host_kernels, EngineBackend, HostKernels, TransposeKernel,
-    TurboEngine, TurboProgram, VoteKernel, BLOCK_LANES, BLOCK_WORDS, CHUNK_THRESHOLD_ENV,
+    configured_chunk_threshold, host_kernels, CountKernel, EngineBackend, HostKernels,
+    TransposeKernel, TurboEngine, TurboProgram, BLOCK_LANES, BLOCK_WORDS, CHUNK_THRESHOLD_ENV,
     DEFAULT_CHUNK_THRESHOLD, LANES,
 };

@@ -9,30 +9,50 @@
 //! evaluated over `u64` words where **bit `l` is datapoint `l`** — 64
 //! independent classifications advance per AND.
 //!
-//! The tape runs over one slot space per strip, which starts with a fixed
-//! input prefix: the window's bit-sliced inputs, their complements,
-//! constant 1 and constant 0. The compiler IR's `Input`, `NotInput` and
-//! constant instructions are folded into AND operands pointing at that
-//! prefix, so they never execute, and the loop over a window's tape has
-//! no per-instruction decode. On the KWS-6 design that is 3760 ANDs per
-//! lane word out of 4519 IR instructions, and on MNIST 6162 out of 7709
-//! — exactly the hardware's AND2 gate count
+//! The tapes run over one all-window slot space per strip, in which
+//! every window owns an area that starts with a fixed input prefix: the
+//! window's bit-sliced inputs, their complements, constant 1 and
+//! constant 0, followed by the window's ANDs. The compiler IR's `Input`,
+//! `NotInput` and constant instructions are folded into AND operands
+//! pointing at that prefix, so they never execute, and the loop over a
+//! window's tape has no per-instruction decode. On the KWS-6 design that
+//! is 3760 ANDs per lane word out of 4519 IR instructions, and on MNIST
+//! 6162 out of 7709 — exactly the hardware's AND2 gate count
 //! ([`PassStats::tape_ands`](crate::compile::PassStats::tape_ands)).
 //!
 //! A strip is bit-sliced once, before any tape runs: one pass per
 //! 64-datapoint column reads each request's words once for all windows
 //! and transposes each window's 64×64 block into a per-strip input area,
-//! from which each window copies its prefix. Each window's clause
-//! outputs are then ANDed into the fired-clause accumulator, skipping the
-//! constant-1 outputs of clauses with no literal in that window (the
-//! hardware spends no gate on them either); a partial that is a bare
-//! literal or a constant points straight into the prefix. Class sums
-//! follow from a 64×64 bit transpose of the fired-clause lane words and a
-//! lane-parallel vote kernel: per class and 64-clause block, the `+`/`−`
-//! vote masks are popcounted against all 64 lane words at once,
-//! multiversioned for AVX-512 `VPOPCNTDQ`, AVX2 and the portable baseline
-//! and picked by runtime CPU feature detection ([`host_kernels`]), never
-//! `target-cpu`.
+//! from which each window copies its prefix.
+//!
+//! Class sums are computed the way the hardware's popcount adder tree
+//! does them, 64 lanes per word. Clause `j` of a class votes `+` when `j`
+//! is even and `−` when odd, so each class has two `(class, sign)`
+//! groups of at most `⌈clauses_per_class / 2⌉` clauses:
+//!
+//! - **Clause-major gather.** A clause's *partials* are its output slots
+//!   in the windows where it has a literal (the hardware spends no gate
+//!   on the constant-1 rest; a bare literal or a constant points straight
+//!   into the prefix). Per group, each clause's partials are ANDed into
+//!   its word of a small fired buffer that stays in L1: 6049 partial
+//!   ANDs per lane word on KWS-6 and 10148 on MNIST
+//!   ([`PassStats::clause_ands_after`](crate::compile::PassStats::clause_ands_after)).
+//!   Within a group, clauses run sorted by partial count, so the inner
+//!   loop's trip count changes only between runs.
+//! - **Carry-save count.** A Harley–Seal carry-save adder tree reduces
+//!   the group's fired words to `k = bits(⌈clauses_per_class / 2⌉)` count
+//!   bit-planes (8 on KWS-6, 7 on MNIST), plane `p` holding bit `p` of
+//!   every lane's count.
+//! - **One small transpose per block.** Each class's `+` and `−` planes
+//!   share a 64-row block with `⌊64 / 2k⌋` whole classes, so one 64×64
+//!   transpose per block and lane-word column turns them into per-lane
+//!   `k`-bit fields: 2 transposes per column on KWS-6 and 3 on MNIST
+//!   ([`PassStats::sum_transposes`](crate::compile::PassStats::sum_transposes)).
+//!   Each sum is written once, as `(+field) − (−field)`.
+//!
+//! The gather-and-count kernel is compiled for AVX2 and the portable
+//! baseline and picked by runtime CPU feature detection
+//! ([`host_kernels`]), never `target-cpu`.
 //!
 //! Two layers of batch-level amortization sit on top of the original
 //! word-parallel scheme:
@@ -109,11 +129,11 @@ fn turbo_metrics() -> &'static TurboMetrics {
             .set(i64::from(kernels.transpose == TransposeKernel::Avx2));
         registry
             .gauge(
-                "matador_turbo_vote_kernel",
+                "matador_turbo_count_kernel",
                 "",
-                "Selected vote kernel: 0 portable, 1 avx2, 2 avx512-vpopcntdq.",
+                "Selected count kernel: 0 portable, 1 avx2.",
             )
-            .set(kernels.vote as i64);
+            .set(kernels.count as i64);
         TurboMetrics {
             batches: registry.counter(
                 "matador_turbo_batches_total",
@@ -190,27 +210,22 @@ impl TransposeKernel {
     }
 }
 
-/// The vote-popcount kernel a process dispatches to. The discriminant is
-/// the value of the `matador_turbo_vote_kernel` gauge.
+/// The carry-save count kernel a process dispatches to. The discriminant
+/// is the value of the `matador_turbo_count_kernel` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VoteKernel {
-    /// Baseline x86-64 / non-x86 code generation (software popcount on
-    /// the x86-64 baseline).
+pub enum CountKernel {
+    /// Baseline x86-64 / non-x86 code generation.
     Portable = 0,
-    /// Compiled with `avx2,popcnt` (vectorized `vpshufb`/`vpsadbw`
-    /// popcount).
+    /// Compiled with `avx2` (256-bit logic on a full 4-word strip).
     Avx2 = 1,
-    /// Compiled with `avx512f,avx512vpopcntdq` (vectorized `vpopcntq`).
-    Avx512Vpopcntdq = 2,
 }
 
-impl VoteKernel {
+impl CountKernel {
     /// Short stable name, as recorded in benchmark artifacts.
     pub fn name(self) -> &'static str {
         match self {
-            VoteKernel::Portable => "portable",
-            VoteKernel::Avx2 => "avx2",
-            VoteKernel::Avx512Vpopcntdq => "avx512-vpopcntdq",
+            CountKernel::Portable => "portable",
+            CountKernel::Avx2 => "avx2",
         }
     }
 }
@@ -218,10 +233,10 @@ impl VoteKernel {
 /// The SIMD kernels the turbo datapath runs on this host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostKernels {
-    /// Input bit-slicing / clause-word pivot kernel.
+    /// Input bit-slicing / count-plane pivot kernel.
     pub transpose: TransposeKernel,
-    /// Class-sum vote kernel.
-    pub vote: VoteKernel,
+    /// Class-sum carry-save count kernel.
+    pub count: CountKernel,
 }
 
 /// The kernels selected for this process, resolved once from runtime CPU
@@ -240,12 +255,10 @@ pub fn host_kernels() -> HostKernels {
                 } else {
                     TransposeKernel::Scalar
                 },
-                vote: if has!("avx512f") && has!("avx512vpopcntdq") {
-                    VoteKernel::Avx512Vpopcntdq
-                } else if avx2 && has!("popcnt") {
-                    VoteKernel::Avx2
+                count: if avx2 {
+                    CountKernel::Avx2
                 } else {
-                    VoteKernel::Portable
+                    CountKernel::Portable
                 },
             }
         }
@@ -253,7 +266,7 @@ pub fn host_kernels() -> HostKernels {
         {
             HostKernels {
                 transpose: TransposeKernel::Scalar,
-                vote: VoteKernel::Portable,
+                count: CountKernel::Portable,
             }
         }
     })
@@ -368,96 +381,153 @@ mod avx2 {
     }
 }
 
-/// Per class: `(block, +1-vote mask, −1-vote mask)` over 64-clause
-/// blocks of the fired-clause vector.
-type ClassVotes = [Vec<(usize, u64, u64)>];
-
-/// The vote masks of `shape`: clause `j` of a class votes `+1` when `j`
-/// is even and `−1` when odd. A class whose clauses straddle a 64-clause
-/// block boundary gets one entry per block it touches.
-fn class_vote_masks(shape: &AccelShape) -> Vec<Vec<(usize, u64, u64)>> {
-    let cpc = shape.clauses_per_class;
-    (0..shape.classes)
-        .map(|class| {
-            let mut votes: Vec<(usize, u64, u64)> = Vec::new();
-            for j in 0..cpc {
-                let cc = class * cpc + j;
-                let (t, bit) = (cc / LANES, cc % LANES);
-                if votes.last().map(|v| v.0) != Some(t) {
-                    votes.push((t, 0, 0));
-                }
-                let last = votes.last_mut().expect("just pushed");
-                if j % 2 == 0 {
-                    last.1 |= 1u64 << bit;
-                } else {
-                    last.2 |= 1u64 << bit;
-                }
-            }
-            votes
-        })
-        .collect()
+/// Carry-save adder over lane words: per bit, `a + b + c` as a sum bit
+/// and a carry bit.
+#[inline(always)]
+fn csa<const W: usize>(a: [u64; W], b: [u64; W], c: [u64; W]) -> ([u64; W], [u64; W]) {
+    let mut sum = [0; W];
+    let mut carry = [0; W];
+    for i in 0..W {
+        let u = a[i] ^ b[i];
+        sum[i] = u ^ c[i];
+        carry[i] = (a[i] & b[i]) | (u & c[i]);
+    }
+    (sum, carry)
 }
 
-/// Class sums for one lane-word column. `lanes[t*LANES + l]` is lane
-/// `l`'s fired-clause word for block `t`; the sums of the first `n`
-/// lanes land in `out[l*classes + class]`. The loop runs class → vote
-/// block → the block's 64 contiguous lane words, accumulating into a
-/// `[i32; LANES]`, so the inner loop is a 64-wide AND + popcount that
-/// vectorizes wherever the target has a vector popcount. One body,
-/// compiled once per [`VoteKernel`].
+/// Adds the one-bit-per-lane `x` into the ripple counter `planes`
+/// (`planes[p]` holds bit `p` of every lane's count) and returns the
+/// carry out of the top plane.
 #[inline(always)]
-fn vote_sums_body(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
-    let classes = class_votes.len();
-    for (class, votes) in class_votes.iter().enumerate() {
-        let mut sums = [0i32; LANES];
-        for &(t, pos, neg) in votes {
-            let words: &[u64; LANES] = lanes[t * LANES..][..LANES]
-                .try_into()
-                .expect("one block of lane words");
-            for (sum, &word) in sums.iter_mut().zip(words) {
-                *sum += (word & pos).count_ones() as i32 - (word & neg).count_ones() as i32;
-            }
-        }
-        for (l, &sum) in sums[..n].iter().enumerate() {
-            out[l * classes + class] = sum;
-        }
+fn ripple<const W: usize>(planes: &mut [[u64; W]], mut x: [u64; W]) -> [u64; W] {
+    for plane in planes {
+        let carry: [u64; W] = std::array::from_fn(|i| plane[i] & x[i]);
+        *plane = std::array::from_fn(|i| plane[i] ^ x[i]);
+        x = carry;
+    }
+    x
+}
+
+/// Per-lane counts of set bits over `fired`, as bit-planes: bit `l` of
+/// `planes[p][wd]` is bit `p` of how many of `fired[..][wd]` have bit `l`
+/// set. `planes` must hold at least `bits(fired.len())` planes.
+///
+/// A Harley–Seal carry-save tree takes 16 words at a time into the
+/// one-bit accumulators `ones`/`twos`/`fours`/`eights` and ripples each
+/// block's sixteens carry into the planes above them; the last
+/// `fired.len() % 16` words ripple in one at a time.
+#[inline(always)]
+fn count_planes_body<const W: usize>(fired: &[[u64; W]], planes: &mut [[u64; W]]) {
+    planes.fill([0; W]);
+    let (low, high) = planes.split_at_mut(planes.len().min(4));
+    let (mut ones, mut twos, mut fours, mut eights) = ([0; W], [0; W], [0; W], [0; W]);
+    let (blocks, tail) = fired.as_chunks::<16>();
+    for d in blocks {
+        let (o, twos_a) = csa(ones, d[0], d[1]);
+        let (o, twos_b) = csa(o, d[2], d[3]);
+        let (t, fours_a) = csa(twos, twos_a, twos_b);
+        let (o, twos_a) = csa(o, d[4], d[5]);
+        let (o, twos_b) = csa(o, d[6], d[7]);
+        let (t, fours_b) = csa(t, twos_a, twos_b);
+        let (f, eights_a) = csa(fours, fours_a, fours_b);
+        let (o, twos_a) = csa(o, d[8], d[9]);
+        let (o, twos_b) = csa(o, d[10], d[11]);
+        let (t, fours_a) = csa(t, twos_a, twos_b);
+        let (o, twos_a) = csa(o, d[12], d[13]);
+        let (o, twos_b) = csa(o, d[14], d[15]);
+        let (t, fours_b) = csa(t, twos_a, twos_b);
+        let (f, eights_b) = csa(f, fours_a, fours_b);
+        let (e, sixteens) = csa(eights, eights_a, eights_b);
+        (ones, twos, fours, eights) = (o, t, f, e);
+        // No carry leaves the top plane: `planes` fits the whole count.
+        ripple(high, sixteens);
+    }
+    // The accumulators are one bit each, so together with the rippled
+    // planes above them they are the count in binary. They hold at most
+    // 15 and the tail adds at most 15, so the tail carries out of
+    // `eights` at most once per lane: OR-ing the carries sums them.
+    let mut bottom = [ones, twos, fours, eights];
+    let mut sixteens = [0; W];
+    for &x in tail {
+        let carry = ripple(&mut bottom, x);
+        sixteens = std::array::from_fn(|i| sixteens[i] | carry[i]);
+    }
+    ripple(high, sixteens);
+    for (plane, word) in low.iter_mut().zip(bottom) {
+        *plane = word;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn vote_sums_avx512(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
-    vote_sums_body(lanes, class_votes, n, out);
+/// One `(class, sign)` group of the class-sum stage: gathers each
+/// clause's partials from the slot space `nodes` into its fired word
+/// (see [`SumGroup::runs`]), then counts the fired words into `planes`
+/// with [`count_planes_body`]. Returns how many of `partials` the group
+/// read. One body, compiled once per [`CountKernel`], so the gather's
+/// loads and ANDs widen with the counter's.
+#[inline(always)]
+fn count_group_body<const W: usize>(
+    runs: &[(u32, u32)],
+    partials: &[u32],
+    nodes: &[[u64; W]],
+    fired: &mut [[u64; W]],
+    planes: &mut [[u64; W]],
+) -> usize {
+    let (mut clause, mut read) = (0, 0);
+    for &(count, clauses) in runs {
+        let (count, clauses) = (count as usize, clauses as usize);
+        let run = &partials[read..read + count * clauses];
+        read += run.len();
+        let words = &mut fired[clause..clause + clauses];
+        clause += clauses;
+        if count == 0 {
+            // No literal in any window: the clause always fires.
+            words.fill([!0; W]);
+            continue;
+        }
+        for (word, slots) in words.iter_mut().zip(run.chunks_exact(count)) {
+            let mut acc = [!0u64; W];
+            for &s in slots {
+                let partial = nodes[s as usize];
+                acc = std::array::from_fn(|i| acc[i] & partial[i]);
+            }
+            *word = acc;
+        }
+    }
+    count_planes_body(&fired[..clause], planes);
+    read
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn vote_sums_avx2(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
-    vote_sums_body(lanes, class_votes, n, out);
+#[target_feature(enable = "avx2")]
+unsafe fn count_group_avx2<const W: usize>(
+    runs: &[(u32, u32)],
+    partials: &[u32],
+    nodes: &[[u64; W]],
+    fired: &mut [[u64; W]],
+    planes: &mut [[u64; W]],
+) -> usize {
+    count_group_body(runs, partials, nodes, fired, planes)
 }
 
-/// Dispatches [`vote_sums_body`] to `kernel`'s compilation.
+/// Dispatches [`count_group_body`] to `kernel`'s compilation.
 ///
 /// # Safety
 ///
 /// The host must support `kernel`'s CPU features — guaranteed for
-/// [`host_kernels`]`().vote` and for [`VoteKernel::Portable`].
-unsafe fn vote_sums(
-    kernel: VoteKernel,
-    lanes: &[u64],
-    class_votes: &ClassVotes,
-    n: usize,
-    out: &mut [i32],
-) {
-    debug_assert!(n <= LANES);
+/// [`host_kernels`]`().count` and for [`CountKernel::Portable`].
+unsafe fn count_group<const W: usize>(
+    kernel: CountKernel,
+    runs: &[(u32, u32)],
+    partials: &[u32],
+    nodes: &[[u64; W]],
+    fired: &mut [[u64; W]],
+    planes: &mut [[u64; W]],
+) -> usize {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the caller guarantees the host supports the kernel.
-        VoteKernel::Avx512Vpopcntdq => unsafe { vote_sums_avx512(lanes, class_votes, n, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        VoteKernel::Avx2 => unsafe { vote_sums_avx2(lanes, class_votes, n, out) },
-        _ => vote_sums_body(lanes, class_votes, n, out),
+        CountKernel::Avx2 => unsafe { count_group_avx2(runs, partials, nodes, fired, planes) },
+        _ => count_group_body(runs, partials, nodes, fired, planes),
     }
 }
 
@@ -471,56 +541,51 @@ pub(crate) struct TurboScratch {
     /// `b` of block `k*W + wi` is window `k`'s bit `b` for column `wi`'s
     /// 64 datapoints.
     inputs: Vec<u64>,
-    /// The slot space, `W` lane words per slot: the window's input
-    /// prefix, then its AND area.
+    /// The all-window slot space, `W` lane words per slot: each window's
+    /// input prefix and AND area, window after window.
     nodes: Vec<u64>,
-    /// Fired-clause strips accumulated (ANDed) across windows.
-    acc: Vec<u64>,
-    /// Transposed per-lane clause words for one lane-word column,
-    /// block-major (`[block][lane]`).
-    lanes: Vec<u64>,
+    /// One `(class, sign)` group's fired-clause words, `W` per clause.
+    fired: Vec<u64>,
+    /// Count planes at their transpose rows, column-major: block `t` of
+    /// column `wi` is the 64 words at `(wi * blocks + t) * LANES`.
+    planes: Vec<u64>,
 }
 
-/// One window lowered onto the slot space: a branch-free AND tape plus
-/// the partials it feeds into the fired-clause accumulator.
+/// One window lowered onto its area of the all-window slot space: a
+/// branch-free AND tape over global slots.
 #[derive(Debug, Clone)]
 struct FoldedWindow {
-    /// `(a, b)` operand slots; pair `i` writes slot `prefix_slots + i`.
+    /// The window's first slot: its input prefix starts here, and pair
+    /// `i` writes slot `base + prefix_slots + i`.
+    base: usize,
+    /// `(a, b)` operand slots.
     ands: Vec<(u32, u32)>,
-    /// `(clause, slot)` partials ANDed into the fired-clause accumulator.
-    /// Constant-1 outputs (the clause has no literal in that window) are
-    /// left out — ANDing them is a no-op.
-    clause_ands: Vec<(u32, u32)>,
 }
 
 impl FoldedWindow {
-    /// Folds an IR tape onto the slot space of a `bits`-wide bus:
+    /// Folds an IR tape onto the area at `base` for a `bits`-wide bus:
     /// `Input`, `NotInput` and constant ops become references into the
-    /// input prefix and never execute; each `And` becomes one pair
-    /// writing the next slot after the prefix.
-    fn fold(tape: &WindowProgram, bits: usize) -> Self {
-        let slot_u32 = |s: usize| u32::try_from(s).expect("slot space fits u32");
-        let one = slot_u32(2 * bits);
+    /// area's input prefix and never execute; each `And` becomes one
+    /// pair writing the next slot after the prefix. Also returns the
+    /// slot of every clause output, in clause order.
+    fn fold(tape: &WindowProgram, bits: usize, base: usize) -> (Self, Vec<u32>) {
+        let slot_u32 = |s: usize| u32::try_from(base + s).expect("slot space fits u32");
         let mut slot = Vec::with_capacity(tape.ops.len());
         let mut ands = Vec::new();
         for op in &tape.ops {
             slot.push(match *op {
-                Op::Input(b) => u32::from(b),
+                Op::Input(b) => slot_u32(usize::from(b)),
                 Op::NotInput(b) => slot_u32(bits + usize::from(b)),
-                Op::Const1 => one,
-                Op::Const0 => one + 1,
+                Op::Const1 => slot_u32(2 * bits),
+                Op::Const0 => slot_u32(2 * bits + 1),
                 Op::And(a, b) => {
                     ands.push((slot[a as usize], slot[b as usize]));
                     slot_u32(prefix_slots(bits) + ands.len() - 1)
                 }
             });
         }
-        let clause_ands = (0u32..)
-            .zip(&tape.outputs)
-            .map(|(cl, &s)| (cl, slot[s as usize]))
-            .filter(|&(_, s)| s != one)
-            .collect();
-        FoldedWindow { ands, clause_ands }
+        let outputs = tape.outputs.iter().map(|&s| slot[s as usize]).collect();
+        (FoldedWindow { base, ands }, outputs)
     }
 }
 
@@ -530,21 +595,40 @@ fn prefix_slots(bits: usize) -> usize {
     2 * bits + 2
 }
 
+/// One `(class, sign)` group of the class-sum stage: the clauses of a
+/// class whose votes share a sign, counted into one set of planes.
+#[derive(Debug, Clone)]
+struct SumGroup {
+    /// `(partials per clause, clauses)` runs in ascending partial count;
+    /// their partial slots sit in [`TurboProgram::partials`] in this
+    /// order. Counting is order-free, and a run's fixed inner trip count
+    /// keeps the gather loop predictable.
+    runs: Vec<(u32, u32)>,
+    /// Row of the group's plane 0 within its column's transpose blocks
+    /// (`block * LANES + row`); plane `p` goes `p` rows further.
+    row: usize,
+}
+
 /// A compiled accelerator flattened for bit-sliced batch evaluation.
 ///
 /// Shareable and immutable: compile once per design, evaluate any number
 /// of batches. [`TurboEngine`] adds the analytic clock on top.
 ///
-/// Each window is a flat tape of AND pairs over one slot space of `W`
-/// lane words per slot, for a `w`-bit bus:
+/// Every window owns an area of one all-window slot space of `W` lane
+/// words per slot. For a `w`-bit bus, window `k`'s area starts at slot
+/// `base_k` (the previous window's area end, 0 for the first):
 ///
 /// | slots | content |
 /// |---|---|
-/// | `b` for `b < w` | window input bit `b` |
-/// | `w + b` | its complement |
-/// | `2w` | constant 1 |
-/// | `2w + 1` | constant 0 |
-/// | `2w + 2 + i` | the window's `i`-th AND |
+/// | `base_k + b` for `b < w` | window input bit `b` |
+/// | `base_k + w + b` | its complement |
+/// | `base_k + 2w` | constant 1 |
+/// | `base_k + 2w + 1` | constant 0 |
+/// | `base_k + 2w + 2 + i` | the window's `i`-th AND |
+///
+/// On quick KWS-6 that is 6 × 130 prefix slots plus 3760 ANDs, 4540
+/// slots in all. The class-sum stage reads each clause's partials (its
+/// output slot in every window where it has a literal) from this space.
 ///
 /// # Examples
 ///
@@ -568,15 +652,25 @@ fn prefix_slots(bits: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct TurboProgram {
     shape: AccelShape,
-    /// Per window: the folded AND tape and its clause partials.
+    /// Per window: its area's base slot and folded AND tape.
     windows: Vec<FoldedWindow>,
-    /// Per class: `(block, +1-vote mask, −1-vote mask)` over 64-clause
-    /// blocks of the fired-clause vector.
-    class_votes: Vec<Vec<(usize, u64, u64)>>,
-    /// 64-clause blocks in the fired-clause vector.
-    blocks: usize,
-    /// Slots in the slot space: the input prefix plus the largest
-    /// window's AND area.
+    /// Per `(class, sign)` group, class-major with `+` first.
+    groups: Vec<SumGroup>,
+    /// Every clause's partial slots, flat in group → run → clause order.
+    /// Constant-1 outputs (the clause has no literal in that window) are
+    /// left out — ANDing them is a no-op.
+    partials: Vec<u32>,
+    /// Clauses in the largest group: `⌈clauses_per_class / 2⌉`.
+    group_len: usize,
+    /// Count planes per group, `k = bits(group_len)` (at least 1): the
+    /// bit width of a count field.
+    count_bits: usize,
+    /// Classes per 64-row transpose block, `⌊64 / 2k⌋`: class `c`'s `+`
+    /// planes are rows `2k·(c mod cpb)..` and its `−` planes the next `k`.
+    classes_per_block: usize,
+    /// 64×64 transposes per lane-word column in the class-sum stage.
+    sum_blocks: usize,
+    /// Slots in the all-window slot space.
     slots: usize,
     /// Total IR tape instructions across windows — the cost-model unit
     /// for one lane word of evaluation.
@@ -596,10 +690,12 @@ impl TurboProgram {
     }
 
     /// Packages already-lowered (and possibly optimized) window tapes
-    /// into an executable program: folds each tape onto the strip's slot
-    /// space (see [`FoldedWindow::fold`]), precomputes the per-class vote
-    /// masks and the cost-model bookkeeping. The pipeline's exit point,
-    /// so every pass combination and every partition part runs folded.
+    /// into an executable program: folds each tape onto its window's
+    /// area of the slot space (see [`FoldedWindow::fold`]), regroups the
+    /// clause partials clause-major per `(class, sign)` group and lays
+    /// out the count planes and the cost-model bookkeeping. The
+    /// pipeline's exit point, so every pass combination and every
+    /// partition part runs folded.
     ///
     /// # Panics
     ///
@@ -610,17 +706,66 @@ impl TurboProgram {
             bits <= LANES,
             "a {bits}-bit bus exceeds one {LANES}-bit packet"
         );
-        let windows: Vec<FoldedWindow> = tapes
-            .iter()
-            .map(|tape| FoldedWindow::fold(tape, bits))
-            .collect();
-        let max_ands = windows.iter().map(|w| w.ands.len()).max().unwrap_or(0);
+        let mut windows = Vec::with_capacity(tapes.len());
+        let mut clause_partials = vec![Vec::new(); shape.total_clauses()];
+        let mut slots = 0;
+        for tape in &tapes {
+            let (window, outputs) = FoldedWindow::fold(tape, bits, slots);
+            let one = u32::try_from(slots + 2 * bits).expect("slot space fits u32");
+            for (partials, slot) in clause_partials.iter_mut().zip(outputs) {
+                if slot != one {
+                    partials.push(slot);
+                }
+            }
+            slots += prefix_slots(bits) + window.ands.len();
+            windows.push(window);
+        }
+
+        let cpc = shape.clauses_per_class;
+        let group_len = cpc.div_ceil(2);
+        let count_bits = (usize::BITS - group_len.leading_zeros()).max(1) as usize;
+        let classes_per_block = LANES / (2 * count_bits);
+        assert!(
+            classes_per_block > 0,
+            "{cpc} clauses per class overflow a count"
+        );
+        let mut groups = Vec::with_capacity(2 * shape.classes);
+        let mut partials = Vec::new();
+        for class in 0..shape.classes {
+            let row =
+                (class / classes_per_block) * LANES + (class % classes_per_block) * 2 * count_bits;
+            for sign in 0..2 {
+                let mut clauses: Vec<&Vec<u32>> = clause_partials[class * cpc..][..cpc]
+                    .iter()
+                    .skip(sign)
+                    .step_by(2)
+                    .collect();
+                clauses.sort_by_key(|p| p.len());
+                let mut runs: Vec<(u32, u32)> = Vec::new();
+                for clause in clauses {
+                    let count = u32::try_from(clause.len()).expect("partials fit u32");
+                    match runs.last_mut() {
+                        Some(run) if run.0 == count => run.1 += 1,
+                        _ => runs.push((count, 1)),
+                    }
+                    partials.extend_from_slice(clause);
+                }
+                groups.push(SumGroup {
+                    runs,
+                    row: row + sign * count_bits,
+                });
+            }
+        }
         TurboProgram {
             shape,
             windows,
-            class_votes: class_vote_masks(&shape),
-            blocks: shape.total_clauses().div_ceil(LANES).max(1),
-            slots: prefix_slots(bits) + max_ands,
+            groups,
+            partials,
+            group_len,
+            count_bits,
+            classes_per_block,
+            sum_blocks: shape.classes.div_ceil(classes_per_block),
+            slots,
             tape_len: tapes.iter().map(|w| w.ops.len()).sum(),
         }
     }
@@ -631,15 +776,22 @@ impl TurboProgram {
     }
 
     /// Clause-AND word-ops per 64-datapoint lane word: the window ×
-    /// clause partials that are not the constant-1 slot.
+    /// clause partials that are not the constant-1 slot, each gathered
+    /// once into its clause's fired word.
     pub(crate) fn clause_ands(&self) -> usize {
-        self.windows.iter().map(|w| w.clause_ands.len()).sum()
+        self.partials.len()
     }
 
     /// Tape AND word-ops per 64-datapoint lane word after input folding:
     /// the only instructions the evaluator executes.
     pub(crate) fn tape_ands(&self) -> usize {
         self.windows.iter().map(|w| w.ands.len()).sum()
+    }
+
+    /// 64×64 transposes per lane-word column in the class-sum stage:
+    /// `⌈classes / ⌊64 / 2k⌋⌉` for `k` count planes per sign.
+    pub(crate) fn sum_transposes(&self) -> usize {
+        self.sum_blocks
     }
 
     /// IR tape instructions per 64-datapoint lane word — the per-unit
@@ -845,9 +997,9 @@ impl TurboProgram {
     }
 
     /// Strip-width-`W` blocked evaluation of one chunk: bit-slice the
-    /// chunk once, then per window fill the input prefix, run the AND
-    /// tape and fold its partials into the fired-clause accumulator, and
-    /// finally transpose one lane-word column at a time into
+    /// chunk once, fill each window's input prefix and run its AND tape,
+    /// then count each `(class, sign)` group's fired clauses into bit
+    /// planes and transpose them, one lane-word column at a time, into
     /// per-datapoint class sums. Input widths are already checked.
     fn block_class_sums<const W: usize>(
         &self,
@@ -857,9 +1009,8 @@ impl TurboProgram {
     ) {
         debug_assert!(chunk.len() <= W * LANES);
         let bits = self.shape.bus_width;
-        let c = self.shape.total_clauses();
         let classes = self.shape.classes;
-        let vote = host_kernels().vote;
+        let kernel = host_kernels().count;
         debug_assert_eq!(out.len(), chunk.len() * classes);
         // Buffers warm to full-strip size once; narrower strips borrow a
         // prefix, so re-running at any width never reallocates.
@@ -867,60 +1018,75 @@ impl TurboProgram {
             .inputs
             .resize(self.windows.len() * BLOCK_WORDS * LANES, 0);
         scratch.nodes.resize(self.slots * BLOCK_WORDS, 0);
-        scratch.acc.resize(c * BLOCK_WORDS, 0);
-        scratch.lanes.resize(self.blocks * LANES, 0);
+        scratch.fired.resize(self.group_len * BLOCK_WORDS, 0);
+        scratch
+            .planes
+            .resize(self.sum_blocks * LANES * BLOCK_WORDS, 0);
 
         let inputs = &mut scratch.inputs[..self.windows.len() * W * LANES];
         self.bit_slice::<W>(chunk, inputs);
         let (nodes, _) = scratch.nodes[..self.slots * W].as_chunks_mut::<W>();
-        nodes[2 * bits] = [!0; W];
-        nodes[2 * bits + 1] = [0; W];
-        let (acc, _) = scratch.acc[..c * W].as_chunks_mut::<W>();
-        // Empty clauses fire until a window vetoes them.
-        acc.fill([!0; W]);
-        let and_base = prefix_slots(bits);
         for (window, columns) in self.windows.iter().zip(inputs.chunks_exact(W * LANES)) {
+            let base = window.base;
             for b in 0..bits {
                 let word: [u64; W] = std::array::from_fn(|wi| columns[wi * LANES + b]);
-                nodes[b] = word;
-                nodes[bits + b] = word.map(|x| !x);
+                nodes[base + b] = word;
+                nodes[base + bits + b] = word.map(|x| !x);
             }
+            nodes[base + 2 * bits] = [!0; W];
+            nodes[base + 2 * bits + 1] = [0; W];
+            let and_base = base + prefix_slots(bits);
             for (i, &(a, b)) in window.ands.iter().enumerate() {
                 let (a, b) = (nodes[a as usize], nodes[b as usize]);
                 nodes[and_base + i] = std::array::from_fn(|wd| a[wd] & b[wd]);
             }
-            for &(cl, s) in &window.clause_ands {
-                let (fired, partial) = (&mut acc[cl as usize], nodes[s as usize]);
-                for (f, p) in fired.iter_mut().zip(partial) {
-                    *f &= p;
+        }
+
+        // Per group: gather and count its fired clauses, then file each
+        // plane at its transpose row in every column.
+        let (fired, _) = scratch.fired[..self.group_len * W].as_chunks_mut::<W>();
+        let column_words = self.sum_blocks * LANES;
+        let plane_rows = &mut scratch.planes[..column_words * W];
+        // `k ≤ 32`: a class's `2k` rows fit one block.
+        let mut planes = [[0u64; W]; LANES / 2];
+        let planes = &mut planes[..self.count_bits];
+        let mut partials = self.partials.as_slice();
+        for group in &self.groups {
+            // SAFETY: `kernel` is the host's runtime-detected kernel.
+            let read = unsafe { count_group(kernel, &group.runs, partials, nodes, fired, planes) };
+            partials = &partials[read..];
+            for (p, plane) in planes.iter().enumerate() {
+                for (wi, &word) in plane.iter().enumerate() {
+                    plane_rows[wi * column_words + group.row + p] = word;
                 }
             }
         }
 
-        // One lane-word column (64 datapoints) at a time: pivot
-        // clause-major strips into lane-major clause words, then sum.
-        for wi in 0..W {
+        // One lane-word column (64 datapoints) at a time: pivot each
+        // block of planes into per-lane fields, then write every sum once
+        // as `(+field) − (−field)`.
+        let k = self.count_bits;
+        let mask = (1u64 << k) - 1;
+        for (wi, column) in plane_rows.chunks_exact_mut(column_words).enumerate() {
             let col = wi * LANES;
             if col >= chunk.len() {
                 break;
             }
-            for t in 0..self.blocks {
-                let dst = &mut scratch.lanes[t * LANES..(t + 1) * LANES];
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = acc.get(t * LANES + j).map_or(0, |fired| fired[wi]);
-                }
-                transpose_64x64(dst);
-            }
             let n = (chunk.len() - col).min(LANES);
-            // SAFETY: `vote` is the host's runtime-detected kernel.
-            unsafe {
-                vote_sums(
-                    vote,
-                    &scratch.lanes,
-                    &self.class_votes,
-                    n,
-                    &mut out[col * classes..][..n * classes],
-                );
+            let out = &mut out[col * classes..][..n * classes];
+            for (t, block) in column.chunks_exact_mut(LANES).enumerate() {
+                transpose_64x64(block);
+                let first = t * self.classes_per_block;
+                let last = (first + self.classes_per_block).min(classes);
+                for (sums, &word) in out.chunks_exact_mut(classes).zip(&block[..n]) {
+                    let mut shift = 0;
+                    for sum in &mut sums[first..last] {
+                        let pos = (word >> shift) & mask;
+                        let neg = (word >> (shift + k)) & mask;
+                        *sum = pos as i32 - neg as i32;
+                        shift += 2 * k;
+                    }
+                }
             }
         }
     }
@@ -1300,73 +1466,83 @@ mod tests {
         }
     }
 
-    /// The per-lane vote loop the lane-parallel kernels replaced (lane →
-    /// class → block, two scalar popcounts per step), kept as their
-    /// reference.
-    fn vote_sums_reference(lanes: &[u64], class_votes: &ClassVotes, n: usize, out: &mut [i32]) {
-        let classes = class_votes.len();
-        for l in 0..n {
-            for (class, votes) in class_votes.iter().enumerate() {
-                let mut sum = 0i32;
-                for &(t, pos, neg) in votes {
-                    let word = lanes[t * LANES + l];
-                    sum += (word & pos).count_ones() as i32 - (word & neg).count_ones() as i32;
-                }
-                out[l * classes + class] = sum;
-            }
-        }
-    }
-
-    /// Every vote kernel whose CPU features this host has.
-    fn supported_vote_kernels() -> Vec<VoteKernel> {
-        let mut kernels = vec![VoteKernel::Portable];
+    /// Every count kernel whose CPU features this host has.
+    fn supported_count_kernels() -> Vec<CountKernel> {
+        let mut kernels = vec![CountKernel::Portable];
         #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected as has;
-            if has!("avx2") && has!("popcnt") {
-                kernels.push(VoteKernel::Avx2);
-            }
-            if has!("avx512f") && has!("avx512vpopcntdq") {
-                kernels.push(VoteKernel::Avx512Vpopcntdq);
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            kernels.push(CountKernel::Avx2);
         }
         kernels
     }
 
-    #[test]
-    fn vote_kernels_match_per_lane_reference() {
-        assert!(supported_vote_kernels().contains(&host_kernels().vote));
-        // 50 clauses per class is not a multiple of 64: classes 1 and 2
-        // straddle block boundaries.
-        let shape = AccelShape {
-            bus_width: 4,
-            features: 4,
-            classes: 3,
-            clauses_per_class: 50,
+    /// Checks every supported count kernel against a per-lane popcount
+    /// for a group of `len` clauses at strip width `W`. Clause `i` ANDs
+    /// `i % 3` random partials (none: it always fires), so the gather
+    /// runs hold 0, 1 and 2 partials per clause.
+    fn check_count_kernels<const W: usize>(len: usize, seed: &mut u64) {
+        let mut next = || {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *seed
         };
-        let votes = class_vote_masks(&shape);
-        assert!(votes.iter().filter(|v| v.len() > 1).count() == 2);
-        let words = shape.total_clauses().div_ceil(LANES) * LANES;
-        let mut s = 0x1319_8A2E_0370_7344u64;
-        for kernel in supported_vote_kernels() {
-            for n in [1usize, 37, 63, 64] {
-                for _ in 0..8 {
-                    let lanes: Vec<u64> = (0..words)
-                        .map(|_| {
-                            s = s
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            s
-                        })
-                        .collect();
-                    let mut expected = vec![0; n * shape.classes];
-                    vote_sums_reference(&lanes, &votes, n, &mut expected);
-                    let mut got = vec![i32::MIN; n * shape.classes];
-                    // SAFETY: only kernels the host supports are listed.
-                    unsafe { vote_sums(kernel, &lanes, &votes, n, &mut got) };
-                    assert_eq!(got, expected, "{kernel:?} n={n}");
+        // Mostly-set words push counts into the top plane.
+        let nodes: Vec<[u64; W]> = (0..64)
+            .map(|_| std::array::from_fn(|_| next() | next()))
+            .collect();
+        let clauses: Vec<Vec<u32>> = (0..len)
+            .map(|i| (0..i % 3).map(|_| (next() >> 58) as u32).collect())
+            .collect();
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut partials = Vec::new();
+        for count in 0..3 {
+            let run: Vec<&Vec<u32>> = clauses.iter().filter(|c| c.len() == count).collect();
+            if !run.is_empty() {
+                runs.push((count as u32, run.len() as u32));
+                partials.extend(run.into_iter().flatten());
+            }
+        }
+        let expected: Vec<[u64; W]> = clauses
+            .iter()
+            .map(|c| {
+                c.iter().fold([!0; W], |acc, &s| {
+                    std::array::from_fn(|i| acc[i] & nodes[s as usize][i])
+                })
+            })
+            .collect();
+        let k = (usize::BITS - len.leading_zeros()).max(1) as usize;
+        for kernel in supported_count_kernels() {
+            // Stale values must not leak into the result.
+            let mut fired = vec![[!0u64; W]; len];
+            let mut planes = vec![[!0u64; W]; k];
+            // SAFETY: only kernels the host supports are listed.
+            let read =
+                unsafe { count_group(kernel, &runs, &partials, &nodes, &mut fired, &mut planes) };
+            assert_eq!(read, partials.len(), "{kernel:?} len={len} W={W}");
+            for wd in 0..W {
+                for l in 0..LANES {
+                    let naive = expected.iter().filter(|f| (f[wd] >> l) & 1 == 1).count();
+                    let got: usize = (0..k)
+                        .map(|p| ((planes[p][wd] >> l) as usize & 1) << p)
+                        .sum();
+                    assert_eq!(got, naive, "{kernel:?} len={len} W={W} word {wd} lane {l}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn count_kernels_match_a_naive_popcount() {
+        assert!(supported_count_kernels().contains(&host_kernels().count));
+        let mut seed = 0x1319_8A2E_0370_7344u64;
+        // Empty, tail-only, one 16-word block either side, and group
+        // sizes of quick KWS-6 (150) and CIFAR-2 (500).
+        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 150, 500] {
+            check_count_kernels::<1>(len, &mut seed);
+            check_count_kernels::<2>(len, &mut seed);
+            check_count_kernels::<3>(len, &mut seed);
+            check_count_kernels::<4>(len, &mut seed);
         }
     }
 
@@ -1546,6 +1722,28 @@ mod tests {
             .collect()
     }
 
+    /// `program`'s partial slots split per `(class, sign)` group, then
+    /// per clause.
+    fn group_clause_partials(program: &TurboProgram) -> Vec<Vec<&[u32]>> {
+        let mut read = 0;
+        let groups = program
+            .groups
+            .iter()
+            .map(|group| {
+                let mut clauses = Vec::new();
+                for &(count, n) in &group.runs {
+                    for _ in 0..n {
+                        clauses.push(&program.partials[read..read + count as usize]);
+                        read += count as usize;
+                    }
+                }
+                clauses
+            })
+            .collect();
+        assert_eq!(read, program.partials.len());
+        groups
+    }
+
     #[test]
     fn folded_partials_read_the_input_prefix_and_constants() {
         let bits = 5u32;
@@ -1556,31 +1754,66 @@ mod tests {
             let program = crate::compile::CompilePipeline::new(options)
                 .compile(&folding_accel())
                 .program;
-            let w0 = &program.windows[0];
-            // `x0` is input slot 0 and `¬x4` complement slot `bits + 4`.
-            assert!(w0.clause_ands.contains(&(0, 0)), "{options:?}");
-            assert!(w0.clause_ands.contains(&(1, bits + 4)), "{options:?}");
-            assert!(w0.clause_ands.contains(&(4, bits)), "{options:?}");
-            // The all-constant window runs no AND; its constant-0
-            // partials read the prefix's constant-0 slot and its
-            // constant-1 partials are elided.
+            let base = |w: usize| u32::try_from(program.windows[w].base).expect("fits");
+            assert_eq!(base(0), 0, "{options:?}");
+            // The all-constant window runs no AND; its area follows
+            // window 0's.
             let w1 = &program.windows[1];
             assert!(w1.ands.is_empty(), "{options:?}");
-            let zero = 2 * bits + 1;
-            assert_eq!(
-                w1.clause_ands,
-                [(1, zero), (4, zero), (7, zero), (10, zero)],
-                "{options:?}"
+            assert_eq!(w1.base, prefix_slots(5) + program.windows[0].ands.len());
+            // Groups are class-major with `+` (even clauses) first:
+            // clause 0 is in group 0, clause 1 in group 1, clause 4 in
+            // group 2. Window 1's contradictory cubes read its area's
+            // constant-0 slot.
+            let zero = base(1) + 2 * bits + 1;
+            let groups = group_clause_partials(&program);
+            assert_eq!(groups.len(), 6, "{options:?}");
+            let has = |group: usize, slots: &[u32]| {
+                groups[group]
+                    .iter()
+                    .any(|clause| slots.iter().all(|s| clause.contains(s)))
+            };
+            // Clause 0: `x0` (input slot 0) in window 0, `x1` in window 3.
+            assert!(has(0, &[0, base(3) + 1]), "{options:?} clause 0");
+            // Clause 1: `¬x4` (complement slot `bits + 4`), constant 0,
+            // `¬x1` in window 3.
+            assert!(
+                has(1, &[bits + 4, zero, base(3) + bits + 1]),
+                "{options:?} clause 1"
             );
+            // Clause 4: `¬x0` (complement slot `bits`), constant 0, `¬x0`
+            // in window 3.
+            assert!(
+                has(2, &[bits, zero, base(3) + bits]),
+                "{options:?} clause 4"
+            );
+            // Clauses 1, 4, 7 and 10 each read constant 0 once; they sit
+            // in groups 1, 2, 3 and 4.
+            let reads: Vec<usize> = groups
+                .iter()
+                .map(|g| {
+                    g.iter()
+                        .flat_map(|c| c.iter())
+                        .filter(|&&s| s == zero)
+                        .count()
+                })
+                .collect();
+            assert_eq!(reads, [0, 1, 1, 1, 1, 0], "{options:?}");
+            // Constant-1 partials are elided in every window.
+            for w in 0..program.windows.len() {
+                let one = base(w) + 2 * bits;
+                assert!(!program.partials.contains(&one), "{options:?} window {w}");
+            }
         }
     }
 
-    #[test]
-    fn folded_tapes_match_reference_and_cycle_engine_at_every_strip_width() {
-        let a = folding_accel();
-        assert_eq!(a.shape().num_packets(), 4, "17 bits on a 5-bit bus");
-        let xs = random_inputs(17, 257, 0x0B5E_55ED_F01D_ED00);
-        let mut cycle = SimEngine::new(&a);
+    /// Asserts that `a`'s turbo class sums equal `reference_class_sums`
+    /// and `SimEngine`'s captured sums at strip widths 1–4, full and
+    /// ragged, and one word past a whole strip, under both compile
+    /// option sets.
+    fn assert_sums_match_at_every_strip_width(a: &CompiledAccelerator, seed: u64) {
+        let xs = random_inputs(a.shape().features, 257, seed);
+        let mut cycle = SimEngine::new(a);
         cycle.set_capture_class_sums(true);
         cycle.run_datapoints(&xs).expect("drains");
         let expected = cycle.class_sums_log();
@@ -1592,14 +1825,97 @@ mod tests {
             crate::compile::CompileOptions::default(),
         ] {
             let program = crate::compile::CompilePipeline::new(options)
-                .compile(&a)
+                .compile(a)
                 .program;
-            // Strip widths 1–4, full and ragged, and one word past a
-            // whole strip.
             for n in [1usize, 63, 64, 65, 255, 256, 257] {
                 let sums = program.class_sums_chunked_with(&xs[..n], 1, u64::MAX);
-                assert_eq!(sums, expected[..n], "{options:?} n={n}");
+                assert_eq!(sums, expected[..n], "{:?} {options:?} n={n}", a.shape());
             }
+        }
+    }
+
+    #[test]
+    fn folded_tapes_match_reference_and_cycle_engine_at_every_strip_width() {
+        let a = folding_accel();
+        assert_eq!(a.shape().num_packets(), 4, "17 bits on a 5-bit bus");
+        assert_sums_match_at_every_strip_width(&a, 0x0B5E_55ED_F01D_ED00);
+    }
+
+    /// A pseudo-random design of three windows over a 4-bit bus (10
+    /// features, so the last window is 2 bits wide). Class 0's even
+    /// clauses are `Cube::one()` in every window: they have no partial
+    /// anywhere, fire in every lane and fill class 0's `+` count to its
+    /// top plane. Elsewhere a window's cube is `Cube::one()` with
+    /// probability 3/4, else one or two random literals.
+    fn random_accel(
+        classes: usize,
+        clauses_per_class: usize,
+        mut seed: u64,
+    ) -> CompiledAccelerator {
+        let shape = AccelShape {
+            bus_width: 4,
+            features: 10,
+            classes,
+            clauses_per_class,
+        };
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 32
+        };
+        let windows: Vec<Vec<Cube>> = [4u64, 4, 2]
+            .iter()
+            .map(|&width| {
+                (0..shape.total_clauses())
+                    .map(|c| {
+                        let r = next();
+                        if (c < clauses_per_class && c % 2 == 0) || r % 4 != 0 {
+                            return Cube::one();
+                        }
+                        let lit = |r: u64| {
+                            let bit = ((r >> 3) % width) as u32;
+                            if r & 4 == 0 {
+                                Lit::pos(bit)
+                            } else {
+                                Lit::neg(bit)
+                            }
+                        };
+                        let second = next();
+                        if second % 2 == 0 {
+                            Cube::from_lits([lit(r)])
+                        } else {
+                            Cube::from_lits([lit(r), lit(second)])
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        CompiledAccelerator::from_window_cubes(shape, &windows, Sharing::Enabled)
+    }
+
+    #[test]
+    fn class_sums_match_reference_and_cycle_engine_across_plane_layouts() {
+        // (classes, clauses per class, count planes, transposes/column).
+        for (classes, cpc, planes, transposes) in [
+            // Odd: 3 `+` clauses and 2 `−` per class.
+            (3, 5, 2, 1),
+            // 4 classes per 64-row block, so the last of 3 is half empty.
+            (10, 128, 7, 3),
+            (2, 1000, 9, 1),
+        ] {
+            let a = random_accel(classes, cpc, 0x5EED_0000 + cpc as u64);
+            let program = TurboProgram::compile(&a);
+            assert_eq!(
+                (program.count_bits, program.sum_transposes()),
+                (planes, transposes),
+                "{classes}x{cpc}"
+            );
+            assert!(
+                program.groups[0].runs[0] == (0, cpc.div_ceil(2) as u32),
+                "class 0's `+` clauses have no partial"
+            );
+            assert_sums_match_at_every_strip_width(&a, 0xC1A5_5000 + cpc as u64);
         }
     }
 

@@ -62,6 +62,13 @@ pub enum ParseModelErrorKind {
     },
     /// A header dimension was zero.
     ZeroDimensions,
+    /// `classes × clauses_per_class` does not fit in a `usize`.
+    ClauseCountOverflow {
+        /// The declared class count.
+        classes: usize,
+        /// The declared clauses per class.
+        clauses_per_class: usize,
+    },
     /// A non-header line did not start with `c`.
     ExpectedClauseLine,
     /// Clause coordinates exceeded the declared model shape.
@@ -125,6 +132,13 @@ impl fmt::Display for ParseModelError {
                 write!(f, "expected '{keyword}'")
             }
             ParseModelErrorKind::ZeroDimensions => write!(f, "zero-sized model dimensions"),
+            ParseModelErrorKind::ClauseCountOverflow {
+                classes,
+                clauses_per_class,
+            } => write!(
+                f,
+                "{classes} classes x {clauses_per_class} clauses per class overflows"
+            ),
             ParseModelErrorKind::ExpectedClauseLine => {
                 write!(f, "expected clause line starting with 'c'")
             }
@@ -235,7 +249,16 @@ pub fn read_model<R: BufRead>(r: R) -> Result<TrainedModel, ParseModelError> {
         return Err(ParseModelError::new(0, ParseModelErrorKind::ZeroDimensions));
     }
 
-    let mut masks = vec![IncludeMask::empty(features); classes * clauses_per_class];
+    let clauses = classes.checked_mul(clauses_per_class).ok_or_else(|| {
+        ParseModelError::new(
+            0,
+            ParseModelErrorKind::ClauseCountOverflow {
+                classes,
+                clauses_per_class,
+            },
+        )
+    })?;
+    let mut masks = vec![IncludeMask::empty(features); clauses];
     let mut seen = vec![false; masks.len()];
     let mut ended = false;
     for (i, line) in lines {
@@ -460,6 +483,25 @@ mod tests {
         let text = "MATADOR-TM v1\nfeatures 4\nclasses 2\nclauses_per_class 2\n\n# external trainer note\nc 1 1 pos 0 neg 3\nend\n";
         let model = read_model(text.as_bytes()).expect("parse");
         assert_eq!(model.clause(1, 1).num_includes(), 2);
+    }
+
+    #[test]
+    fn rejects_a_clause_count_that_overflows() {
+        // 2^32 × 2^32 wraps to 0 in an unchecked 64-bit product.
+        let text = "MATADOR-TM v1\nfeatures 1\nclasses 4294967296\n\
+                    clauses_per_class 4294967296\nend\n";
+        let err = read_model(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                ParseModelErrorKind::ClauseCountOverflow {
+                    classes: 4_294_967_296,
+                    clauses_per_class: 4_294_967_296,
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
