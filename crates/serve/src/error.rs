@@ -9,13 +9,18 @@ use std::fmt;
 pub enum ServeError {
     /// A pool was requested with zero shards.
     ZeroShards,
-    /// A request queue was configured with zero depth — it could never
-    /// accept a request.
+    /// A [`crate::Front`] was configured with a zero
+    /// [`lane_block`](crate::FrontOptions::lane_block),
+    /// [`max_pending`](crate::FrontOptions::max_pending) or
+    /// [`drr_quantum`](crate::FrontOptions::drr_quantum) — it could never
+    /// batch or admit a request.
     ZeroQueueDepth,
-    /// The bounded request queue is full: typed backpressure. The caller
-    /// should flush (or drop load) and retry.
+    /// Typed backpressure: a [`crate::Front`] already holds
+    /// [`max_pending`](crate::FrontOptions::max_pending) requests (the
+    /// caller should drain or drop load and retry), or a front's
+    /// `lane_block` exceeds [`crate::FLUSH_WINDOW`].
     QueueFull {
-        /// The configured queue depth that is exhausted.
+        /// The bound that is exhausted.
         capacity: usize,
     },
     /// A submitted datapoint's width does not match the compiled
@@ -121,7 +126,10 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::ZeroShards => write!(f, "shard pool requires at least one shard"),
-            ServeError::ZeroQueueDepth => write!(f, "request queue depth must be positive"),
+            ServeError::ZeroQueueDepth => write!(
+                f,
+                "front lane_block, max_pending and drr_quantum must be positive"
+            ),
             ServeError::QueueFull { capacity } => {
                 write!(f, "request queue full ({capacity} pending): backpressure")
             }

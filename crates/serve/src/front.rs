@@ -109,7 +109,7 @@
 //! ```
 
 use crate::error::ServeError;
-use crate::pool::ShardPool;
+use crate::pool::{ShardPool, FLUSH_WINDOW};
 use crate::report::ThroughputReport;
 use matador_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry, TraceId};
 use matador_par::reactor::TimerWheel;
@@ -394,7 +394,8 @@ impl ShedNotice {
 pub struct FrontOptions {
     /// Batch-fill flush threshold in requests. Defaults to
     /// [`matador_sim::LANES`]: one word of the bit-sliced datapath.
-    /// Must be positive and no larger than the pool's queue depth.
+    /// Must be positive and no larger than [`FLUSH_WINDOW`], so a full
+    /// lane block runs as one pool flush.
     pub lane_block: usize,
     /// Quiet window after the last submission before an idle flush, in
     /// virtual cycles. Zero disables the idle trigger.
@@ -562,17 +563,18 @@ impl<'a> Front<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroQueueDepth`] when `lane_block` is zero
-    /// and [`ServeError::QueueFull`] (naming the pool's depth) when
-    /// `lane_block` exceeds the pool's queue capacity — a full lane
-    /// block must be admissible in one flush.
+    /// Returns [`ServeError::ZeroQueueDepth`] when `lane_block`,
+    /// `max_pending` or `drr_quantum` is zero, and
+    /// [`ServeError::QueueFull`] (naming [`FLUSH_WINDOW`]) when
+    /// `lane_block` is larger than [`FLUSH_WINDOW`] — a full lane block
+    /// must run as one pool flush.
     pub fn new(pool: ShardPool<'a>, options: FrontOptions) -> Result<Self, ServeError> {
         if options.lane_block == 0 || options.max_pending == 0 || options.drr_quantum == 0 {
             return Err(ServeError::ZeroQueueDepth);
         }
-        if options.lane_block > pool.queue().capacity() {
+        if options.lane_block > FLUSH_WINDOW {
             return Err(ServeError::QueueFull {
-                capacity: pool.queue().capacity(),
+                capacity: FLUSH_WINDOW,
             });
         }
         Ok(Front {
@@ -635,12 +637,6 @@ impl<'a> Front<'a> {
     /// lifecycles (including rejections) with virtual-clock stamps.
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// Mutable flight-recorder access (e.g.
-    /// [`FlightRecorder::set_dump_on_drop`]).
-    pub fn flight_recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.flight
     }
 
     /// Modeled cycles to drain `pending` requests: the pool's
@@ -990,7 +986,7 @@ impl<'a> Front<'a> {
                 l.trigger = Some(trigger.as_label());
             });
         }
-        // `lane_block` ≤ the queue depth, so this is one pool window.
+        // `lane_block` ≤ `FLUSH_WINDOW`, so this is one pool flush.
         let before = self.pool.shard_cycles();
         let served = self.pool.serve(&self.inputs);
         self.floor = self.pool.latency_floor_cycles();
@@ -1449,16 +1445,20 @@ mod tests {
     fn invalid_options_are_rejected() {
         let accel = accel();
         let pool = ShardPool::with_options(&accel, ServeOptions::turbo(1)).expect("valid");
-        let capacity = pool.queue().capacity();
         let err = Front::new(
             pool,
             FrontOptions {
-                lane_block: capacity + 1,
+                lane_block: FLUSH_WINDOW + 1,
                 ..FrontOptions::new()
             },
         )
-        .expect_err("lane block must fit the pool queue");
-        assert_eq!(err, ServeError::QueueFull { capacity });
+        .expect_err("lane block must fit one pool flush");
+        assert_eq!(
+            err,
+            ServeError::QueueFull {
+                capacity: FLUSH_WINDOW
+            }
+        );
         let pool = ShardPool::with_options(&accel, ServeOptions::turbo(1)).expect("valid");
         assert_eq!(
             Front::new(

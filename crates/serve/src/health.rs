@@ -156,11 +156,6 @@ impl HealthTracker {
         self.states[shard]
     }
 
-    /// Current state of every shard, by index.
-    pub fn states(&self) -> &[ShardHealth] {
-        &self.states
-    }
-
     /// The full transition log, oldest first. Deterministic: same
     /// fault plan + same request stream ⇒ same log, at any thread
     /// count.

@@ -3,13 +3,13 @@
 //! The serving layer of the reproduction: where `matador-sim` models *one*
 //! accelerator behind *one* AXI stream, this crate models the deployed
 //! system under load — N engine shards, each behind its own independent
-//! AXI stream master, fed from a bounded request queue by a deterministic
-//! dispatcher. A pool is either **homogeneous** (one compiled design
-//! replicated over every shard) or **heterogeneous** (one [`ShardSpec`] —
-//! design, backend, dispatch weight — per shard, the way a real edge
-//! deployment serves several bespoke generated designs at once):
-//! requests are admitted and routed only to shards whose feature width
-//! matches, and the `LatencyAware` policy scores each shard's own
+//! AXI stream master, fed through one entry point ([`ShardPool::serve`])
+//! by a deterministic dispatcher. A pool is either **homogeneous** (one
+//! compiled design replicated over every shard) or **heterogeneous** (one
+//! [`ShardSpec`] — design, backend, dispatch weight — per shard, the way
+//! a real edge deployment serves several bespoke generated designs at
+//! once): requests are admitted and routed only to shards whose feature
+//! width matches, and the `LatencyAware` policy scores each shard's own
 //! beats-per-datapoint cost and observed II, so a fast wide-bus shard
 //! absorbs more of a batch than a slow narrow-bus one.
 //!
@@ -22,10 +22,11 @@
 //!    cycle stamps analytically) — sharding and the backend are pure
 //!    throughput knobs. Locked in by `tests/serve_determinism.rs` and
 //!    `tests/hetero_determinism.rs` at the workspace root.
-//! 2. **Typed backpressure.** The [`RequestQueue`] is bounded; admission
-//!    beyond the depth fails with [`ServeError::QueueFull`] instead of
-//!    unbounded buffering, and [`ShardPool::serve`] demonstrates the
-//!    flush-and-retry loop a real driver runs.
+//! 2. **Typed backpressure.** The open-submission [`Front`] bounds its
+//!    pending requests at [`FrontOptions::max_pending`]; a
+//!    [`Front::submit`] beyond it fails with [`ServeError::QueueFull`]
+//!    instead of buffering without bound, and the caller drains or drops
+//!    load and retries.
 //! 3. **Honest aggregation.** The [`ThroughputReport`] merges per-shard
 //!    engine/monitor statistics the way the hardware would experience
 //!    them: pool wall-clock is the *slowest* shard (shards run
@@ -71,7 +72,6 @@ pub mod fault;
 pub mod front;
 pub mod health;
 pub mod pool;
-pub mod queue;
 pub mod report;
 pub mod spec;
 
@@ -84,7 +84,6 @@ pub use front::{
 };
 pub use health::{HealthTransition, ShardHealth, PROBE_COOLDOWN_FLUSHES};
 pub use matador_sim::{EngineBackend, PartitionPlan};
-pub use pool::{PoolShardStats, Prediction, ServeOptions, ShardPool};
-pub use queue::{Request, RequestQueue, DEFAULT_QUEUE_DEPTH};
+pub use pool::{PoolShardStats, Prediction, ServeOptions, ShardPool, FLUSH_WINDOW};
 pub use report::{percentile_per_mille, ShardStats, ThroughputReport};
 pub use spec::ShardSpec;

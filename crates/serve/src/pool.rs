@@ -5,14 +5,15 @@
 //! Each shard owns a full engine — its own AXI stream master, HCB
 //! register chain and pipeline — exactly as N accelerator instances on
 //! the fabric would each sit behind an independent AXI stream. The pool
-//! adds the processor-side runtime around them: bounded admission
-//! ([`RequestQueue`]), width-aware deterministic dispatch ([`Dispatcher`])
-//! and result reassembly in submission order.
+//! adds the processor-side runtime around them: width-aware
+//! deterministic dispatch ([`Dispatcher`]) and result reassembly in
+//! submission order.
 //!
 //! ## One flush datapath
 //!
-//! [`ShardPool::flush`] (over the queue) and [`ShardPool::serve`] (over
-//! the caller's slice) run every flush through the same steps over
+//! [`ShardPool::serve`] is the pool's only entry point: it cuts the
+//! caller's slice into [`FLUSH_WINDOW`]-request windows and runs each
+//! window as one flush through the same steps over
 //! *execution units* — a standalone shard is a unit of one, a partition
 //! group's members form one unit. **Plan**: one unit takes the whole
 //! flush (a one-unit pool, or a small flush consolidated on a
@@ -39,7 +40,6 @@ use crate::dispatch::{DispatchPolicy, Dispatcher, ShardLoad, ShardProfile};
 use crate::error::ServeError;
 use crate::fault::{FaultPlan, FaultState, SliceAction, SliceFaults};
 use crate::health::{HealthTracker, HealthTransition, ShardHealth};
-use crate::queue::{RequestQueue, DEFAULT_QUEUE_DEPTH};
 use crate::report::{ShardStats, ThroughputReport};
 use crate::spec::ShardSpec;
 use matador_obs::{Counter, Histogram, Registry};
@@ -57,6 +57,12 @@ use tsetlin::bits::BitVec;
 /// pools legitimately mix IIs a factor of ~2 apart.
 const II_OUTLIER_FACTOR: u64 = 4;
 
+/// Requests per flush: [`ShardPool::serve`] runs its batch as
+/// consecutive windows of at most this many requests, and a
+/// [`crate::Front`] lane block may be no larger. Observable — flush
+/// boundaries set shard clocks, latencies and dispatch rotation.
+pub const FLUSH_WINDOW: usize = 256;
+
 /// Configuration of a serving runtime instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeOptions {
@@ -67,9 +73,6 @@ pub struct ServeOptions {
     pub shards: usize,
     /// Request→shard assignment policy.
     pub policy: DispatchPolicy,
-    /// Bounded request-queue depth (≥ 1); submissions beyond it fail with
-    /// [`ServeError::QueueFull`].
-    pub queue_depth: usize,
     /// Whether shard engines model the two-stage (pipelined) class sum.
     /// Each [`ShardSpec`] carries its own; kept for options-only
     /// homogeneous pools, like [`ServeOptions::shards`].
@@ -96,13 +99,13 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Options for a pool of `shards` engines with the defaults: round-robin
-    /// dispatch, a [`DEFAULT_QUEUE_DEPTH`]-deep queue, plain class sums,
+    /// dispatch, unpipelined class sums that predictions do not carry,
+    /// the default worker-thread count and chunk threshold,
     /// cycle-accurate engines.
     pub fn new(shards: usize) -> Self {
         ServeOptions {
             shards,
             policy: DispatchPolicy::RoundRobin,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             pipelined_sum: false,
             capture_class_sums: false,
             threads: None,
@@ -329,7 +332,8 @@ pub struct ShardPool<'a> {
     weights: Vec<u32>,
     engines: Vec<PoolEngine<'a>>,
     dispatcher: Dispatcher,
-    queue: RequestQueue,
+    /// Id of the next request [`ShardPool::serve`] admits.
+    next_id: u64,
     capture_sums: bool,
     threads: Option<usize>,
     /// Distinct feature widths the pool admits, ascending.
@@ -571,8 +575,7 @@ impl<'a> ShardPool<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroShards`] or [`ServeError::ZeroQueueDepth`]
-    /// on degenerate options.
+    /// Returns [`ServeError::ZeroShards`] when `options.shards == 0`.
     pub fn with_options(
         accel: &'a CompiledAccelerator,
         options: ServeOptions,
@@ -633,15 +636,16 @@ impl<'a> ShardPool<'a> {
     /// owning its spec's design, backend, pipelining and dispatch weight.
     /// The pool admits exactly the feature widths the specs cover;
     /// requests are routed only to shards whose width matches. `options`
-    /// contributes the dispatch policy, queue depth, class-sum capture
-    /// and worker-thread count — its `shards`, `backend` and
+    /// contributes the dispatch policy, class-sum capture, chunk
+    /// threshold and worker-thread count — its `shards`, `backend` and
     /// `pipelined_sum` fields are superseded by the specs.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::ZeroShards`] for an empty spec list,
     /// [`ServeError::ZeroWeight`] for a zero-weight spec and
-    /// [`ServeError::ZeroQueueDepth`] for a zero queue depth.
+    /// [`ServeError::PartitionWidthMismatch`] for a partition group whose
+    /// members disagree on the feature width.
     pub fn heterogeneous(
         specs: &'a [ShardSpec],
         options: ServeOptions,
@@ -670,15 +674,13 @@ impl<'a> ShardPool<'a> {
     /// The one constructor behind the public ones: builds every shard's
     /// engine from its entry and derives the admitted widths and the
     /// execution units. `chunk_threads` caps each turbo engine's
-    /// intra-batch fan-out. Building the queue is every constructor's
-    /// queue-depth check ([`RequestQueue::new`]).
+    /// intra-batch fan-out.
     fn from_entries(
         entries: Vec<ShardEntry<'a>>,
         options: &ServeOptions,
         chunk_threads: Option<usize>,
         shared_chunk_cost: Option<u64>,
     ) -> Result<Self, ServeError> {
-        let queue = RequestQueue::new(options.queue_depth)?;
         let chunk_threshold = options
             .chunk_threshold
             .unwrap_or_else(matador_sim::configured_chunk_threshold);
@@ -718,7 +720,7 @@ impl<'a> ShardPool<'a> {
             weights,
             engines: engines.collect(),
             dispatcher: Dispatcher::new(options.policy),
-            queue,
+            next_id: 0,
             capture_sums: options.capture_class_sums,
             threads: options.threads,
             widths,
@@ -797,11 +799,6 @@ impl<'a> ShardPool<'a> {
     /// The active dispatch policy.
     pub fn policy(&self) -> DispatchPolicy {
         self.dispatcher.policy()
-    }
-
-    /// The admission queue (pending counts, backpressure counters).
-    pub fn queue(&self) -> &RequestQueue {
-        &self.queue
     }
 
     /// Per-request latency samples collected so far (flush order).
@@ -1032,11 +1029,6 @@ impl<'a> ShardPool<'a> {
         self.health.state(shard)
     }
 
-    /// Current health state of every shard, shard-index order.
-    pub fn health_states(&self) -> &[ShardHealth] {
-        self.health.states()
-    }
-
     /// The health transition log, oldest first — every circuit-breaker
     /// edge with its cause and flush number. Deterministic: same fault
     /// plan + same request stream ⇒ same log at any thread count.
@@ -1071,82 +1063,36 @@ impl<'a> ShardPool<'a> {
         self.health.force_quarantine(shard);
     }
 
-    /// Admits one request into the bounded queue, returning its id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::WidthMismatch`] for a datapoint that does not
-    /// match a single-width pool's design,
-    /// [`ServeError::NoCompatibleShard`] when no shard of a mixed pool
-    /// accepts the width, and [`ServeError::QueueFull`] when the depth
-    /// bound is reached (typed backpressure — flush and retry).
-    pub fn submit(&mut self, input: &BitVec) -> Result<u64, ServeError> {
-        self.check_width(input.len())?;
-        self.queue.push(input.clone())
-    }
-
-    /// Dispatches every pending request over the shard pool (requests go
-    /// only to shards whose design accepts their width), runs the shard
-    /// engines (in parallel on up to `MATADOR_THREADS` workers) and
-    /// returns predictions in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Shard`] (the lowest failing shard) if a
-    /// shard's engine fails to drain — a toolflow bug: the flush's
-    /// requests are dropped and no latency samples are recorded, while
-    /// surviving shards' engine counters stay in [`ShardPool::report`].
-    /// A resilient pool instead redirects the failed requests and fails
-    /// only when no healthy capacity remains
-    /// ([`ServeError::NoHealthyShard`] / [`ServeError::ShardQuarantined`]).
-    pub fn flush(&mut self) -> Result<Vec<Prediction>, ServeError> {
-        let requests = self.queue.drain();
-        let Some(first_id) = requests.first().map(|r| r.id) else {
-            return Ok(Vec::new());
-        };
-        // The queue drains whole and assigns ids consecutively, so a
-        // drained batch is one contiguous id block.
-        debug_assert_eq!(
-            requests[requests.len() - 1].id,
-            first_id + requests.len() as u64 - 1
-        );
-        let inputs: Vec<BitVec> = requests.into_iter().map(|r| r.input).collect();
-        self.run_flush(first_id, &inputs)
-    }
-
-    /// Serves a whole batch in input order, flushing whenever the bounded
-    /// queue fills and once more at the end — *before* it would overflow,
-    /// so [`RequestQueue::rejected`] only counts external rejections.
-    /// From an empty queue each flush window is a queue-capacity chunk of
-    /// `inputs`, block-admitted and run without entering the FIFO: the
-    /// same results, ids and counters as submit/flush, minus the clones.
+    /// Serves a whole batch and returns its predictions in input order.
+    /// The batch runs as consecutive [`FLUSH_WINDOW`]-request flushes
+    /// straight off `inputs`; each flush dispatches its requests only to
+    /// shards whose design accepts their width and runs the shard
+    /// engines (in parallel on up to `MATADOR_THREADS` workers). Request
+    /// ids continue one monotonic sequence across calls.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::WidthMismatch`] /
     /// [`ServeError::NoCompatibleShard`] — checked for the *whole* batch
     /// up front, before anything is flushed, so a malformed input cannot
-    /// strand already-classified predictions — and propagates every
-    /// [`ShardPool::flush`] error.
+    /// strand already-classified predictions. Returns
+    /// [`ServeError::Shard`] (the lowest failing shard) if a shard's
+    /// engine fails to drain — a toolflow bug: the failing flush's
+    /// requests are dropped and record no latency samples, while
+    /// surviving shards' engine counters stay in [`ShardPool::report`].
+    /// A resilient pool instead redirects the failed requests and fails
+    /// only when no healthy capacity remains
+    /// ([`ServeError::NoHealthyShard`] / [`ServeError::ShardQuarantined`]).
     pub fn serve(&mut self, inputs: &[BitVec]) -> Result<Vec<Prediction>, ServeError> {
         for input in inputs {
             self.check_width(input.len())?;
         }
         let mut out = Vec::with_capacity(inputs.len());
-        if self.queue.is_empty() {
-            for window in inputs.chunks(self.queue.capacity()) {
-                let first_id = self.queue.admit_block(window.len())?;
-                out.extend(self.run_flush(first_id, window)?);
-            }
-            return Ok(out);
+        for window in inputs.chunks(FLUSH_WINDOW) {
+            let first_id = self.next_id;
+            self.next_id += window.len() as u64;
+            out.extend(self.run_flush(first_id, window)?);
         }
-        for input in inputs {
-            if self.queue.len() >= self.queue.capacity() {
-                out.extend(self.flush()?);
-            }
-            self.submit(input)?;
-        }
-        out.extend(self.flush()?);
         Ok(out)
     }
 
@@ -1603,19 +1549,6 @@ mod tests {
             ShardPool::with_options(&a, ServeOptions::new(0)).unwrap_err(),
             ServeError::ZeroShards
         ));
-        // A zero queue depth is typed on both constructors.
-        let options = ServeOptions {
-            queue_depth: 0,
-            ..ServeOptions::new(1)
-        };
-        assert!(matches!(
-            ShardPool::with_options(&a, options).unwrap_err(),
-            ServeError::ZeroQueueDepth
-        ));
-        assert!(matches!(
-            ShardPool::heterogeneous(&[ShardSpec::new(accel())], options).unwrap_err(),
-            ServeError::ZeroQueueDepth
-        ));
     }
 
     #[test]
@@ -1651,7 +1584,7 @@ mod tests {
     fn width_mismatch_is_typed() {
         let a = accel();
         let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
-        let err = pool.submit(&BitVec::zeros(5)).unwrap_err();
+        let err = pool.serve(&[BitVec::zeros(5)]).unwrap_err();
         assert_eq!(
             err,
             ServeError::WidthMismatch {
@@ -1664,13 +1597,11 @@ mod tests {
     #[test]
     fn serve_rejects_malformed_batches_atomically() {
         let a = accel();
-        let mut options = ServeOptions::new(2);
-        options.queue_depth = 2;
-        let mut pool = ShardPool::with_options(&a, options).expect("valid");
-        // A bad width deep in the batch (past several flush boundaries)
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
+        // A bad width deep in the batch (past a flush-window boundary)
         // must fail before *anything* runs — no stranded predictions, no
         // phantom datapoints in the report.
-        let mut batch = inputs(7);
+        let mut batch = inputs(FLUSH_WINDOW + 1);
         batch.push(BitVec::zeros(5));
         let err = pool.serve(&batch).unwrap_err();
         assert!(matches!(err, ServeError::WidthMismatch { got: 5, .. }));
@@ -1681,24 +1612,17 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_backpressures_then_recovers() {
+    fn batches_larger_than_the_flush_window_complete_in_order() {
         let a = accel();
-        let mut options = ServeOptions::new(2);
-        options.queue_depth = 3;
-        let mut pool = ShardPool::with_options(&a, options).expect("valid");
-        for _ in 0..3 {
-            pool.submit(&BitVec::from_indices(8, &[0]))
-                .expect("admitted");
-        }
-        let err = pool.submit(&BitVec::from_indices(8, &[0])).unwrap_err();
-        assert_eq!(err, ServeError::QueueFull { capacity: 3 });
-        assert_eq!(pool.queue().rejected(), 1);
-        // serve() flushes *before* the bound would trip: a batch much
-        // larger than the queue completes in order without recording any
-        // self-inflicted rejections.
-        let preds = pool.serve(&inputs(10)).expect("drains");
-        assert_eq!(preds.len(), 3 + 10);
-        assert_eq!(pool.queue().rejected(), 1);
+        let mut pool = ShardPool::with_options(&a, ServeOptions::new(1)).expect("valid");
+        let n = 2 * FLUSH_WINDOW + 1;
+        let preds = pool.serve(&inputs(n)).expect("drains");
+        let ids: Vec<u64> = preds.iter().map(|p| p.request).collect();
+        assert_eq!(ids, (0..n as u64).collect::<Vec<_>>());
+        // Two full windows and a one-request tail: three flushes.
+        assert_eq!(pool.shard_stats()[0].flushes_served, 3);
+        // Ids continue across calls.
+        assert_eq!(pool.serve(&inputs(1)).expect("drains")[0].request, n as u64);
     }
 
     #[test]
@@ -1816,11 +1740,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_flush_is_a_no_op() {
+    fn empty_serve_is_a_no_op() {
         let a = accel();
         let mut pool = ShardPool::with_options(&a, ServeOptions::new(2)).expect("valid");
-        assert!(pool.flush().expect("trivially drains").is_empty());
+        assert!(pool.serve(&[]).expect("trivially drains").is_empty());
         assert_eq!(pool.report().datapoints, 0);
+        assert!(pool.shard_stats().iter().all(|s| s.flushes_served == 0));
     }
 
     #[test]
@@ -2102,7 +2027,10 @@ mod tests {
         let specs = vec![ShardSpec::new(accel()), ShardSpec::new(six_feature_accel())];
         let mut pool = ShardPool::heterogeneous(&specs, ServeOptions::new(1)).expect("valid");
         assert_eq!(pool.widths(), &[6, 8]);
-        let err = pool.submit(&BitVec::zeros(5)).unwrap_err();
+        // The whole batch is rejected atomically.
+        let err = pool
+            .serve(&[BitVec::zeros(8), BitVec::zeros(5)])
+            .unwrap_err();
         assert_eq!(
             err,
             ServeError::NoCompatibleShard {
@@ -2110,11 +2038,6 @@ mod tests {
                 widths: vec![6, 8],
             }
         );
-        // The batched entry point rejects atomically too.
-        let err = pool
-            .serve(&[BitVec::zeros(8), BitVec::zeros(5)])
-            .unwrap_err();
-        assert!(matches!(err, ServeError::NoCompatibleShard { got: 5, .. }));
         assert_eq!(pool.report().datapoints, 0);
     }
 
@@ -2275,8 +2198,7 @@ mod tests {
 
     /// A resilient pool with nothing to inject is observationally the
     /// classic pool: on every pool shape (single shard, consolidated
-    /// turbo, cycle-accurate spread, partition group) and through both
-    /// entries (`serve` from an empty queue, `submit` then `serve`).
+    /// turbo, cycle-accurate spread, partition group).
     #[test]
     fn empty_fault_plan_matches_the_classic_pool() {
         let a = accel();
@@ -2284,7 +2206,6 @@ mod tests {
         let group = partitioned_specs(&wide, 2, 0);
         let options = |backend: EngineBackend, shards: usize| ServeOptions {
             backend,
-            queue_depth: 8,
             capture_class_sums: true,
             ..ServeOptions::new(shards)
         };
@@ -2295,46 +2216,34 @@ mod tests {
             "3-shard cycle",
             "K=2 group",
         ] {
-            for submit_first in [false, true] {
-                let run = |resilient: bool| {
-                    let mut pool = match shape {
-                        "1-shard turbo" => {
-                            ShardPool::with_options(&a, options(EngineBackend::Turbo, 1))
-                        }
-                        "4-shard turbo" => {
-                            ShardPool::with_options(&a, options(EngineBackend::Turbo, 4))
-                        }
-                        "3-shard cycle" => {
-                            ShardPool::with_options(&a, options(EngineBackend::CycleAccurate, 3))
-                        }
-                        _ => ShardPool::heterogeneous(
-                            &group,
-                            options(EngineBackend::CycleAccurate, 2),
-                        ),
+            let run = |resilient: bool| {
+                let mut pool = match shape {
+                    "1-shard turbo" => {
+                        ShardPool::with_options(&a, options(EngineBackend::Turbo, 1))
                     }
-                    .expect("valid");
-                    if resilient {
-                        pool.install_fault_plan(FaultPlan::none());
+                    "4-shard turbo" => {
+                        ShardPool::with_options(&a, options(EngineBackend::Turbo, 4))
                     }
-                    let mut preds = Vec::new();
-                    if submit_first {
-                        for x in &xs[..3] {
-                            pool.submit(x).expect("admitted");
-                        }
+                    "3-shard cycle" => {
+                        ShardPool::with_options(&a, options(EngineBackend::CycleAccurate, 3))
                     }
-                    preds.extend(pool.serve(&xs).expect("drains"));
-                    preds.extend(pool.serve(&xs[..11]).expect("drains"));
-                    assert_eq!(pool.resilient(), resilient);
-                    assert!(pool.health_log().is_empty(), "{shape}");
-                    let queue = (pool.queue().accepted(), pool.queue().rejected());
-                    (preds, pool.report(), pool.shard_stats(), queue)
-                };
-                assert_eq!(
-                    run(true),
-                    run(false),
-                    "{shape}, submit first: {submit_first}"
-                );
-            }
+                    _ => ShardPool::heterogeneous(&group, options(EngineBackend::CycleAccurate, 2)),
+                }
+                .expect("valid");
+                if resilient {
+                    pool.install_fault_plan(FaultPlan::none());
+                }
+                // Several flushes of uneven size, so breaker bookkeeping
+                // runs between flushes too.
+                let mut preds = Vec::new();
+                for window in xs.chunks(8).chain(xs[..11].chunks(8)) {
+                    preds.extend(pool.serve(window).expect("drains"));
+                }
+                assert_eq!(pool.resilient(), resilient);
+                assert!(pool.health_log().is_empty(), "{shape}");
+                (preds, pool.report(), pool.shard_stats())
+            };
+            assert_eq!(run(true), run(false), "{shape}");
         }
     }
 
@@ -2644,10 +2553,8 @@ mod tests {
                 }
             })
             .collect();
-        for x in wide.iter().chain(&narrow) {
-            pool.submit(x).expect("admitted");
-        }
-        let preds = pool.flush().expect("drains");
+        let batch: Vec<BitVec> = wide.iter().chain(&narrow).cloned().collect();
+        let preds = pool.serve(&batch).expect("drains");
         assert_eq!(preds.len(), 7);
         // Width routes each request: 8-feature inputs to the group
         // (attributed to its lead), 6-feature inputs to the standalone

@@ -88,11 +88,6 @@ impl ThroughputReport {
         }
     }
 
-    /// Median request latency in microseconds at `clock_mhz`.
-    pub fn latency_p50_us(&self, clock_mhz: f64) -> f64 {
-        self.latency_p50_cycles as f64 / clock_mhz
-    }
-
     /// Total stalled cycles across all shards.
     pub fn stall_cycles(&self) -> u64 {
         self.shards.iter().map(|s| s.stall_cycles).sum()
