@@ -12,10 +12,10 @@ use std::fmt::Write as _;
 /// Builder for one benchmark artifact in the shared shape.
 #[derive(Debug, Clone)]
 pub struct BenchArtifact {
-    bench: String,
-    dataset: String,
+    pub(crate) bench: String,
+    pub(crate) dataset: String,
     batch: usize,
-    seed: u64,
+    pub(crate) seed: u64,
     threads: usize,
     /// Extra top-level `(key, raw JSON value)` fields, emitted between
     /// `threads` and `rows` in insertion order.

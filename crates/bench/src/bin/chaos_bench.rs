@@ -35,167 +35,17 @@
 //!   within `X`× the fault-free p99.9: losing 1-of-N shards costs
 //!   bounded tail, not a meltdown.
 
-use matador_bench::eval::{bad_arg, model_key_for, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
-use matador_datasets::{generate, DatasetKind};
+use matador_bench::eval::bad_arg;
+use matador_bench::harness::{self, exp_gap, write_outputs, Flags, Kws6};
 use matador_obs::Registry;
 use matador_serve::{FaultPlan, Front, FrontOptions, Reply, ServeOptions, ShardPool};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use tsetlin::bits::BitVec;
 
 fn main() {
-    match run() {
-        Ok(true) => {}
-        Ok(false) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-struct ChaosArgs {
-    shards: usize,
-    requests: usize,
-    tenants: u32,
-    kill_shard: usize,
-    kill_at: Option<u64>,
-    out: String,
-    metrics_out: Option<String>,
-    assert_zero_drops: bool,
-    assert_identical_winners: bool,
-    assert_tail_inflation: Option<f64>,
-    opts: EvalOptions,
-}
-
-fn parse_args() -> Result<ChaosArgs, matador::Error> {
-    let mut shards = 4usize;
-    let mut requests: Option<usize> = None;
-    let mut tenants = 4u32;
-    let mut kill_shard = 1usize;
-    let mut kill_at = None;
-    let mut out = "BENCH_chaos.json".to_string();
-    let mut metrics_out = None;
-    let mut assert_zero_drops = false;
-    let mut assert_identical_winners = false;
-    let mut assert_tail_inflation = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--shards requires a value"))?;
-                shards = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 1)
-                    .ok_or_else(|| {
-                        bad_arg(format!(
-                            "--shards '{value}' must be at least 2 (a kill drill needs a survivor)"
-                        ))
-                    })?;
-            }
-            "--requests" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--requests requires a value"))?;
-                requests = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| bad_arg(format!("--requests '{value}' is not positive")))?,
-                );
-            }
-            "--tenants" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--tenants requires a value"))?;
-                tenants = value
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad_arg(format!("--tenants '{value}' is not positive")))?;
-            }
-            "--kill-shard" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--kill-shard requires a value"))?;
-                kill_shard = value
-                    .parse::<usize>()
-                    .map_err(|_| bad_arg(format!("--kill-shard '{value}' is not a shard index")))?;
-            }
-            "--kill-at" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--kill-at requires a value"))?;
-                kill_at =
-                    Some(value.parse::<u64>().map_err(|_| {
-                        bad_arg(format!("--kill-at '{value}' is not a request count"))
-                    })?);
-            }
-            "--out" => {
-                out = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--out requires a path"))?;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    args.next()
-                        .ok_or_else(|| bad_arg("--metrics-out requires a path"))?,
-                );
-            }
-            "--assert-zero-drops" => assert_zero_drops = true,
-            "--assert-identical-winners" => assert_identical_winners = true,
-            "--assert-tail-inflation" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--assert-tail-inflation requires a factor"))?;
-                assert_tail_inflation = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|x| *x >= 1.0)
-                        .ok_or_else(|| {
-                            bad_arg(format!(
-                                "--assert-tail-inflation '{value}' must be a factor >= 1"
-                            ))
-                        })?,
-                );
-            }
-            _ => rest.push(arg),
-        }
-    }
-    let opts = EvalOptions::from_args(rest)?;
-    if kill_shard >= shards {
-        return Err(bad_arg(format!(
-            "--kill-shard {kill_shard} is out of range for {shards} shards"
-        )));
-    }
-    // Quick runs are the CI shape: enough arrivals for a meaningful
-    // p99.9 without dominating the job.
-    let requests = requests.unwrap_or(if opts.sizes == matador_datasets::SplitSizes::QUICK {
-        4_000
-    } else {
-        16_000
-    });
-    Ok(ChaosArgs {
-        shards,
-        requests,
-        tenants,
-        kill_shard,
-        kill_at,
-        out,
-        metrics_out,
-        assert_zero_drops,
-        assert_identical_winners,
-        assert_tail_inflation,
-        opts,
-    })
+    harness::main(run);
 }
 
 /// Silences the stderr spew from *injected* worker panics (they carry a
@@ -247,12 +97,6 @@ struct TraceSpec<'p> {
     slo: u64,
     seed: u64,
     inputs: &'p [BitVec],
-}
-
-/// Exponential inter-arrival gap with the given mean, in whole cycles.
-fn exp_gap(rng: &mut SmallRng, mean: f64) -> u64 {
-    let u: f64 = rng.gen();
-    (-mean * (1.0 - u).ln()).round() as u64
 }
 
 fn run_trace(
@@ -319,73 +163,101 @@ fn run_trace(
 }
 
 fn run() -> Result<bool, matador::Error> {
-    let args = parse_args()?;
-    let kind = DatasetKind::Kws6;
-    let opts = &args.opts;
-    let threads = matador_par::configured_threads();
+    let flags = Flags::parse(
+        &[
+            "--shards",
+            "--requests",
+            "--tenants",
+            "--kill-shard",
+            "--kill-at",
+            "--out",
+            "--metrics-out",
+            "--assert-tail-inflation",
+        ],
+        &["--assert-zero-drops", "--assert-identical-winners"],
+    )?;
+    let opts = &flags.opts;
+    let shards = flags
+        .value(
+            "--shards",
+            |&n: &usize| n > 1,
+            "must be at least 2 (a kill drill needs a survivor)",
+        )?
+        .unwrap_or(4);
+    // Quick runs are the CI shape: enough arrivals for a meaningful
+    // p99.9 without dominating the job.
+    let requests = flags.positive("--requests")?.unwrap_or(
+        if opts.sizes == matador_datasets::SplitSizes::QUICK {
+            4_000
+        } else {
+            16_000
+        },
+    );
+    let tenants = flags.positive("--tenants")?.unwrap_or(4u32);
+    let kill_shard = flags
+        .value("--kill-shard", |_: &usize| true, "is not a shard index")?
+        .unwrap_or(1);
+    if kill_shard >= shards {
+        return Err(bad_arg(format!(
+            "--kill-shard {kill_shard} is out of range for {shards} shards"
+        )));
+    }
+    // The kill lands once the victim has attempted roughly half its
+    // share of the trace: squarely mid-stream, with backlog behind it.
+    let kill_at = flags
+        .value("--kill-at", |_: &u64| true, "is not a request count")?
+        .unwrap_or(((requests / shards) as u64 / 2).max(1));
+    let out = flags
+        .string("--out")
+        .unwrap_or_else(|| "BENCH_chaos.json".to_string());
+    let assert_tail_inflation = flags.value(
+        "--assert-tail-inflation",
+        |x: &f64| *x >= 1.0,
+        "must be a factor >= 1",
+    )?;
+
     // The fault counters below are registry deltas, so recording must
     // be on regardless of the MATADOR_METRICS default.
     matador_obs::set_enabled(true);
     quiet_injected_panics();
 
-    eprintln!("[chaos_bench] {kind}: training model + generating accelerator…");
-    let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
-    let config = matador::config::MatadorConfig::builder()
-        .design_name("chaos_bench")
-        .build()
-        .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
-    let accel = design.compile_for_sim();
-    let inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
+    let kws = Kws6::train("chaos_bench", opts);
+    let accel = kws.design("chaos_bench", None).compile_for_sim();
+    let inputs = kws.inputs(kws.data.test.len());
 
-    // The kill lands once the victim has attempted roughly half its
-    // share of the trace: squarely mid-stream, with backlog behind it.
-    let kill_at = args
-        .kill_at
-        .unwrap_or(((args.requests / args.shards) as u64 / 2).max(1));
     // Arrival rate targets 60% of the full pool's modeled drain
     // bandwidth — a surviving (N-1)-shard pool still has headroom, so
     // the drill measures redirect cost, not an overload collapse.
-    let probe = ShardPool::with_options(&accel, ServeOptions::turbo(args.shards))
+    let probe = ShardPool::with_options(&accel, ServeOptions::turbo(shards))
         .map_err(matador::Error::other)?;
-    let mean_gap = probe.modeled_ii_cycles() as f64 * 100.0 / (args.shards as f64 * 60.0);
+    let mean_gap = probe.modeled_ii_cycles() as f64 * 100.0 / (shards as f64 * 60.0);
     let slo = 2 * Front::new(probe, FrontOptions::new())
         .map_err(matador::Error::other)?
         .drain_estimate_cycles(FrontOptions::new().lane_block);
 
     println!(
-        "chaos_bench — {kind} design, shards {}, {} requests, {} tenant(s), \
-         kill shard {} after {kill_at} attempts, mean gap {mean_gap:.1} cyc, seed {}",
-        args.shards, args.requests, args.tenants, args.kill_shard, opts.seed
+        "chaos_bench — {} design, shards {shards}, {requests} requests, {tenants} tenant(s), \
+         kill shard {kill_shard} after {kill_at} attempts, mean gap {mean_gap:.1} cyc, seed {}",
+        Kws6::KIND,
+        opts.seed
     );
     println!("(virtual-time open loop; latencies are admission → delivery)\n");
 
-    let mut artifact = BenchArtifact::new(
-        "serve_chaos",
-        kind.to_string(),
-        args.requests,
-        opts.seed,
-        threads,
-    );
-    artifact.push_run_metadata();
+    let mut artifact = kws.artifact("serve_chaos", requests, opts.seed);
     let specs = [
         ("fault_free", FaultPlan::none()),
-        (
-            "shard_kill",
-            FaultPlan::kill_shard(args.kill_shard, kill_at),
-        ),
+        ("shard_kill", FaultPlan::kill_shard(kill_shard, kill_at)),
     ];
     let mut results: Vec<RunResult> = Vec::new();
     for (name, plan) in specs {
         let result = run_trace(
             &accel,
-            args.shards,
+            shards,
             &TraceSpec {
                 name,
                 plan,
-                requests: args.requests,
-                tenants: args.tenants,
+                requests,
+                tenants,
                 mean_gap,
                 slo,
                 seed: opts.seed,
@@ -417,8 +289,8 @@ fn run() -> Result<bool, matador::Error> {
              \"latency_p999_cycles\": {}, \"retries\": {}, \"redirects\": {}, \
              \"faults_injected\": {}, \"faults_detected\": {}, \"health_transitions\": {}}}",
             result.name,
-            args.shards,
-            args.kill_shard,
+            shards,
+            kill_shard,
             result.offered,
             result.admitted,
             result.delivered,
@@ -435,20 +307,18 @@ fn run() -> Result<bool, matador::Error> {
         results.push(result);
     }
 
-    artifact.write(&args.out).map_err(matador::Error::other)?;
-    println!("\nwrote {}", args.out);
-    if let Some(path) = &args.metrics_out {
-        let prom = write_metrics_snapshot(path, "serve_chaos_metrics", "KWS-6", opts.seed)
-            .map_err(matador::Error::other)?;
-        println!("wrote {path} + {prom}");
-    }
+    write_outputs(
+        &artifact,
+        Some(&out),
+        flags.string("--metrics-out").as_deref(),
+    )?;
 
     let baseline = &results[0];
     let drilled = &results[1];
     let mut ok = true;
     // Always-on sanity: per-tenant delivery order survives redirects.
     for result in &results {
-        for tenant in 0..args.tenants {
+        for tenant in 0..tenants {
             let seqs: Vec<u64> = result
                 .replies
                 .iter()
@@ -464,7 +334,7 @@ fn run() -> Result<bool, matador::Error> {
             }
         }
     }
-    if args.assert_zero_drops {
+    if flags.switch("--assert-zero-drops") {
         let dropped = drilled.admitted.saturating_sub(drilled.delivered as u64);
         if dropped > 0 || !drilled.errors.is_empty() {
             eprintln!(
@@ -481,7 +351,7 @@ fn run() -> Result<bool, matador::Error> {
             );
         }
     }
-    if args.assert_identical_winners {
+    if flags.switch("--assert-identical-winners") {
         if drilled.winners == baseline.winners {
             println!(
                 "identical-winners gate passed: {} replies carry the fault-free answers",
@@ -505,7 +375,7 @@ fn run() -> Result<bool, matador::Error> {
             ok = false;
         }
     }
-    if let Some(factor) = args.assert_tail_inflation {
+    if let Some(factor) = assert_tail_inflation {
         let bound = (baseline.p999.max(1) as f64) * factor;
         if drilled.p999 as f64 > bound {
             eprintln!(

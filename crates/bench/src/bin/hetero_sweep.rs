@@ -3,9 +3,9 @@
 //! dispatch.
 //!
 //! Trains (or cache-loads) one KWS-6 model, then generates — or
-//! cache-loads, via [`DesignCache`] — *two* accelerators for it: a
-//! wide-bus design (few packets per datapoint, low II) and a narrow-bus
-//! design (many packets, high II). Both sit behind a single
+//! cache-loads, via [`matador_bench::DesignCache`] — *two* accelerators
+//! for it: a wide-bus design (few packets per datapoint, low II) and a
+//! narrow-bus design (many packets, high II). Both sit behind a single
 //! [`ShardPool`] as one [`ShardSpec`] each — the mixed-fleet scenario
 //! MATADOR's per-workload design generation produces in a real edge
 //! deployment. For every batch size the pool is run under `RoundRobin`
@@ -26,9 +26,7 @@
 //! `--json <path>` writes the sweep as a machine-readable artifact in the
 //! same shape as `BENCH_inference.json`.
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{BenchArtifact, DesignCache, ModelCache};
-use matador_datasets::{generate, DatasetKind};
+use matador_bench::harness::{self, write_outputs, Flags, Kws6};
 use matador_serve::{DispatchPolicy, ServeOptions, ShardPool, ShardSpec, ThroughputReport};
 use tsetlin::bits::BitVec;
 
@@ -38,57 +36,7 @@ const WIDE_BUS: usize = 64;
 const NARROW_BUS: usize = 8;
 
 fn main() {
-    match run() {
-        Ok(true) => {}
-        Ok(false) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-struct SweepArgs {
-    batches: Vec<usize>,
-    assert_dispatch: bool,
-    json: Option<String>,
-    opts: EvalOptions,
-}
-
-fn parse_args() -> Result<SweepArgs, matador::Error> {
-    let mut batches = vec![16, 64, 256];
-    let mut assert_dispatch = false;
-    let mut json = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--batches" => batches = parse_positive_list(&arg, args.next())?,
-            "--assert-dispatch" => assert_dispatch = true,
-            "--json" => {
-                json = Some(
-                    args.next()
-                        .ok_or_else(|| bad_arg("--json requires a path"))?,
-                );
-            }
-            _ => rest.push(arg),
-        }
-    }
-    let opts = EvalOptions::from_args(rest)?;
-    Ok(SweepArgs {
-        batches,
-        assert_dispatch,
-        json,
-        opts,
-    })
-}
-
-fn policy_slug(policy: DispatchPolicy) -> &'static str {
-    match policy {
-        DispatchPolicy::RoundRobin => "round_robin",
-        DispatchPolicy::LeastQueued => "least_queued",
-        DispatchPolicy::LatencyAware => "latency_aware",
-    }
+    harness::main(run);
 }
 
 /// One measured cell: a batch served under one policy over the mixed
@@ -165,24 +113,14 @@ fn measure(specs: &[ShardSpec], policy: DispatchPolicy, batch: &[BitVec], clock:
 }
 
 fn run() -> Result<bool, matador::Error> {
-    let args = parse_args()?;
-    let kind = DatasetKind::Kws6;
-    let opts = &args.opts;
-    let threads = matador_par::configured_threads();
+    let flags = Flags::parse(&["--batches", "--json"], &["--assert-dispatch"])?;
+    let batches = flags.list("--batches")?.unwrap_or(vec![16, 64, 256]);
+    let opts = &flags.opts;
+    let kind = Kws6::KIND;
 
-    eprintln!("[hetero_sweep] {kind}: training model + generating two designs…");
-    let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
-    let design_for = |bus_width: usize, name: &str| {
-        let config = matador::config::MatadorConfig::builder()
-            .design_name(name)
-            .bus_width(bus_width)
-            .build()
-            .expect("bus widths 1..=64 are valid");
-        DesignCache::global().generate_cached(&model, &config, threads)
-    };
-    let wide = design_for(WIDE_BUS, "hetero_wide");
-    let narrow = design_for(NARROW_BUS, "hetero_narrow");
+    let kws = Kws6::train("hetero_sweep", opts);
+    let wide = kws.design("hetero_wide", Some(WIDE_BUS));
+    let narrow = kws.design("hetero_narrow", Some(NARROW_BUS));
     // One fabric clock for the whole pool: the slower of the two
     // implementations (the pool is only as fast as its critical design).
     let clock = wide.implement().clock_mhz.min(narrow.implement().clock_mhz);
@@ -191,7 +129,6 @@ fn run() -> Result<bool, matador::Error> {
         ShardSpec::new(narrow.compile_for_sim()),
     ];
     let design_names = ["wide", "narrow"];
-    let test_inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
 
     println!(
         "hetero_sweep — {kind}, one model on two buses: wide {WIDE_BUS}b ({} packets) + \
@@ -201,28 +138,16 @@ fn run() -> Result<bool, matador::Error> {
         opts.seed
     );
     println!(
-        "(mixed pool, per-design merged reports; model cache {}h/{}m, design cache {}h/{}m)\n",
-        ModelCache::global().hits(),
-        ModelCache::global().misses(),
-        DesignCache::global().hits(),
-        DesignCache::global().misses()
+        "(mixed pool, per-design merged reports; {})\n",
+        harness::cache_counts()
     );
 
     let policies = [DispatchPolicy::RoundRobin, DispatchPolicy::LatencyAware];
-    let gate_batch = *args.batches.iter().max().expect("non-empty");
-    let mut artifact = BenchArtifact::new(
-        "hetero_serve",
-        kind.to_string(),
-        gate_batch,
-        opts.seed,
-        threads,
-    );
-    artifact.push_run_metadata();
+    let gate_batch = *batches.iter().max().expect("non-empty");
+    let mut artifact = kws.artifact("hetero_serve", gate_batch, opts.seed);
     let mut gate_cells: Vec<Cell> = Vec::new();
-    for &batch_size in &args.batches {
-        let batch: Vec<BitVec> = (0..batch_size)
-            .map(|i| test_inputs[i % test_inputs.len()].clone())
-            .collect();
+    for &batch_size in &batches {
+        let batch = kws.inputs(batch_size);
         let cells: Vec<Cell> = policies
             .iter()
             .map(|&policy| measure(&specs, policy, &batch, clock))
@@ -247,7 +172,7 @@ fn run() -> Result<bool, matador::Error> {
                 .collect();
             println!(
                 "  {:>13}: pool {:>7} cyc  {:>12.0} inf/s   ({})",
-                policy_slug(cell.policy),
+                cell.policy.as_label(),
                 cell.pool_cycles,
                 cell.inf_s,
                 shares.join(", ")
@@ -259,7 +184,7 @@ fn run() -> Result<bool, matador::Error> {
                     "{{\"policy\": \"{}\", \"design\": \"{name}\", \"batch\": {batch_size}, \
                      \"requests\": {share}, \"pool_cycles\": {}, \"inf_s\": {:.1}, \
                      \"latency_p50_cycles\": {}, \"latency_p99_cycles\": {}}}",
-                    policy_slug(cell.policy),
+                    cell.policy.as_label(),
                     report.pool_cycles,
                     report.throughput_inf_s(clock),
                     report.latency_p50_cycles,
@@ -269,7 +194,7 @@ fn run() -> Result<bool, matador::Error> {
             artifact.push_row(format!(
                 "{{\"policy\": \"{}\", \"design\": \"pool\", \"batch\": {batch_size}, \
                  \"requests\": {}, \"pool_cycles\": {}, \"inf_s\": {:.1}}}",
-                policy_slug(cell.policy),
+                cell.policy.as_label(),
                 cell.winners.len(),
                 cell.pool_cycles,
                 cell.inf_s
@@ -280,13 +205,10 @@ fn run() -> Result<bool, matador::Error> {
         }
     }
 
-    if let Some(path) = &args.json {
-        artifact.write(path).map_err(matador::Error::other)?;
-        println!("\nwrote {path}");
-    }
+    write_outputs(&artifact, flags.string("--json").as_deref(), None)?;
 
     let mut gate_passed = true;
-    if args.assert_dispatch {
+    if flags.switch("--assert-dispatch") {
         let round_robin = &gate_cells[0];
         let latency_aware = &gate_cells[1];
         println!(

@@ -41,129 +41,15 @@
 //! fast path. `--metrics-out PATH` dumps the registry after the run
 //! (JSON at `PATH`, Prometheus text at the `.prom` sibling).
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
-use matador_datasets::{generate, DatasetKind};
+use matador_bench::eval::bad_arg;
+use matador_bench::harness::{self, write_outputs, Flags, Kws6};
 use matador_serve::{EngineBackend, ServeOptions, ShardPool};
 use matador_sim::CompiledAccelerator;
 use std::time::Instant;
 use tsetlin::bits::BitVec;
 
 fn main() {
-    match run() {
-        Ok(true) => {}
-        Ok(false) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-struct BenchArgs {
-    shards: Vec<usize>,
-    batch: usize,
-    repeats: usize,
-    out: String,
-    metrics_out: Option<String>,
-    assert_speedup: Option<f64>,
-    assert_monotone: bool,
-    assert_obs_overhead: Option<f64>,
-    sweep_chunk: bool,
-    opts: EvalOptions,
-}
-
-fn parse_args() -> Result<BenchArgs, matador::Error> {
-    let mut shards = vec![1, 4, 8];
-    let mut batch: Option<usize> = None;
-    let mut repeats = 5usize;
-    let mut out = "BENCH_inference.json".to_string();
-    let mut metrics_out = None;
-    let mut assert_speedup = None;
-    let mut assert_monotone = false;
-    let mut assert_obs_overhead = None;
-    let mut sweep_chunk = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => shards = parse_positive_list(&arg, args.next())?,
-            "--batch" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--batch requires a value"))?;
-                batch = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| bad_arg(format!("--batch '{value}' is not positive")))?,
-                );
-            }
-            "--repeats" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--repeats requires a value"))?;
-                repeats = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad_arg(format!("--repeats '{value}' is not positive")))?;
-            }
-            "--out" => {
-                out = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--out requires a path"))?;
-            }
-            "--assert-turbo-speedup" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--assert-turbo-speedup requires a factor"))?;
-                assert_speedup = Some(value.parse::<f64>().ok().filter(|x| *x > 0.0).ok_or_else(
-                    || bad_arg(format!("--assert-turbo-speedup '{value}' is not positive")),
-                )?);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    args.next()
-                        .ok_or_else(|| bad_arg("--metrics-out requires a path"))?,
-                );
-            }
-            "--assert-shard-monotone" => assert_monotone = true,
-            "--assert-obs-overhead" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--assert-obs-overhead requires a percentage"))?;
-                assert_obs_overhead = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|x| *x > 0.0)
-                        .ok_or_else(|| {
-                            bad_arg(format!("--assert-obs-overhead '{value}' is not positive"))
-                        })?,
-                );
-            }
-            "--sweep-chunk" => sweep_chunk = true,
-            _ => rest.push(arg),
-        }
-    }
-    let opts = EvalOptions::from_args(rest)?;
-    // The cycle-accurate baseline dominates wall-clock; size the batch so
-    // full runs stay in seconds, not minutes.
-    let batch = batch.unwrap_or(1024);
-    Ok(BenchArgs {
-        shards,
-        batch,
-        repeats,
-        out,
-        metrics_out,
-        assert_speedup,
-        assert_monotone,
-        assert_obs_overhead,
-        sweep_chunk,
-        opts,
-    })
+    harness::main(run);
 }
 
 struct Cell {
@@ -238,55 +124,69 @@ fn measure(
 }
 
 fn run() -> Result<bool, matador::Error> {
-    let args = parse_args()?;
-    let kind = DatasetKind::Kws6;
-    let opts = &args.opts;
-    let threads = matador_par::configured_threads();
+    let flags = Flags::parse(
+        &[
+            "--shards",
+            "--batch",
+            "--repeats",
+            "--out",
+            "--metrics-out",
+            "--assert-turbo-speedup",
+            "--assert-obs-overhead",
+        ],
+        &["--assert-shard-monotone", "--sweep-chunk"],
+    )?;
+    let shard_counts = flags.list("--shards")?.unwrap_or(vec![1, 4, 8]);
+    // The cycle-accurate baseline dominates wall-clock; size the batch so
+    // full runs stay in seconds, not minutes.
+    let batch_size = flags.positive("--batch")?.unwrap_or(1024);
+    let repeats = flags.positive("--repeats")?.unwrap_or(5usize);
+    let out = flags
+        .string("--out")
+        .unwrap_or_else(|| "BENCH_inference.json".to_string());
+    let assert_speedup: Option<f64> = flags.positive("--assert-turbo-speedup")?;
+    let assert_monotone = flags.switch("--assert-shard-monotone");
+    // The gate compares consecutive shard counts: with one count there
+    // is no pair to compare and it would pass vacuously.
+    if assert_monotone && shard_counts.len() < 2 {
+        return Err(bad_arg(format!(
+            "--assert-shard-monotone needs at least two --shards counts, got {shard_counts:?}"
+        )));
+    }
+    let assert_obs_overhead: Option<f64> = flags.positive("--assert-obs-overhead")?;
+    let opts = &flags.opts;
+    let kind = Kws6::KIND;
     let chunk_threshold = matador_sim::configured_chunk_threshold();
     // Main cells run with recording live — the throughput this harness
     // tracks per commit is the one operators get, metrics and all. The
     // obs-overhead gate below toggles this off for its baseline cell.
     matador_obs::set_enabled(true);
 
-    eprintln!("[infer_bench] {kind}: training model + generating accelerator…");
-    let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
-    let config = matador::config::MatadorConfig::builder()
-        .design_name("infer_bench")
-        .build()
-        .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
-    let accel = design.compile_for_sim();
-    let batch: Vec<BitVec> = (0..args.batch)
-        .map(|i| data.test[i % data.test.len()].input.clone())
-        .collect();
+    let kws = Kws6::train("infer_bench", opts);
+    let threads = kws.threads;
+    let accel = kws.design("infer_bench", None).compile_for_sim();
+    let batch = kws.inputs(batch_size);
 
     println!(
         "infer_bench — {kind} design, {} packets/datapoint, batch {}, seed {}, {} worker \
          thread(s), chunk threshold {}, best of {} serves",
         accel.shape().num_packets(),
-        args.batch,
+        batch_size,
         opts.seed,
         threads,
         chunk_threshold,
-        args.repeats
+        repeats
     );
-    println!(
-        "(host wall-clock inf/s; model cache {}h/{}m, design cache {}h/{}m)\n",
-        ModelCache::global().hits(),
-        ModelCache::global().misses(),
-        DesignCache::global().hits(),
-        DesignCache::global().misses()
-    );
+    println!("(host wall-clock inf/s; {})\n", harness::cache_counts());
 
     let mut cells: Vec<Cell> = Vec::new();
     for backend in [EngineBackend::CycleAccurate, EngineBackend::Turbo] {
-        for &shards in &args.shards {
+        for &shards in &shard_counts {
             // The cycle-accurate baseline is deterministic and slow:
             // one repeat is representative and keeps full runs short.
             let repeats = match backend {
                 EngineBackend::CycleAccurate => 1,
-                EngineBackend::Turbo => args.repeats,
+                EngineBackend::Turbo => repeats,
             };
             let options = ServeOptions {
                 backend,
@@ -328,7 +228,7 @@ fn run() -> Result<bool, matador::Error> {
             threads: Some(t),
             ..ServeOptions::turbo(1)
         };
-        let cell = measure(&accel, options, &batch, args.repeats);
+        let cell = measure(&accel, options, &batch, repeats);
         println!(
             "  turbo shards=1 threads={t:<2} {:>12.0} inf/s  ({:.3}s, x{})",
             cell.inf_s, cell.wall_s, cell.iters_per_repeat
@@ -341,14 +241,14 @@ fn run() -> Result<bool, matador::Error> {
     // of thresholds. Low thresholds fan small batches out aggressively;
     // `u64::MAX` forces the serial path at any batch size.
     let mut sweep_rows: Vec<(u64, f64, usize)> = Vec::new();
-    if args.sweep_chunk {
+    if flags.switch("--sweep-chunk") {
         println!();
         for threshold in [1u64 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, u64::MAX] {
             let options = ServeOptions {
                 chunk_threshold: Some(threshold),
                 ..ServeOptions::turbo(1)
             };
-            let cell = measure(&accel, options, &batch, args.repeats);
+            let cell = measure(&accel, options, &batch, repeats);
             println!(
                 "  turbo shards=1 chunk_threshold={threshold:<20} {:>12.0} inf/s",
                 cell.inf_s
@@ -363,8 +263,8 @@ fn run() -> Result<bool, matador::Error> {
     // Both are best-of-repeats over ≥50 ms windows, so scheduler noise
     // largely cancels; the paired reading is what the release gate and
     // the artifact record.
-    let obs_overhead = args.assert_obs_overhead.map(|_| {
-        let repeats = args.repeats.max(7);
+    let obs_overhead = assert_obs_overhead.map(|_| {
+        let repeats = repeats.max(7);
         matador_obs::set_enabled(false);
         let off = measure(&accel, ServeOptions::turbo(1), &batch, repeats);
         matador_obs::set_enabled(true);
@@ -382,26 +282,19 @@ fn run() -> Result<bool, matador::Error> {
     // The baseline is the cycle-accurate backend at the first *listed*
     // shard count (1 in the default and CI invocations) — recorded in the
     // artifact so rows are never mislabeled under a custom --shards list.
-    let baseline_shards = args.shards[0];
+    let baseline_shards = shard_counts[0];
     let baseline = cells
         .iter()
         .find(|c| c.backend == EngineBackend::CycleAccurate && c.shards == baseline_shards)
         .expect("first cell is the baseline")
         .inf_s;
-    let mut artifact = BenchArtifact::new(
-        "inference_throughput",
-        kind.to_string(),
-        args.batch,
-        opts.seed,
-        threads,
-    );
-    artifact.push_run_metadata();
+    let mut artifact = kws.artifact("inference_throughput", batch_size, opts.seed);
     artifact.push_field(
         "baseline",
         format!("{{\"backend\": \"cycle_accurate\", \"shards\": {baseline_shards}}}"),
     );
     artifact.push_field("chunk_threshold", chunk_threshold.to_string());
-    artifact.push_field("repeats", args.repeats.to_string());
+    artifact.push_field("repeats", repeats.to_string());
     if let Some((off, on, overhead_pct)) = &obs_overhead {
         artifact.push_field(
             "obs_overhead",
@@ -436,16 +329,14 @@ fn run() -> Result<bool, matador::Error> {
              \"iters_per_repeat\": {iters}}}"
         ));
     }
-    artifact.write(&args.out).map_err(matador::Error::other)?;
-    println!("\nwrote {}", args.out);
-    if let Some(path) = &args.metrics_out {
-        let prom = write_metrics_snapshot(path, "inference_throughput_metrics", "KWS-6", opts.seed)
-            .map_err(matador::Error::other)?;
-        println!("wrote {path} + {prom}");
-    }
+    write_outputs(
+        &artifact,
+        Some(&out),
+        flags.string("--metrics-out").as_deref(),
+    )?;
 
     let mut ok = true;
-    if let Some(max_pct) = args.assert_obs_overhead {
+    if let Some(max_pct) = assert_obs_overhead {
         let (_, _, overhead_pct) = obs_overhead.as_ref().expect("measured above");
         if *overhead_pct > max_pct {
             eprintln!(
@@ -457,7 +348,7 @@ fn run() -> Result<bool, matador::Error> {
             println!("obs-overhead gate passed: {overhead_pct:+.2}% <= {max_pct:.2}%");
         }
     }
-    if let Some(min_speedup) = args.assert_speedup {
+    if let Some(min_speedup) = assert_speedup {
         let turbo = cells
             .iter()
             .find(|c| c.backend == EngineBackend::Turbo && c.shards == baseline_shards)
@@ -478,7 +369,7 @@ fn run() -> Result<bool, matador::Error> {
             );
         }
     }
-    if args.assert_monotone {
+    if assert_monotone {
         // Adding turbo shards must never *lose* throughput in listed
         // order. The 0.9 factor absorbs runner noise: consolidated small
         // flushes make extra shards a no-op, so "equal within 10%" is the
@@ -500,7 +391,7 @@ fn run() -> Result<bool, matador::Error> {
             }
         }
         if ok {
-            println!("shard-monotone gate passed across shards {:?}", args.shards);
+            println!("shard-monotone gate passed across shards {shard_counts:?}");
         }
     }
     Ok(ok)

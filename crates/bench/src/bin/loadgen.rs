@@ -32,152 +32,17 @@
 //! that catches coalescer regressions (a lost flush trigger shows up as
 //! an unbounded tail long before it dents the mean).
 
-use matador_bench::eval::{bad_arg, model_key_for, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
-use matador_datasets::{generate, DatasetKind};
+use matador_bench::harness::{self, exp_gap, write_outputs, Flags, Kws6};
 use matador_obs::Registry;
 use matador_serve::{
     percentile_per_mille, FlushTrigger, Front, FrontOptions, ServeOptions, ShardPool,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use tsetlin::bits::BitVec;
 
 fn main() {
-    match run() {
-        Ok(true) => {}
-        Ok(false) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-struct LoadArgs {
-    shards: usize,
-    requests: usize,
-    tenants: u32,
-    utilization_pct: u64,
-    slo_cycles: Option<u64>,
-    out: String,
-    metrics_out: Option<String>,
-    assert_tail: Option<f64>,
-    opts: EvalOptions,
-}
-
-fn parse_args() -> Result<LoadArgs, matador::Error> {
-    let mut shards = 4usize;
-    let mut requests: Option<usize> = None;
-    let mut tenants = 4u32;
-    let mut utilization_pct = 60u64;
-    let mut slo_cycles = None;
-    let mut out = "BENCH_serve_tail.json".to_string();
-    let mut metrics_out = None;
-    let mut assert_tail = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--shards requires a value"))?;
-                shards = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad_arg(format!("--shards '{value}' is not positive")))?;
-            }
-            "--requests" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--requests requires a value"))?;
-                requests = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| bad_arg(format!("--requests '{value}' is not positive")))?,
-                );
-            }
-            "--tenants" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--tenants requires a value"))?;
-                tenants = value
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad_arg(format!("--tenants '{value}' is not positive")))?;
-            }
-            "--utilization-pct" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--utilization-pct requires a value"))?;
-                utilization_pct = value
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0 && n <= 100)
-                    .ok_or_else(|| {
-                        bad_arg(format!("--utilization-pct '{value}' is not in 1..=100"))
-                    })?;
-            }
-            "--slo-cycles" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--slo-cycles requires a value"))?;
-                slo_cycles = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            bad_arg(format!("--slo-cycles '{value}' is not positive"))
-                        })?,
-                );
-            }
-            "--out" => {
-                out = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--out requires a path"))?;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    args.next()
-                        .ok_or_else(|| bad_arg("--metrics-out requires a path"))?,
-                );
-            }
-            "--assert-tail" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| bad_arg("--assert-tail requires a factor"))?;
-                assert_tail = Some(value.parse::<f64>().ok().filter(|x| *x >= 1.0).ok_or_else(
-                    || bad_arg(format!("--assert-tail '{value}' must be a factor >= 1")),
-                )?);
-            }
-            _ => rest.push(arg),
-        }
-    }
-    let opts = EvalOptions::from_args(rest)?;
-    // Quick runs are the CI shape: enough arrivals for a meaningful
-    // p99.9 (rank ≥ 4 at 4000 samples) without dominating the job.
-    let requests = requests.unwrap_or(if opts.sizes == matador_datasets::SplitSizes::QUICK {
-        4_000
-    } else {
-        20_000
-    });
-    Ok(LoadArgs {
-        shards,
-        requests,
-        tenants,
-        utilization_pct,
-        slo_cycles,
-        out,
-        metrics_out,
-        assert_tail,
-        opts,
-    })
+    harness::main(run);
 }
 
 /// One synthesized arrival process. Both traces share the mean rate;
@@ -208,13 +73,6 @@ struct TraceResult {
     pressure: u64,
     idle: u64,
     drains: u64,
-}
-
-/// Exponential inter-arrival gap with the given mean, in whole cycles.
-/// `1 - u` keeps the argument of `ln` strictly positive for u ∈ [0, 1).
-fn exp_gap(rng: &mut SmallRng, mean: f64) -> u64 {
-    let u: f64 = rng.gen();
-    (-mean * (1.0 - u).ln()).round() as u64
 }
 
 /// The shared shape of the offered load: identical for every trace in a
@@ -288,24 +146,56 @@ fn run_trace(
 }
 
 fn run() -> Result<bool, matador::Error> {
-    let args = parse_args()?;
-    let kind = DatasetKind::Kws6;
-    let opts = &args.opts;
-    let threads = matador_par::configured_threads();
+    let flags = Flags::parse(
+        &[
+            "--shards",
+            "--requests",
+            "--tenants",
+            "--utilization-pct",
+            "--slo-cycles",
+            "--out",
+            "--metrics-out",
+            "--assert-tail",
+        ],
+        &[],
+    )?;
+    let opts = &flags.opts;
+    let shards = flags.positive("--shards")?.unwrap_or(4usize);
+    // Quick runs are the CI shape: enough arrivals for a meaningful
+    // p99.9 (rank ≥ 4 at 4000 samples) without dominating the job.
+    let requests = flags.positive("--requests")?.unwrap_or(
+        if opts.sizes == matador_datasets::SplitSizes::QUICK {
+            4_000
+        } else {
+            20_000
+        },
+    );
+    let tenants = flags.positive("--tenants")?.unwrap_or(4u32);
+    let utilization_pct = flags
+        .value(
+            "--utilization-pct",
+            |n| (1..=100).contains(n),
+            "is not in 1..=100",
+        )?
+        .unwrap_or(60u64);
+    let slo_cycles: Option<u64> = flags.positive("--slo-cycles")?;
+    let out = flags
+        .string("--out")
+        .unwrap_or_else(|| "BENCH_serve_tail.json".to_string());
+    let assert_tail = flags.value(
+        "--assert-tail",
+        |x: &f64| *x >= 1.0,
+        "must be a factor >= 1",
+    )?;
+
+    let kind = Kws6::KIND;
     // The trigger mix and admission counts below are counter deltas, so
     // recording must be on regardless of the MATADOR_METRICS default.
     matador_obs::set_enabled(true);
 
-    eprintln!("[loadgen] {kind}: training model + generating accelerator…");
-    let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
-    let config = matador::config::MatadorConfig::builder()
-        .design_name("loadgen")
-        .build()
-        .expect("default configuration is valid");
-    let design = DesignCache::global().generate_cached(&model, &config, threads);
-    let accel = design.compile_for_sim();
-    let inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
+    let kws = Kws6::train("loadgen", opts);
+    let accel = kws.design("loadgen", None).compile_for_sim();
+    let inputs = kws.inputs(kws.data.test.len());
 
     let traces = [
         TraceSpec {
@@ -318,35 +208,27 @@ fn run() -> Result<bool, matador::Error> {
         },
     ];
 
-    let mut artifact = BenchArtifact::new(
-        "serve_tail_latency",
-        kind.to_string(),
-        args.requests,
-        opts.seed,
-        threads,
-    );
-    artifact.push_run_metadata();
+    let mut artifact = kws.artifact("serve_tail_latency", requests, opts.seed);
     let mut results: Vec<TraceResult> = Vec::new();
     let mut header_printed = false;
     for trace in &traces {
-        let pool = ShardPool::with_options(&accel, ServeOptions::turbo(args.shards))
+        let pool = ShardPool::with_options(&accel, ServeOptions::turbo(shards))
             .map_err(matador::Error::other)?;
         let mut front = Front::new(pool, FrontOptions::new()).map_err(matador::Error::other)?;
         // Arrival rate targets `utilization_pct` of the pool's modeled
         // drain bandwidth: one request per II across `shards` engines.
         let mean_gap = front.pool().modeled_ii_cycles() as f64 * 100.0
-            / (args.shards as f64 * args.utilization_pct as f64);
-        let slo = args
-            .slo_cycles
+            / (shards as f64 * utilization_pct as f64);
+        let slo = slo_cycles
             .unwrap_or_else(|| 2 * front.drain_estimate_cycles(FrontOptions::new().lane_block));
         if !header_printed {
             println!(
                 "loadgen — {kind} design, {} packets/datapoint, shards {}, {} requests, \
                  {} tenant(s), mean gap {mean_gap:.1} cyc, SLO {slo} cyc, seed {}",
                 accel.shape().num_packets(),
-                args.shards,
-                args.requests,
-                args.tenants,
+                shards,
+                requests,
+                tenants,
                 opts.seed
             );
             println!("(virtual-time open loop; latencies are admission → delivery)\n");
@@ -357,8 +239,8 @@ fn run() -> Result<bool, matador::Error> {
             trace,
             &inputs,
             &LoadSpec {
-                requests: args.requests,
-                tenants: args.tenants,
+                requests,
+                tenants,
                 mean_gap,
                 slo,
                 seed: opts.seed,
@@ -384,8 +266,8 @@ fn run() -> Result<bool, matador::Error> {
              \"latency_p999_cycles\": {}, \"batches_fill\": {}, \"batches_pressure\": {}, \
              \"batches_idle\": {}, \"batches_drain\": {}}}",
             result.name,
-            args.shards,
-            args.tenants,
+            shards,
+            tenants,
             result.offered,
             result.admitted,
             result.delivered,
@@ -401,13 +283,11 @@ fn run() -> Result<bool, matador::Error> {
         results.push(result);
     }
 
-    artifact.write(&args.out).map_err(matador::Error::other)?;
-    println!("\nwrote {}", args.out);
-    if let Some(path) = &args.metrics_out {
-        let prom = write_metrics_snapshot(path, "serve_tail_latency_metrics", "KWS-6", opts.seed)
-            .map_err(matador::Error::other)?;
-        println!("wrote {path} + {prom}");
-    }
+    write_outputs(
+        &artifact,
+        Some(&out),
+        flags.string("--metrics-out").as_deref(),
+    )?;
 
     let mut ok = true;
     for result in &results {
@@ -421,7 +301,7 @@ fn run() -> Result<bool, matador::Error> {
             ok = false;
         }
     }
-    if let Some(factor) = args.assert_tail {
+    if let Some(factor) = assert_tail {
         let steady = results
             .iter()
             .find(|r| r.name == "poisson")

@@ -22,71 +22,15 @@
 //! metrics registry after the sweep: JSON at `PATH`, Prometheus text at
 //! the `.prom` sibling.
 
-use matador_bench::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
-use matador_bench::{write_metrics_snapshot, BenchArtifact, DesignCache, ModelCache};
-use matador_datasets::{generate, DatasetKind};
+use matador_bench::eval::bad_arg;
+use matador_bench::harness::{self, write_outputs, Flags, Kws6};
+use matador_bench::ModelCache;
 use matador_serve::{DispatchPolicy, ServeOptions, ShardPool};
 use matador_sim::CompiledAccelerator;
 use tsetlin::bits::BitVec;
 
 fn main() {
-    match run() {
-        Ok(true) => {}
-        Ok(false) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Sweep-specific flags, split off before [`EvalOptions`] parsing.
-struct SweepArgs {
-    shards: Vec<usize>,
-    batches: Vec<usize>,
-    assert_scaling: bool,
-    json: Option<String>,
-    metrics_out: Option<String>,
-    opts: EvalOptions,
-}
-
-fn parse_args() -> Result<SweepArgs, matador::Error> {
-    let mut shards = vec![1, 2, 4, 8];
-    let mut batches = vec![16, 64, 256];
-    let mut assert_scaling = false;
-    let mut json = None;
-    let mut metrics_out = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => shards = parse_positive_list(&arg, args.next())?,
-            "--batches" => batches = parse_positive_list(&arg, args.next())?,
-            "--assert-scaling" => assert_scaling = true,
-            "--json" => {
-                json = Some(
-                    args.next()
-                        .ok_or_else(|| bad_arg("--json requires a path"))?,
-                );
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    args.next()
-                        .ok_or_else(|| bad_arg("--metrics-out requires a path"))?,
-                );
-            }
-            _ => rest.push(arg),
-        }
-    }
-    let opts = EvalOptions::from_args(rest)?;
-    Ok(SweepArgs {
-        shards,
-        batches,
-        assert_scaling,
-        json,
-        metrics_out,
-        opts,
-    })
+    harness::main(run);
 }
 
 /// One measured cell of the sweep.
@@ -114,29 +58,30 @@ fn measure(accel: &CompiledAccelerator, shards: usize, batch: &[BitVec], clock: 
 }
 
 fn run() -> Result<bool, matador::Error> {
-    let args = parse_args()?;
-    let kind = DatasetKind::Kws6;
-    let opts = &args.opts;
+    let flags = Flags::parse(
+        &["--shards", "--batches", "--json", "--metrics-out"],
+        &["--assert-scaling"],
+    )?;
+    let shards = flags.list("--shards")?.unwrap_or(vec![1, 2, 4, 8]);
+    let batches = flags.list("--batches")?.unwrap_or(vec![16, 64, 256]);
+    let assert_scaling = flags.switch("--assert-scaling");
+    // The gate compares every listed shard count with the first: with
+    // one count there is nothing to compare and it would pass vacuously.
+    if assert_scaling && shards.len() < 2 {
+        return Err(bad_arg(format!(
+            "--assert-scaling needs at least two --shards counts, got {shards:?}"
+        )));
+    }
+    let opts = &flags.opts;
+    let kind = Kws6::KIND;
     // Sweep with recording live, so a --metrics-out dump is populated
     // and the tracked numbers include the record path.
     matador_obs::set_enabled(true);
 
-    eprintln!("[serve_sweep] {kind}: training model + generating accelerator…");
-    let data = generate(kind, opts.sizes, opts.seed);
-    let model = ModelCache::global().train_cached(
-        &model_key_for(kind, opts),
-        &data.train,
-        matador_par::configured_threads(),
-    );
-    let config = matador::config::MatadorConfig::builder()
-        .design_name("serve_sweep")
-        .build()
-        .expect("default configuration is valid");
-    let design =
-        DesignCache::global().generate_cached(&model, &config, matador_par::configured_threads());
+    let kws = Kws6::train("serve_sweep", opts);
+    let design = kws.design("serve_sweep", None);
     let clock = design.implement().clock_mhz;
     let accel = design.compile_for_sim();
-    let test_inputs: Vec<BitVec> = data.test.iter().map(|s| s.input.clone()).collect();
 
     println!(
         "serve_sweep — {kind} design, {} packets/datapoint, clock {clock:.0} MHz, \
@@ -151,8 +96,7 @@ fn run() -> Result<bool, matador::Error> {
         ModelCache::global().misses()
     );
 
-    let header: Vec<String> = args
-        .shards
+    let header: Vec<String> = shards
         .iter()
         .map(|s| format!("{:>21}", format!("shards={s}")))
         .collect();
@@ -163,22 +107,12 @@ fn run() -> Result<bool, matador::Error> {
     );
 
     let mut gate_passed = true;
-    let gate_batch = *args.batches.iter().max().expect("non-empty");
+    let gate_batch = *batches.iter().max().expect("non-empty");
     let mut final_row: Vec<(usize, Cell)> = Vec::new();
-    let mut artifact = BenchArtifact::new(
-        "serve_throughput",
-        kind.to_string(),
-        gate_batch,
-        opts.seed,
-        matador_par::configured_threads(),
-    );
-    artifact.push_run_metadata();
-    for &batch_size in &args.batches {
-        let batch: Vec<BitVec> = (0..batch_size)
-            .map(|i| test_inputs[i % test_inputs.len()].clone())
-            .collect();
-        let cells: Vec<(usize, Cell)> = args
-            .shards
+    let mut artifact = kws.artifact("serve_throughput", gate_batch, opts.seed);
+    for &batch_size in &batches {
+        let batch = kws.inputs(batch_size);
+        let cells: Vec<(usize, Cell)> = shards
             .iter()
             .map(|&s| (s, measure(&accel, s, &batch, clock)))
             .collect();
@@ -224,17 +158,13 @@ fn run() -> Result<bool, matador::Error> {
         );
     }
 
-    if let Some(path) = &args.json {
-        artifact.write(path).map_err(matador::Error::other)?;
-        println!("\nwrote {path}");
-    }
-    if let Some(path) = &args.metrics_out {
-        let prom = write_metrics_snapshot(path, "serve_throughput_metrics", "KWS-6", opts.seed)
-            .map_err(matador::Error::other)?;
-        println!("wrote {path} + {prom}");
-    }
+    write_outputs(
+        &artifact,
+        flags.string("--json").as_deref(),
+        flags.string("--metrics-out").as_deref(),
+    )?;
 
-    if args.assert_scaling {
+    if assert_scaling {
         for (s, cell) in &final_row[1..] {
             if cell.inf_s <= baseline {
                 eprintln!(

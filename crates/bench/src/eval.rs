@@ -144,8 +144,10 @@ impl EvalOptions {
 }
 
 /// Wraps a malformed harness-flag diagnostic into the unified error type
-/// — the single helper behind every bin's ad-hoc flag parsing
-/// (`serve_sweep`, `hetero_sweep`, `infer_bench`).
+/// — the single helper behind every flag error of the six serving
+/// harnesses (`chaos_bench`, `infer_bench`, `loadgen`, `hetero_sweep`,
+/// `serve_sweep`, `compile_bench`), which parse through
+/// [`crate::harness::Flags`].
 pub fn bad_arg(message: impl Into<String>) -> matador::Error {
     matador::Error::other(std::io::Error::new(
         std::io::ErrorKind::InvalidInput,
@@ -158,14 +160,10 @@ pub fn bad_arg(message: impl Into<String>) -> matador::Error {
 ///
 /// # Errors
 ///
-/// Returns a [`bad_arg`] error when the value is missing, empty, or
-/// contains a non-positive / unparseable entry.
-pub fn parse_positive_list(
-    flag: &str,
-    value: Option<String>,
-) -> Result<Vec<usize>, matador::Error> {
-    let value = value.ok_or_else(|| bad_arg(format!("{flag} requires a comma-separated list")))?;
-    let list: Vec<usize> = value
+/// Returns a [`bad_arg`] error when the value is empty or contains a
+/// non-positive / unparseable entry.
+pub fn parse_positive_list(flag: &str, value: &str) -> Result<Vec<usize>, matador::Error> {
+    value
         .split(',')
         .map(|tok| {
             tok.trim()
@@ -174,11 +172,7 @@ pub fn parse_positive_list(
                 .filter(|&n| n > 0)
                 .ok_or_else(|| bad_arg(format!("{flag} entry '{tok}' is not a positive integer")))
         })
-        .collect::<Result<_, _>>()?;
-    if list.is_empty() {
-        return Err(bad_arg(format!("{flag} list is empty")));
-    }
-    Ok(list)
+        .collect()
 }
 
 /// TM hyperparameters used for a dataset (Table II's right column plus the
@@ -425,15 +419,10 @@ mod tests {
     #[test]
     fn positive_list_parsing_is_shared_and_typed() {
         assert_eq!(
-            parse_positive_list("--shards", Some("1, 2,8".to_string())).expect("valid"),
+            parse_positive_list("--shards", "1, 2,8").expect("valid"),
             vec![1, 2, 8]
         );
-        for bad in [
-            None,
-            Some(String::new()),
-            Some("1,0".into()),
-            Some("x".into()),
-        ] {
+        for bad in ["", "1,0", "x"] {
             let err = parse_positive_list("--shards", bad).unwrap_err();
             assert!(err.to_string().contains("--shards"), "{err}");
         }

@@ -6,6 +6,13 @@
 //! modeling for the FINN side, and the row formatting that mirrors the
 //! paper's Table I layout.
 //!
+//! The six serving harnesses — `chaos_bench`, `infer_bench`, `loadgen`,
+//! `hetero_sweep`, `serve_sweep` and `compile_bench` — drive the KWS-6
+//! design through `matador-serve` and gate it in CI. They share one flag
+//! reader, one KWS-6 train/generate setup and one artifact epilogue in
+//! [`harness`], and write [`BenchArtifact`]s (plus, with
+//! `--metrics-out`, a [`write_metrics_snapshot`] of the metrics registry).
+//!
 //! Every binary accepts `--quick` (smaller splits/epochs, CI-friendly) and
 //! `--seed <n>`. Trained models are memoized through [`cache::ModelCache`]
 //! and generated designs through [`cache::DesignCache`] (in-process
@@ -16,6 +23,7 @@
 pub mod benchjson;
 pub mod cache;
 pub mod eval;
+pub mod harness;
 pub mod metrics_out;
 pub mod table;
 

@@ -42,6 +42,9 @@ fn loadgen_rejects_malformed_flags() {
     );
     assert_rejected(bin, &["--assert-tail", "0.5"], &["--assert-tail", "'0.5'"]);
     assert_rejected(bin, &["--out"], &["--out"]);
+    // A value flag must not swallow the next flag as its value: this
+    // once ran the whole drill and wrote an artifact named `--seed`.
+    assert_rejected(bin, &["--quick", "--out", "--seed"], &["--out", "'--seed'"]);
 }
 
 #[test]
@@ -65,6 +68,12 @@ fn infer_bench_rejects_malformed_flags() {
         &["--assert-obs-overhead", "'0'"],
     );
     assert_rejected(bin, &["--shards", "1,,2"], &["--shards", "''"]);
+    // One shard count leaves the monotonicity gate nothing to compare.
+    assert_rejected(
+        bin,
+        &["--shards", "1", "--assert-shard-monotone"],
+        &["--assert-shard-monotone", "--shards", "[1]"],
+    );
 }
 
 #[test]
@@ -72,6 +81,13 @@ fn serve_sweep_rejects_malformed_flags() {
     let bin = env!("CARGO_BIN_EXE_serve_sweep");
     assert_rejected(bin, &["--batches", "0"], &["--batches", "'0'"]);
     assert_rejected(bin, &["--seed", "abc"], &["--seed", "'abc'"]);
+    assert_rejected(bin, &["--json", "--quick"], &["--json", "'--quick'"]);
+    // One shard count leaves the scaling gate nothing to compare.
+    assert_rejected(
+        bin,
+        &["--quick", "--shards", "4", "--assert-scaling"],
+        &["--assert-scaling", "--shards", "[4]"],
+    );
 }
 
 #[test]
