@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
 use tsetlin::model::TrainedModel;
-use tsetlin::params::TmParams;
+use tsetlin::params::{SampleError, TmParams};
 use tsetlin::tm::MultiClassTm;
 use tsetlin::Sample;
 
@@ -23,6 +23,10 @@ use tsetlin::Sample;
 pub enum FlowError {
     /// [`MatadorFlow::run`] was given an empty training set.
     EmptyTrainingSet,
+    /// [`MatadorFlow::run`] was given a training sample that does not fit
+    /// the machine (label out of range or wrong input width); the error
+    /// names the sample's index and the offending value.
+    InvalidTrainingSample(SampleError),
     /// [`MatadorFlow::run_with_model`] was given an empty test set, so
     /// there is nothing to verify or characterize against.
     EmptyTestSet,
@@ -32,12 +36,20 @@ impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FlowError::EmptyTrainingSet => write!(f, "flow requires a non-empty training set"),
+            FlowError::InvalidTrainingSample(e) => write!(f, "invalid training set: {e}"),
             FlowError::EmptyTestSet => write!(f, "flow requires a non-empty test set"),
         }
     }
 }
 
-impl std::error::Error for FlowError {}
+impl std::error::Error for FlowError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FlowError::InvalidTrainingSample(e) => Some(e),
+            FlowError::EmptyTrainingSet | FlowError::EmptyTestSet => None,
+        }
+    }
+}
 
 /// Training inputs for the flow.
 #[derive(Debug, Clone)]
@@ -158,8 +170,10 @@ impl MatadorFlow {
     /// # Errors
     ///
     /// Returns [`FlowError::EmptyTrainingSet`] (as [`crate::Error::Flow`])
-    /// when `train` is empty, plus every error
-    /// [`MatadorFlow::run_with_model`] can produce.
+    /// when `train` is empty, [`FlowError::InvalidTrainingSample`] when a
+    /// sample's label or input width does not fit `spec.params` (the
+    /// check training itself makes, [`TmParams::check_samples`]), plus
+    /// every error [`MatadorFlow::run_with_model`] can produce.
     pub fn run(
         &self,
         spec: TrainSpec,
@@ -169,6 +183,9 @@ impl MatadorFlow {
         if train.is_empty() {
             return Err(FlowError::EmptyTrainingSet.into());
         }
+        spec.params
+            .check_samples(train)
+            .map_err(FlowError::InvalidTrainingSample)?;
         let mut tm = MultiClassTm::new(spec.params);
         let mut rng = SmallRng::seed_from_u64(spec.seed);
         tm.fit_with_threads(train, spec.epochs, &mut rng, self.effective_threads());
@@ -533,6 +550,54 @@ mod tests {
             crate::Error::Flow(FlowError::EmptyTrainingSet)
         ));
         assert!(err.to_string().contains("training set"));
+    }
+
+    #[test]
+    fn out_of_range_label_is_a_typed_error() {
+        let (mut train, test) = tiny_task();
+        train[5].label = 7;
+        let config = MatadorConfig::builder()
+            .bus_width(4)
+            .build()
+            .expect("valid");
+        let err = MatadorFlow::new(config)
+            .run(spec(), &train, &test)
+            .expect_err("a label past the class count must be rejected");
+        assert!(matches!(
+            err,
+            crate::Error::Flow(FlowError::InvalidTrainingSample(
+                SampleError::LabelOutOfRange {
+                    index: 5,
+                    label: 7,
+                    classes: 2
+                }
+            ))
+        ));
+        assert!(err.to_string().contains("sample 5"), "{err}");
+    }
+
+    #[test]
+    fn wrong_input_width_is_a_typed_error() {
+        let (mut train, test) = tiny_task();
+        train[9].input = BitVec::zeros(11);
+        let config = MatadorConfig::builder()
+            .bus_width(4)
+            .build()
+            .expect("valid");
+        let err = MatadorFlow::new(config)
+            .run(spec(), &train, &test)
+            .expect_err("an input of the wrong width must be rejected");
+        assert!(matches!(
+            err,
+            crate::Error::Flow(FlowError::InvalidTrainingSample(
+                SampleError::WidthMismatch {
+                    index: 9,
+                    width: 11,
+                    features: 12
+                }
+            ))
+        ));
+        assert!(err.to_string().contains("sample 9"), "{err}");
     }
 
     #[test]

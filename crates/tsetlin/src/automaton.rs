@@ -137,6 +137,28 @@ impl TsetlinAutomaton {
             Action::Exclude => self.state += 1,
         }
     }
+
+    /// One step toward include: a reward on the include side, a penalty
+    /// on the exclude side. Returns whether the action flipped to include.
+    #[inline]
+    pub(crate) fn step_include(&mut self) -> bool {
+        let flips = self.state == self.states_per_action;
+        if self.state < 2 * self.states_per_action {
+            self.state += 1;
+        }
+        flips
+    }
+
+    /// One step toward exclude: a reward on the exclude side, a penalty
+    /// on the include side. Returns whether the action flipped to exclude.
+    #[inline]
+    pub(crate) fn step_exclude(&mut self) -> bool {
+        let flips = self.state == self.states_per_action + 1;
+        if self.state > 1 {
+            self.state -= 1;
+        }
+        flips
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +201,29 @@ mod tests {
         let mut ta = TsetlinAutomaton::with_state(10, 5); // exclude side
         ta.reward();
         assert_eq!(ta.state(), 4);
+    }
+
+    #[test]
+    fn steps_are_reward_or_penalty_by_side() {
+        for n in [1u16, 2, 5] {
+            for state in 1..=2 * n {
+                let ta = TsetlinAutomaton::with_state(n, state);
+                let (mut include, mut exclude) = (ta, ta);
+                let (mut rewarded, mut penalized) = (ta, ta);
+                rewarded.reward();
+                penalized.penalize();
+                let (toward_include, toward_exclude) = match ta.action() {
+                    Action::Include => (rewarded, penalized),
+                    Action::Exclude => (penalized, rewarded),
+                };
+                let flipped = include.step_include();
+                assert_eq!(include, toward_include, "n {n} state {state}");
+                assert_eq!(flipped, include.action() != ta.action());
+                let flipped = exclude.step_exclude();
+                assert_eq!(exclude, toward_exclude, "n {n} state {state}");
+                assert_eq!(flipped, exclude.action() != ta.action());
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,21 @@
 //! A single clause: a team of Tsetlin Automata plus the propositional AND
 //! over the literals they include (Fig 1(b) / Fig 2 of the paper).
+//!
+//! # RNG contract
+//!
+//! [`Clause::type_i_feedback`] takes its draws in a fixed order: without
+//! `boost_true_positive`, a firing clause first draws one `u64` per
+//! literal that is 1 on the input (the `(s − 1)/s` include check, all
+//! `x_k` in ascending `k`, then all `¬x_k`); then every Type I call draws
+//! one `u64` per geometric gap of the `1/s` erosion walk over the `2n`
+//! literals, ending with the draw whose gap leaves the range. Each draw
+//! maps to its decision exactly as `gen::<f64>() < p` and
+//! `((k·2⁻⁵³).ln() / (1 − p).ln()) as usize` would (see
+//! [`crate::sampler`]). Type II feedback draws nothing.
 
 use crate::automaton::{Action, TsetlinAutomaton};
 use crate::bits::BitVec;
+use crate::sampler::TypeISampler;
 use rand::Rng;
 
 /// One conjunctive clause over `2n` literals.
@@ -89,48 +102,48 @@ impl Clause {
 
     /// Type I feedback: reinforces the clause toward matching `x`
     /// (combats false negatives). `clause_output` must be the value of
-    /// [`Clause::evaluate`] on the same input.
+    /// [`Clause::evaluate`] on the same input, and `sampler` the machine's
+    /// [`TypeISampler`] for specificity `s`.
     ///
     /// With output 1, literals that are 1 are nudged toward include with
     /// probability `(s-1)/s` (or 1 under `boost_true_positive`) and literals
     /// that are 0 toward exclude with probability `1/s`. With output 0,
     /// every literal is nudged toward exclude with probability `1/s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sampler` was built for fewer features than the clause has.
     pub fn type_i_feedback<R: Rng + ?Sized>(
         &mut self,
         x: &BitVec,
         clause_output: bool,
-        specificity: f64,
+        sampler: &TypeISampler,
         boost_true_positive: bool,
         rng: &mut R,
     ) {
         let n = self.num_features;
-        let p_low = 1.0 / specificity;
         if clause_output {
-            let p_high = 1.0 - p_low;
             // Literal value 1 → push toward include.
             if boost_true_positive {
                 for k in x.iter_ones() {
                     self.nudge_include(k);
                 }
-                for k in 0..n {
-                    if !x.get(k) {
-                        self.nudge_include(n + k);
-                    }
-                }
+                for_each_zero(x, n, |k| self.nudge_include(n + k));
             } else {
+                let include = sampler.include();
                 for k in x.iter_ones() {
-                    if rng.gen::<f64>() < p_high {
+                    if include.sample(rng) {
                         self.nudge_include(k);
                     }
                 }
-                for k in 0..n {
-                    if !x.get(k) && rng.gen::<f64>() < p_high {
+                for_each_zero(x, n, |k| {
+                    if include.sample(rng) {
                         self.nudge_include(n + k);
                     }
-                }
+                });
             }
             // Literal value 0 → push toward exclude with probability 1/s.
-            for_each_bernoulli(rng, 2 * n, p_low, |k| {
+            sampler.erode().for_each(rng, 2 * n, |k| {
                 let value = if k < n { x.get(k) } else { !x.get(k - n) };
                 if !value {
                     self.nudge_exclude(k);
@@ -138,7 +151,9 @@ impl Clause {
             });
         } else {
             // Clause silent: erode all includes with probability 1/s.
-            for_each_bernoulli(rng, 2 * n, p_low, |k| self.nudge_exclude(k));
+            sampler
+                .erode()
+                .for_each(rng, 2 * n, |k| self.nudge_exclude(k));
         }
     }
 
@@ -150,13 +165,14 @@ impl Clause {
             return;
         }
         let n = self.num_features;
-        for k in 0..n {
-            if !x.get(k) && self.ta[k].action() == Action::Exclude {
-                self.nudge_include(k);
-            }
-            if x.get(k) && self.ta[n + k].action() == Action::Exclude {
-                self.nudge_include(n + k);
-            }
+        // The candidates are the excluded literals that are 0 on `x`:
+        // `¬x ∧ ¬pos` among the `x_k`, `x ∧ ¬neg` among the `¬x_k`. Each
+        // nudge touches only its own literal, so the order is free.
+        for (w, &xw) in x.words().iter().enumerate() {
+            let pos = !xw & !self.include_pos.words()[w] & valid_bits(n, w);
+            let neg = xw & !self.include_neg.words()[w];
+            for_each_bit(pos, |b| self.nudge_include(64 * w + b));
+            for_each_bit(neg, |b| self.nudge_include(n + 64 * w + b));
         }
     }
 
@@ -172,28 +188,24 @@ impl Clause {
         }
     }
 
+    #[inline]
     fn nudge_include(&mut self, k: usize) {
-        let before = self.ta[k].action();
-        match before {
-            Action::Include => self.ta[k].reward(),
-            Action::Exclude => self.ta[k].penalize(),
-        }
-        if before == Action::Exclude && self.ta[k].action() == Action::Include {
+        if self.ta[k].step_include() {
             self.set_mask(k, true);
         }
     }
 
+    #[inline]
     fn nudge_exclude(&mut self, k: usize) {
-        let before = self.ta[k].action();
-        match before {
-            Action::Exclude => self.ta[k].reward(),
-            Action::Include => self.ta[k].penalize(),
-        }
-        if before == Action::Include && self.ta[k].action() == Action::Exclude {
+        if self.ta[k].step_exclude() {
             self.set_mask(k, false);
         }
     }
 
+    // Out of line: an action flips on few nudges, and keeping this off
+    // the nudges' path lets them inline into the feedback loops.
+    #[cold]
+    #[inline(never)]
     fn set_mask(&mut self, k: usize, value: bool) {
         if k < self.num_features {
             self.include_pos.set(k, value);
@@ -203,36 +215,26 @@ impl Clause {
     }
 }
 
-/// Visits each index in `0..m` independently with probability `p`, using
-/// geometric gap sampling so the expected RNG cost is `O(m·p)` rather than
-/// `O(m)` — the dominant cost of Type I feedback at TM scale.
-fn for_each_bernoulli<R: Rng + ?Sized>(
-    rng: &mut R,
-    m: usize,
-    p: f64,
-    mut visit: impl FnMut(usize),
-) {
-    if p <= 0.0 || m == 0 {
-        return;
+/// The bits of word `w` that hold one of `n` features.
+fn valid_bits(n: usize, w: usize) -> u64 {
+    match n - 64 * w {
+        rest @ 0..64 => (1 << rest) - 1,
+        _ => !0,
     }
-    if p >= 1.0 {
-        for i in 0..m {
-            visit(i);
-        }
-        return;
+}
+
+/// Calls `f` with each feature index `k < n` where `x` is 0, ascending.
+fn for_each_zero(x: &BitVec, n: usize, mut f: impl FnMut(usize)) {
+    for (w, &xw) in x.words().iter().enumerate() {
+        for_each_bit(!xw & valid_bits(n, w), |b| f(64 * w + b));
     }
-    let ln_q = (1.0 - p).ln();
-    let mut i = 0usize;
-    loop {
-        let u: f64 = rng.gen();
-        // Geometric(p) gap; `as usize` saturates on the u→0 infinity case.
-        let gap = (u.ln() / ln_q) as usize;
-        i = i.saturating_add(gap);
-        if i >= m {
-            return;
-        }
-        visit(i);
-        i += 1;
+}
+
+/// Calls `f` with the index of each set bit of `word`, ascending.
+fn for_each_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
 
@@ -284,11 +286,12 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut c = Clause::new(8, 8);
         let (x, xn) = input(&[1, 4], 8);
+        let sampler = TypeISampler::new(4.0, 8);
         // Repeated Type I with the clause firing drives includes toward the
         // true literals of x: x1, x4, and the negations of the rest.
         for _ in 0..64 {
             let out = c.evaluate(&x, &xn);
-            c.type_i_feedback(&x, out, 4.0, true, &mut rng);
+            c.type_i_feedback(&x, out, &sampler, true, &mut rng);
         }
         assert!(c.include_pos().get(1));
         assert!(c.include_pos().get(4));
@@ -303,16 +306,18 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut c = Clause::new(8, 4);
         let (x, xn) = input(&[0], 8);
+        let sampler = TypeISampler::new(4.0, 8);
         for _ in 0..32 {
             let out = c.evaluate(&x, &xn);
-            c.type_i_feedback(&x, out, 4.0, true, &mut rng);
+            c.type_i_feedback(&x, out, &sampler, true, &mut rng);
         }
         assert!(!c.is_empty_clause());
         // Now feed Type I with output forced to 0 (as happens when another
         // input keeps the clause silent): includes must decay.
         let (z, _zn) = input(&[7], 8);
+        let sampler = TypeISampler::new(2.0, 8);
         for _ in 0..256 {
-            c.type_i_feedback(&z, false, 2.0, true, &mut rng);
+            c.type_i_feedback(&z, false, &sampler, true, &mut rng);
         }
         assert!(c.is_empty_clause());
     }
@@ -321,40 +326,19 @@ mod tests {
     fn masks_match_automata_after_training_noise() {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut c = Clause::new(12, 6);
+        let sampler = TypeISampler::new(3.0, 12);
         for step in 0..200 {
             let (x, xn) = input(&[step % 12, (step * 5) % 12], 12);
             let out = c.evaluate(&x, &xn);
             if step % 3 == 0 {
                 c.type_ii_feedback(&x, out);
             } else {
-                c.type_i_feedback(&x, out, 3.0, step % 2 == 0, &mut rng);
+                c.type_i_feedback(&x, out, &sampler, step % 2 == 0, &mut rng);
             }
         }
         let mut rebuilt = c.clone();
         rebuilt.rebuild_masks();
         assert_eq!(c.include_pos(), rebuilt.include_pos());
         assert_eq!(c.include_neg(), rebuilt.include_neg());
-    }
-
-    #[test]
-    fn bernoulli_visitor_hits_expected_fraction() {
-        let mut rng = SmallRng::seed_from_u64(42);
-        let mut hits = 0usize;
-        let trials = 2000;
-        for _ in 0..trials {
-            for_each_bernoulli(&mut rng, 100, 0.1, |_| hits += 1);
-        }
-        let mean = hits as f64 / trials as f64;
-        assert!((mean - 10.0).abs() < 1.0, "mean {mean} not near 10");
-    }
-
-    #[test]
-    fn bernoulli_visitor_edge_probabilities() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut count = 0;
-        for_each_bernoulli(&mut rng, 50, 0.0, |_| count += 1);
-        assert_eq!(count, 0);
-        for_each_bernoulli(&mut rng, 50, 1.0, |_| count += 1);
-        assert_eq!(count, 50);
     }
 }

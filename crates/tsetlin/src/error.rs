@@ -4,7 +4,7 @@
 
 use crate::booleanize::EncodeWidthError;
 use crate::io::ParseModelError;
-use crate::params::InvalidParamsError;
+use crate::params::{InvalidParamsError, SampleError};
 use std::fmt;
 
 /// Any error produced by the `tsetlin` crate.
@@ -13,6 +13,8 @@ use std::fmt;
 pub enum Error {
     /// Hyperparameter validation failed.
     Params(InvalidParamsError),
+    /// A training sample does not fit the machine.
+    Sample(SampleError),
     /// A model text file could not be parsed.
     ParseModel(ParseModelError),
     /// An encoder was applied to data of the wrong width.
@@ -25,6 +27,7 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Params(e) => e.fmt(f),
+            Error::Sample(e) => e.fmt(f),
             Error::ParseModel(e) => e.fmt(f),
             Error::Encode(e) => e.fmt(f),
             Error::Io(e) => write!(f, "tsetlin io error: {e}"),
@@ -36,6 +39,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Params(e) => Some(e),
+            Error::Sample(e) => Some(e),
             Error::ParseModel(e) => Some(e),
             Error::Encode(e) => Some(e),
             Error::Io(e) => Some(e),
@@ -46,6 +50,12 @@ impl std::error::Error for Error {
 impl From<InvalidParamsError> for Error {
     fn from(e: InvalidParamsError) -> Self {
         Error::Params(e)
+    }
+}
+
+impl From<SampleError> for Error {
+    fn from(e: SampleError) -> Self {
+        Error::Sample(e)
     }
 }
 

@@ -46,6 +46,7 @@ pub mod error;
 pub mod io;
 pub mod model;
 pub mod params;
+pub mod sampler;
 pub mod search;
 pub mod sparsity;
 pub mod tm;
@@ -55,7 +56,8 @@ pub use bits::BitVec;
 pub use clause::Clause;
 pub use error::Error;
 pub use model::{IncludeMask, TrainedModel};
-pub use params::{InvalidParamsError, TmParams};
+pub use params::{InvalidParamsError, SampleError, TmParams};
+pub use sampler::TypeISampler;
 pub use tm::{argmax, MultiClassTm, Polarity};
 
 /// A labelled boolean datapoint.

@@ -1,5 +1,6 @@
 //! Hyperparameters of the multiclass Tsetlin Machine.
 
+use crate::Sample;
 use std::fmt;
 
 /// Error returned when [`TmParams`] validation fails.
@@ -60,6 +61,57 @@ impl fmt::Display for InvalidParamsError {
 }
 
 impl std::error::Error for InvalidParamsError {}
+
+/// A training sample that does not fit the machine, as found by
+/// [`TmParams::check_samples`]. `index` is the sample's position in the
+/// checked slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SampleError {
+    /// The label is not a class of the machine.
+    LabelOutOfRange {
+        /// Position of the sample.
+        index: usize,
+        /// The rejected label.
+        label: usize,
+        /// The machine's class count.
+        classes: usize,
+    },
+    /// The input does not have one bit per feature.
+    WidthMismatch {
+        /// Position of the sample.
+        index: usize,
+        /// The rejected input width in bits.
+        width: usize,
+        /// The machine's feature count.
+        features: usize,
+    },
+}
+
+impl fmt::Display for SampleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            SampleError::LabelOutOfRange {
+                index,
+                label,
+                classes,
+            } => write!(
+                f,
+                "sample {index}: label out of range (label {label}, {classes} classes)"
+            ),
+            SampleError::WidthMismatch {
+                index,
+                width,
+                features,
+            } => write!(
+                f,
+                "sample {index}: input width mismatch ({width} bits, {features} features)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SampleError {}
 
 /// Validated hyperparameter set for a [`MultiClassTm`].
 ///
@@ -152,6 +204,32 @@ impl TmParams {
     /// Total clauses across all classes.
     pub fn total_clauses(&self) -> usize {
         self.classes * self.clauses_per_class
+    }
+
+    /// Checks that every sample has a label below `classes` and one input
+    /// bit per feature — what training requires of its data.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SampleError`] for the first sample that does not fit.
+    pub fn check_samples(&self, samples: &[Sample]) -> Result<(), SampleError> {
+        for (index, sample) in samples.iter().enumerate() {
+            if sample.label >= self.classes {
+                return Err(SampleError::LabelOutOfRange {
+                    index,
+                    label: sample.label,
+                    classes: self.classes,
+                });
+            }
+            if sample.input.len() != self.features {
+                return Err(SampleError::WidthMismatch {
+                    index,
+                    width: sample.input.len(),
+                    features: self.features,
+                });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -14,11 +14,24 @@
 //! class boundary, the trained machine is **bit-identical at every
 //! thread count** (`MATADOR_THREADS=1` included), which the
 //! `parallel_equivalence` suite asserts end-to-end.
+//!
+//! # RNG contract
+//!
+//! Within a class stream, one sample's feedback visits the clauses in
+//! index order. Each clause takes one `u64` for the `p_update` check
+//! and, when selected for Type I feedback, the draws
+//! [`Clause::type_i_feedback`] documents: one per `(s − 1)/s` check and
+//! one per geometric gap of the `1/s` erosion walk. Every draw maps to
+//! its decision exactly as the `f64` expressions `gen::<f64>() < p` and
+//! `((k·2⁻⁵³).ln() / (1 − p).ln()) as usize` do; [`crate::sampler`]
+//! computes them as integer compares and a checked threshold table,
+//! prepared once per machine from its [`TmParams`].
 
 use crate::bits::BitVec;
 use crate::clause::Clause;
 use crate::model::TrainedModel;
 use crate::params::TmParams;
+use crate::sampler::{Bernoulli, TypeISampler};
 use crate::Sample;
 use matador_par::split_seed;
 use rand::rngs::SmallRng;
@@ -86,6 +99,8 @@ impl Polarity {
 #[derive(Debug, Clone)]
 pub struct MultiClassTm {
     params: TmParams,
+    /// Type I feedback probabilities, prepared once from `params`.
+    sampler: TypeISampler,
     /// `clauses[class][j]`.
     clauses: Vec<Vec<Clause>>,
 }
@@ -101,7 +116,12 @@ impl MultiClassTm {
                     .collect()
             })
             .collect();
-        MultiClassTm { params, clauses }
+        let sampler = TypeISampler::new(params.specificity(), params.features());
+        MultiClassTm {
+            params,
+            sampler,
+            clauses,
+        }
     }
 
     /// The hyperparameters this machine was built with.
@@ -178,8 +198,9 @@ impl MultiClassTm {
     ///
     /// # Panics
     ///
-    /// Panics if any sample's label is out of range or its input width
-    /// mismatches the machine's feature count.
+    /// Panics if [`TmParams::check_samples`] rejects `samples`: a label
+    /// out of range or an input width that mismatches the machine's
+    /// feature count.
     pub fn fit<R: Rng + ?Sized>(&mut self, samples: &[Sample], epochs: usize, rng: &mut R) {
         self.fit_with_threads(samples, epochs, rng, matador_par::configured_threads());
     }
@@ -192,8 +213,9 @@ impl MultiClassTm {
     ///
     /// # Panics
     ///
-    /// Panics if any sample's label is out of range or its input width
-    /// mismatches the machine's feature count.
+    /// Panics if [`TmParams::check_samples`] rejects `samples`: a label
+    /// out of range or an input width that mismatches the machine's
+    /// feature count.
     pub fn fit_with_threads<R: Rng + ?Sized>(
         &mut self,
         samples: &[Sample],
@@ -204,14 +226,8 @@ impl MultiClassTm {
         if samples.is_empty() {
             return;
         }
-        let classes = self.params.classes();
-        for sample in samples {
-            assert!(sample.label < classes, "label out of range");
-            assert_eq!(
-                sample.input.len(),
-                self.params.features(),
-                "input width mismatch"
-            );
+        if let Err(e) = self.params.check_samples(samples) {
+            panic!("{e}");
         }
         // Complements are input-only; hoist them out of the epoch loop.
         let x_negs: Vec<BitVec> = samples.iter().map(|s| s.input.not()).collect();
@@ -253,7 +269,7 @@ impl MultiClassTm {
             }
         }
 
-        let params = &self.params;
+        let (params, sampler) = (&self.params, &self.sampler);
         matador_par::par_map_mut_with(threads, &mut self.clauses, |class, clauses| {
             let mut rng =
                 SmallRng::seed_from_u64(split_seed(epoch_seed, STREAM_CLASS_BASE + class as u64));
@@ -265,6 +281,7 @@ impl MultiClassTm {
                 }
                 feedback_clause_bank(
                     params,
+                    sampler,
                     clauses,
                     &sample.input,
                     &x_negs[i],
@@ -301,18 +318,29 @@ impl MultiClassTm {
         is_target: bool,
         rng: &mut R,
     ) {
-        let params = &self.params;
-        feedback_clause_bank(params, &mut self.clauses[class], x, x_neg, is_target, rng);
+        feedback_clause_bank(
+            &self.params,
+            &self.sampler,
+            &mut self.clauses[class],
+            x,
+            x_neg,
+            is_target,
+            rng,
+        );
     }
 }
 
 /// Polarity-weighted vote total of one class's clause bank (unclamped).
 fn bank_class_sum(clauses: &[Clause], x: &BitVec, x_neg: &BitVec) -> i32 {
-    clauses
-        .iter()
+    vote_sum(clauses.iter().map(|c| c.evaluate(x, x_neg)))
+}
+
+/// Polarity-weighted total of clause outputs given in clause order.
+fn vote_sum(outputs: impl Iterator<Item = bool>) -> i32 {
+    outputs
         .enumerate()
-        .map(|(j, c)| {
-            if c.evaluate(x, x_neg) {
+        .map(|(j, fired)| {
+            if fired {
                 Polarity::of_index(j).vote()
             } else {
                 0
@@ -327,32 +355,35 @@ fn bank_class_sum(clauses: &[Clause], x: &BitVec, x_neg: &BitVec) -> i32 {
 /// parallelism sound and thread-count-invariant.
 fn feedback_clause_bank<R: Rng + ?Sized>(
     params: &TmParams,
+    sampler: &TypeISampler,
     clauses: &mut [Clause],
     x: &BitVec,
     x_neg: &BitVec,
     is_target: bool,
     rng: &mut R,
 ) {
+    // Feedback to clause `j` changes only clause `j`, so each output stays
+    // valid until its own clause's turn.
+    let outputs: Vec<bool> = clauses.iter().map(|c| c.evaluate(x, x_neg)).collect();
     let t = params.threshold() as i32;
-    let sum = bank_class_sum(clauses, x, x_neg).clamp(-t, t);
+    let sum = vote_sum(outputs.iter().copied()).clamp(-t, t);
     let p_update = if is_target {
         (t - sum) as f64 / (2 * t) as f64
     } else {
         (t + sum) as f64 / (2 * t) as f64
     };
-    let s = params.specificity();
+    let update = Bernoulli::new(p_update);
     let boost = params.boost_true_positive();
-    for (j, clause) in clauses.iter_mut().enumerate() {
-        if rng.gen::<f64>() >= p_update {
+    for (j, (clause, &output)) in clauses.iter_mut().zip(&outputs).enumerate() {
+        if !update.sample(rng) {
             continue;
         }
-        let output = clause.evaluate(x, x_neg);
         let type_i = match (is_target, Polarity::of_index(j)) {
             (true, Polarity::Positive) | (false, Polarity::Negative) => true,
             (true, Polarity::Negative) | (false, Polarity::Positive) => false,
         };
         if type_i {
-            clause.type_i_feedback(x, output, s, boost, rng);
+            clause.type_i_feedback(x, output, sampler, boost, rng);
         } else {
             clause.type_ii_feedback(x, output);
         }

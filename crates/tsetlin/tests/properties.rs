@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tsetlin::bits::BitVec;
-use tsetlin::{Action, Clause, TsetlinAutomaton};
+use tsetlin::{Action, Clause, TsetlinAutomaton, TypeISampler};
 
 fn arb_bits(max_len: usize) -> impl Strategy<Value = BitVec> {
     (1..=max_len).prop_flat_map(|len| {
@@ -91,6 +91,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut clause = Clause::new(features, 8);
+        let sampler = TypeISampler::new(3.0, features);
         for step in 0..steps {
             let x = BitVec::from_bools((0..features).map(|k| (seed >> ((k + step) % 64)) & 1 == 1));
             let x_neg = x.not();
@@ -98,7 +99,7 @@ proptest! {
             if step % 3 == 0 {
                 clause.type_ii_feedback(&x, out);
             } else {
-                clause.type_i_feedback(&x, out, 3.0, step % 2 == 0, &mut rng);
+                clause.type_i_feedback(&x, out, &sampler, step % 2 == 0, &mut rng);
             }
         }
         // The incrementally maintained masks must equal a rebuild from the
