@@ -5,8 +5,8 @@
 //! of that 53-bit integer `k`, so each one is precomputed here as integer
 //! work on `k`, with the same result as the `f64` expression it replaces:
 //!
-//! - [`Bernoulli`]: `gen::<f64>() < p` is exactly `k < ⌈p·2⁵³⌉`.
-//! - [`GeometricGaps`]: the gap `((k·2⁻⁵³).ln() / (1 − p).ln()) as usize`
+//! - `Bernoulli`: `gen::<f64>() < p` is exactly `k < ⌈p·2⁵³⌉`.
+//! - `GeometricGaps`: the gap `((k·2⁻⁵³).ln() / (1 − p).ln()) as usize`
 //!   between visited literals is read from a table of integer thresholds.
 //!   The table is built from that same expression on the running host
 //!   (the host's `ln` is the definition of truth) and checked against it
@@ -43,13 +43,13 @@ fn float_gap(k: u64, ln_q: f64) -> usize {
 /// `sample` returns what `rng.gen::<f64>() < p` returns on the same draw,
 /// for every `p` (NaN included: never).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bernoulli {
+pub(crate) struct Bernoulli {
     threshold: u64,
 }
 
 impl Bernoulli {
     /// The decision `gen::<f64>() < p`.
-    pub fn new(p: f64) -> Self {
+    pub(crate) fn new(p: f64) -> Self {
         // `p·2⁵³` is exact, and `k < x` ⇔ `k < ⌈x⌉` for integer `k`. The
         // saturating cast maps p ≤ 0 and NaN to 0 (never) and p > 2¹¹ to
         // `u64::MAX` (always).
@@ -58,14 +58,8 @@ impl Bernoulli {
         }
     }
 
-    /// `⌈p·2⁵³⌉`: the decision is `k < threshold` for draw `k`.
-    pub fn threshold(self) -> u64 {
-        self.threshold
-    }
-
     /// Draws one `u64` and decides.
-    #[inline]
-    pub fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> bool {
+    pub(crate) fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> bool {
         draw53(rng) < self.threshold
     }
 }
@@ -78,7 +72,7 @@ impl Bernoulli {
 /// `max_len`; that bounds its size by `max_len` as well as by `1/p`, and
 /// keeps it small for any `p`.
 #[derive(Debug, Clone)]
-pub struct GeometricGaps {
+pub(crate) struct GeometricGaps {
     max_len: usize,
     mode: Mode,
 }
@@ -97,7 +91,7 @@ enum Mode {
 
 impl GeometricGaps {
     /// Builds the sampler for probability `p` over up to `max_len` indices.
-    pub fn new(p: f64, max_len: usize) -> Self {
+    pub(crate) fn new(p: f64, max_len: usize) -> Self {
         let mode = if p <= 0.0 || max_len == 0 {
             Mode::Never
         } else if p >= 1.0 {
@@ -112,18 +106,14 @@ impl GeometricGaps {
         GeometricGaps { max_len, mode }
     }
 
-    /// Whether gaps come from a checked table (rather than `ln`).
-    pub fn uses_table(&self) -> bool {
-        matches!(self.mode, Mode::Table(_))
-    }
-
     /// The gap for draw `k < 2⁵³`, capped at `max_len`: equal to
     /// `min(((k·2⁻⁵³).ln() / (1 − p).ln()) as usize, max_len)`.
     ///
     /// # Panics
     ///
     /// Panics for `p ≤ 0` or `p ≥ 1`, where no gap is ever drawn.
-    pub fn gap(&self, k: u64) -> usize {
+    #[cfg(test)]
+    fn gap(&self, k: u64) -> usize {
         match &self.mode {
             Mode::Table(table) => table.gap(k),
             Mode::Ln(ln_q) => float_gap(k, *ln_q).min(self.max_len),
@@ -137,7 +127,12 @@ impl GeometricGaps {
     /// # Panics
     ///
     /// Panics if `m > max_len`.
-    pub fn for_each<R: RngCore + ?Sized>(&self, rng: &mut R, m: usize, visit: impl FnMut(usize)) {
+    pub(crate) fn for_each<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        m: usize,
+        visit: impl FnMut(usize),
+    ) {
         assert!(
             m <= self.max_len,
             "walk over {m} indices exceeds the sampler's {}",
@@ -158,7 +153,6 @@ impl GeometricGaps {
 /// The geometric walk: skip `gap(k)` indices, visit, step past, repeat
 /// until the walk leaves `0..m`. `gap` is capped at a bound `≥ m`, which
 /// leaves every exit unchanged.
-#[inline]
 fn walk<R: RngCore + ?Sized>(
     rng: &mut R,
     m: usize,
@@ -306,8 +300,9 @@ fn first_true(mut lo: u64, mut hi: u64, pred: impl Fn(u64) -> bool) -> u64 {
 }
 
 /// The Type I feedback probabilities of one machine, prepared once:
-/// `1 − 1/s` (reward a true literal toward include) as a [`Bernoulli`]
-/// and `1/s` (erode) as [`GeometricGaps`] over the `2n` literals.
+/// `1 − 1/s` (reward a true literal toward include) as an integer
+/// compare and `1/s` (erode) as a geometric gap table over the `2n`
+/// literals.
 #[derive(Debug, Clone)]
 pub struct TypeISampler {
     include: Bernoulli,
@@ -326,12 +321,12 @@ impl TypeISampler {
     }
 
     /// The `(s − 1)/s` decision.
-    pub fn include(&self) -> Bernoulli {
+    pub(crate) fn include(&self) -> Bernoulli {
         self.include
     }
 
     /// The `1/s` literal walk.
-    pub fn erode(&self) -> &GeometricGaps {
+    pub(crate) fn erode(&self) -> &GeometricGaps {
         &self.erode
     }
 }
@@ -452,7 +447,7 @@ mod tests {
         // 1 − p rounds to 1: ln_q = 0 has no table, and the expression
         // (gap 0 everywhere) is kept.
         let tiny = GeometricGaps::new(1e-17, 8);
-        assert!(!tiny.uses_table());
+        assert!(matches!(tiny.mode, Mode::Ln(_)));
         let mut count = 0;
         tiny.for_each(&mut rng.clone(), 8, |_| count += 1);
         assert_eq!(count, 8);
@@ -487,7 +482,7 @@ mod tests {
         ps.extend(SPECIFICITIES.iter().map(|s| 1.0 - 1.0 / s));
         for p in ps {
             let b = Bernoulli::new(p);
-            let t = b.threshold();
+            let t = b.threshold;
             for k in [t.saturating_sub(1), t, t + 1, 0, K_MAX] {
                 let k = k.min(K_MAX);
                 assert_eq!(k < t, float_bernoulli(k, p), "p = {p}, k = {k}");
