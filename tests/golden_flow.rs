@@ -1,0 +1,345 @@
+//! Golden flow digests: the hardware flow must reproduce these exact
+//! designs, reports and RTL from a fixed model.
+//!
+//! Each case trains a model at a fixed seed, generates its design and
+//! pins what the flow derives from it: the per-window mapped logic
+//! (`hcb_logic()`), the LUT depth, the Fig 3 prefix-register counts, the
+//! implemented LUT/FF totals, the whole `VerificationReport` at a fixed
+//! verification seed, and FNV-1a digests of the emitted Verilog file set
+//! and of the design-cache text. An optimisation of generation,
+//! compilation or verification has to leave every one of them unchanged.
+//!
+//! The small cases (KWS-6 and Noisy XOR quick models, both `Sharing`
+//! modes, bus widths that do and do not divide the feature count) run in
+//! every build. The release-only case is the MNIST design `perfbench`
+//! generates and verifies in its `flow-mnist` workload.
+
+use matador_repro::datasets::{generate, DatasetKind, SplitSizes};
+use matador_repro::logic::dag::Sharing;
+use matador_repro::logic::share::prefix_register_counts;
+use matador_repro::matador::config::MatadorConfig;
+use matador_repro::matador::{verify_design, AcceleratorDesign, VerificationReport};
+use matador_repro::tsetlin::params::TmParams;
+use matador_repro::tsetlin::{MultiClassTm, Sample, TrainedModel};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+mod common;
+use common::fnv1a;
+
+/// A trained model and the test samples the flow verifies it on.
+struct Trained {
+    model: TrainedModel,
+    test: Vec<Sample>,
+}
+
+/// Trains `kind` on a `sizes` split (dataset and training both seeded
+/// with `seed`, one thread).
+fn train(
+    kind: DatasetKind,
+    sizes: SplitSizes,
+    params: TmParams,
+    epochs: usize,
+    seed: u64,
+) -> Trained {
+    let data = generate(kind, sizes, seed);
+    let mut tm = MultiClassTm::new(params);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    tm.fit_with_threads(&data.train, epochs, &mut rng, 1);
+    Trained {
+        model: tm.to_model(),
+        test: data.test,
+    }
+}
+
+fn params(kind: DatasetKind, clauses: usize, threshold: u32, specificity: f64) -> TmParams {
+    TmParams::builder(kind.features(), kind.classes())
+        .clauses_per_class(clauses)
+        .threshold(threshold)
+        .specificity(specificity)
+        .build()
+        .expect("valid params")
+}
+
+/// What the flow derives from one design.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Per-window `hcb_logic()` as `(luts, registers, chain_and_luts)`.
+    hcb_logic: Vec<(usize, usize, usize)>,
+    hcb_depth: u32,
+    prefix_registers: Vec<usize>,
+    /// `implement()` totals as `(luts, registers)`.
+    implemented: (usize, usize),
+    verification: VerificationReport,
+    /// FNV-1a over every emitted file's name and contents, in order.
+    verilog: u64,
+    /// FNV-1a of `to_cache_text()`.
+    cache_text: u64,
+}
+
+/// One design point of a golden case.
+struct Point {
+    bus_width: usize,
+    sharing: Sharing,
+    pipelined: bool,
+    /// Test samples streamed through the cycle engine.
+    samples: usize,
+    gate_vectors: usize,
+    seed: u64,
+}
+
+fn observe(trained: &Trained, name: &str, point: &Point) -> Observed {
+    let config = MatadorConfig::builder()
+        .design_name(name)
+        .bus_width(point.bus_width)
+        .sharing(point.sharing)
+        .pipeline_class_sum(point.pipelined)
+        .build()
+        .expect("valid config");
+    let design = AcceleratorDesign::generate_with_threads(trained.model.clone(), config, 1);
+    let report = design.implement();
+    let samples = &trained.test[..point.samples];
+    let verification =
+        verify_design(&design, samples, point.gate_vectors, point.seed).expect("drains");
+    let mut verilog = Vec::new();
+    for file in design.emit_verilog().expect("generated designs emit") {
+        verilog.extend_from_slice(file.name.as_bytes());
+        verilog.extend_from_slice(file.contents.as_bytes());
+    }
+    Observed {
+        hcb_logic: design
+            .hcb_logic()
+            .iter()
+            .map(|h| (h.luts, h.registers, h.chain_and_luts))
+            .collect(),
+        hcb_depth: design.hcb_depth(),
+        prefix_registers: prefix_register_counts(&trained.model, point.bus_width),
+        implemented: (report.resources.luts(), report.resources.registers),
+        verification,
+        verilog: fnv1a(&verilog),
+        cache_text: fnv1a(design.to_cache_text().as_bytes()),
+    }
+}
+
+/// Checks every point of one case, returning a printable mismatch per
+/// differing point (with the full observation, so a deliberate change
+/// can be reviewed field by field).
+fn check(trained: &Trained, case: &str, points: &[(Point, Observed)]) -> Vec<String> {
+    points
+        .iter()
+        .filter_map(|(point, want)| {
+            let name = format!("golden_{case}_w{}", point.bus_width);
+            let got = observe(trained, &name, point);
+            (got != *want).then(|| format!("{name} ({:?}): got {got:?}", point.sharing))
+        })
+        .collect()
+}
+
+fn report(gate_vectors: usize, system_vectors: usize, beats_observed: usize) -> VerificationReport {
+    VerificationReport {
+        gate_vectors,
+        gate_mismatches: 0,
+        system_vectors,
+        system_mismatches: 0,
+        beats_observed,
+    }
+}
+
+#[test]
+fn small_designs_match_their_golden_flow() {
+    let kws = train(
+        DatasetKind::Kws6,
+        SplitSizes {
+            train: 200,
+            test: 24,
+        },
+        params(DatasetKind::Kws6, 60, 15, 5.0),
+        2,
+        2024,
+    );
+    let mut mismatches = check(
+        &kws,
+        "kws6",
+        &[
+            (
+                Point {
+                    bus_width: 64,
+                    sharing: Sharing::Enabled,
+                    pipelined: false,
+                    samples: 24,
+                    gate_vectors: 16,
+                    seed: 0xD0_D0,
+                },
+                Observed {
+                    hcb_logic: vec![
+                        (145, 177, 7),
+                        (156, 285, 3),
+                        (134, 331, 4),
+                        (153, 348, 3),
+                        (139, 354, 4),
+                        (127, 358, 7),
+                    ],
+                    hcb_depth: 4,
+                    prefix_registers: vec![177, 285, 331, 348, 354, 358],
+                    implemented: (1915, 2542),
+                    verification: report(108, 24, 144),
+                    verilog: 0xed3f_9d94_6a0c_0f9f,
+                    cache_text: 0x20ab_f0cd_6e8a_2661,
+                },
+            ),
+            (
+                Point {
+                    bus_width: 32,
+                    sharing: Sharing::DontTouch,
+                    pipelined: true,
+                    samples: 16,
+                    gate_vectors: 40,
+                    seed: 3,
+                },
+                Observed {
+                    hcb_logic: vec![
+                        (92, 360, 131),
+                        (77, 360, 156),
+                        (95, 360, 141),
+                        (88, 360, 158),
+                        (91, 360, 137),
+                        (89, 360, 146),
+                        (84, 360, 149),
+                        (82, 360, 145),
+                        (90, 360, 133),
+                        (82, 360, 142),
+                        (107, 360, 152),
+                        (67, 360, 114),
+                    ],
+                    hcb_depth: 4,
+                    prefix_registers: vec![
+                        88, 177, 242, 285, 311, 331, 344, 348, 352, 354, 355, 358,
+                    ],
+                    implemented: (3781, 5082),
+                    verification: report(504, 16, 192),
+                    verilog: 0x8f5f_fbb5_c7a8_be28,
+                    cache_text: 0x49fe_6b60_b621_e884,
+                },
+            ),
+        ],
+    );
+
+    let xor = train(
+        DatasetKind::NoisyXor,
+        SplitSizes {
+            train: 120,
+            test: 20,
+        },
+        params(DatasetKind::NoisyXor, 20, 10, 3.9),
+        2,
+        7,
+    );
+    mismatches.extend(check(
+        &xor,
+        "xor",
+        &[
+            (
+                Point {
+                    bus_width: 4,
+                    sharing: Sharing::Enabled,
+                    pipelined: true,
+                    samples: 20,
+                    gate_vectors: 32,
+                    seed: 0xD0_D0,
+                },
+                Observed {
+                    hcb_logic: vec![(16, 21, 0), (9, 35, 0), (9, 40, 0)],
+                    hcb_depth: 3,
+                    prefix_registers: vec![21, 35, 40],
+                    implemented: (613, 778),
+                    verification: report(102, 20, 60),
+                    verilog: 0x5ff1_5fff_0e6e_01ce,
+                    cache_text: 0x70c7_dc67_3eee_54fb,
+                },
+            ),
+            (
+                Point {
+                    bus_width: 5,
+                    sharing: Sharing::DontTouch,
+                    pipelined: false,
+                    samples: 20,
+                    gate_vectors: 100,
+                    seed: 11,
+                },
+                Observed {
+                    hcb_logic: vec![(31, 40, 32), (19, 40, 28), (2, 40, 13)],
+                    hcb_depth: 3,
+                    prefix_registers: vec![26, 39, 40],
+                    implemented: (704, 781),
+                    verification: report(306, 20, 60),
+                    verilog: 0x7eaa_5758_67ee_a079,
+                    cache_text: 0x8315_573f_4499_3dde,
+                },
+            ),
+        ],
+    ));
+    assert!(
+        mismatches.is_empty(),
+        "golden flow mismatches: {mismatches:#?}"
+    );
+}
+
+/// The MNIST design `perfbench` generates in `flow-mnist`: its model
+/// (quick split, paper clause budget, T = 15, s = 5, 5 epochs, seed
+/// 2024), its default configuration and its 32 gate vectors per window,
+/// verified on 64 test samples at perfbench's held-out seed.
+#[cfg(not(debug_assertions))]
+#[test]
+fn perfbench_mnist_design_matches_its_golden_flow() {
+    let kind = DatasetKind::Mnist;
+    let mnist = train(
+        kind,
+        SplitSizes::QUICK,
+        params(kind, kind.paper_clauses_per_class(), 15, 5.0),
+        5,
+        2024,
+    );
+    let mismatches = check(
+        &mnist,
+        "mnist",
+        &[(
+            Point {
+                bus_width: 64,
+                sharing: Sharing::Enabled,
+                pipelined: false,
+                samples: 64,
+                gate_vectors: 32,
+                seed: 7_777_777,
+            },
+            Observed {
+                hcb_logic: vec![
+                    (359, 405, 21),
+                    (372, 787, 12),
+                    (359, 1070, 18),
+                    (420, 1338, 14),
+                    (403, 1528, 16),
+                    (413, 1662, 10),
+                    (403, 1762, 10),
+                    (427, 1813, 12),
+                    (424, 1850, 11),
+                    (405, 1890, 14),
+                    (367, 1914, 16),
+                    (355, 1934, 16),
+                    (52, 1937, 0),
+                ],
+                hcb_depth: 5,
+                prefix_registers: vec![
+                    405, 787, 1070, 1338, 1528, 1662, 1762, 1813, 1850, 1890, 1914, 1934, 1937,
+                ],
+                implemented: (7782, 20624),
+                verification: report(442, 64, 832),
+                verilog: 0x6935_c2d1_7d7c_5a90,
+                cache_text: 0x8f86_7fe4_ebca_0469,
+            },
+        )],
+    );
+    assert!(
+        mismatches.is_empty(),
+        "golden flow mismatches: {mismatches:#?}"
+    );
+}

@@ -17,12 +17,8 @@ use matador_repro::tsetlin::MultiClassTm;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod common;
+use common::fnv1a;
 
 /// Trains `params` on `kind`'s `sizes` split (dataset and training both
 /// seeded with `seed`, one thread) and digests the written model.
