@@ -231,15 +231,20 @@ impl AcceleratorDesign {
         }
     }
 
-    /// Compiles the design for the cycle-accurate simulator.
+    /// Compiles the design for the cycle-accurate simulator from its
+    /// generated window DAGs (no window is optimized twice).
     pub fn compile_for_sim(&self) -> CompiledAccelerator {
-        let shape = AccelShape {
+        CompiledAccelerator::from_shape_windows(self.accel_shape(), self.dags.clone())
+    }
+
+    /// The simulator's view of the design's architecture.
+    fn accel_shape(&self) -> AccelShape {
+        AccelShape {
             bus_width: self.config.bus_width(),
             features: self.model.num_features(),
             classes: self.model.num_classes(),
             clauses_per_class: self.model.clauses_per_class(),
-        };
-        CompiledAccelerator::from_window_cubes(shape, &self.windows, self.config.sharing())
+        }
     }
 
     /// Emits the complete Verilog file set: one HCB per window, class sum,
@@ -596,6 +601,48 @@ mod tests {
                 model.class_sums(&x),
                 "divergence on {bits:?}"
             );
+        }
+    }
+
+    #[test]
+    fn compile_for_sim_reuses_the_generated_windows() {
+        let model = small_model();
+        for (bus, sharing) in [
+            (4, Sharing::Enabled),
+            (4, Sharing::DontTouch),
+            (5, Sharing::Enabled),
+            (5, Sharing::DontTouch),
+        ] {
+            let cfg = MatadorConfig::builder()
+                .bus_width(bus)
+                .sharing(sharing)
+                .build()
+                .expect("valid");
+            let design = AcceleratorDesign::generate(model.clone(), cfg.clone());
+            let restored =
+                AcceleratorDesign::from_cache_text(model.clone(), cfg, &design.to_cache_text())
+                    .expect("well-formed cache text");
+            let reference = CompiledAccelerator::from_window_cubes(
+                design.accel_shape(),
+                design.windows(),
+                sharing,
+            );
+            for accel in [design.compile_for_sim(), restored.compile_for_sim()] {
+                assert_eq!(accel.shape(), reference.shape());
+                assert_eq!(accel.windows().len(), reference.windows().len());
+                for (got, want) in accel.windows().iter().zip(reference.windows()) {
+                    assert_eq!(got.nodes(), want.nodes(), "W {bus} {sharing:?}");
+                    assert_eq!(got.outputs(), want.outputs(), "W {bus} {sharing:?}");
+                    assert_eq!(got.width(), want.width());
+                }
+                for bits in [vec![], vec![0usize, 1], vec![5, 9, 10], vec![2, 3, 11]] {
+                    let x = BitVec::from_indices(12, &bits);
+                    assert_eq!(
+                        accel.reference_class_sums(&x),
+                        reference.reference_class_sums(&x)
+                    );
+                }
+            }
         }
     }
 

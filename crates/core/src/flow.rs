@@ -4,7 +4,7 @@
 
 use crate::config::MatadorConfig;
 use crate::design::AcceleratorDesign;
-use crate::verify::{verify_design, VerificationReport};
+use crate::verify::{verify_compiled, VerificationReport};
 use matador_sim::{LatencyReport, SimEngine};
 use matador_synth::report::ImplementationReport;
 use rand::rngs::SmallRng;
@@ -30,6 +30,10 @@ pub enum FlowError {
     /// [`MatadorFlow::run_with_model`] was given an empty test set, so
     /// there is nothing to verify or characterize against.
     EmptyTestSet,
+    /// [`MatadorFlow::run_with_model`] was given a test sample whose input
+    /// width differs from the model's feature count; the error names the
+    /// sample's index and width.
+    InvalidTestSample(SampleError),
 }
 
 impl fmt::Display for FlowError {
@@ -38,6 +42,7 @@ impl fmt::Display for FlowError {
             FlowError::EmptyTrainingSet => write!(f, "flow requires a non-empty training set"),
             FlowError::InvalidTrainingSample(e) => write!(f, "invalid training set: {e}"),
             FlowError::EmptyTestSet => write!(f, "flow requires a non-empty test set"),
+            FlowError::InvalidTestSample(e) => write!(f, "invalid test set: {e}"),
         }
     }
 }
@@ -45,7 +50,7 @@ impl fmt::Display for FlowError {
 impl std::error::Error for FlowError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FlowError::InvalidTrainingSample(e) => Some(e),
+            FlowError::InvalidTrainingSample(e) | FlowError::InvalidTestSample(e) => Some(e),
             FlowError::EmptyTrainingSet | FlowError::EmptyTestSet => None,
         }
     }
@@ -197,10 +202,12 @@ impl MatadorFlow {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::EmptyTestSet`] when `test` is empty, and
-    /// propagates [`matador_sim::SimError`] (as [`crate::Error::Sim`])
-    /// should the cycle simulator fail to drain during verification or
-    /// latency characterization.
+    /// Returns [`FlowError::EmptyTestSet`] when `test` is empty,
+    /// [`FlowError::InvalidTestSample`] when a test sample's input width
+    /// differs from the model's feature count, and propagates
+    /// [`matador_sim::SimError`] (as [`crate::Error::Sim`]) should the
+    /// cycle simulator fail to drain during verification or latency
+    /// characterization.
     pub fn run_with_model(
         &self,
         model: TrainedModel,
@@ -208,6 +215,15 @@ impl MatadorFlow {
     ) -> Result<FlowOutcome, crate::Error> {
         if test.is_empty() {
             return Err(FlowError::EmptyTestSet.into());
+        }
+        let features = model.num_features();
+        if let Some(index) = test.iter().position(|s| s.input.len() != features) {
+            return Err(FlowError::InvalidTestSample(SampleError::WidthMismatch {
+                index,
+                width: test[index].input.len(),
+                features,
+            })
+            .into());
         }
         let design = AcceleratorDesign::generate_with_threads(
             model.clone(),
@@ -220,10 +236,12 @@ impl MatadorFlow {
             Some(limit) => test.iter().take(limit).cloned().collect(),
             None => test.to_vec(),
         };
-        let verification = verify_design(&design, &verify_set, self.gate_vectors, 0xD0_D0)?;
+        // One compiled accelerator serves verification and the latency run.
+        let accel = design.compile_for_sim();
+        let verification =
+            verify_compiled(&design, &accel, &verify_set, self.gate_vectors, 0xD0_D0)?;
 
         // Latency characterization: stream a back-to-back batch.
-        let accel = design.compile_for_sim();
         let mut sim = SimEngine::new(&accel);
         sim.set_pipelined_sum(self.config.pipeline_class_sum());
         let batch: Vec<_> = verify_set
@@ -257,7 +275,7 @@ impl MatadorFlow {
 mod tests {
     use super::*;
     use matador_serve::{DispatchPolicy, EngineBackend, ServeOptions, ShardPool, ShardSpec};
-    use matador_sim::{CompileOptions, CompilePipeline};
+    use matador_sim::{CompileOptions, CompilePipeline, SimError};
     use tsetlin::bits::BitVec;
 
     fn tiny_task() -> (Vec<Sample>, Vec<Sample>) {
@@ -598,6 +616,52 @@ mod tests {
             ))
         ));
         assert!(err.to_string().contains("sample 9"), "{err}");
+    }
+
+    #[test]
+    fn wrong_test_width_is_a_typed_error() {
+        let (train, mut test) = tiny_task();
+        let config = MatadorConfig::builder()
+            .bus_width(4)
+            .build()
+            .expect("valid");
+        let flow = MatadorFlow::new(config);
+        let outcome = flow.run(spec(), &train, &test).expect("flow succeeds");
+        test[5].input = BitVec::zeros(11);
+
+        // The cycle engine rejects the batch instead of panicking.
+        let err = crate::verify::verify_design(&outcome.design, &test, 4, 1)
+            .expect_err("an 11-bit sample cannot stream into a 12-feature design");
+        assert_eq!(
+            err,
+            SimError::InputWidth {
+                index: 5,
+                expected: 12,
+                got: 11
+            }
+        );
+
+        // The flow checks the whole test set, including samples past the
+        // verification limit that only the accuracy count reads.
+        for limit in [None, Some(2)] {
+            let err = flow
+                .clone()
+                .verify_limit(limit)
+                .run_with_model(outcome.model.clone(), &test)
+                .expect_err("an input of the wrong width must be rejected");
+            assert!(matches!(
+                err,
+                crate::Error::Flow(FlowError::InvalidTestSample(SampleError::WidthMismatch {
+                    index: 5,
+                    width: 11,
+                    features: 12
+                }))
+            ));
+            assert!(
+                err.to_string().contains("invalid test set: sample 5"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

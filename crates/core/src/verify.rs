@@ -10,7 +10,9 @@
 //!    classification is compared with software inference.
 
 use crate::design::AcceleratorDesign;
-use matador_sim::{SimEngine, SimError};
+use matador_logic::cube::Cube;
+use matador_rtl::Netlist;
+use matador_sim::{CompiledAccelerator, SimEngine, SimError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tsetlin::bits::BitVec;
@@ -41,13 +43,15 @@ impl VerificationReport {
 /// Verifies `design` against its own model on `samples`.
 ///
 /// `gate_vectors_per_window` random vectors (plus all-zeros/all-ones) are
-/// applied to every window netlist; all `samples` are streamed through the
-/// cycle-accurate simulator.
+/// applied to every window netlist, 64 vectors per machine word; all
+/// `samples` are streamed through the cycle-accurate simulator.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the cycle simulator fails to drain the
-/// streamed samples (impossible for generated designs under no
+/// Returns [`SimError::InputWidth`] if a sample's width differs from the
+/// model's feature count (nothing is streamed then), and
+/// [`SimError::DrainBoundExceeded`] if the cycle simulator fails to drain
+/// the streamed samples (impossible for generated designs under no
 /// backpressure, but surfaced as a typed error rather than a panic).
 pub fn verify_design(
     design: &AcceleratorDesign,
@@ -55,33 +59,44 @@ pub fn verify_design(
     gate_vectors_per_window: usize,
     seed: u64,
 ) -> Result<VerificationReport, SimError> {
+    verify_compiled(
+        design,
+        &design.compile_for_sim(),
+        samples,
+        gate_vectors_per_window,
+        seed,
+    )
+}
+
+/// [`verify_design`] on an accelerator already compiled from `design`,
+/// so a caller that also simulates the design compiles it once.
+pub(crate) fn verify_compiled(
+    design: &AcceleratorDesign,
+    accel: &CompiledAccelerator,
+    samples: &[Sample],
+    gate_vectors_per_window: usize,
+    seed: u64,
+) -> Result<VerificationReport, SimError> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5645_5249_4659); // "VERIFY"
     let w = design.config().bus_width();
 
-    // 1. Gate-level equivalence per window.
+    // 1. Gate-level equivalence per window. Each vector is one word
+    //    (bus widths are at most 64 bits), drawn one bit at a time.
     let mut gate_vectors = 0usize;
     let mut gate_mismatches = 0usize;
     for (wi, cubes) in design.windows().iter().enumerate() {
-        let netlist = design.window_netlist(wi);
-        let mut vectors: Vec<BitVec> = vec![BitVec::zeros(w), BitVec::ones(w)];
-        for _ in 0..gate_vectors_per_window {
-            vectors.push((0..w).map(|_| rng.gen::<bool>()).collect());
-        }
-        for input in &vectors {
-            gate_vectors += 1;
-            let outs = netlist.eval(input);
-            for (c, cube) in cubes.iter().enumerate() {
-                let expect = !cube.is_contradictory() && cube.eval(input);
-                if outs[c] != expect {
-                    gate_mismatches += 1;
-                }
-            }
-        }
+        let random = (0..gate_vectors_per_window)
+            .map(|_| (0..w).fold(0u64, |word, bit| word | u64::from(rng.gen::<bool>()) << bit));
+        let vectors: Vec<u64> = [0, u64::MAX >> (64 - w)]
+            .into_iter()
+            .chain(random)
+            .collect();
+        gate_vectors += vectors.len();
+        gate_mismatches += window_mismatches(&design.window_netlist(wi), cubes, &vectors);
     }
 
     // 2. System-level equivalence through the cycle simulator.
-    let accel = design.compile_for_sim();
-    let mut sim = SimEngine::new(&accel);
+    let mut sim = SimEngine::new(accel);
     sim.set_pipelined_sum(design.config().pipeline_class_sum());
     let inputs: Vec<BitVec> = samples.iter().map(|s| s.input.clone()).collect();
     let results = sim.run_datapoints(&inputs)?;
@@ -101,11 +116,48 @@ pub fn verify_design(
     })
 }
 
+/// Counts `(vector, clause)` pairs where `netlist`'s output differs from
+/// its clause cube, over `vectors` (bit `b` of a vector is input port
+/// `b`). Runs 64 vectors per pass: each chunk is transposed to one lane
+/// word per input port, the netlist is evaluated once over the lanes,
+/// each cube's expected output is the AND of its literals' lane words,
+/// and only the lanes holding a vector are counted.
+fn window_mismatches(netlist: &Netlist, cubes: &[Cube], vectors: &[u64]) -> usize {
+    let width = netlist.inputs().len();
+    let mut lanes = vec![0u64; width];
+    let mut mismatches = 0usize;
+    for chunk in vectors.chunks(64) {
+        lanes.fill(0);
+        for (j, &vector) in chunk.iter().enumerate() {
+            for (b, lane) in lanes.iter_mut().enumerate() {
+                *lane |= ((vector >> b) & 1) << j;
+            }
+        }
+        let valid = if chunk.len() == 64 {
+            !0
+        } else {
+            (1u64 << chunk.len()) - 1
+        };
+        let outs = netlist.eval_lanes(&lanes);
+        for (out, cube) in outs.iter().zip(cubes) {
+            // A contradictory cube (`x & ¬x`) ANDs to zero in every lane.
+            let expect = cube.lits().iter().fold(!0u64, |acc, lit| {
+                let lane = lanes[lit.bit() as usize];
+                acc & if lit.is_negated() { !lane } else { lane }
+            });
+            mismatches += ((out ^ expect) & valid).count_ones() as usize;
+        }
+    }
+    mismatches
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MatadorConfig;
     use matador_logic::dag::Sharing;
+    use matador_rtl::Gate;
+    use std::collections::HashMap;
     use tsetlin::model::{IncludeMask, TrainedModel};
 
     fn model() -> TrainedModel {
@@ -156,6 +208,96 @@ mod tests {
         let design = AcceleratorDesign::generate(model(), config);
         let report = verify_design(&design, &samples(), 8, 2).expect("drains");
         assert!(report.passed(), "{report:?}");
+    }
+
+    /// The per-vector check the lane check replaces: one `Netlist::eval`
+    /// and one scalar cube evaluation per vector.
+    fn per_vector_mismatches(netlist: &Netlist, cubes: &[Cube], vectors: &[u64]) -> usize {
+        let w = netlist.inputs().len();
+        vectors
+            .iter()
+            .map(|&v| {
+                let input = BitVec::from_word(w, v);
+                let outs = netlist.eval(&input);
+                cubes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, cube)| outs[c] != (!cube.is_contradictory() && cube.eval(&input)))
+                    .count()
+            })
+            .sum()
+    }
+
+    /// A copy of `netlist` whose AND gate number `target` (in gate order)
+    /// drives its net through an inverter.
+    fn with_inverted_and(netlist: &Netlist, target: usize) -> Netlist {
+        let mut out = Netlist::new("faulty");
+        let mut net = HashMap::new();
+        for &i in netlist.inputs() {
+            net.insert(i, out.add_input(netlist.net_name(i)));
+        }
+        for (gi, gate) in netlist.gates().iter().enumerate() {
+            let y = match *gate {
+                Gate::And2 { a, b, y } => {
+                    let and = out.and2(net[&a], net[&b], netlist.net_name(y));
+                    if gi == target {
+                        out.not(and, "fault")
+                    } else {
+                        and
+                    }
+                }
+                Gate::Not { a, y } => out.not(net[&a], netlist.net_name(y)),
+                Gate::Const { value, y } => out.constant(value, netlist.net_name(y)),
+            };
+            net.insert(gate.output(), y);
+        }
+        for o in netlist.outputs() {
+            out.add_output(net[o]);
+        }
+        out
+    }
+
+    #[test]
+    fn lane_check_counts_injected_faults_like_the_per_vector_check() {
+        let config = MatadorConfig::builder()
+            .bus_width(4)
+            .build()
+            .expect("valid");
+        let design = AcceleratorDesign::generate(model(), config);
+        let mut rng = SmallRng::seed_from_u64(9);
+        // 2 directed + 100 random vectors: one full chunk of 64 and a
+        // last chunk of 38 with 26 unused lanes.
+        let mut vectors = vec![0, 0b1111];
+        vectors.extend((0..100).map(|_| rng.gen::<u64>() & 0b1111));
+        assert_eq!(vectors.len(), 102);
+
+        let mut caught = 0;
+        for window in 0..design.num_hcbs() {
+            let netlist = design.window_netlist(window);
+            let cubes = &design.windows()[window];
+            assert_eq!(window_mismatches(&netlist, cubes, &vectors), 0);
+            let ands: Vec<usize> = (netlist.gates().iter().enumerate())
+                .filter(|(_, g)| matches!(g, Gate::And2 { .. }))
+                .map(|(gi, _)| gi)
+                .collect();
+            for gi in ands {
+                let faulty = with_inverted_and(&netlist, gi);
+                faulty.validate().expect("valid netlist");
+                let lanes = window_mismatches(&faulty, cubes, &vectors);
+                assert_eq!(
+                    lanes,
+                    per_vector_mismatches(&faulty, cubes, &vectors),
+                    "window {window} gate {gi}"
+                );
+                caught += usize::from(lanes > 0);
+            }
+            // Inverting an output's port buffer makes that output wrong on
+            // every vector: exactly 102 mismatches, none from tail lanes.
+            let last = netlist.gates().len() - 1;
+            let faulty = with_inverted_and(&netlist, last);
+            assert_eq!(window_mismatches(&faulty, cubes, &vectors), 102);
+        }
+        assert!(caught > 0, "no injected fault was caught");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::cube::Cube;
 use crate::dag::{LogicDag, Sharing};
 use crate::extract::{extract_divisors, ExtractOptions, Extraction};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use tsetlin::model::TrainedModel;
 
 /// Gate-level sharing statistics for one bandwidth window.
@@ -105,19 +105,40 @@ pub fn gate_stats(model: &TrainedModel, window_bits: usize) -> Vec<WindowGateSta
 /// prefixes are identical can share one register — this is where the
 /// slice-register savings of Fig 8 come from. Returns one count per window
 /// (DON'T TOUCH designs always hold `total_clauses` registers per window).
+///
+/// Linear in the model size: each clause carries a prefix-class id that is
+/// refined one 64-bit chunk at a time. Two clauses have equal prefixes
+/// through a chunk exactly when they had equal prefixes before it and
+/// their `pos`/`neg` words of that chunk are equal, so each chunk costs one
+/// hash insert per clause and no prefix is ever copied.
 pub fn prefix_register_counts(model: &TrainedModel, window_bits: usize) -> Vec<usize> {
     assert!(window_bits > 0, "window width must be positive");
     let n = model.num_features();
     let windows = n.div_ceil(window_bits);
+    let masks: Vec<_> = model.iter_clauses().map(|(_, _, mask)| mask).collect();
+    let mut class = vec![0usize; masks.len()];
+    let mut ids: HashMap<(usize, u64, u64), usize> = HashMap::with_capacity(masks.len());
     let mut counts = Vec::with_capacity(windows);
     for w in 0..windows {
-        let prefix_bits = ((w + 1) * window_bits).min(n);
-        let mut distinct: HashSet<(Vec<u64>, Vec<u64>)> = HashSet::new();
-        for (_, _, mask) in model.iter_clauses() {
-            let prefix = mask.window(0, prefix_bits);
-            distinct.insert((prefix.pos.words().to_vec(), prefix.neg.words().to_vec()));
+        let end = ((w + 1) * window_bits).min(n);
+        // The class count after the window's last chunk is its register
+        // count.
+        let mut distinct = 0;
+        for start in (w * window_bits..end).step_by(64) {
+            let width = (end - start).min(64);
+            ids.clear();
+            for (id, mask) in class.iter_mut().zip(&masks) {
+                let key = (
+                    *id,
+                    mask.pos.extract_word(start, width),
+                    mask.neg.extract_word(start, width),
+                );
+                let next = ids.len();
+                *id = *ids.entry(key).or_insert(next);
+            }
+            distinct = ids.len();
         }
-        counts.push(distinct.len());
+        counts.push(distinct);
     }
     counts
 }
@@ -125,6 +146,7 @@ pub fn prefix_register_counts(model: &TrainedModel, window_bits: usize) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use tsetlin::bits::BitVec;
     use tsetlin::model::IncludeMask;
 
@@ -176,6 +198,88 @@ mod tests {
         assert_eq!(counts[0], 3);
         // After window 1 (full clauses): all 4 distinct.
         assert_eq!(counts[1], 4);
+    }
+
+    /// The definition: hash every clause's whole prefix through each
+    /// window and count the distinct ones.
+    fn prefix_register_counts_oracle(model: &TrainedModel, window_bits: usize) -> Vec<usize> {
+        let n = model.num_features();
+        (0..n.div_ceil(window_bits))
+            .map(|w| {
+                let prefix_bits = ((w + 1) * window_bits).min(n);
+                let distinct: HashSet<(Vec<u64>, Vec<u64>)> = model
+                    .iter_clauses()
+                    .map(|(_, _, mask)| {
+                        let prefix = mask.window(0, prefix_bits);
+                        (prefix.pos.words().to_vec(), prefix.neg.words().to_vec())
+                    })
+                    .collect();
+                distinct.len()
+            })
+            .collect()
+    }
+
+    /// A seeded model whose clauses share prefixes of every length: each
+    /// clause is either sparse random or a copy of an earlier clause
+    /// changed at one random feature.
+    fn random_model(
+        features: usize,
+        classes: usize,
+        clauses_per_class: usize,
+        seed: u64,
+    ) -> TrainedModel {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut masks: Vec<IncludeMask> = Vec::new();
+        for _ in 0..classes * clauses_per_class {
+            let mask = if !masks.is_empty() && next(2) == 0 {
+                let mut mask = masks[next(masks.len())].clone();
+                let bit = next(features);
+                if next(2) == 0 {
+                    mask.pos.toggle(bit);
+                } else {
+                    mask.neg.toggle(bit);
+                }
+                mask
+            } else {
+                let pos: Vec<usize> = (0..features).filter(|_| next(40) == 0).collect();
+                let neg: Vec<usize> = (0..features).filter(|_| next(40) == 0).collect();
+                IncludeMask {
+                    pos: BitVec::from_indices(features, &pos),
+                    neg: BitVec::from_indices(features, &neg),
+                }
+            };
+            masks.push(mask);
+        }
+        TrainedModel::from_masks(features, classes, clauses_per_class, masks)
+    }
+
+    #[test]
+    fn prefix_register_counts_match_the_prefix_set_oracle() {
+        for (seed, features) in [(1, 50), (2, 200), (3, 200), (4, 391)] {
+            let model = random_model(features, 3, 24, seed);
+            for w in [1, 3, 7, 64, 65, 130] {
+                assert_eq!(
+                    prefix_register_counts(&model, w),
+                    prefix_register_counts_oracle(&model, w),
+                    "seed {seed} features {features} W {w}"
+                );
+            }
+        }
+        // The fixture's windows and an empty model.
+        assert_eq!(
+            prefix_register_counts(&model(), 3),
+            prefix_register_counts_oracle(&model(), 3)
+        );
+        let empty = TrainedModel::from_masks(5, 1, 0, Vec::new());
+        assert_eq!(prefix_register_counts(&empty, 2), vec![0; 3]);
     }
 
     #[test]

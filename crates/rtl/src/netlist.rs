@@ -258,24 +258,39 @@ impl Netlist {
     }
 
     /// Evaluates the netlist on `inputs` (one bit per input port, in
-    /// declaration order), returning output values in port order.
+    /// declaration order), returning output values in port order — one
+    /// lane of [`Netlist::eval_lanes`].
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the number of input ports.
     pub fn eval(&self, inputs: &BitVec) -> Vec<bool> {
+        let lanes: Vec<u64> = inputs.iter().map(u64::from).collect();
+        self.eval_lanes(&lanes)
+            .into_iter()
+            .map(|out| out & 1 == 1)
+            .collect()
+    }
+
+    /// Evaluates the netlist on 64 input vectors at once: bit `j` of
+    /// `inputs[k]` is input port `k`'s value in vector `j`, and bit `j` of
+    /// output word `o` is output port `o`'s value in that vector. Each gate
+    /// costs one word operation for all 64 vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the number of input ports.
+    pub fn eval_lanes(&self, inputs: &[u64]) -> Vec<u64> {
         assert_eq!(inputs.len(), self.inputs.len(), "input port count mismatch");
-        let mut values = vec![false; self.net_names.len()];
-        for (k, &net) in self.inputs.iter().enumerate() {
-            values[net.index()] = inputs.get(k);
+        let mut values = vec![0u64; self.net_names.len()];
+        for (&net, &lanes) in self.inputs.iter().zip(inputs) {
+            values[net.index()] = lanes;
         }
         for gate in &self.gates {
             match *gate {
-                Gate::And2 { a, b, y } => {
-                    values[y.index()] = values[a.index()] && values[b.index()]
-                }
+                Gate::And2 { a, b, y } => values[y.index()] = values[a.index()] & values[b.index()],
                 Gate::Not { a, y } => values[y.index()] = !values[a.index()],
-                Gate::Const { value, y } => values[y.index()] = value,
+                Gate::Const { value, y } => values[y.index()] = if value { !0 } else { 0 },
             }
         }
         self.outputs.iter().map(|o| values[o.index()]).collect()
@@ -420,6 +435,30 @@ mod tests {
                 let input = BitVec::from_bools((0..4).map(|k| (v >> k) & 1 == 1));
                 assert_eq!(nl.eval(&input), dag.eval(&input), "input {v:04b}");
             }
+        }
+    }
+
+    #[test]
+    fn eval_lanes_matches_eval_lane_by_lane() {
+        let cubes = vec![
+            Cube::from_lits([Lit::pos(0), Lit::neg(1)]),
+            Cube::from_lits([Lit::pos(2), Lit::pos(3), Lit::neg(0)]),
+            Cube::one(),
+            Cube::from_lits([Lit::pos(3), Lit::neg(3)]), // const 0
+        ];
+        let dag = LogicDag::from_cubes(4, &cubes, Sharing::Enabled);
+        let nl = Netlist::from_dag("w0", &dag);
+        // Lane j carries input vector j mod 16, so every assignment
+        // appears in four lanes.
+        let lanes: Vec<u64> = (0..4)
+            .map(|k| (0..64).fold(0u64, |acc, j| acc | ((j >> k) & 1) << j))
+            .collect();
+        let outs = nl.eval_lanes(&lanes);
+        assert_eq!(outs.len(), cubes.len());
+        for j in 0..64u64 {
+            let input = BitVec::from_bools((0..4).map(|k| (j >> k) & 1 == 1));
+            let lane: Vec<bool> = outs.iter().map(|o| (o >> j) & 1 == 1).collect();
+            assert_eq!(lane, nl.eval(&input), "lane {j}");
         }
     }
 

@@ -72,15 +72,17 @@ impl CompiledAccelerator {
         CompiledAccelerator { shape, windows }
     }
 
-    /// Assembles an accelerator from pre-built window DAGs — the
-    /// partitioner's constructor (each part reuses the monolithic node
-    /// tables with a filtered output list).
+    /// Assembles an accelerator from already-optimized window DAGs, one
+    /// per HCB with one output per clause (class-major). The design flow
+    /// compiles its generated DAGs this way instead of re-optimizing the
+    /// cubes, and the partitioner builds each part from the monolithic
+    /// node tables with a filtered output list.
     ///
     /// # Panics
     ///
     /// Panics if the window count or any window's output count is
     /// inconsistent with `shape`.
-    pub(crate) fn from_shape_windows(shape: AccelShape, windows: Vec<LogicDag>) -> Self {
+    pub fn from_shape_windows(shape: AccelShape, windows: Vec<LogicDag>) -> Self {
         assert_eq!(windows.len(), shape.num_packets(), "window count mismatch");
         for dag in &windows {
             assert_eq!(

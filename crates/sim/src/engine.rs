@@ -30,8 +30,8 @@ pub enum SimError {
         /// AXI beats still queued in the stream master.
         pending_beats: usize,
     },
-    /// A datapoint's width differs from the design's feature count. The
-    /// turbo engine checks a whole batch before it runs any of it.
+    /// A datapoint's width differs from the design's feature count. Both
+    /// engines check a whole batch before they run any of it.
     InputWidth {
         /// Position of the first offending datapoint in the batch.
         index: usize,
@@ -401,10 +401,21 @@ impl<'a> SimEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DrainBoundExceeded`] if the design fails to
-    /// drain within [`SimEngine::drain_bound`] cycles — e.g. when
-    /// backpressure is left asserted via [`SimEngine::set_stall`].
+    /// Returns [`SimError::InputWidth`] for the first input whose width
+    /// differs from the design's features — checked for the whole batch
+    /// before any of it is queued, so the engine is left untouched — and
+    /// [`SimError::DrainBoundExceeded`] if the design fails to drain
+    /// within [`SimEngine::drain_bound`] cycles — e.g. when backpressure
+    /// is left asserted via [`SimEngine::set_stall`].
     pub fn run_datapoints(&mut self, inputs: &[BitVec]) -> Result<Vec<SimResult>, SimError> {
+        let features = self.accel.shape().features;
+        if let Some(index) = inputs.iter().position(|x| x.len() != features) {
+            return Err(SimError::InputWidth {
+                index,
+                expected: features,
+                got: inputs[index].len(),
+            });
+        }
         let bound = self.drain_bound(inputs.len());
         let before = self.results.len();
         // Observed-II gaps are measured within a run only; the idle gap
@@ -755,5 +766,26 @@ mod tests {
         sim.try_run_to_completion(sim.drain_bound(0))
             .expect("drains after stall release");
         assert_eq!(sim.results().len(), 1);
+    }
+
+    #[test]
+    fn wrong_width_batch_is_rejected_before_anything_streams() {
+        let a = accel();
+        let mut sim = SimEngine::new(&a);
+        let batch = [BitVec::zeros(8), BitVec::zeros(8), BitVec::zeros(7)];
+        assert_eq!(
+            sim.run_datapoints(&batch),
+            Err(SimError::InputWidth {
+                index: 2,
+                expected: 8,
+                got: 7,
+            })
+        );
+        assert_eq!(sim.pending_beats(), 0);
+        assert_eq!(sim.cycle(), 0);
+        assert!(sim.results().is_empty());
+        // The engine is still usable for a well-formed batch.
+        let ok = sim.run_datapoints(&batch[..2]).expect("drains");
+        assert_eq!(ok.len(), 2);
     }
 }

@@ -307,11 +307,9 @@ impl BitVec {
     /// zero-filled (matching the packetizer's zero padding).
     pub fn slice(&self, start: usize, width: usize) -> BitVec {
         let mut out = BitVec::zeros(width);
-        for off in 0..width {
-            let i = start + off;
-            if i < self.len && self.get(i) {
-                out.set(off, true);
-            }
+        for (k, word) in out.words.iter_mut().enumerate() {
+            let off = k * 64;
+            *word = self.extract_word(start.saturating_add(off), (width - off).min(64));
         }
         out
     }
@@ -543,6 +541,27 @@ mod tests {
         let s = v.slice(8, 8);
         assert_eq!(s.len(), 8);
         assert_eq!(s.count_ones(), 2);
+    }
+
+    #[test]
+    fn slice_matches_per_bit_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2024);
+        for len in [0usize, 1, 63, 64, 65, 130, 200] {
+            let v: BitVec = (0..len).map(|_| rng.gen::<bool>()).collect();
+            let random = (0..40).map(|_| (rng.gen_range(0..len + 80), rng.gen_range(0..200)));
+            let edges = [(len, 5), (len + 3, 70), (0, len + 70), (usize::MAX, 3)];
+            for (start, width) in random.chain(edges) {
+                let expect: BitVec = (0..width)
+                    .map(|off| start.checked_add(off).is_some_and(|i| i < len && v.get(i)))
+                    .collect();
+                let got = v.slice(start, width);
+                assert_eq!(got, expect, "len {len} start {start} width {width}");
+                // The zero-tail invariant holds, so word compares stay valid.
+                assert_eq!(got.words(), expect.words());
+            }
+        }
     }
 
     #[test]
