@@ -5,7 +5,7 @@
 use crate::config::MatadorConfig;
 use crate::design::AcceleratorDesign;
 use crate::verify::{verify_compiled, VerificationReport};
-use matador_sim::{LatencyReport, SimEngine};
+use matador_sim::LatencyReport;
 use matador_synth::report::ImplementationReport;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -232,34 +232,39 @@ impl MatadorFlow {
         );
         let implementation = design.implement();
 
-        let verify_set: Vec<Sample> = match self.verify_limit {
-            Some(limit) => test.iter().take(limit).cloned().collect(),
-            None => test.to_vec(),
-        };
-        // One compiled accelerator serves verification and the latency run.
+        let verify_len = self
+            .verify_limit
+            .map_or(test.len(), |limit| limit.min(test.len()));
+        let (verify_set, rest) = test.split_at(verify_len);
+        // One compiled accelerator and one cycle-engine run serve both
+        // verification and the latency report.
         let accel = design.compile_for_sim();
-        let verification =
-            verify_compiled(&design, &accel, &verify_set, self.gate_vectors, 0xD0_D0)?;
+        let verified = verify_compiled(&design, &accel, verify_set, self.gate_vectors, 0xD0_D0)?;
 
-        // Latency characterization: stream a back-to-back batch.
-        let mut sim = SimEngine::new(&accel);
-        sim.set_pipelined_sum(self.config.pipeline_class_sum());
-        let batch: Vec<_> = verify_set
-            .iter()
-            .take(32.max(verify_set.len().min(64)))
-            .map(|s| s.input.clone())
-            .collect();
-        let latency = if batch.is_empty() {
-            LatencyReport {
+        // Latency characterization: the first (up to) 64 results of the
+        // verification run, which streamed back-to-back from cycle 0 on
+        // a fresh engine.
+        let latency = match &verified.results[..verified.results.len().min(64)] {
+            [] => LatencyReport {
                 initial_latency_cycles: 0,
                 steady_ii_cycles: design.num_hcbs() as f64,
-            }
-        } else {
-            let results = sim.run_datapoints(&batch)?;
-            LatencyReport::from_results(&results, 0)
+            },
+            batch => LatencyReport::from_results(batch, 0),
         };
 
-        let test_accuracy = model.accuracy(test);
+        // Software inference ran once per verified sample already; only
+        // the test samples past the verification limit still need it.
+        let correct = verify_set
+            .iter()
+            .zip(&verified.predictions)
+            .filter(|(s, &p)| p == s.label)
+            .count()
+            + rest
+                .iter()
+                .filter(|s| model.predict(&s.input) == s.label)
+                .count();
+        let test_accuracy = correct as f64 / test.len() as f64;
+        let verification = verified.report;
         Ok(FlowOutcome {
             model,
             design,
@@ -375,6 +380,60 @@ mod tests {
             .run(spec(), &train, &test)
             .expect("flow succeeds");
         assert_eq!(outcome.verification.system_vectors, 4);
+    }
+
+    #[test]
+    fn latency_and_accuracy_match_separate_runs() {
+        let (train, test) = tiny_task();
+        // 96 test samples: the latency prefix caps at 64 and the limits
+        // below leave samples that only the accuracy count reads.
+        let test: Vec<Sample> = test.iter().cycle().take(96).cloned().collect();
+        let config = MatadorConfig::builder()
+            .bus_width(4)
+            .build()
+            .expect("valid");
+        let trained = MatadorFlow::new(config)
+            .run(spec(), &train, &test)
+            .expect("flow succeeds")
+            .model;
+        let untrained = MultiClassTm::new(spec().params).to_model();
+        for model in [trained, untrained] {
+            for pipelined in [false, true] {
+                let config = MatadorConfig::builder()
+                    .bus_width(4)
+                    .pipeline_class_sum(pipelined)
+                    .build()
+                    .expect("valid");
+                for limit in [Some(0), Some(1), Some(5), Some(80), None] {
+                    let outcome = MatadorFlow::new(config.clone())
+                        .verify_limit(limit)
+                        .run_with_model(model.clone(), &test)
+                        .expect("flow succeeds");
+                    assert_eq!(outcome.test_accuracy, model.accuracy(&test), "{limit:?}");
+
+                    // A fresh engine streaming the first min(verified, 64)
+                    // samples back-to-back, as a separate latency run would.
+                    let verified = limit.unwrap_or(test.len()).min(test.len());
+                    let batch: Vec<BitVec> = test[..verified.min(64)]
+                        .iter()
+                        .map(|s| s.input.clone())
+                        .collect();
+                    let expect = if batch.is_empty() {
+                        LatencyReport {
+                            initial_latency_cycles: 0,
+                            steady_ii_cycles: outcome.design.num_hcbs() as f64,
+                        }
+                    } else {
+                        let accel = outcome.design.compile_for_sim();
+                        let mut sim = matador_sim::SimEngine::new(&accel);
+                        sim.set_pipelined_sum(pipelined);
+                        LatencyReport::from_results(&sim.run_datapoints(&batch).unwrap(), 0)
+                    };
+                    assert_eq!(outcome.latency, expect, "{limit:?} pipelined={pipelined}");
+                    assert_eq!(outcome.verification.system_vectors, verified);
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::design::AcceleratorDesign;
 use matador_logic::cube::Cube;
 use matador_rtl::Netlist;
-use matador_sim::{CompiledAccelerator, SimEngine, SimError};
+use matador_sim::{CompiledAccelerator, SimEngine, SimError, SimResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tsetlin::bits::BitVec;
@@ -59,13 +59,21 @@ pub fn verify_design(
     gate_vectors_per_window: usize,
     seed: u64,
 ) -> Result<VerificationReport, SimError> {
-    verify_compiled(
-        design,
-        &design.compile_for_sim(),
-        samples,
-        gate_vectors_per_window,
-        seed,
-    )
+    let accel = design.compile_for_sim();
+    verify_compiled(design, &accel, samples, gate_vectors_per_window, seed)
+        .map(|verified| verified.report)
+}
+
+/// What [`verify_compiled`] observed besides its report, so the flow
+/// reads its latency and accuracy from the same runs.
+pub(crate) struct Verified {
+    /// The verification report.
+    pub(crate) report: VerificationReport,
+    /// The cycle engine's result per sample, streamed back-to-back from
+    /// cycle 0 on a fresh engine.
+    pub(crate) results: Vec<SimResult>,
+    /// Software inference's prediction per sample.
+    pub(crate) predictions: Vec<usize>,
 }
 
 /// [`verify_design`] on an accelerator already compiled from `design`,
@@ -76,7 +84,7 @@ pub(crate) fn verify_compiled(
     samples: &[Sample],
     gate_vectors_per_window: usize,
     seed: u64,
-) -> Result<VerificationReport, SimError> {
+) -> Result<Verified, SimError> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5645_5249_4659); // "VERIFY"
     let w = design.config().bus_width();
 
@@ -100,19 +108,27 @@ pub(crate) fn verify_compiled(
     sim.set_pipelined_sum(design.config().pipeline_class_sum());
     let inputs: Vec<BitVec> = samples.iter().map(|s| s.input.clone()).collect();
     let results = sim.run_datapoints(&inputs)?;
-    let mut system_mismatches = 0usize;
-    for (s, r) in samples.iter().zip(&results) {
-        if design.model().predict(&s.input) != r.winner {
-            system_mismatches += 1;
-        }
-    }
+    let predictions: Vec<usize> = samples
+        .iter()
+        .map(|s| design.model().predict(&s.input))
+        .collect();
+    let system_mismatches = predictions
+        .iter()
+        .zip(&results)
+        .filter(|(&p, r)| p != r.winner)
+        .count();
 
-    Ok(VerificationReport {
+    let report = VerificationReport {
         gate_vectors,
         gate_mismatches,
         system_vectors: samples.len(),
         system_mismatches,
         beats_observed: sim.monitor().records().len(),
+    };
+    Ok(Verified {
+        report,
+        results,
+        predictions,
     })
 }
 

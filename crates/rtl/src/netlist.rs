@@ -7,8 +7,7 @@
 //! and verified architecturally by the cycle-accurate simulator.
 
 use matador_logic::dag::{LogicDag, Node};
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use tsetlin::bits::BitVec;
 
 /// Reference to a single-bit net.
@@ -110,7 +109,11 @@ impl std::error::Error for NetlistError {}
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Netlist {
     name: String,
-    net_names: Vec<String>,
+    /// Every net's name, back to back: net `i`'s name ends at
+    /// `name_ends[i]` and starts where net `i - 1`'s ends.
+    names: String,
+    /// End offset of each net's name in `names`; one entry per net.
+    name_ends: Vec<u32>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     gates: Vec<Gate>,
@@ -121,7 +124,8 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Self {
         Netlist {
             name: name.into(),
-            net_names: Vec::new(),
+            names: String::new(),
+            name_ends: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             gates: Vec::new(),
@@ -135,9 +139,29 @@ impl Netlist {
 
     /// Declares a new net; `name` is sanitized to a Verilog identifier.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let id = NetId(self.net_names.len() as u32);
-        self.net_names.push(sanitize_identifier(&name.into()));
+        push_sanitized(&mut self.names, &name.into());
+        self.end_net()
+    }
+
+    /// Declares a new net named by `args`, written straight into the name
+    /// arena. The caller guarantees the name is already a legal
+    /// identifier.
+    fn add_named_net(&mut self, args: fmt::Arguments<'_>) -> NetId {
+        let _ = self.names.write_fmt(args);
+        self.end_net()
+    }
+
+    /// Closes the name just written to the arena as the next net.
+    fn end_net(&mut self) -> NetId {
+        let id = NetId(self.name_ends.len() as u32);
+        let end = u32::try_from(self.names.len()).expect("net names fit u32 offsets");
+        self.name_ends.push(end);
         id
+    }
+
+    /// Number of declared nets.
+    fn net_count(&self) -> usize {
+        self.name_ends.len()
     }
 
     /// Declares an input port net.
@@ -194,7 +218,9 @@ impl Netlist {
     ///
     /// Panics if `net` does not belong to this netlist.
     pub fn net_name(&self, net: NetId) -> &str {
-        &self.net_names[net.index()]
+        let i = net.index();
+        let start = if i == 0 { 0 } else { self.name_ends[i - 1] };
+        &self.names[start as usize..self.name_ends[i] as usize]
     }
 
     /// Number of AND2 gates.
@@ -221,7 +247,7 @@ impl Netlist {
     ///
     /// Returns [`NetlistError`] describing the first violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        let mut driven = vec![false; self.net_names.len()];
+        let mut driven = vec![false; self.net_count()];
         for &i in &self.inputs {
             driven[i.index()] = true;
         }
@@ -282,7 +308,7 @@ impl Netlist {
     /// Panics if `inputs.len()` differs from the number of input ports.
     pub fn eval_lanes(&self, inputs: &[u64]) -> Vec<u64> {
         assert_eq!(inputs.len(), self.inputs.len(), "input port count mismatch");
-        let mut values = vec![0u64; self.net_names.len()];
+        let mut values = vec![0u64; self.net_count()];
         for (&net, &lanes) in self.inputs.iter().zip(inputs) {
             values[net.index()] = lanes;
         }
@@ -300,46 +326,51 @@ impl Netlist {
     /// `in_0..in_{w-1}`; DAG outputs become ports `out_0..`.
     ///
     /// Only reachable nodes are instantiated, so unshared (`DON'T TOUCH`)
-    /// DAGs lower to proportionally larger netlists.
+    /// DAGs lower to proportionally larger netlists. Net names are
+    /// written straight into the name arena, and nodes map to nets
+    /// through a table indexed by node, so no net costs an allocation of
+    /// its own.
     pub fn from_dag(name: impl Into<String>, dag: &LogicDag) -> Netlist {
         let mut nl = Netlist::new(name);
-        let input_nets: Vec<NetId> = (0..dag.width())
-            .map(|i| nl.add_input(format!("in_{i}")))
-            .collect();
         let reachable = dag.reachable();
-        let mut node_net: HashMap<usize, NetId> = HashMap::new();
+        nl.inputs = (0..dag.width())
+            .map(|i| nl.add_named_net(format_args!("in_{i}")))
+            .collect();
+        let mut node_net = vec![NetId(u32::MAX); dag.nodes().len()];
         let mut const0: Option<NetId> = None;
         let mut const1: Option<NetId> = None;
         for (i, node) in dag.nodes().iter().enumerate() {
             if !reachable[i] {
                 continue;
             }
-            let net = match *node {
-                Node::Const0 => *const0.get_or_insert_with(|| nl_const(&mut nl, false)),
-                Node::Const1 => *const1.get_or_insert_with(|| nl_const(&mut nl, true)),
-                Node::Input(b) => input_nets[b as usize],
+            node_net[i] = match *node {
+                Node::Const0 => *const0.get_or_insert_with(|| nl.const_net(false)),
+                Node::Const1 => *const1.get_or_insert_with(|| nl.const_net(true)),
+                Node::Input(b) => nl.inputs[b as usize],
                 Node::NotInput(b) => {
-                    let a = input_nets[b as usize];
-                    nl.not(a, format!("n_inv_{b}"))
+                    let a = nl.inputs[b as usize];
+                    let y = nl.add_named_net(format_args!("n_inv_{b}"));
+                    nl.gates.push(Gate::Not { a, y });
+                    y
                 }
                 Node::And(a, b) => {
-                    let na = node_net[&a.index()];
-                    let nb = node_net[&b.index()];
-                    nl.and2(na, nb, format!("n_and_{i}"))
+                    let (a, b) = (node_net[a.index()], node_net[b.index()]);
+                    let y = nl.add_named_net(format_args!("n_and_{i}"));
+                    nl.gates.push(Gate::And2 { a, b, y });
+                    y
                 }
             };
-            node_net.insert(i, net);
         }
         let buffer_one = match const1 {
             Some(n) => n,
-            None => nl_const(&mut nl, true),
+            None => nl.const_net(true),
         };
         for (k, out) in dag.outputs().iter().enumerate() {
-            let net = node_net[&out.index()];
+            let net = node_net[out.index()];
             // Outputs are dedicated ports, aliased through an AND-with-1
             // buffer so a net shared by several outputs (or an input pin)
             // keeps single-driver semantics trivially true.
-            let port = nl.add_net(format!("out_{k}"));
+            let port = nl.add_named_net(format_args!("out_{k}"));
             nl.gates.push(Gate::And2 {
                 a: net,
                 b: buffer_one,
@@ -349,27 +380,35 @@ impl Netlist {
         }
         nl
     }
-}
 
-fn nl_const(nl: &mut Netlist, value: bool) -> NetId {
-    nl.constant(value, if value { "const1" } else { "const0" })
+    /// Adds a `const0`/`const1` driver, returning its net.
+    fn const_net(&mut self, value: bool) -> NetId {
+        let y = self.add_named_net(format_args!("const{}", u8::from(value)));
+        self.gates.push(Gate::Const { value, y });
+        y
+    }
 }
 
 /// Rewrites `name` into a legal Verilog identifier (alphanumerics and
 /// underscores, non-digit first character).
 pub fn sanitize_identifier(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() || out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
+    let mut out = String::with_capacity(name.len() + 1);
+    push_sanitized(&mut out, name);
     out
+}
+
+/// Appends [`sanitize_identifier`]`(name)` to `out`.
+fn push_sanitized(out: &mut String, name: &str) {
+    if name.chars().next().is_none_or(|c| c.is_ascii_digit()) {
+        out.push('_');
+    }
+    out.extend(name.chars().map(|c| {
+        if c.is_ascii_alphanumeric() || c == '_' {
+            c
+        } else {
+            '_'
+        }
+    }));
 }
 
 #[cfg(test)]

@@ -105,7 +105,9 @@ impl CompiledAccelerator {
     }
 
     /// Evaluates window `k` on a raw packet, returning the partial clause
-    /// bits packed into a clause-indexed vector.
+    /// bits packed into a clause-indexed vector. Runs the DAG interpreter
+    /// ([`LogicDag::eval_into`]), the oracle the engines' folded tapes
+    /// are tested against.
     ///
     /// # Panics
     ///
@@ -118,36 +120,13 @@ impl CompiledAccelerator {
         out
     }
 
-    /// Fresh reusable scratch for [`CompiledAccelerator::eval_window_into`].
-    pub fn window_scratch(&self) -> WindowScratch {
-        WindowScratch {
-            values: Vec::new(),
-            input: BitVec::zeros(self.shape.bus_width),
-        }
-    }
-
-    /// Allocation-free core of [`CompiledAccelerator::eval_window`]:
-    /// evaluates window `k` on `packet`, writing the partial clause bits
-    /// into `out`. Once `scratch` has warmed to the largest window's node
-    /// count, repeated calls perform no heap allocation — this is the
-    /// cycle engine's per-beat hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range or `out.len() != total_clauses()`.
-    pub fn eval_window_into(
-        &self,
-        k: usize,
-        packet: u64,
-        scratch: &mut WindowScratch,
-        out: &mut BitVec,
-    ) {
-        scratch.input.assign_word(packet);
-        self.windows[k].eval_into(&scratch.input, &mut scratch.values, out);
-    }
-
     /// Software reference: the class sums the hardware will produce for a
     /// full datapoint (AND over all windows, polarity-weighted votes).
+    ///
+    /// Each window runs through the DAG interpreter
+    /// ([`LogicDag::eval_into`]), not the folded tape the engines run, so
+    /// the bit-identity suites compare the engines against an
+    /// independent evaluation.
     ///
     /// # Panics
     ///
@@ -155,12 +134,14 @@ impl CompiledAccelerator {
     pub fn reference_class_sums(&self, input: &BitVec) -> Vec<i32> {
         assert_eq!(input.len(), self.shape.features, "input width mismatch");
         let c = self.shape.total_clauses();
-        let mut scratch = self.window_scratch();
+        let w = self.shape.bus_width;
+        let mut values = Vec::new();
+        let mut window_in = BitVec::zeros(w);
         let mut window_out = BitVec::zeros(c);
         let mut clauses = BitVec::ones(c);
-        for k in 0..self.shape.num_packets() {
-            let word = input.extract_word(k * self.shape.bus_width, self.shape.bus_width);
-            self.eval_window_into(k, word, &mut scratch, &mut window_out);
+        for (k, dag) in self.windows.iter().enumerate() {
+            window_in.assign_word(input.extract_word(k * w, w));
+            dag.eval_into(&window_in, &mut values, &mut window_out);
             clauses.and_assign(&window_out);
         }
         self.shape.sums_from_clauses(&clauses)
@@ -199,18 +180,20 @@ impl AccelShape {
     /// software reference and the cycle engine's class-sum stage.
     pub(crate) fn sums_from_clauses(&self, clauses: &BitVec) -> Vec<i32> {
         let mut sums = Vec::with_capacity(self.classes);
-        self.sums_from_clauses_into(clauses, &mut sums);
+        self.sums_from_clause_words_into(clauses.words(), &mut sums);
         sums
     }
 
-    /// [`AccelShape::sums_from_clauses`] into a reusable buffer.
-    pub(crate) fn sums_from_clauses_into(&self, clauses: &BitVec, out: &mut Vec<i32>) {
+    /// [`AccelShape::sums_from_clauses`] on clause words (bit `c % 64` of
+    /// word `c / 64` is clause `c`), into a reusable buffer.
+    pub(crate) fn sums_from_clause_words_into(&self, clauses: &[u64], out: &mut Vec<i32>) {
         let cpc = self.clauses_per_class;
         out.clear();
         out.extend((0..self.classes).map(|class| {
             (0..cpc)
                 .map(|j| {
-                    let fired = clauses.get(class * cpc + j);
+                    let c = class * cpc + j;
+                    let fired = (clauses[c / 64] >> (c % 64)) & 1 == 1;
                     match (fired, j % 2 == 0) {
                         (true, true) => 1,
                         (true, false) => -1,
@@ -220,15 +203,6 @@ impl AccelShape {
                 .sum::<i32>()
         }));
     }
-}
-
-/// Reusable per-engine scratch for
-/// [`CompiledAccelerator::eval_window_into`]: the DAG node-value buffer
-/// and the packet-as-window-input bit vector.
-#[derive(Debug, Clone)]
-pub struct WindowScratch {
-    values: Vec<bool>,
-    input: BitVec,
 }
 
 #[cfg(test)]

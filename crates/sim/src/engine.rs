@@ -7,8 +7,13 @@
 //! back-to-back produces its classification `P + 3` cycles after the first
 //! packet (HCB chain fill + class-sum + argmax + output register), and the
 //! steady-state initiation interval is `P` cycles.
+//!
+//! The HCB logic itself is each window's DAG lowered once to the folded
+//! AND tape the turbo backend also runs (`crate::tape`), evaluated on a
+//! single lane per accepted beat.
 
-use crate::accel::{CompiledAccelerator, WindowScratch};
+use crate::accel::CompiledAccelerator;
+use crate::tape::LaneTape;
 use matador_axi::stream::{AxiStreamMaster, Beat, StreamMonitor};
 use std::fmt;
 use tsetlin::bits::BitVec;
@@ -106,8 +111,11 @@ pub struct SimEngine<'a> {
     accel: &'a CompiledAccelerator,
     master: AxiStreamMaster,
     monitor: StreamMonitor,
-    /// Registered partial-clause vector per HCB.
-    hcb_regs: Vec<BitVec>,
+    /// Every window's DAG folded to a single-lane AND tape.
+    tape: LaneTape,
+    /// Registered partial-clause words per HCB (bit `c % 64` of word
+    /// `c / 64` is clause `c`).
+    hcb_regs: Vec<Vec<u64>>,
     /// Controller packet counter.
     pkt: usize,
     /// Optional extra pipeline stage: registered partial popcounts when
@@ -135,12 +143,10 @@ pub struct SimEngine<'a> {
     /// Captured class sums, aligned with [`SimEngine::results`] entries
     /// produced while capture was enabled.
     sums_log: Vec<Vec<i32>>,
-    /// Reusable DAG-evaluation scratch (node values + packet input).
-    scratch: WindowScratch,
-    /// Reusable partial-clause vector for the current beat's window.
-    pc_scratch: BitVec,
+    /// Reusable tape slot values for the current beat's window.
+    values: Vec<u64>,
     /// Next value of the written HCB register, swapped in at end of cycle.
-    reg_scratch: BitVec,
+    reg_scratch: Vec<u64>,
     /// Recycled class-sum buffers (the pipeline holds at most three).
     sum_free: Vec<Vec<i32>>,
     /// Sum of result-to-result gaps observed within runs, in cycles.
@@ -152,14 +158,21 @@ pub struct SimEngine<'a> {
 }
 
 impl<'a> SimEngine<'a> {
-    /// Creates an engine in the post-reset state.
+    /// Creates an engine in the post-reset state, lowering every window
+    /// of `accel` to its single-lane AND tape once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus is wider than 64 bits or a window's width
+    /// differs from the bus width.
     pub fn new(accel: &'a CompiledAccelerator) -> Self {
-        let c = accel.shape().total_clauses();
+        let tape = LaneTape::lower(accel);
+        let words = tape.words();
         SimEngine {
             accel,
             master: AxiStreamMaster::new(),
             monitor: StreamMonitor::new(),
-            hcb_regs: vec![BitVec::zeros(c); accel.shape().num_packets()],
+            hcb_regs: vec![vec![0; words]; accel.shape().num_packets()],
             pkt: 0,
             sum_stage_pre: None,
             sum_stage: None,
@@ -174,9 +187,9 @@ impl<'a> SimEngine<'a> {
             capture_sums: false,
             sums_stage: None,
             sums_log: Vec::new(),
-            scratch: accel.window_scratch(),
-            pc_scratch: BitVec::zeros(c),
-            reg_scratch: BitVec::zeros(c),
+            values: tape.scratch(),
+            reg_scratch: vec![0; words],
+            tape,
             sum_free: Vec::new(),
             ii_cycles: 0,
             ii_samples: 0,
@@ -233,6 +246,12 @@ impl<'a> SimEngine<'a> {
 
     /// Advances one clock cycle.
     ///
+    /// An accepted beat's HCB logic runs on the window's folded AND tape
+    /// (lowered once by [`SimEngine::new`]) on a single lane: the
+    /// `2W + 2` prefix slots are filled from `tdata`, the window's AND
+    /// pairs run branch-free, and the partial-clause words start from the
+    /// window's constant-1 mask and gather only the non-constant outputs.
+    ///
     /// The hot path is allocation-free once warmed: window evaluation,
     /// the HCB chain AND and the class-sum computation all reuse engine
     /// scratch, and retired class-sum buffers are recycled through a
@@ -252,13 +271,12 @@ impl<'a> SimEngine<'a> {
             self.monitor.capture(self.cycle, beat);
             let k = self.pkt;
             hcb_en = Some(k);
-            self.accel
-                .eval_window_into(k, beat.tdata, &mut self.scratch, &mut self.pc_scratch);
-            if k == 0 {
-                self.reg_scratch.copy_from(&self.pc_scratch);
-            } else {
-                self.reg_scratch.copy_from(&self.hcb_regs[k - 1]);
-                self.reg_scratch.and_assign(&self.pc_scratch);
+            self.tape
+                .eval_into(k, beat.tdata, &mut self.values, &mut self.reg_scratch);
+            if k > 0 {
+                for (reg, prev) in self.reg_scratch.iter_mut().zip(&self.hcb_regs[k - 1]) {
+                    *reg &= prev;
+                }
             }
             new_reg = Some(k);
             tlast = beat.tlast;
@@ -491,7 +509,7 @@ impl<'a> SimEngine<'a> {
     fn class_sums_from_regs_into(&self, out: &mut Vec<i32>) {
         let shape = self.accel.shape();
         let final_regs = &self.hcb_regs[shape.num_packets() - 1];
-        shape.sums_from_clauses_into(final_regs, out);
+        shape.sums_from_clause_words_into(final_regs, out);
     }
 }
 

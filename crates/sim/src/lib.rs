@@ -33,9 +33,10 @@
 pub mod accel;
 pub mod compile;
 pub mod engine;
+pub(crate) mod tape;
 pub mod turbo;
 
-pub use accel::{AccelShape, CompiledAccelerator, WindowScratch};
+pub use accel::{AccelShape, CompiledAccelerator};
 pub use compile::{CompileOptions, CompilePipeline, Compiled, PartitionPlan, PassStats};
 pub use engine::{CycleTrace, LatencyReport, SimEngine, SimError, SimResult};
 pub use turbo::{

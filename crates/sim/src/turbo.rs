@@ -1,13 +1,14 @@
 //! The bit-sliced turbo inference backend: 64 datapoints per AND word,
 //! blocked 4-word strips, and work-sized intra-batch parallelism.
 //!
-//! The cycle engine re-walks every window DAG one datapoint and one
-//! boolean at a time. Nothing about the *answer* needs that: the paper's
-//! architecture is fully feed-forward, and its datapath is nothing but
-//! AND gates fed by input literals and their inverters. Each window is
-//! therefore lowered once into a flat tape of `(a, b)` AND pairs and
-//! evaluated over `u64` words where **bit `l` is datapoint `l`** — 64
-//! independent classifications advance per AND.
+//! The cycle engine runs each window's folded AND tape (`crate::tape`)
+//! on a single lane, one packet per accepted beat, because it models
+//! the stream cycle by cycle. Nothing about the *answer* needs that: the
+//! paper's architecture is fully feed-forward, and its datapath is
+//! nothing but AND gates fed by input literals and their inverters. The
+//! same tape of `(a, b)` AND pairs is therefore evaluated here over
+//! `u64` words where **bit `l` is datapoint `l`** — 64 independent
+//! classifications advance per AND.
 //!
 //! The tapes run over one all-window slot space per strip, in which
 //! every window owns an area that starts with a fixed input prefix: the
@@ -88,8 +89,9 @@
 //! batch.
 
 use crate::accel::{AccelShape, CompiledAccelerator};
-use crate::compile::ir::{Op, WindowProgram};
+use crate::compile::ir::WindowProgram;
 use crate::engine::{SimError, SimResult};
+use crate::tape::{prefix_slots, FoldedWindow};
 use matador_obs::{Counter, Histogram, Registry};
 use std::sync::{Arc, OnceLock};
 use tsetlin::bits::BitVec;
@@ -549,50 +551,6 @@ pub(crate) struct TurboScratch {
     /// Count planes at their transpose rows, column-major: block `t` of
     /// column `wi` is the 64 words at `(wi * blocks + t) * LANES`.
     planes: Vec<u64>,
-}
-
-/// One window lowered onto its area of the all-window slot space: a
-/// branch-free AND tape over global slots.
-#[derive(Debug, Clone)]
-struct FoldedWindow {
-    /// The window's first slot: its input prefix starts here, and pair
-    /// `i` writes slot `base + prefix_slots + i`.
-    base: usize,
-    /// `(a, b)` operand slots.
-    ands: Vec<(u32, u32)>,
-}
-
-impl FoldedWindow {
-    /// Folds an IR tape onto the area at `base` for a `bits`-wide bus:
-    /// `Input`, `NotInput` and constant ops become references into the
-    /// area's input prefix and never execute; each `And` becomes one
-    /// pair writing the next slot after the prefix. Also returns the
-    /// slot of every clause output, in clause order.
-    fn fold(tape: &WindowProgram, bits: usize, base: usize) -> (Self, Vec<u32>) {
-        let slot_u32 = |s: usize| u32::try_from(base + s).expect("slot space fits u32");
-        let mut slot = Vec::with_capacity(tape.ops.len());
-        let mut ands = Vec::new();
-        for op in &tape.ops {
-            slot.push(match *op {
-                Op::Input(b) => slot_u32(usize::from(b)),
-                Op::NotInput(b) => slot_u32(bits + usize::from(b)),
-                Op::Const1 => slot_u32(2 * bits),
-                Op::Const0 => slot_u32(2 * bits + 1),
-                Op::And(a, b) => {
-                    ands.push((slot[a as usize], slot[b as usize]));
-                    slot_u32(prefix_slots(bits) + ands.len() - 1)
-                }
-            });
-        }
-        let outputs = tape.outputs.iter().map(|&s| slot[s as usize]).collect();
-        (FoldedWindow { base, ands }, outputs)
-    }
-}
-
-/// Slots in the input prefix of a `bits`-wide bus: the window's bits,
-/// their complements, constant 1 and constant 0.
-fn prefix_slots(bits: usize) -> usize {
-    2 * bits + 2
 }
 
 /// One `(class, sign)` group of the class-sum stage: the clauses of a
