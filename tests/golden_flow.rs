@@ -5,8 +5,9 @@
 //! pins what the flow derives from it: the per-window mapped logic
 //! (`hcb_logic()`), the LUT depth, the Fig 3 prefix-register counts, the
 //! implemented LUT/FF totals, the whole `VerificationReport` at a fixed
-//! verification seed, and FNV-1a digests of the emitted Verilog file set
-//! and of the design-cache text. An optimisation of generation,
+//! verification seed, FNV-1a digests of the emitted Verilog file set and
+//! of the design-cache text, and the work counts the default compile
+//! pipeline reports for the turbo program. An optimisation of generation,
 //! compilation or verification has to leave every one of them unchanged.
 //!
 //! The small cases (KWS-6 and Noisy XOR quick models, both `Sharing`
@@ -21,6 +22,7 @@ use matador_repro::matador::config::MatadorConfig;
 use matador_repro::matador::{verify_design, AcceleratorDesign, VerificationReport};
 use matador_repro::tsetlin::params::TmParams;
 use matador_repro::tsetlin::{MultiClassTm, Sample, TrainedModel};
+use matador_repro::{CompilePipeline, PassStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -75,6 +77,34 @@ struct Observed {
     verilog: u64,
     /// FNV-1a of `to_cache_text()`.
     cache_text: u64,
+    /// What the default compile pipeline does to `compile_for_sim()`.
+    work: Work,
+}
+
+/// The `PassStats` work counts of one default-pipeline compile.
+#[derive(Debug, PartialEq)]
+struct Work {
+    tape_before: usize,
+    tape_after: usize,
+    cse_dedup_hits: usize,
+    clause_ands_before: usize,
+    clause_ands_after: usize,
+    tape_ands: usize,
+    sum_transposes: usize,
+}
+
+impl From<PassStats> for Work {
+    fn from(stats: PassStats) -> Self {
+        Work {
+            tape_before: stats.tape_before,
+            tape_after: stats.tape_after,
+            cse_dedup_hits: stats.cse_dedup_hits,
+            clause_ands_before: stats.clause_ands_before,
+            clause_ands_after: stats.clause_ands_after,
+            tape_ands: stats.tape_ands,
+            sum_transposes: stats.sum_transposes,
+        }
+    }
 }
 
 /// One design point of a golden case.
@@ -118,6 +148,10 @@ fn observe(trained: &Trained, name: &str, point: &Point) -> Observed {
         verification,
         verilog: fnv1a(&verilog),
         cache_text: fnv1a(design.to_cache_text().as_bytes()),
+        work: CompilePipeline::default()
+            .compile(&design.compile_for_sim())
+            .stats
+            .into(),
     }
 }
 
@@ -185,6 +219,15 @@ fn small_designs_match_their_golden_flow() {
                     verification: report(108, 24, 144),
                     verilog: 0xed3f_9d94_6a0c_0f9f,
                     cache_text: 0x20ab_f0cd_6e8a_2661,
+                    work: Work {
+                        tape_before: 1756,
+                        tape_after: 1750,
+                        cse_dedup_hits: 0,
+                        clause_ands_before: 2160,
+                        clause_ands_after: 1309,
+                        tape_ands: 1027,
+                        sum_transposes: 1,
+                    },
                 },
             ),
             (
@@ -219,6 +262,15 @@ fn small_designs_match_their_golden_flow() {
                     verification: report(504, 16, 192),
                     verilog: 0x8f5f_fbb5_c7a8_be28,
                     cache_text: 0x49fe_6b60_b621_e884,
+                    work: Work {
+                        tape_before: 1422,
+                        tape_after: 1398,
+                        cse_dedup_hits: 0,
+                        clause_ands_before: 4320,
+                        clause_ands_after: 1704,
+                        tape_ands: 669,
+                        sum_transposes: 1,
+                    },
                 },
             ),
         ],
@@ -255,6 +307,15 @@ fn small_designs_match_their_golden_flow() {
                     verification: report(102, 20, 60),
                     verilog: 0x5ff1_5fff_0e6e_01ce,
                     cache_text: 0x70c7_dc67_3eee_54fb,
+                    work: Work {
+                        tape_before: 57,
+                        tape_after: 54,
+                        cse_dedup_hits: 0,
+                        clause_ands_before: 120,
+                        clause_ands_after: 80,
+                        tape_ands: 27,
+                        sum_transposes: 1,
+                    },
                 },
             ),
             (
@@ -274,6 +335,15 @@ fn small_designs_match_their_golden_flow() {
                     verification: report(306, 20, 60),
                     verilog: 0x7eaa_5758_67ee_a079,
                     cache_text: 0x8315_573f_4499_3dde,
+                    work: Work {
+                        tape_before: 70,
+                        tape_after: 65,
+                        cse_dedup_hits: 0,
+                        clause_ands_before: 120,
+                        clause_ands_after: 74,
+                        tape_ands: 37,
+                        sum_transposes: 1,
+                    },
                 },
             ),
         ],
@@ -335,6 +405,15 @@ fn perfbench_mnist_design_matches_its_golden_flow() {
                 verification: report(442, 64, 832),
                 verilog: 0x6935_c2d1_7d7c_5a90,
                 cache_text: 0x8f86_7fe4_ebca_0469,
+                work: Work {
+                    tape_before: 7722,
+                    tape_after: 7709,
+                    cse_dedup_hits: 0,
+                    clause_ands_before: 26000,
+                    clause_ands_after: 10148,
+                    tape_ands: 6162,
+                    sum_transposes: 3,
+                },
             },
         )],
     );
