@@ -3,11 +3,10 @@
 //! equivalence check, with a machine-readable artifact.
 //!
 //! One KWS-6 model is trained (or cache-loaded) and its accelerator
-//! generated (or cache-loaded); every pass combination — raw flatten,
-//! CSE only, scheduling only, the default pipeline — compiles the same
-//! design, reporting tape size before/after, CSE dedup hits, scheduler
-//! operand distance, clause-AND word-ops before/after constant-1
-//! elision, the AND word-ops of the input-folded tape the evaluator
+//! generated (or cache-loaded); both pass combinations — the raw
+//! flatten and the default pipeline with CSE — compile the same design,
+//! reporting tape size before/after, CSE dedup hits, clause-AND word-ops
+//! before/after constant-1 elision, the AND word-ops of the input-folded tape the evaluator
 //! runs (`tape_ands`), the class-sum stage's 64×64 transposes per
 //! lane-word column (`sum_transposes`) and best-of-repeats compile
 //! wall-clock. The
@@ -25,10 +24,10 @@
 //! The JSON artifact (`BENCH_compile.json` by default) tracks the
 //! compiler's trajectory per commit: one row per pass combination and
 //! one per partition count. `--assert-cse-shrinkage` exits non-zero
-//! unless the CSE pass on its own shrank the KWS-6 tape (`tape_after <
-//! tape_before` on the CSE-only combo; the dedup-hit count is printed
-//! but not gated, and KWS-6 passes with 0 hits) — the release CI gate
-//! keeping the optimization passes honest.
+//! unless the CSE pass shrank the KWS-6 tape (`tape_after < tape_before`
+//! on the `cse` combo; the dedup-hit count is printed but not gated, and
+//! KWS-6 passes with 0 hits) — the release CI gate keeping the pass
+//! honest.
 
 use matador_bench::harness::{self, write_outputs, Flags, Kws6};
 use matador_serve::{EngineBackend, ServeOptions, ShardPool, ShardSpec};
@@ -50,7 +49,7 @@ struct Combo {
 
 /// Compiles `accel` under `options` `repeats` times and keeps the best
 /// wall-clock (compiles are deterministic; the best-of floor strips
-/// scheduler noise from the timing rows).
+/// OS timing noise from the timing rows).
 fn measure(
     accel: &CompiledAccelerator,
     name: &'static str,
@@ -116,23 +115,7 @@ fn run() -> Result<bool, matador::Error> {
 
     let combos = [
         ("none", CompileOptions::none()),
-        (
-            "cse",
-            CompileOptions {
-                cse: true,
-                schedule: false,
-                partitions: 1,
-            },
-        ),
-        (
-            "schedule",
-            CompileOptions {
-                cse: false,
-                schedule: true,
-                partitions: 1,
-            },
-        ),
-        ("cse+schedule", CompileOptions::default()),
+        ("cse", CompileOptions::default()),
     ];
     let before = matador_obs::Registry::global().snapshot();
     let cells: Vec<Combo> = combos
@@ -143,14 +126,12 @@ fn run() -> Result<bool, matador::Error> {
     println!();
     for c in &cells {
         println!(
-            "  {:>13}  tape {:>6} -> {:<6} dedup {:>4}  distance {:>8} -> {:<8} \
+            "  {:>4}  tape {:>6} -> {:<6} dedup {:>4}  \
              clause ANDs {:>6} -> {:<6} tape ANDs {:>6} sum transposes {:>2} ({:.4}s)",
             c.name,
             c.stats.tape_before,
             c.stats.tape_after,
             c.stats.cse_dedup_hits,
-            c.stats.schedule_distance_before,
-            c.stats.schedule_distance_after,
             c.stats.clause_ands_before,
             c.stats.clause_ands_after,
             c.stats.tape_ands,
@@ -197,16 +178,13 @@ fn run() -> Result<bool, matador::Error> {
     for c in &cells {
         artifact.push_row(format!(
             "{{\"passes\": \"{}\", \"tape_before\": {}, \"tape_after\": {}, \
-             \"cse_dedup_hits\": {}, \"schedule_distance_before\": {}, \
-             \"schedule_distance_after\": {}, \"clause_ands_before\": {}, \
+             \"cse_dedup_hits\": {}, \"clause_ands_before\": {}, \
              \"clause_ands_after\": {}, \"tape_ands\": {}, \"sum_transposes\": {}, \
              \"compile_wall_s\": {:.6}}}",
             c.name,
             c.stats.tape_before,
             c.stats.tape_after,
             c.stats.cse_dedup_hits,
-            c.stats.schedule_distance_before,
-            c.stats.schedule_distance_after,
             c.stats.clause_ands_before,
             c.stats.clause_ands_after,
             c.stats.tape_ands,
@@ -223,8 +201,8 @@ fn run() -> Result<bool, matador::Error> {
     write_outputs(&artifact, Some(&out), None)?;
 
     if flags.switch("--assert-cse-shrinkage") {
-        // Gated on the CSE-only combo so scheduling's unreachable-slot
-        // dropping cannot mask a dead CSE pass.
+        // Gated on the `cse` combo, which differs from `none` only by
+        // the CSE pass.
         let cse_cell = cells
             .iter()
             .find(|c| c.name == "cse")

@@ -2,24 +2,24 @@
 //! program, with an optional design partitioner for model-parallel
 //! serving.
 //!
-//! [`TurboProgram::compile`] used to be a single monolithic flatten.
-//! It is now a convenience wrapper over this module's
-//! [`CompilePipeline`], which runs an explicit ordered pass list:
+//! [`TurboProgram::compile`] is a convenience wrapper over this
+//! module's [`CompilePipeline`], which runs an explicit ordered pass
+//! list:
 //!
 //! 1. **parse/lower** — each window [`LogicDag`](matador_logic::dag::LogicDag) flattens to an untyped
 //!    instruction tape (always on; it *is* the translation).
 //! 2. **CSE / cross-window dedup** ([`CompileOptions::cse`]) — local
 //!    value numbering with constant folding and a dead-code sweep,
 //!    plus whole-tape dedup so identical windows compile once.
-//! 3. **scheduling** ([`CompileOptions::schedule`]) — DFS output-cone
-//!    postorder re-emission for lane-word operand locality.
+//! 3. **fold** — each tape folds into the evaluator's flat AND tape
+//!    (always on; [`TurboProgram`] runs nothing else).
 //! 4. **partitioning** ([`CompilePipeline::partition`], driven by
 //!    [`CompileOptions::partitions`]) — splits one oversized design
 //!    into K standalone sub-accelerators with a deterministic
 //!    class-sum merge plan ([`PartitionPlan`]).
 //!
 //! Every pass is semantics-preserving: winners, class sums and cycle
-//! stamps are bit-identical across every pass combination
+//! stamps are bit-identical with and without CSE
 //! (`crates/sim/tests/compile_pipeline_equivalence.rs`). Per-pass
 //! stats surface through [`PassStats`] and the `matador_compile_*`
 //! counters in [`matador_obs`].
@@ -40,11 +40,11 @@
 //! ]];
 //! let accel = CompiledAccelerator::from_window_cubes(shape, &cubes, Sharing::Enabled);
 //!
-//! // The default pipeline (CSE + scheduling) — what TurboProgram::compile runs.
+//! // The default pipeline (lower → CSE → fold) — what TurboProgram::compile runs.
 //! let compiled = CompilePipeline::default().compile(&accel);
 //! assert!(compiled.stats.tape_after <= compiled.stats.tape_before);
 //!
-//! // Passes toggle individually; results never change.
+//! // CSE toggles off; results never change.
 //! let raw = CompilePipeline::new(CompileOptions::none()).compile(&accel);
 //! let x = tsetlin::bits::BitVec::from_indices(4, &[0]);
 //! assert_eq!(
@@ -82,7 +82,6 @@ pub(crate) mod ir;
 
 mod cse;
 mod partition;
-mod schedule;
 
 pub use partition::PartitionPlan;
 
@@ -153,13 +152,12 @@ fn compile_metrics() -> &'static CompileMetrics {
     })
 }
 
-/// Which passes the pipeline runs, each individually toggleable.
+/// Whether the pipeline runs CSE, and how many parts the partitioner
+/// cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Run cross-window CSE / tape dedup (pass 2).
     pub cse: bool,
-    /// Run locality scheduling (pass 3).
-    pub schedule: bool,
     /// How many sub-programs [`CompilePipeline::partition`] splits a
     /// design into (clamped to the design's vote-pair count; `1` means
     /// no partitioning).
@@ -167,24 +165,21 @@ pub struct CompileOptions {
 }
 
 impl Default for CompileOptions {
-    /// Everything on, no partitioning — what
-    /// [`TurboProgram::compile`] runs.
+    /// CSE on, no partitioning — what [`TurboProgram::compile`] runs.
     fn default() -> Self {
         CompileOptions {
             cse: true,
-            schedule: true,
             partitions: 1,
         }
     }
 }
 
 impl CompileOptions {
-    /// The raw monolithic flatten: every optimization pass off. This is
-    /// the behavior baseline the pipeline is equivalence-tested against.
+    /// The raw flatten: CSE off. This is the behavior baseline the
+    /// pipeline is equivalence-tested against.
     pub fn none() -> Self {
         CompileOptions {
             cse: false,
-            schedule: false,
             partitions: 1,
         }
     }
@@ -202,13 +197,6 @@ impl CompileOptions {
         self.cse = cse;
         self
     }
-
-    /// Returns the options with the scheduling pass toggled.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: bool) -> Self {
-        self.schedule = schedule;
-        self
-    }
 }
 
 /// Per-pass statistics for one pipeline run; the tape and dedup figures
@@ -218,16 +206,12 @@ pub struct PassStats {
     /// Tape instructions across all windows after lowering, before any
     /// optimization pass.
     pub tape_before: usize,
-    /// Tape instructions after every enabled pass ran.
+    /// Tape instructions after CSE (equal to `tape_before` when it is
+    /// off).
     pub tape_after: usize,
     /// Windows replaced by clones of identical earlier windows (0 when
     /// CSE is off).
     pub cse_dedup_hits: usize,
-    /// Summed `And` use-to-def slot distance entering the scheduler
-    /// (0 when scheduling is off).
-    pub schedule_distance_before: u64,
-    /// The same sum after rescheduling (0 when scheduling is off).
-    pub schedule_distance_after: u64,
     /// Clause-AND word-ops per lane word before constant-1 elision: one
     /// per window × clause partial output.
     pub clause_ands_before: usize,
@@ -275,8 +259,8 @@ impl CompilePipeline {
         &self.options
     }
 
-    /// Runs lower → CSE → schedule over every window of `accel` and
-    /// packages the result as an executable [`TurboProgram`].
+    /// Runs lower → CSE → fold over every window of `accel`, yielding
+    /// an executable [`TurboProgram`].
     pub fn compile(&self, accel: &CompiledAccelerator) -> Compiled {
         let shape = *accel.shape();
         let mut windows: Vec<WindowProgram> =
@@ -287,11 +271,6 @@ impl CompilePipeline {
         };
         if self.options.cse {
             stats.cse_dedup_hits = cse::run(&mut windows).dedup_hits;
-        }
-        if self.options.schedule {
-            let outcome = schedule::run(&mut windows);
-            stats.schedule_distance_before = outcome.distance_before;
-            stats.schedule_distance_after = outcome.distance_after;
         }
         stats.tape_after = tape_len(&windows);
         stats.clause_ands_before = windows.iter().map(|w| w.outputs.len()).sum();
@@ -369,19 +348,13 @@ mod tests {
                 assert_eq!(sums, &a.reference_class_sums(x));
             }
             for cse in [false, true] {
-                for schedule in [false, true] {
-                    let opts = CompileOptions {
-                        cse,
-                        schedule,
-                        partitions: 1,
-                    };
-                    let compiled = CompilePipeline::new(opts).compile(&a);
-                    assert_eq!(
-                        compiled.program.class_sums(&xs),
-                        expected,
-                        "sharing={sharing:?} cse={cse} schedule={schedule}"
-                    );
-                }
+                let opts = CompileOptions { cse, partitions: 1 };
+                let compiled = CompilePipeline::new(opts).compile(&a);
+                assert_eq!(
+                    compiled.program.class_sums(&xs),
+                    expected,
+                    "sharing={sharing:?} cse={cse}"
+                );
             }
         }
     }
@@ -389,8 +362,7 @@ mod tests {
     #[test]
     fn cse_shrinks_tapes_and_dedups_identical_windows() {
         let a = accel(Sharing::DontTouch);
-        let compiled =
-            CompilePipeline::new(CompileOptions::default().with_schedule(false)).compile(&a);
+        let compiled = CompilePipeline::new(CompileOptions::default()).compile(&a);
         assert!(
             compiled.stats.tape_after < compiled.stats.tape_before,
             "CSE must shrink: {:?}",
@@ -446,13 +418,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scheduling_never_increases_operand_distance() {
-        let a = accel(Sharing::Enabled);
-        let compiled = CompilePipeline::default().compile(&a);
-        assert!(compiled.stats.schedule_distance_after <= compiled.stats.schedule_distance_before);
     }
 
     #[test]

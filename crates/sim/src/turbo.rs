@@ -637,8 +637,8 @@ pub struct TurboProgram {
 
 impl TurboProgram {
     /// Compiles `accel` through the default
-    /// [`CompilePipeline`](crate::compile::CompilePipeline) (CSE +
-    /// scheduling, no partitioning) — the convenience entry point.
+    /// [`CompilePipeline`](crate::compile::CompilePipeline) (lower →
+    /// CSE → fold, no partitioning) — the convenience entry point.
     /// Callers needing pass toggles, per-pass stats or the design
     /// partitioner use the pipeline directly.
     pub fn compile(accel: &CompiledAccelerator) -> Self {

@@ -38,7 +38,7 @@ pub use matador_sim as sim;
 /// ]];
 /// let accel = CompiledAccelerator::from_window_cubes(shape, &cubes, Sharing::Enabled);
 ///
-/// // The default pipeline: parse/lower, cross-window CSE, scheduling.
+/// // The default pipeline: parse/lower, cross-window CSE, fold.
 /// let compiled = CompilePipeline::new(CompileOptions::default()).compile(&accel);
 /// assert!(compiled.stats.tape_after <= compiled.stats.tape_before);
 ///
