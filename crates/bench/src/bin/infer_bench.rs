@@ -34,11 +34,17 @@
 //! additionally measures single-shard turbo across a ladder of
 //! `MATADOR_CHUNK_THRESHOLD` values and records the sweep.
 //!
-//! `--assert-obs-overhead PCT` times the single-shard turbo cell twice
-//! in-process — metrics recording disabled, then enabled — and exits
-//! non-zero if the enabled run is more than `PCT` percent slower: the
-//! release gate keeping the `matador-obs` record path off the contended
-//! fast path. `--metrics-out PATH` dumps the registry after the run
+//! `--assert-obs-overhead PCT` times the single-shard turbo cell with
+//! metrics recording disabled and enabled, and exits non-zero if the
+//! enabled cell is more than `PCT` percent slower: the release gate
+//! keeping the `matador-obs` record path off the contended fast path.
+//!
+//! Both relative gates (shard-monotone and obs-overhead) read paired
+//! measurements: the two compared cells are timed alternately, one
+//! window each per round in the order A B, B A, A B, … over at least
+//! [`MIN_PAIRED_ROUNDS`] rounds, and the gate reads the median of the
+//! per-round ratios. Drift in host load then hits both cells of a
+//! round alike, and one disturbed round cannot flip the verdict. `--metrics-out PATH` dumps the registry after the run
 //! (JSON at `PATH`, Prometheus text at the `.prom` sibling).
 
 use matador_bench::eval::bad_arg;
@@ -68,6 +74,10 @@ struct Cell {
 /// and reports the mean per serve.
 const MIN_REPEAT_WALL_S: f64 = 0.050;
 
+/// Fewest alternating rounds a paired gate measurement takes (odd, so
+/// the median is one round's ratio).
+const MIN_PAIRED_ROUNDS: usize = 31;
+
 fn backend_slug(backend: EngineBackend) -> &'static str {
     match backend {
         EngineBackend::CycleAccurate => "cycle_accurate",
@@ -75,51 +85,131 @@ fn backend_slug(backend: EngineBackend) -> &'static str {
     }
 }
 
-/// Times `repeats` serves of `batch` on one warmed pool and returns the
-/// best run. Warming on the *measured* pool matters: turbo scratch
-/// arenas grow to their steady-state size on the first serve, and with
-/// flush consolidation each flush of a multi-shard pool may land on a
+/// A warmed pool and the number of serves one timed window loops.
+/// Warming on the *measured* pool matters: turbo scratch arenas grow to
+/// their steady-state size on the first serve, and with flush
+/// consolidation each flush of a multi-shard pool may land on a
 /// different (initially cold) shard — a cold-pool measurement would
 /// charge that one-time warm-up to every cell and misorder the shard
-/// scaling. The best-of floor is the stable statistic at sub-millisecond
-/// turbo timescales.
+/// scaling.
+struct Timed<'a> {
+    pool: ShardPool<'a>,
+    options: ServeOptions,
+    batch: &'a [BitVec],
+    iters_per_repeat: usize,
+}
+
+impl<'a> Timed<'a> {
+    fn new(accel: &'a CompiledAccelerator, options: ServeOptions, batch: &'a [BitVec]) -> Self {
+        let mut pool = ShardPool::with_options(accel, options).expect("positive shard count");
+        // The warming serve doubles as the calibration sample: its
+        // wall-clock sets how many serves one timed window must loop to
+        // cover `MIN_REPEAT_WALL_S`. (An upper clamp bounds calibration
+        // error from an anomalously fast warm-up.)
+        let start = Instant::now();
+        pool.serve(batch).expect("engines drain");
+        let warm_wall_s = start.elapsed().as_secs_f64();
+        let iters_per_repeat =
+            ((MIN_REPEAT_WALL_S / warm_wall_s.max(1e-9)).ceil() as usize).clamp(1, 4096);
+        Timed {
+            pool,
+            options,
+            batch,
+            iters_per_repeat,
+        }
+    }
+
+    /// One timed window: the mean wall-clock per serve, and the last
+    /// serve's winners.
+    fn window(&mut self) -> (f64, Vec<usize>) {
+        let start = Instant::now();
+        for _ in 0..self.iters_per_repeat - 1 {
+            self.pool.serve(self.batch).expect("engines drain");
+        }
+        let predictions = self.pool.serve(self.batch).expect("engines drain");
+        let wall_s = start.elapsed().as_secs_f64() / self.iters_per_repeat as f64;
+        (wall_s, predictions.iter().map(|p| p.winner).collect())
+    }
+
+    fn cell(&self, wall_s: f64, winners: Vec<usize>) -> Cell {
+        Cell {
+            backend: self.options.backend,
+            shards: self.options.shards,
+            wall_s,
+            inf_s: self.batch.len() as f64 / wall_s.max(1e-9),
+            iters_per_repeat: self.iters_per_repeat,
+            winners,
+        }
+    }
+}
+
+/// Times `repeats` windows of `batch` on one warmed pool and returns the
+/// best. The best-of floor is the stable statistic for one cell at
+/// sub-millisecond turbo timescales.
 fn measure(
     accel: &CompiledAccelerator,
     options: ServeOptions,
     batch: &[BitVec],
     repeats: usize,
 ) -> Cell {
-    let mut pool = ShardPool::with_options(accel, options).expect("positive shard count");
-    // The warming serve doubles as the calibration sample: its wall-clock
-    // sets how many serves one timed repeat must loop to cover
-    // `MIN_REPEAT_WALL_S`. (An upper clamp bounds calibration error from
-    // an anomalously fast warm-up.)
-    let start = Instant::now();
-    pool.serve(batch).expect("engines drain");
-    let warm_wall_s = start.elapsed().as_secs_f64();
-    let iters_per_repeat =
-        ((MIN_REPEAT_WALL_S / warm_wall_s.max(1e-9)).ceil() as usize).clamp(1, 4096);
+    let mut timed = Timed::new(accel, options, batch);
     let mut best_wall = f64::INFINITY;
     let mut winners = Vec::new();
     for _ in 0..repeats {
-        let start = Instant::now();
-        for _ in 0..iters_per_repeat - 1 {
-            pool.serve(batch).expect("engines drain");
-        }
-        let predictions = pool.serve(batch).expect("engines drain");
-        let wall_s = start.elapsed().as_secs_f64() / iters_per_repeat as f64;
-        if wall_s < best_wall {
-            best_wall = wall_s;
-        }
-        winners = predictions.iter().map(|p| p.winner).collect();
+        let (wall_s, w) = timed.window();
+        best_wall = best_wall.min(wall_s);
+        winners = w;
     }
-    Cell {
-        backend: options.backend,
-        shards: options.shards,
-        wall_s: best_wall,
-        inf_s: batch.len() as f64 / best_wall.max(1e-9),
-        iters_per_repeat,
-        winners,
+    timed.cell(best_wall, winners)
+}
+
+/// A paired measurement of two cells: each cell at its median window,
+/// and the median over rounds of `b`'s wall-clock over `a`'s.
+struct Paired {
+    a: Cell,
+    b: Cell,
+    wall_ratio: f64,
+}
+
+/// Times the two cells alternately for `rounds` rounds (A B, B A, A B,
+/// …) on warmed pools. `before(i)` runs ahead of each window of cell
+/// `i`, outside the timed span: the hook for a process-global setting
+/// that differs between the cells.
+fn measure_paired(mut cells: [Timed; 2], rounds: usize, before: impl Fn(usize)) -> Paired {
+    let mut walls = [Vec::new(), Vec::new()];
+    let mut winners = [Vec::new(), Vec::new()];
+    let mut ratios = Vec::new();
+    for round in 0..rounds {
+        let order = if round.is_multiple_of(2) {
+            [0, 1]
+        } else {
+            [1, 0]
+        };
+        let mut wall = [0.0; 2];
+        for i in order {
+            before(i);
+            (wall[i], winners[i]) = cells[i].window();
+            walls[i].push(wall[i]);
+        }
+        ratios.push(wall[1] / wall[0]);
+    }
+    let [walls_a, walls_b] = &mut walls;
+    let [winners_a, winners_b] = winners;
+    Paired {
+        a: cells[0].cell(median(walls_a), winners_a),
+        b: cells[1].cell(median(walls_b), winners_b),
+        wall_ratio: median(&mut ratios),
+    }
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
     }
 }
 
@@ -258,25 +348,57 @@ fn run() -> Result<bool, matador::Error> {
         }
     }
 
+    // Shard-monotone pairs: each consecutive pair of turbo shard counts,
+    // timed alternately (see the module docs); the gate reads the median
+    // per-round throughput ratio.
+    let rounds = repeats.max(MIN_PAIRED_ROUNDS);
+    let mut monotone_pairs: Vec<Paired> = Vec::new();
+    if assert_monotone {
+        println!();
+        for pair in shard_counts.windows(2) {
+            let paired = measure_paired(
+                [pair[0], pair[1]]
+                    .map(|shards| Timed::new(&accel, ServeOptions::turbo(shards), &batch)),
+                rounds,
+                |_| {},
+            );
+            for cell in [&paired.a, &paired.b] {
+                assert_eq!(cell.winners, cells[0].winners, "paired shard cell diverged");
+            }
+            println!(
+                "  paired turbo shards={} vs shards={}: {:>12.0} vs {:>12.0} inf/s, median \
+                 ratio {:.3} over {rounds} rounds",
+                paired.b.shards,
+                paired.a.shards,
+                paired.b.inf_s,
+                paired.a.inf_s,
+                1.0 / paired.wall_ratio
+            );
+            monotone_pairs.push(paired);
+        }
+    }
+
     // Observability-overhead cells: the same single-shard turbo
-    // measurement with the metrics record path disabled, then enabled.
-    // Both are best-of-repeats over ≥50 ms windows, so scheduler noise
-    // largely cancels; the paired reading is what the release gate and
-    // the artifact record.
+    // measurement with the metrics record path disabled and enabled,
+    // timed alternately; the median per-round ratio is what the release
+    // gate and the artifact record.
     let obs_overhead = assert_obs_overhead.map(|_| {
-        let repeats = repeats.max(7);
-        matador_obs::set_enabled(false);
-        let off = measure(&accel, ServeOptions::turbo(1), &batch, repeats);
+        let paired = measure_paired(
+            std::array::from_fn(|_| Timed::new(&accel, ServeOptions::turbo(1), &batch)),
+            rounds,
+            |i| matador_obs::set_enabled(i == 1),
+        );
         matador_obs::set_enabled(true);
-        let on = measure(&accel, ServeOptions::turbo(1), &batch, repeats);
+        let (off, on) = (&paired.a, &paired.b);
         assert_eq!(off.winners, cells[0].winners, "metrics-off cell diverged");
         assert_eq!(on.winners, cells[0].winners, "metrics-on cell diverged");
-        let overhead_pct = (on.wall_s / off.wall_s - 1.0) * 100.0;
+        let overhead_pct = (paired.wall_ratio - 1.0) * 100.0;
         println!(
-            "\n  obs overhead: metrics off {:>12.0} inf/s, on {:>12.0} inf/s ({overhead_pct:+.2}%)",
+            "\n  obs overhead: metrics off {:>12.0} inf/s, on {:>12.0} inf/s ({overhead_pct:+.2}% \
+             median over {rounds} rounds)",
             off.inf_s, on.inf_s
         );
-        (off, on, overhead_pct)
+        (paired, overhead_pct)
     });
 
     // The baseline is the cycle-accurate backend at the first *listed*
@@ -295,12 +417,12 @@ fn run() -> Result<bool, matador::Error> {
     );
     artifact.push_field("chunk_threshold", chunk_threshold.to_string());
     artifact.push_field("repeats", repeats.to_string());
-    if let Some((off, on, overhead_pct)) = &obs_overhead {
+    if let Some((paired, overhead_pct)) = &obs_overhead {
         artifact.push_field(
             "obs_overhead",
             format!(
                 "{{\"off_inf_s\": {:.1}, \"on_inf_s\": {:.1}, \"overhead_pct\": {:.2}}}",
-                off.inf_s, on.inf_s, overhead_pct
+                paired.a.inf_s, paired.b.inf_s, overhead_pct
             ),
         );
     }
@@ -337,7 +459,7 @@ fn run() -> Result<bool, matador::Error> {
 
     let mut ok = true;
     if let Some(max_pct) = assert_obs_overhead {
-        let (_, _, overhead_pct) = obs_overhead.as_ref().expect("measured above");
+        let (_, overhead_pct) = obs_overhead.as_ref().expect("measured above");
         if *overhead_pct > max_pct {
             eprintln!(
                 "::error::metrics-on turbo serving is {overhead_pct:.2}% slower than \
@@ -375,17 +497,15 @@ fn run() -> Result<bool, matador::Error> {
         // flushes make extra shards a no-op, so "equal within 10%" is the
         // honest floor while a real regression (serializing against cold
         // shards, oversubscribed fan-out) shows up far below it.
-        let turbo: Vec<&Cell> = cells
-            .iter()
-            .filter(|c| c.backend == EngineBackend::Turbo)
-            .collect();
-        for pair in turbo.windows(2) {
-            let (prev, next) = (pair[0], pair[1]);
-            if next.inf_s < prev.inf_s * 0.9 {
+        for paired in &monotone_pairs {
+            let (prev, next) = (&paired.a, &paired.b);
+            // Throughput ratio next/prev is the inverse wall-clock ratio.
+            let ratio = 1.0 / paired.wall_ratio;
+            if ratio < 0.9 {
                 eprintln!(
-                    "::error::turbo throughput regressed with shards: {} inf/s at shards={} \
-                     vs {} inf/s at shards={}",
-                    next.inf_s as u64, next.shards, prev.inf_s as u64, prev.shards
+                    "::error::turbo throughput regressed with shards: median ratio {ratio:.3} \
+                     of shards={} over shards={} ({} vs {} inf/s)",
+                    next.shards, prev.shards, next.inf_s as u64, prev.inf_s as u64
                 );
                 ok = false;
             }
