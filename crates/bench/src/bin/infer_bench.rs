@@ -38,14 +38,15 @@
 //! metrics recording disabled and enabled, and exits non-zero if the
 //! enabled cell is more than `PCT` percent slower: the release gate
 //! keeping the `matador-obs` record path off the contended fast path.
+//! `--metrics-out PATH` dumps the registry after the run (JSON at
+//! `PATH`, Prometheus text at the `.prom` sibling).
 //!
 //! Both relative gates (shard-monotone and obs-overhead) read paired
 //! measurements: the two compared cells are timed alternately, one
 //! window each per round in the order A B, B A, A B, … over at least
 //! [`MIN_PAIRED_ROUNDS`] rounds, and the gate reads the median of the
 //! per-round ratios. Drift in host load then hits both cells of a
-//! round alike, and one disturbed round cannot flip the verdict. `--metrics-out PATH` dumps the registry after the run
-//! (JSON at `PATH`, Prometheus text at the `.prom` sibling).
+//! round alike, and one disturbed round cannot flip the verdict.
 
 use matador_bench::eval::bad_arg;
 use matador_bench::harness::{self, write_outputs, Flags, Kws6};
@@ -74,8 +75,7 @@ struct Cell {
 /// and reports the mean per serve.
 const MIN_REPEAT_WALL_S: f64 = 0.050;
 
-/// Fewest alternating rounds a paired gate measurement takes (odd, so
-/// the median is one round's ratio).
+/// Fewest alternating rounds a paired gate measurement takes.
 const MIN_PAIRED_ROUNDS: usize = 31;
 
 fn backend_slug(backend: EngineBackend) -> &'static str {
