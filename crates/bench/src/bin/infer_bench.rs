@@ -94,7 +94,6 @@ fn backend_slug(backend: EngineBackend) -> &'static str {
 /// scaling.
 struct Timed<'a> {
     pool: ShardPool<'a>,
-    options: ServeOptions,
     batch: &'a [BitVec],
     iters_per_repeat: usize,
 }
@@ -113,7 +112,6 @@ impl<'a> Timed<'a> {
             ((MIN_REPEAT_WALL_S / warm_wall_s.max(1e-9)).ceil() as usize).clamp(1, 4096);
         Timed {
             pool,
-            options,
             batch,
             iters_per_repeat,
         }
@@ -129,17 +127,6 @@ impl<'a> Timed<'a> {
         let predictions = self.pool.serve(self.batch).expect("engines drain");
         let wall_s = start.elapsed().as_secs_f64() / self.iters_per_repeat as f64;
         (wall_s, predictions.iter().map(|p| p.winner).collect())
-    }
-
-    fn cell(&self, wall_s: f64, winners: Vec<usize>) -> Cell {
-        Cell {
-            backend: self.options.backend,
-            shards: self.options.shards,
-            wall_s,
-            inf_s: self.batch.len() as f64 / wall_s.max(1e-9),
-            iters_per_repeat: self.iters_per_repeat,
-            winners,
-        }
     }
 }
 
@@ -160,24 +147,34 @@ fn measure(
         best_wall = best_wall.min(wall_s);
         winners = w;
     }
-    timed.cell(best_wall, winners)
+    Cell {
+        backend: options.backend,
+        shards: options.shards,
+        wall_s: best_wall,
+        inf_s: batch.len() as f64 / best_wall.max(1e-9),
+        iters_per_repeat: timed.iters_per_repeat,
+        winners,
+    }
 }
 
-/// A paired measurement of two cells: each cell at its median window,
-/// and the median over rounds of `b`'s wall-clock over `a`'s.
+/// A paired measurement of two cells.
 struct Paired {
-    a: Cell,
-    b: Cell,
+    /// Each cell's median window throughput.
+    inf_s: [f64; 2],
+    /// The median over rounds of cell 1's wall-clock over cell 0's.
     wall_ratio: f64,
 }
 
-/// Times the two cells alternately for `rounds` rounds (A B, B A, A B,
-/// …) on warmed pools. `before(i)` runs ahead of each window of cell
-/// `i`, outside the timed span: the hook for a process-global setting
-/// that differs between the cells.
-fn measure_paired(mut cells: [Timed; 2], rounds: usize, before: impl Fn(usize)) -> Paired {
+/// Times two cells alternately for `rounds` rounds (0 1, 1 0, 0 1, …):
+/// `window(i)` times one window of cell `i`. Every window's winners
+/// must equal `expected`.
+fn measure_paired(
+    rounds: usize,
+    batch_len: usize,
+    expected: &[usize],
+    mut window: impl FnMut(usize) -> (f64, Vec<usize>),
+) -> Paired {
     let mut walls = [Vec::new(), Vec::new()];
-    let mut winners = [Vec::new(), Vec::new()];
     let mut ratios = Vec::new();
     for round in 0..rounds {
         let order = if round.is_multiple_of(2) {
@@ -187,17 +184,15 @@ fn measure_paired(mut cells: [Timed; 2], rounds: usize, before: impl Fn(usize)) 
         };
         let mut wall = [0.0; 2];
         for i in order {
-            before(i);
-            (wall[i], winners[i]) = cells[i].window();
+            let winners;
+            (wall[i], winners) = window(i);
+            assert_eq!(winners, expected, "paired cell {i} diverged");
             walls[i].push(wall[i]);
         }
         ratios.push(wall[1] / wall[0]);
     }
-    let [walls_a, walls_b] = &mut walls;
-    let [winners_a, winners_b] = winners;
     Paired {
-        a: cells[0].cell(median(walls_a), winners_a),
-        b: cells[1].cell(median(walls_b), winners_b),
+        inf_s: walls.map(|mut w| batch_len as f64 / median(&mut w)),
         wall_ratio: median(&mut ratios),
     }
 }
@@ -352,51 +347,45 @@ fn run() -> Result<bool, matador::Error> {
     // timed alternately (see the module docs); the gate reads the median
     // per-round throughput ratio.
     let rounds = repeats.max(MIN_PAIRED_ROUNDS);
-    let mut monotone_pairs: Vec<Paired> = Vec::new();
+    let mut monotone_pairs: Vec<(&[usize], Paired)> = Vec::new();
     if assert_monotone {
         println!();
         for pair in shard_counts.windows(2) {
-            let paired = measure_paired(
-                [pair[0], pair[1]]
-                    .map(|shards| Timed::new(&accel, ServeOptions::turbo(shards), &batch)),
-                rounds,
-                |_| {},
-            );
-            for cell in [&paired.a, &paired.b] {
-                assert_eq!(cell.winners, cells[0].winners, "paired shard cell diverged");
-            }
+            let mut timed = [pair[0], pair[1]]
+                .map(|shards| Timed::new(&accel, ServeOptions::turbo(shards), &batch));
+            let paired = measure_paired(rounds, batch.len(), &cells[0].winners, |i| {
+                timed[i].window()
+            });
             println!(
                 "  paired turbo shards={} vs shards={}: {:>12.0} vs {:>12.0} inf/s, median \
                  ratio {:.3} over {rounds} rounds",
-                paired.b.shards,
-                paired.a.shards,
-                paired.b.inf_s,
-                paired.a.inf_s,
+                pair[1],
+                pair[0],
+                paired.inf_s[1],
+                paired.inf_s[0],
                 1.0 / paired.wall_ratio
             );
-            monotone_pairs.push(paired);
+            monotone_pairs.push((pair, paired));
         }
     }
 
-    // Observability-overhead cells: the same single-shard turbo
-    // measurement with the metrics record path disabled and enabled,
-    // timed alternately; the median per-round ratio is what the release
-    // gate and the artifact record.
+    // Observability-overhead cells: one warmed single-shard turbo pool
+    // timed with the metrics record path disabled and enabled,
+    // alternately; the median per-round ratio is what the release gate
+    // and the artifact record. One pool for both cells keeps its memory
+    // layout out of the comparison.
     let obs_overhead = assert_obs_overhead.map(|_| {
-        let paired = measure_paired(
-            std::array::from_fn(|_| Timed::new(&accel, ServeOptions::turbo(1), &batch)),
-            rounds,
-            |i| matador_obs::set_enabled(i == 1),
-        );
+        let mut timed = Timed::new(&accel, ServeOptions::turbo(1), &batch);
+        let paired = measure_paired(rounds, batch.len(), &cells[0].winners, |i| {
+            matador_obs::set_enabled(i == 1);
+            timed.window()
+        });
         matador_obs::set_enabled(true);
-        let (off, on) = (&paired.a, &paired.b);
-        assert_eq!(off.winners, cells[0].winners, "metrics-off cell diverged");
-        assert_eq!(on.winners, cells[0].winners, "metrics-on cell diverged");
         let overhead_pct = (paired.wall_ratio - 1.0) * 100.0;
         println!(
             "\n  obs overhead: metrics off {:>12.0} inf/s, on {:>12.0} inf/s ({overhead_pct:+.2}% \
              median over {rounds} rounds)",
-            off.inf_s, on.inf_s
+            paired.inf_s[0], paired.inf_s[1]
         );
         (paired, overhead_pct)
     });
@@ -422,7 +411,7 @@ fn run() -> Result<bool, matador::Error> {
             "obs_overhead",
             format!(
                 "{{\"off_inf_s\": {:.1}, \"on_inf_s\": {:.1}, \"overhead_pct\": {:.2}}}",
-                paired.a.inf_s, paired.b.inf_s, overhead_pct
+                paired.inf_s[0], paired.inf_s[1], overhead_pct
             ),
         );
     }
@@ -497,15 +486,14 @@ fn run() -> Result<bool, matador::Error> {
         // flushes make extra shards a no-op, so "equal within 10%" is the
         // honest floor while a real regression (serializing against cold
         // shards, oversubscribed fan-out) shows up far below it.
-        for paired in &monotone_pairs {
-            let (prev, next) = (&paired.a, &paired.b);
+        for (pair, paired) in &monotone_pairs {
             // Throughput ratio next/prev is the inverse wall-clock ratio.
             let ratio = 1.0 / paired.wall_ratio;
             if ratio < 0.9 {
                 eprintln!(
                     "::error::turbo throughput regressed with shards: median ratio {ratio:.3} \
                      of shards={} over shards={} ({} vs {} inf/s)",
-                    next.shards, prev.shards, next.inf_s as u64, prev.inf_s as u64
+                    pair[1], pair[0], paired.inf_s[1] as u64, paired.inf_s[0] as u64
                 );
                 ok = false;
             }
