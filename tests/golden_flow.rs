@@ -6,7 +6,7 @@
 //! (`hcb_logic()`), the LUT depth, the Fig 3 prefix-register counts, the
 //! implemented LUT/FF totals, the whole `VerificationReport` at a fixed
 //! verification seed, FNV-1a digests of the emitted Verilog file set and
-//! of the design-cache text, and the work counts the default compile
+//! of the optimized window DAGs, and the work counts the default compile
 //! pipeline reports for the turbo program. An optimisation of generation,
 //! compilation or verification has to leave every one of them unchanged.
 //!
@@ -75,8 +75,9 @@ struct Observed {
     verification: VerificationReport,
     /// FNV-1a over every emitted file's name and contents, in order.
     verilog: u64,
-    /// FNV-1a of `to_cache_text()`.
-    cache_text: u64,
+    /// FNV-1a over each window DAG's `width()`, `nodes()` and
+    /// `outputs()` Debug text, in window order.
+    dags: u64,
     /// What the default compile pipeline does to `compile_for_sim()`.
     work: Work,
 }
@@ -147,7 +148,14 @@ fn observe(trained: &Trained, name: &str, point: &Point) -> Observed {
         implemented: (report.resources.luts(), report.resources.registers),
         verification,
         verilog: fnv1a(&verilog),
-        cache_text: fnv1a(design.to_cache_text().as_bytes()),
+        dags: fnv1a(
+            design
+                .dags()
+                .iter()
+                .map(|d| format!("{:?}{:?}{:?}", d.width(), d.nodes(), d.outputs()))
+                .collect::<String>()
+                .as_bytes(),
+        ),
         work: CompilePipeline::default()
             .compile(&design.compile_for_sim())
             .stats
@@ -218,7 +226,7 @@ fn small_designs_match_their_golden_flow() {
                     implemented: (1915, 2542),
                     verification: report(108, 24, 144),
                     verilog: 0xed3f_9d94_6a0c_0f9f,
-                    cache_text: 0x20ab_f0cd_6e8a_2661,
+                    dags: 0x9b55_7102_4431_056e,
                     work: Work {
                         tape_before: 1756,
                         tape_after: 1750,
@@ -261,7 +269,7 @@ fn small_designs_match_their_golden_flow() {
                     implemented: (3781, 5082),
                     verification: report(504, 16, 192),
                     verilog: 0x8f5f_fbb5_c7a8_be28,
-                    cache_text: 0x49fe_6b60_b621_e884,
+                    dags: 0x4305_8a93_8f5a_1ffb,
                     work: Work {
                         tape_before: 1422,
                         tape_after: 1398,
@@ -306,7 +314,7 @@ fn small_designs_match_their_golden_flow() {
                     implemented: (613, 778),
                     verification: report(102, 20, 60),
                     verilog: 0x5ff1_5fff_0e6e_01ce,
-                    cache_text: 0x70c7_dc67_3eee_54fb,
+                    dags: 0x1767_0c53_a37d_2980,
                     work: Work {
                         tape_before: 57,
                         tape_after: 54,
@@ -334,7 +342,7 @@ fn small_designs_match_their_golden_flow() {
                     implemented: (704, 781),
                     verification: report(306, 20, 60),
                     verilog: 0x7eaa_5758_67ee_a079,
-                    cache_text: 0x8315_573f_4499_3dde,
+                    dags: 0x6c8d_1559_c2b5_171f,
                     work: Work {
                         tape_before: 70,
                         tape_after: 65,
@@ -404,7 +412,7 @@ fn perfbench_mnist_design_matches_its_golden_flow() {
                 implemented: (7782, 20624),
                 verification: report(442, 64, 832),
                 verilog: 0x6935_c2d1_7d7c_5a90,
-                cache_text: 0x8f86_7fe4_ebca_0469,
+                dags: 0x2ecf_68b6_524c_1635,
                 work: Work {
                     tape_before: 7722,
                     tape_after: 7709,
