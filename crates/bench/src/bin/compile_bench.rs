@@ -2,9 +2,9 @@
 //! wall-clock on the KWS-6 design, plus the partitioned-serving
 //! equivalence check, with a machine-readable artifact.
 //!
-//! One KWS-6 model is trained (or cache-loaded) and its accelerator
-//! generated (or cache-loaded); both pass combinations — the raw
-//! flatten and the default pipeline with CSE — compile the same design,
+//! One KWS-6 model is trained and its accelerator generated; both pass
+//! combinations — the raw flatten and the default pipeline with CSE —
+//! compile the same design,
 //! reporting tape size before/after, CSE dedup hits, clause-AND word-ops
 //! before/after constant-1 elision, the AND word-ops of the input-folded tape the evaluator
 //! runs (`tape_ands`), the class-sum stage's 64×64 transposes per

@@ -2,10 +2,9 @@
 //! widths behind one shard pool, under both blind and latency-aware
 //! dispatch.
 //!
-//! Trains (or cache-loads) one KWS-6 model, then generates — or
-//! cache-loads, via [`matador_bench::DesignCache`] — *two* accelerators
-//! for it: a wide-bus design (few packets per datapoint, low II) and a
-//! narrow-bus design (many packets, high II). Both sit behind a single
+//! Trains one KWS-6 model, then generates *two* accelerators for it: a
+//! wide-bus design (few packets per datapoint, low II) and a narrow-bus
+//! design (many packets, high II). Both sit behind a single
 //! [`ShardPool`] as one [`ShardSpec`] each — the mixed-fleet scenario
 //! MATADOR's per-workload design generation produces in a real edge
 //! deployment. For every batch size the pool is run under `RoundRobin`
@@ -137,10 +136,7 @@ fn run() -> Result<bool, matador::Error> {
         specs[1].beats_per_request(),
         opts.seed
     );
-    println!(
-        "(mixed pool, per-design merged reports; {})\n",
-        harness::cache_counts()
-    );
+    println!("(mixed pool, per-design merged reports)\n");
 
     let policies = [DispatchPolicy::RoundRobin, DispatchPolicy::LatencyAware];
     let gate_batch = *batches.iter().max().expect("non-empty");

@@ -4,8 +4,8 @@
 //! Where `serve_sweep` reports *simulated* (in-cycle) throughput, this
 //! harness measures what the serving process itself achieves — wall-clock
 //! inferences/second on the host — which is what the bit-sliced turbo
-//! backend exists to multiply. One KWS-6 model is trained (or
-//! cache-loaded), its accelerator generated (or cache-loaded), and every
+//! backend exists to multiply. One KWS-6 model is trained, its
+//! accelerator generated, and every
 //! `backend × shard-count` cell serves the same batch on a warmed pool;
 //! the cell reports the best of several timed repeats, and each repeat
 //! loops enough serves to cover at least 50 ms of wall-clock (recorded
@@ -262,7 +262,7 @@ fn run() -> Result<bool, matador::Error> {
         chunk_threshold,
         repeats
     );
-    println!("(host wall-clock inf/s; {})\n", harness::cache_counts());
+    println!("(host wall-clock inf/s)\n");
 
     let mut cells: Vec<Cell> = Vec::new();
     for backend in [EngineBackend::CycleAccurate, EngineBackend::Turbo] {

@@ -1,7 +1,7 @@
 //! Sharded-serving scaling sweep: shards × batch sizes over one compiled
 //! design, through the `matador-serve` runtime.
 //!
-//! Trains (or cache-loads) one KWS-6 model, generates the accelerator
+//! Trains one KWS-6 model, generates the accelerator
 //! once, then serves every batch size on pools of every shard count,
 //! printing a scaling table of pool cycles, aggregate inf/s at the
 //! implemented clock, and latency percentiles. Predictions are asserted
@@ -24,7 +24,6 @@
 
 use matador_bench::eval::bad_arg;
 use matador_bench::harness::{self, write_outputs, Flags, Kws6};
-use matador_bench::ModelCache;
 use matador_serve::{DispatchPolicy, ServeOptions, ShardPool};
 use matador_sim::CompiledAccelerator;
 use tsetlin::bits::BitVec;
@@ -89,12 +88,7 @@ fn run() -> Result<bool, matador::Error> {
         accel.shape().num_packets(),
         opts.seed
     );
-    println!(
-        "(cycle-accurate pooled engines; pool wall-clock = slowest shard; \
-         model cache: {} hit(s), {} miss(es))\n",
-        ModelCache::global().hits(),
-        ModelCache::global().misses()
-    );
+    println!("(cycle-accurate pooled engines; pool wall-clock = slowest shard)\n");
 
     let header: Vec<String> = shards
         .iter()

@@ -1,9 +1,8 @@
 //! Per-dataset evaluation drivers for both sides of Table I.
 
-use crate::cache::{ModelCache, ModelKey};
 use crate::table::Table1Row;
 use matador::config::MatadorConfig;
-use matador::flow::{FlowOutcome, MatadorFlow};
+use matador::flow::{FlowOutcome, MatadorFlow, TrainSpec};
 use matador_baselines::bnn::{QuantMlp, TrainConfig};
 use matador_baselines::dataflow::DataflowDesign;
 use matador_baselines::presets::BaselineKind;
@@ -194,19 +193,6 @@ pub fn tm_params_for(kind: DatasetKind) -> TmParams {
         .expect("per-dataset parameters are valid by construction")
 }
 
-/// The model-cache key for `kind` under `opts` — the single definition
-/// every harness binary shares, so they hit each other's cache entries
-/// and can never diverge on what identifies a trained model.
-pub fn model_key_for(kind: DatasetKind, opts: &EvalOptions) -> ModelKey {
-    ModelKey {
-        kind,
-        sizes: opts.sizes,
-        params: tm_params_for(kind),
-        epochs: opts.tm_epochs,
-        seed: opts.seed,
-    }
-}
-
 /// One MATADOR Table I row, fully measured.
 #[derive(Debug, Clone)]
 pub struct MatadorRow {
@@ -231,23 +217,20 @@ pub fn run_matador(kind: DatasetKind, opts: &EvalOptions) -> Result<MatadorRow, 
 /// across dataset rows and want to split the thread budget rather than
 /// oversubscribe cores. The produced row never depends on `threads`.
 ///
-/// The TM goes through [`ModelCache::global`]: training follows the exact
-/// `MatadorFlow::run` recipe on a miss (so rows are bit-identical with or
-/// without the cache) and is skipped entirely on a hit.
+/// The row is one [`MatadorFlow::run`]: it trains the TM with
+/// [`tm_params_for`] at `opts.tm_epochs` and `opts.seed`, then generates,
+/// implements and verifies the design on up to 64 test samples.
 ///
 /// # Errors
 ///
-/// Propagates [`matador::Error`] from the flow.
+/// Propagates [`matador::Error`] from the flow (an empty or ill-fitting
+/// training split, an empty test split, simulator drain failures).
 pub fn run_matador_with_threads(
     kind: DatasetKind,
     opts: &EvalOptions,
     threads: usize,
 ) -> Result<MatadorRow, matador::Error> {
     let data = generate(kind, opts.sizes, opts.seed);
-    if data.train.is_empty() {
-        return Err(matador::flow::FlowError::EmptyTrainingSet.into());
-    }
-    let model = ModelCache::global().train_cached(&model_key_for(kind, opts), &data.train, threads);
     let config = MatadorConfig::builder()
         .design_name(format!("matador_{}", kind.to_string().to_lowercase()))
         .build()
@@ -255,7 +238,15 @@ pub fn run_matador_with_threads(
     let outcome = MatadorFlow::new(config)
         .verify_limit(Some(64))
         .threads(threads)
-        .run_with_model(model, &data.test)?;
+        .run(
+            TrainSpec {
+                params: tm_params_for(kind),
+                epochs: opts.tm_epochs,
+                seed: opts.seed,
+            },
+            &data.train,
+            &data.test,
+        )?;
     Ok(MatadorRow { kind, outcome })
 }
 

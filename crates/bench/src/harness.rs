@@ -4,17 +4,17 @@
 //! their artifacts with [`write_outputs`] and exit through [`main`].
 
 use crate::benchjson::BenchArtifact;
-use crate::cache::{DesignCache, ModelCache};
-use crate::eval::{bad_arg, model_key_for, parse_positive_list, EvalOptions};
+use crate::eval::{bad_arg, parse_positive_list, tm_params_for, EvalOptions};
 use crate::metrics_out::write_metrics_snapshot;
 use matador::config::MatadorConfig;
 use matador::design::AcceleratorDesign;
 use matador_datasets::{generate, Dataset, DatasetKind};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::str::FromStr;
 use tsetlin::bits::BitVec;
 use tsetlin::model::TrainedModel;
+use tsetlin::MultiClassTm;
 
 /// Runs a harness body and exits 0 when every gate passed, 1 when a gate
 /// failed, and 2 on an error — a malformed flag included.
@@ -161,7 +161,7 @@ impl Flags {
 }
 
 /// The workload every serving harness runs: the KWS-6 dataset at the
-/// run's sizing and the model trained on it through [`ModelCache`].
+/// run's sizing and the model trained on it.
 #[derive(Debug)]
 pub struct Kws6 {
     /// The generated train/test split.
@@ -175,8 +175,8 @@ impl Kws6 {
     /// The dataset under harness runs.
     pub const KIND: DatasetKind = DatasetKind::Kws6;
 
-    /// Generates the dataset for `opts` and trains (or cache-loads) the
-    /// model, announcing the step on stderr as `bin`.
+    /// Generates the dataset for `opts` and trains the model on it,
+    /// announcing the step on stderr as `bin`.
     pub fn train(bin: &str, opts: &EvalOptions) -> Self {
         eprintln!(
             "[{bin}] {}: training model + generating accelerator…",
@@ -184,29 +184,25 @@ impl Kws6 {
         );
         let threads = matador_par::configured_threads();
         let data = generate(Self::KIND, opts.sizes, opts.seed);
-        let model = ModelCache::global().train_cached(
-            &model_key_for(Self::KIND, opts),
-            &data.train,
-            threads,
-        );
+        let mut tm = MultiClassTm::new(tm_params_for(Self::KIND));
+        let mut rng = SmallRng::seed_from_u64(opts.seed);
+        tm.fit_with_threads(&data.train, opts.tm_epochs, &mut rng, threads);
         Kws6 {
             data,
-            model,
+            model: tm.to_model(),
             threads,
         }
     }
 
-    /// Generates (or cache-loads) the accelerator for the model under
-    /// `design_name`, on a bus of `bus_width` bits or the default one.
-    /// The name is part of the [`DesignCache`] key, so each harness keeps
-    /// its own.
+    /// Generates the accelerator for the model under `design_name`, on a
+    /// bus of `bus_width` bits or the default one.
     pub fn design(&self, design_name: &str, bus_width: Option<usize>) -> AcceleratorDesign {
         let mut builder = MatadorConfig::builder().design_name(design_name);
         if let Some(width) = bus_width {
             builder = builder.bus_width(width);
         }
         let config = builder.build().expect("bus widths 1..=64 are valid");
-        DesignCache::global().generate_cached(&self.model, &config, self.threads)
+        AcceleratorDesign::generate_with_threads(self.model.clone(), config, self.threads)
     }
 
     /// `n` inputs taken round-robin from the test split.
@@ -248,19 +244,6 @@ pub fn write_outputs(
         println!("wrote {path} + {prom}");
     }
     Ok(())
-}
-
-/// The process's model and design cache hits and misses so far, as
-/// `model cache {h}h/{m}m, design cache {h}h/{m}m`.
-pub fn cache_counts() -> String {
-    let (models, designs) = (ModelCache::global(), DesignCache::global());
-    format!(
-        "model cache {}h/{}m, design cache {}h/{}m",
-        models.hits(),
-        models.misses(),
-        designs.hits(),
-        designs.misses()
-    )
 }
 
 /// Exponential inter-arrival gap with the given mean, in whole cycles.

@@ -14,21 +14,15 @@
 //! `--metrics-out`, a [`write_metrics_snapshot`] of the metrics registry).
 //!
 //! Every binary accepts `--quick` (smaller splits/epochs, CI-friendly) and
-//! `--seed <n>`. Trained models are memoized through [`cache::ModelCache`]
-//! and generated designs through [`cache::DesignCache`] (in-process
-//! always; on-disk under `target/matador-cache/` when
-//! `MATADOR_MODEL_CACHE=1`), so harnesses sharing a
-//! `(dataset spec, TmParams, seed)` triple train and generate once.
+//! `--seed <n>`, and trains its own models and generates its own designs.
 
 pub mod benchjson;
-pub mod cache;
 pub mod eval;
 pub mod harness;
 pub mod metrics_out;
 pub mod table;
 
 pub use benchjson::BenchArtifact;
-pub use cache::{design_digest, DesignCache, ModelCache, ModelKey};
 pub use eval::{
     run_baseline, run_matador, run_matador_with_threads, run_table1, BaselineRow, EvalError,
     EvalOptions, MatadorRow,

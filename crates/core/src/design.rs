@@ -9,7 +9,7 @@
 
 use crate::config::MatadorConfig;
 use matador_logic::cube::Cube;
-use matador_logic::dag::{LogicDag, Node, NodeRef, Sharing};
+use matador_logic::dag::{LogicDag, Sharing};
 use matador_logic::share::{prefix_register_counts, window_cubes};
 use matador_rtl::gen::{self, DesignParams, TestVector};
 use matador_rtl::verilog::{emit_netlist, EmitOptions};
@@ -342,141 +342,6 @@ impl AcceleratorDesign {
     pub fn dags(&self) -> &[LogicDag] {
         &self.dags
     }
-
-    /// Serializes the *generated* artifacts — the optimized window DAGs,
-    /// per-HCB logic measurements and depth — into a compact line-based
-    /// text form. The model and config are deliberately not embedded:
-    /// [`AcceleratorDesign::from_cache_text`] takes them from the caller,
-    /// and the design cache keys files by a digest over both, so a text
-    /// blob is only ever paired with the inputs that produced it.
-    pub fn to_cache_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "matador-design-cache v1");
-        let _ = writeln!(out, "windows {} depth {}", self.dags.len(), self.hcb_depth);
-        for (dag, logic) in self.dags.iter().zip(&self.hcb_logic) {
-            let _ = writeln!(
-                out,
-                "window width {} nodes {} outputs {}",
-                dag.width(),
-                dag.nodes().len(),
-                dag.outputs().len()
-            );
-            for node in dag.nodes() {
-                match *node {
-                    Node::Const0 => out.push_str("c0\n"),
-                    Node::Const1 => out.push_str("c1\n"),
-                    Node::Input(b) => {
-                        let _ = writeln!(out, "i {b}");
-                    }
-                    Node::NotInput(b) => {
-                        let _ = writeln!(out, "n {b}");
-                    }
-                    Node::And(a, b) => {
-                        let _ = writeln!(out, "a {} {}", a.index(), b.index());
-                    }
-                }
-            }
-            out.push_str("outputs");
-            for o in dag.outputs() {
-                let _ = write!(out, " {}", o.index());
-            }
-            out.push('\n');
-            let _ = writeln!(
-                out,
-                "logic {} {} {}",
-                logic.luts, logic.registers, logic.chain_and_luts
-            );
-        }
-        out.push_str("end\n");
-        out
-    }
-
-    /// Reassembles a design from [`AcceleratorDesign::to_cache_text`]
-    /// output plus the `(model, config)` pair it was generated from.
-    /// Returns `None` on any structural inconsistency — a malformed,
-    /// truncated or mismatched blob — which cache layers treat as a miss
-    /// and regenerate. A successfully parsed design is indistinguishable
-    /// from a freshly generated one (same DAGs, reports and RTL).
-    pub fn from_cache_text(model: TrainedModel, config: MatadorConfig, text: &str) -> Option<Self> {
-        let windows = window_cubes(&model, config.bus_width());
-        let sharing = config.sharing();
-        let mut lines = text.lines();
-        if lines.next()? != "matador-design-cache v1" {
-            return None;
-        }
-        let header: Vec<&str> = lines.next()?.split_whitespace().collect();
-        let [_, count, _, depth] = header[..] else {
-            return None;
-        };
-        let count: usize = count.parse().ok()?;
-        let hcb_depth: u32 = depth.parse().ok()?;
-        if count != windows.len() {
-            return None;
-        }
-        let mut dags = Vec::with_capacity(count);
-        let mut hcb_logic = Vec::with_capacity(count);
-        for cubes in &windows {
-            let head: Vec<&str> = lines.next()?.split_whitespace().collect();
-            let ["window", "width", width, "nodes", nodes, "outputs", outputs] = head[..] else {
-                return None;
-            };
-            let width: usize = width.parse().ok()?;
-            let node_count: usize = nodes.parse().ok()?;
-            let output_count: usize = outputs.parse().ok()?;
-            if width != config.bus_width() || output_count != cubes.len() {
-                return None;
-            }
-            let mut nodes = Vec::with_capacity(node_count);
-            for _ in 0..node_count {
-                let toks: Vec<&str> = lines.next()?.split_whitespace().collect();
-                nodes.push(match toks[..] {
-                    ["c0"] => Node::Const0,
-                    ["c1"] => Node::Const1,
-                    ["i", b] => Node::Input(b.parse().ok()?),
-                    ["n", b] => Node::NotInput(b.parse().ok()?),
-                    ["a", x, y] => Node::And(
-                        NodeRef::from_index(x.parse().ok()?),
-                        NodeRef::from_index(y.parse().ok()?),
-                    ),
-                    _ => return None,
-                });
-            }
-            let out_line = lines.next()?;
-            let mut toks = out_line.split_whitespace();
-            if toks.next()? != "outputs" {
-                return None;
-            }
-            let outputs: Vec<NodeRef> = toks
-                .map(|t| t.parse::<usize>().ok().map(NodeRef::from_index))
-                .collect::<Option<_>>()?;
-            if outputs.len() != output_count {
-                return None;
-            }
-            let dag = LogicDag::from_parts(width, nodes, outputs, sharing)?;
-            let logic: Vec<&str> = lines.next()?.split_whitespace().collect();
-            let ["logic", luts, registers, chain] = logic[..] else {
-                return None;
-            };
-            hcb_logic.push(HcbLogic {
-                luts: luts.parse().ok()?,
-                registers: registers.parse().ok()?,
-                chain_and_luts: chain.parse().ok()?,
-            });
-            dags.push(dag);
-        }
-        if lines.next()? != "end" {
-            return None;
-        }
-        Some(AcceleratorDesign {
-            config,
-            model,
-            windows,
-            dags,
-            hcb_logic,
-            hcb_depth,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -618,30 +483,26 @@ mod tests {
                 .sharing(sharing)
                 .build()
                 .expect("valid");
-            let design = AcceleratorDesign::generate(model.clone(), cfg.clone());
-            let restored =
-                AcceleratorDesign::from_cache_text(model.clone(), cfg, &design.to_cache_text())
-                    .expect("well-formed cache text");
+            let design = AcceleratorDesign::generate(model.clone(), cfg);
             let reference = CompiledAccelerator::from_window_cubes(
                 design.accel_shape(),
                 design.windows(),
                 sharing,
             );
-            for accel in [design.compile_for_sim(), restored.compile_for_sim()] {
-                assert_eq!(accel.shape(), reference.shape());
-                assert_eq!(accel.windows().len(), reference.windows().len());
-                for (got, want) in accel.windows().iter().zip(reference.windows()) {
-                    assert_eq!(got.nodes(), want.nodes(), "W {bus} {sharing:?}");
-                    assert_eq!(got.outputs(), want.outputs(), "W {bus} {sharing:?}");
-                    assert_eq!(got.width(), want.width());
-                }
-                for bits in [vec![], vec![0usize, 1], vec![5, 9, 10], vec![2, 3, 11]] {
-                    let x = BitVec::from_indices(12, &bits);
-                    assert_eq!(
-                        accel.reference_class_sums(&x),
-                        reference.reference_class_sums(&x)
-                    );
-                }
+            let accel = design.compile_for_sim();
+            assert_eq!(accel.shape(), reference.shape());
+            assert_eq!(accel.windows().len(), reference.windows().len());
+            for (got, want) in accel.windows().iter().zip(reference.windows()) {
+                assert_eq!(got.nodes(), want.nodes(), "W {bus} {sharing:?}");
+                assert_eq!(got.outputs(), want.outputs(), "W {bus} {sharing:?}");
+                assert_eq!(got.width(), want.width());
+            }
+            for bits in [vec![], vec![0usize, 1], vec![5, 9, 10], vec![2, 3, 11]] {
+                let x = BitVec::from_indices(12, &bits);
+                assert_eq!(
+                    accel.reference_class_sums(&x),
+                    reference.reference_class_sums(&x)
+                );
             }
         }
     }
@@ -656,65 +517,6 @@ mod tests {
             .expect("generated designs have valid shapes");
         assert!(tb.name.starts_with("tb_"));
         assert!(tb.contents.contains("send_packet"));
-    }
-
-    #[test]
-    fn cache_text_round_trips_the_whole_design() {
-        for (sharing, pipelined) in [
-            (Sharing::Enabled, false),
-            (Sharing::Enabled, true),
-            (Sharing::DontTouch, false),
-        ] {
-            let cfg = MatadorConfig::builder()
-                .bus_width(4)
-                .sharing(sharing)
-                .pipeline_class_sum(pipelined)
-                .design_name("cache_rt")
-                .build()
-                .expect("valid");
-            let model = small_model();
-            let original = AcceleratorDesign::generate(model.clone(), cfg.clone());
-            let text = original.to_cache_text();
-            let restored = AcceleratorDesign::from_cache_text(model, cfg, &text)
-                .expect("well-formed cache text");
-            // Structurally identical…
-            assert_eq!(restored.hcb_depth(), original.hcb_depth());
-            assert_eq!(restored.hcb_logic(), original.hcb_logic());
-            for (a, b) in restored.dags().iter().zip(original.dags()) {
-                assert_eq!(a.nodes(), b.nodes());
-                assert_eq!(a.outputs(), b.outputs());
-            }
-            // …and observationally: same RTL, same implementation report,
-            // same compiled simulation behaviour.
-            assert_eq!(
-                restored.emit_verilog().expect("valid"),
-                original.emit_verilog().expect("valid")
-            );
-            assert_eq!(restored.implement(), original.implement());
-            let x = BitVec::from_indices(12, &[0, 1, 9]);
-            assert_eq!(
-                restored.compile_for_sim().reference_class_sums(&x),
-                original.compile_for_sim().reference_class_sums(&x)
-            );
-        }
-    }
-
-    #[test]
-    fn malformed_or_mismatched_cache_text_is_rejected() {
-        let cfg = config(4);
-        let model = small_model();
-        let design = AcceleratorDesign::generate(model.clone(), cfg.clone());
-        let text = design.to_cache_text();
-        // Truncation, bad magic and a bus-width mismatch all read as a miss.
-        assert!(AcceleratorDesign::from_cache_text(
-            model.clone(),
-            cfg.clone(),
-            &text[..text.len() / 2]
-        )
-        .is_none());
-        assert!(AcceleratorDesign::from_cache_text(model.clone(), cfg, "bogus v9\n").is_none());
-        let other_bus = config(8);
-        assert!(AcceleratorDesign::from_cache_text(model, other_bus, &text).is_none());
     }
 
     #[test]

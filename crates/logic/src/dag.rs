@@ -148,13 +148,13 @@ impl LogicDag {
         }
     }
 
-    /// Reassembles a DAG from raw `nodes`/`outputs` arrays — the design
-    /// cache's deserialization path. Builder caches (literal pins and, in
+    /// Reassembles a DAG from raw `nodes`/`outputs` arrays — the
+    /// partitioner's path for a window restricted to a subset of its
+    /// outputs. Builder caches (literal pins and, in
     /// [`Sharing::Enabled`] mode, the structural hash) are reconstructed,
     /// so the rebuilt DAG both evaluates and *extends* exactly like the
     /// original. Returns `None` when the arrays are not a well-formed
-    /// topologically-ordered AND/INV network over `width` inputs (a
-    /// corrupt or stale cache entry, which callers treat as a miss).
+    /// topologically-ordered AND/INV network over `width` inputs.
     pub fn from_parts(
         width: usize,
         nodes: Vec<Node>,

@@ -46,6 +46,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 pub mod reactor;
 
@@ -90,10 +91,17 @@ pub const THREADS_ENV: &str = "MATADOR_THREADS";
 
 /// The machine's available parallelism (falls back to `1` when the
 /// platform cannot report it).
+///
+/// Read once per process: `std::thread::available_parallelism` reads
+/// cgroup files on Linux (tens of µs), and the serving path resolves its
+/// thread count on every flush.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The effective worker count: the `MATADOR_THREADS` override when set to

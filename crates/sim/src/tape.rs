@@ -297,7 +297,7 @@ mod tests {
         assert_eq!(out, vec![0b0101]);
     }
 
-    /// A DAG read back from a design cache may AND a constant: the
+    /// A DAG assembled by `LogicDag::from_parts` may AND a constant: the
     /// constant prefix slots are filled on every packet.
     #[test]
     fn constant_and_operands_read_the_prefix() {
