@@ -19,20 +19,18 @@
 //!     [--quick] [--seed N] [--shards 1,4,8] [--batch N] [--repeats N] \
 //!     [--out BENCH_inference.json] [--metrics-out PATH] \
 //!     [--assert-turbo-speedup X] [--assert-shard-monotone] \
-//!     [--assert-obs-overhead PCT] [--sweep-chunk]
+//!     [--assert-obs-overhead PCT]
 //! ```
 //!
 //! The JSON artifact (`BENCH_inference.json` by default) tracks the
 //! repo's perf trajectory: one row per cell with backend, shards,
 //! wall-clock, inf/s and speedup vs the cycle-accurate backend at the
-//! first listed shard count (1 by default), the effective
-//! `chunk_threshold`, and `thread_scaling` rows (single-shard turbo at
-//! 1/2/4/8 worker threads). `--assert-turbo-speedup X` exits non-zero
-//! unless the turbo backend beats the cycle-accurate backend by at least
-//! `X`×; `--assert-shard-monotone` exits non-zero if adding turbo shards
-//! *loses* throughput — both are release CI gates. `--sweep-chunk`
-//! additionally measures single-shard turbo across a ladder of
-//! `MATADOR_CHUNK_THRESHOLD` values and records the sweep.
+//! first listed shard count (1 by default), plus the effective
+//! `chunk_threshold` (the multi-shard pools' consolidation floor).
+//! `--assert-turbo-speedup X` exits non-zero unless the turbo backend
+//! beats the cycle-accurate backend by at least `X`×;
+//! `--assert-shard-monotone` exits non-zero if adding turbo shards
+//! *loses* throughput — both are release CI gates.
 //!
 //! `--assert-obs-overhead PCT` times the single-shard turbo cell with
 //! metrics recording disabled and enabled, and exits non-zero if the
@@ -219,7 +217,7 @@ fn run() -> Result<bool, matador::Error> {
             "--assert-turbo-speedup",
             "--assert-obs-overhead",
         ],
-        &["--assert-shard-monotone", "--sweep-chunk"],
+        &["--assert-shard-monotone"],
     )?;
     let shard_counts = flags.list("--shards")?.unwrap_or(vec![1, 4, 8]);
     // The cycle-accurate baseline dominates wall-clock; size the batch so
@@ -301,46 +299,6 @@ fn run() -> Result<bool, matador::Error> {
             backend_slug(cells[0].backend),
             cells[0].shards
         );
-    }
-
-    // Worker-thread scaling of a single turbo shard: the chunk fan-out
-    // is the only parallelism in play, so these rows isolate how the
-    // intra-shard path scales with `ServeOptions::threads`.
-    println!();
-    let mut thread_rows: Vec<(usize, f64, usize)> = Vec::new();
-    for t in [1usize, 2, 4, 8] {
-        let options = ServeOptions {
-            threads: Some(t),
-            ..ServeOptions::turbo(1)
-        };
-        let cell = measure(&accel, options, &batch, repeats);
-        println!(
-            "  turbo shards=1 threads={t:<2} {:>12.0} inf/s  ({:.3}s, x{})",
-            cell.inf_s, cell.wall_s, cell.iters_per_repeat
-        );
-        assert_eq!(cell.winners, cells[0].winners, "thread scaling diverged");
-        thread_rows.push((t, cell.inf_s, cell.iters_per_repeat));
-    }
-
-    // Optional chunk-threshold sweep: single-shard turbo across a ladder
-    // of thresholds. Low thresholds fan small batches out aggressively;
-    // `u64::MAX` forces the serial path at any batch size.
-    let mut sweep_rows: Vec<(u64, f64, usize)> = Vec::new();
-    if flags.switch("--sweep-chunk") {
-        println!();
-        for threshold in [1u64 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, u64::MAX] {
-            let options = ServeOptions {
-                chunk_threshold: Some(threshold),
-                ..ServeOptions::turbo(1)
-            };
-            let cell = measure(&accel, options, &batch, repeats);
-            println!(
-                "  turbo shards=1 chunk_threshold={threshold:<20} {:>12.0} inf/s",
-                cell.inf_s
-            );
-            assert_eq!(cell.winners, cells[0].winners, "chunk sweep diverged");
-            sweep_rows.push((threshold, cell.inf_s, cell.iters_per_repeat));
-        }
     }
 
     // Shard-monotone pairs: each consecutive pair of turbo shard counts,
@@ -425,19 +383,6 @@ fn run() -> Result<bool, matador::Error> {
             c.inf_s,
             c.inf_s / baseline,
             c.iters_per_repeat
-        ));
-    }
-    for &(t, inf_s, iters) in &thread_rows {
-        artifact.push_row(format!(
-            "{{\"sweep\": \"thread_scaling\", \"backend\": \"turbo\", \"shards\": 1, \
-             \"threads\": {t}, \"inf_s\": {inf_s:.1}, \"iters_per_repeat\": {iters}}}"
-        ));
-    }
-    for &(threshold, inf_s, iters) in &sweep_rows {
-        artifact.push_row(format!(
-            "{{\"sweep\": \"chunk_threshold\", \"backend\": \"turbo\", \"shards\": 1, \
-             \"chunk_threshold\": {threshold}, \"inf_s\": {inf_s:.1}, \
-             \"iters_per_repeat\": {iters}}}"
         ));
     }
     write_outputs(

@@ -1,6 +1,6 @@
 //! Bounded ring-buffer flight recorder: the last *N* request lifecycles
 //! with virtual-clock stamps, for post-mortem inspection when a serving
-//! front hits a typed error or is dropped mid-incident.
+//! front hits a typed error.
 //!
 //! The recorder trades completeness for boundedness: a slot is reused as
 //! soon as request `id + capacity` begins, and updates addressed to an
@@ -67,7 +67,6 @@ struct Slot {
 pub struct FlightRecorder {
     slots: Vec<Option<Slot>>,
     next_id: u64,
-    dump_on_drop: bool,
 }
 
 impl FlightRecorder {
@@ -77,7 +76,6 @@ impl FlightRecorder {
         FlightRecorder {
             slots: vec![None; capacity.max(1)],
             next_id: 0,
-            dump_on_drop: false,
         }
     }
 
@@ -89,12 +87,6 @@ impl FlightRecorder {
     /// Total requests ever traced (including evicted ones).
     pub fn traced(&self) -> u64 {
         self.next_id
-    }
-
-    /// When set, the recorder prints [`FlightRecorder::render`] to
-    /// stderr as it is dropped — the crash-dump behaviour.
-    pub fn set_dump_on_drop(&mut self, dump: bool) {
-        self.dump_on_drop = dump;
     }
 
     /// Starts tracing a request, evicting the lifecycle `capacity` ids
@@ -181,14 +173,6 @@ impl FlightRecorder {
             out.push('\n');
         }
         out
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        if self.dump_on_drop && self.next_id > 0 {
-            eprintln!("{}", self.render());
-        }
     }
 }
 

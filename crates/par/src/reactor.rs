@@ -2,20 +2,13 @@
 //!
 //! The vendored-stub build environment has no async runtime, and the
 //! workspace's determinism contract rules out wall-clock-driven control
-//! flow anyway. This module provides the two pieces an open-submission
+//! flow anyway. This module provides the piece an open-submission
 //! serving front-end actually needs, in the same dependency-free idiom as
-//! the thread pool:
-//!
-//! - [`TimerWheel`]: a deterministic deadline queue over an abstract
-//!   monotonic tick (virtual cycles in the serving runtime). Arming,
-//!   expiry order and tie-breaking are pure functions of the armed
-//!   `(tick, token)` pairs — never of insertion timing or threads — so a
-//!   reactor built on it replays bit-identically from a recorded trace.
-//! - [`Parker`]: a Mutex+Condvar thread-parking primitive for *real-time*
-//!   drivers that sleep between submissions. It carries no notion of what
-//!   time it is — callers park until a notification or a timeout and then
-//!   consult their own clock — so the deterministic virtual-time path
-//!   never touches it.
+//! the thread pool: [`TimerWheel`], a deterministic deadline queue over
+//! an abstract monotonic tick (virtual cycles in the serving runtime).
+//! Arming, expiry order and tie-breaking are pure functions of the armed
+//! `(tick, token)` pairs — never of insertion timing or threads — so a
+//! reactor built on it replays bit-identically from a recorded trace.
 //!
 //! ```
 //! use matador_par::reactor::TimerWheel;
@@ -32,8 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// A deterministic deadline queue: `(tick, token)` pairs expire in
 /// ascending `(tick, token)` order.
@@ -92,79 +83,6 @@ impl TimerWheel {
     }
 }
 
-/// Shared notification state behind a [`Parker`]/[`Unparker`] pair.
-#[derive(Debug, Default)]
-struct ParkState {
-    notified: Mutex<bool>,
-    condvar: Condvar,
-}
-
-/// The waiting half of a park/unpark pair: blocks the serving thread
-/// between submissions without spinning.
-///
-/// Notifications are sticky — an [`Unparker::unpark`] that lands while
-/// the parker is running makes the *next* park return immediately, so a
-/// submission can never slip between "queue checked empty" and "thread
-/// parked".
-#[derive(Debug, Default)]
-pub struct Parker {
-    state: Arc<ParkState>,
-}
-
-/// The waking half of a [`Parker`]; cheap to clone into submitting
-/// threads.
-#[derive(Debug, Clone)]
-pub struct Unparker {
-    state: Arc<ParkState>,
-}
-
-impl Parker {
-    /// A fresh parker with no pending notification.
-    pub fn new() -> Self {
-        Parker::default()
-    }
-
-    /// A waker handle for this parker.
-    pub fn unparker(&self) -> Unparker {
-        Unparker {
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    /// Blocks until an unpark arrives or `timeout` elapses. Returns
-    /// `true` when woken by an unpark (consumed), `false` on timeout.
-    pub fn park_timeout(&self, timeout: Duration) -> bool {
-        let mut notified = self
-            .state
-            .notified
-            .lock()
-            .expect("parker mutex never poisons: no panics while held");
-        if !*notified {
-            let (guard, _) = self
-                .state
-                .condvar
-                .wait_timeout(notified, timeout)
-                .expect("parker mutex never poisons: no panics while held");
-            notified = guard;
-        }
-        std::mem::take(&mut *notified)
-    }
-}
-
-impl Unparker {
-    /// Wakes the parked thread (or makes its next park return
-    /// immediately).
-    pub fn unpark(&self) {
-        let mut notified = self
-            .state
-            .notified
-            .lock()
-            .expect("parker mutex never poisons: no panics while held");
-        *notified = true;
-        self.state.condvar.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,27 +122,5 @@ mod tests {
         wheel.arm(2, 7);
         assert_eq!(wheel.len(), 2);
         assert_eq!(wheel.pop_expired(4), vec![(2, 7), (4, 7)]);
-    }
-
-    #[test]
-    fn unpark_before_park_is_sticky() {
-        let parker = Parker::new();
-        parker.unparker().unpark();
-        assert!(parker.park_timeout(Duration::from_secs(0)));
-        // The notification was consumed: the next park times out.
-        assert!(!parker.park_timeout(Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn unpark_wakes_a_parked_thread() {
-        let parker = Parker::new();
-        let unparker = parker.unparker();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                unparker.unpark();
-            });
-            assert!(parker.park_timeout(Duration::from_secs(5)));
-        });
     }
 }

@@ -53,9 +53,8 @@
 //! trigger, quota refill and delivery stamp is a pure function of the
 //! submitted trace. That keeps the workspace determinism contract
 //! intact — the same seeded trace replays bit-identically at any
-//! `MATADOR_THREADS` and shard count — while a real-time driver simply
-//! maps wall-clock time onto the virtual clock and parks between events
-//! on [`matador_par::reactor::Parker`].
+//! `MATADOR_THREADS` and shard count — while a real-time driver would
+//! simply map wall-clock time onto the virtual clock.
 //!
 //! Admission is O(1) in the pending set. The tightest pending deadline
 //! is cached (lowered at admit, recomputed when a batch forms), and so

@@ -63,6 +63,10 @@ const II_OUTLIER_FACTOR: u64 = 4;
 /// boundaries set shard clocks, latencies and dispatch rotation.
 pub const FLUSH_WINDOW: usize = 256;
 
+// Pool turbo engines are pinned to the serial path because a flush slice
+// never spans more than one evaluation block.
+const _: () = assert!(FLUSH_WINDOW <= matador_sim::BLOCK_LANES);
+
 /// Configuration of a serving runtime instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeOptions {
@@ -79,15 +83,16 @@ pub struct ServeOptions {
     pub pipelined_sum: bool,
     /// Whether predictions carry the class sums behind each winner.
     pub capture_class_sums: bool,
-    /// Worker threads for shard execution (`None` = the
-    /// `MATADOR_THREADS`/available-parallelism default).
+    /// Worker threads for a flush round that includes cycle-accurate
+    /// members, one member per worker (`None` = the
+    /// `MATADOR_THREADS`/available-parallelism default). A round of turbo
+    /// members only runs serially on the calling thread.
     pub threads: Option<usize>,
-    /// Chunk-fan-out threshold override for turbo shards (tape-work cost
-    /// below which a batch stays serial; see
-    /// [`matador_sim::TurboProgram::plan_workers`]); `None` reads the
-    /// `MATADOR_CHUNK_THRESHOLD` default at construction. It also sets a
-    /// homogeneous turbo pool's consolidation floor: `Some(0)` spreads
-    /// every flush. Results are bit-identical at any value.
+    /// A homogeneous turbo pool's consolidation floor, in tape-work cost
+    /// per shard (see [`matador_sim::TurboProgram::batch_cost`]): a
+    /// flush below it runs whole on one shard. `None` reads the
+    /// `MATADOR_CHUNK_THRESHOLD` default at construction; `Some(0)`
+    /// spreads every flush. Results are bit-identical at any value.
     pub chunk_threshold: Option<u64>,
     /// Execution engine behind each shard. [`EngineBackend::Turbo`]
     /// produces bit-identical predictions, class sums and cycle stamps
@@ -348,7 +353,8 @@ pub struct ShardPool<'a> {
     /// (homogeneous turbo pools), which is what makes shard assignment
     /// result-invisible and consolidation sound.
     shared_chunk_cost: Option<u64>,
-    /// Chunk-parallelism cost threshold, resolved once at construction.
+    /// Consolidation floor per shard (tape-work cost), resolved once at
+    /// construction.
     chunk_threshold: u64,
     /// Pool-level metric handles (resolved once at construction).
     metrics: PoolMetrics,
@@ -563,7 +569,7 @@ struct ShardEntry<'a> {
     design: &'a CompiledAccelerator,
     /// The shard's turbo instruction tape; `None` runs the cycle-accurate
     /// engine.
-    program: Option<TurboProgram>,
+    program: Option<Arc<TurboProgram>>,
     pipelined_sum: bool,
     weight: u32,
     partition_group: Option<u32>,
@@ -583,14 +589,12 @@ impl<'a> ShardPool<'a> {
         if options.shards == 0 {
             return Err(ServeError::ZeroShards);
         }
-        // The turbo tape is immutable: compile it once, copy it per shard.
+        // The turbo tape is immutable: compile it once, share it across shards.
         let program = match options.backend {
             EngineBackend::CycleAccurate => None,
-            EngineBackend::Turbo => Some(TurboProgram::compile(accel)),
+            EngineBackend::Turbo => Some(Arc::new(TurboProgram::compile(accel))),
         };
-        // Homogeneous turbo shards execute serially in a flush, each one
-        // fanning its slice out over the pool's worker budget instead.
-        let shared_chunk_cost = program.as_ref().map(TurboProgram::chunk_cost);
+        let shared_chunk_cost = program.as_deref().map(TurboProgram::chunk_cost);
         let entries = (0..options.shards)
             .map(|_| ShardEntry {
                 design: accel,
@@ -600,7 +604,7 @@ impl<'a> ShardPool<'a> {
                 partition_group: None,
             })
             .collect();
-        Self::from_entries(entries, &options, options.threads, shared_chunk_cost)
+        Self::from_entries(entries, &options, shared_chunk_cost)
     }
 
     /// Creates a homogeneous pool in **resilient mode** with `plan`
@@ -636,9 +640,10 @@ impl<'a> ShardPool<'a> {
     /// owning its spec's design, backend, pipelining and dispatch weight.
     /// The pool admits exactly the feature widths the specs cover;
     /// requests are routed only to shards whose width matches. `options`
-    /// contributes the dispatch policy, class-sum capture, chunk
-    /// threshold and worker-thread count — its `shards`, `backend` and
-    /// `pipelined_sum` fields are superseded by the specs.
+    /// contributes the dispatch policy, class-sum capture and
+    /// worker-thread count — its `shards`, `backend` and `pipelined_sum`
+    /// fields are superseded by the specs, and its chunk threshold is
+    /// unused (only a homogeneous turbo pool consolidates).
     ///
     /// # Errors
     ///
@@ -652,33 +657,30 @@ impl<'a> ShardPool<'a> {
     ) -> Result<Self, ServeError> {
         ShardSpec::validate_all(specs)?;
         // Each turbo spec compiles its own tape (specs own their designs).
-        // Heterogeneous shards execute under the pool's shard-level
-        // fan-out, so turbo engines pin their chunking to the calling
-        // worker — shard- and chunk-level parallelism must not multiply.
         let entries = specs
             .iter()
             .map(|spec| ShardEntry {
                 design: &spec.design,
                 program: match spec.backend {
                     EngineBackend::CycleAccurate => None,
-                    EngineBackend::Turbo => Some(TurboProgram::compile(&spec.design)),
+                    EngineBackend::Turbo => Some(Arc::new(TurboProgram::compile(&spec.design))),
                 },
                 pipelined_sum: spec.pipelined_sum,
                 weight: spec.weight,
                 partition_group: spec.partition_group,
             })
             .collect();
-        Self::from_entries(entries, &options, Some(1), None)
+        Self::from_entries(entries, &options, None)
     }
 
     /// The one constructor behind the public ones: builds every shard's
     /// engine from its entry and derives the admitted widths and the
-    /// execution units. `chunk_threads` caps each turbo engine's
-    /// intra-batch fan-out.
+    /// execution units. Every turbo engine is pinned to the serial path:
+    /// a flush slice is at most [`FLUSH_WINDOW`] requests, one
+    /// evaluation block, which never fans out.
     fn from_entries(
         entries: Vec<ShardEntry<'a>>,
         options: &ServeOptions,
-        chunk_threads: Option<usize>,
         shared_chunk_cost: Option<u64>,
     ) -> Result<Self, ServeError> {
         let chunk_threshold = options
@@ -709,8 +711,7 @@ impl<'a> ShardPool<'a> {
                     let mut engine = TurboEngine::from_program(program);
                     engine.set_pipelined_sum(entry.pipelined_sum);
                     engine.set_capture_class_sums(capture);
-                    engine.set_chunk_threads(chunk_threads);
-                    engine.set_chunk_threshold(chunk_threshold);
+                    engine.set_chunk_threads(Some(1));
                     PoolEngine::Turbo(Box::new(engine))
                 }
             }
@@ -1231,10 +1232,10 @@ impl<'a> ShardPool<'a> {
     /// words) may consolidate onto one shard of a `shards`-shard pool.
     ///
     /// The per-shard floor is `chunk_threshold` clamped to
-    /// [`matador_sim::DEFAULT_CHUNK_THRESHOLD`], so the threshold's
-    /// `u64::MAX` "never chunk" sentinel cannot saturate the floor and
-    /// consolidate every flush. Threshold `0` spreads every flush, the
-    /// default passes through, and `u64::MAX` disables chunking only.
+    /// [`matador_sim::DEFAULT_CHUNK_THRESHOLD`], so `u64::MAX` (a
+    /// standalone engine's "never chunk" sentinel) cannot saturate the
+    /// floor and consolidate every flush. Threshold `0` spreads every
+    /// flush; the default and anything above it give the default floor.
     fn flush_consolidates(batch_cost: u64, chunk_threshold: u64, shards: u64) -> bool {
         let spread_floor = chunk_threshold
             .min(matador_sim::DEFAULT_CHUNK_THRESHOLD)
@@ -1305,13 +1306,14 @@ impl<'a> ShardPool<'a> {
                 });
             }
         }
-        // Homogeneous turbo shards run serially on the caller: each
-        // engine fans its own slice out across the worker budget, which
-        // beats one thread per shard for identical tapes and never
-        // oversubscribes. Other pools fan out one worker per member — a
-        // cycle engine is single-threaded by nature, and heterogeneous
-        // turbo engines were pinned to their worker at construction.
-        let threads = if runs.len() == 1 || self.shared_chunk_cost.is_some() {
+        // A round of turbo members runs serially on the caller: a turbo
+        // slice is too cheap to repay a worker thread. A round with a
+        // cycle-accurate member, ~100× costlier per request, fans out
+        // one worker per member.
+        let all_turbo = runs
+            .iter()
+            .all(|run| matches!(run.engine, PoolEngine::Turbo(_)));
+        let threads = if all_turbo {
             1
         } else {
             self.threads.unwrap_or_else(matador_par::configured_threads)
@@ -2175,6 +2177,47 @@ mod tests {
         let hetero_preds = hetero.serve(&xs).expect("drains");
         assert_eq!(hetero_preds, homo_preds);
         assert_eq!(hetero.report(), homo.report());
+    }
+
+    #[test]
+    fn homogeneous_turbo_shards_share_one_program() {
+        // Engines built from one `Arc` deref to the same allocation, so
+        // pointer equality here is `Arc::ptr_eq` on the engines' programs.
+        let a = accel();
+        let pool = ShardPool::with_options(&a, ServeOptions::turbo(4)).expect("valid");
+        let programs: Vec<&TurboProgram> = pool
+            .engines
+            .iter()
+            .map(|engine| match engine {
+                PoolEngine::Turbo(e) => e.program(),
+                PoolEngine::Cycle(_) => panic!("a turbo pool has only turbo engines"),
+            })
+            .collect();
+        assert_eq!(programs.len(), 4);
+        assert!(programs.iter().all(|&p| std::ptr::eq(p, programs[0])));
+    }
+
+    #[test]
+    fn heterogeneous_turbo_pool_is_identical_at_any_thread_count() {
+        // Mixed stream geometries keep every flush spread over all three
+        // shards; 300 requests span two flush windows.
+        let specs = vec![
+            ShardSpec::new(accel()).backend(EngineBackend::Turbo),
+            ShardSpec::new(narrow_accel()).backend(EngineBackend::Turbo),
+            ShardSpec::new(accel()).backend(EngineBackend::Turbo),
+        ];
+        let xs = inputs(300);
+        let run = |threads: usize| {
+            let mut options = ServeOptions::new(1);
+            options.threads = Some(threads);
+            options.capture_class_sums = true;
+            let mut pool = ShardPool::heterogeneous(&specs, options).expect("valid");
+            let preds = pool.serve(&xs).expect("drains");
+            (preds, pool.report(), pool.shard_stats())
+        };
+        let (preds, report, stats) = run(1);
+        assert!(stats.iter().all(|s| s.flushes_served == 2), "{stats:?}");
+        assert_eq!(run(4), (preds, report, stats));
     }
 
     /// Serializes panic-hook swaps across tests (the hook is process

@@ -190,13 +190,6 @@ impl CompileOptions {
         self.partitions = partitions;
         self
     }
-
-    /// Returns the options with the CSE pass toggled.
-    #[must_use]
-    pub fn with_cse(mut self, cse: bool) -> Self {
-        self.cse = cse;
-        self
-    }
 }
 
 /// Per-pass statistics for one pipeline run; the tape and dedup figures

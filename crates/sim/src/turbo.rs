@@ -179,7 +179,7 @@ pub const CHUNK_THRESHOLD_ENV: &str = "MATADOR_CHUNK_THRESHOLD";
 /// At roughly one tape instruction per nanosecond this is ~1 ms of work
 /// per worker — comfortably above scoped-thread-spawn overhead, so the
 /// fan-out only triggers when it can pay for itself. Tunable per machine
-/// with `infer_bench --sweep-chunk` and [`CHUNK_THRESHOLD_ENV`].
+/// with [`CHUNK_THRESHOLD_ENV`].
 pub const DEFAULT_CHUNK_THRESHOLD: u64 = 1 << 20;
 
 /// The effective chunk-parallelism threshold: the [`CHUNK_THRESHOLD_ENV`]
@@ -1097,7 +1097,8 @@ pub enum EngineBackend {
 /// The engine owns its scratch arenas and flat sum buffer: once warmed it
 /// classifies batches allocation-free on the serial path
 /// ([`TurboEngine::run_datapoints_into`]; locked by
-/// `crates/sim/tests/no_alloc.rs`), and fans large batches out over
+/// `crates/sim/tests/no_alloc.rs`), and unless pinned to the serial
+/// path fans batches of several evaluation blocks out over
 /// `matador-par` according to the chunk cost model (see
 /// [`TurboEngine::set_chunk_threads`]).
 ///
@@ -1106,7 +1107,8 @@ pub enum EngineBackend {
 /// states). Drivers needing those belong on the cycle-accurate backend.
 #[derive(Debug, Clone)]
 pub struct TurboEngine {
-    program: TurboProgram,
+    /// The immutable program, shared by every engine built from it.
+    program: Arc<TurboProgram>,
     /// Scratch arenas reused across runs, one per chunk worker (grow
     /// once, on first use at each worker count).
     scratches: Vec<TurboScratch>,
@@ -1137,11 +1139,11 @@ impl TurboEngine {
     }
 
     /// Creates an engine in the post-reset state over an already-compiled
-    /// program (the program is immutable, so sharing a compiled copy
-    /// across shards changes nothing observable).
-    pub fn from_program(program: TurboProgram) -> Self {
+    /// program. The program is immutable, so engines built from one
+    /// `Arc` share a single copy and nothing observable changes.
+    pub fn from_program(program: impl Into<Arc<TurboProgram>>) -> Self {
         TurboEngine {
-            program,
+            program: program.into(),
             scratches: Vec::new(),
             sums_flat: Vec::new(),
             chunk_threads: None,
@@ -1178,9 +1180,9 @@ impl TurboEngine {
 
     /// Sets the worker budget for intra-batch chunk fan-out. `None`
     /// (the default) resolves `matador_par::configured_threads` per run;
-    /// `Some(1)` pins the serial path — what a [`ShardPool`] running its
-    /// shards on worker threads sets, so shard- and chunk-level fan-out
-    /// never multiply.
+    /// `Some(1)` pins the serial path. Every [`ShardPool`] turbo engine
+    /// is pinned: a pool slice is at most one evaluation block, which
+    /// never fans out, and the pool's parallelism is across shards.
     ///
     /// Results are bit-identical at every setting; this is purely a
     /// scheduling knob.

@@ -129,15 +129,6 @@ impl MultiClassTm {
         &self.params
     }
 
-    /// Borrow of the clauses of `class`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class` is out of range.
-    pub fn class_clauses(&self, class: usize) -> &[Clause] {
-        &self.clauses[class]
-    }
-
     /// Polarity-weighted vote total of `class` on input `x` (with
     /// precomputed complement `x_neg`). Unclamped.
     pub fn class_sum(&self, class: usize, x: &BitVec, x_neg: &BitVec) -> i32 {
