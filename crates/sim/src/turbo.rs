@@ -1107,7 +1107,8 @@ pub enum EngineBackend {
 /// states). Drivers needing those belong on the cycle-accurate backend.
 #[derive(Debug, Clone)]
 pub struct TurboEngine {
-    /// The immutable program, shared by every engine built from it.
+    /// The immutable program, shared by every engine built from the same
+    /// `Arc`.
     program: Arc<TurboProgram>,
     /// Scratch arenas reused across runs, one per chunk worker (grow
     /// once, on first use at each worker count).
