@@ -111,15 +111,6 @@ impl QuantMlp {
     ///
     /// Panics if `input.len()` differs from the input layer width.
     pub fn forward(&self, input: &BitVec) -> Vec<f32> {
-        self.forward_impl(input, true)
-    }
-
-    /// Float forward pass (tanh hidden units) used during pretraining.
-    pub fn forward_float(&self, input: &BitVec) -> Vec<f32> {
-        self.forward_impl(input, false)
-    }
-
-    fn forward_impl(&self, input: &BitVec, quantized: bool) -> Vec<f32> {
         assert_eq!(input.len(), self.topology.layers[0], "input width mismatch");
         let wb = self.topology.quant.weight_bits;
         let ab = self.topology.quant.activation_bits;
@@ -132,24 +123,17 @@ impl QuantMlp {
             for (o, out) in next.iter_mut().enumerate() {
                 let row = &w[o * n..(o + 1) * n];
                 let mut acc = self.biases[l][o];
-                if quantized {
-                    for (wi, ai) in row.iter().zip(&act) {
-                        acc += quantize(*wi, wb) * ai;
-                    }
-                } else {
-                    for (wi, ai) in row.iter().zip(&act) {
-                        acc += *wi * ai;
-                    }
+                for (wi, ai) in row.iter().zip(&act) {
+                    acc += quantize(*wi, wb) * ai;
                 }
                 *out = acc;
             }
             if l != last {
                 for (o, v) in next.iter_mut().enumerate() {
                     let u = (*v - self.bn_mean[l][o]) / (self.bn_var[l][o] + BN_EPS).sqrt();
-                    *v = if quantized { quantize(u, ab) } else { u.tanh() };
+                    *v = quantize(u, ab);
                 }
             }
-            let _ = n;
             act = next;
         }
         act
@@ -373,7 +357,6 @@ mod tests {
     fn untrained_forward_has_right_shape() {
         let net = QuantMlp::new(toy_topology(), 1);
         assert_eq!(net.forward(&BitVec::zeros(8)).len(), 2);
-        assert_eq!(net.forward_float(&BitVec::zeros(8)).len(), 2);
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //!
 //! ## Thread-count resolution
 //!
-//! The `MATADOR_THREADS` environment variable overrides the worker count
-//! for every call that does not pass one explicitly: unset, `0` or
-//! unparseable values resolve to [`available_threads`] (the machine's
-//! available parallelism), and `1` forces the sequential in-caller path —
-//! the recommended setting for debugging and bisecting, and one leg of
-//! the CI matrix.
+//! Every entry point takes an explicit worker count. Callers that do not
+//! pin one pass [`configured_threads`], which reads the `MATADOR_THREADS`
+//! environment variable: unset, `0` or unparseable values resolve to
+//! [`available_threads`] (the machine's available parallelism), and `1`
+//! forces the sequential in-caller path — the recommended setting for
+//! debugging and bisecting, and one leg of the CI matrix.
 //!
 //! ## Example
 //!
@@ -135,30 +135,13 @@ pub fn split_seed(root: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps `f` over `items` on up to [`configured_threads`] workers,
-/// returning results in item order.
+/// Maps `f` over `items` on up to `threads` workers, returning results
+/// in item order (`1` runs sequentially on the calling thread).
 ///
 /// Scheduling is dynamic (an atomic work index), so heterogeneous item
 /// costs — logic windows of very different sizes, dataset rows with very
 /// different training times — balance automatically. The output order is
 /// index order regardless of scheduling.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    // A 0/1-item map never spawns, so don't even resolve the thread
-    // count (an env read) — small fan-outs stay allocation- and
-    // syscall-free on the calling thread.
-    if items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    par_map_with(configured_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count (`1` runs sequentially on
-/// the calling thread).
 pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -168,27 +151,12 @@ where
     par_map_indexed_with(threads, items, |_, item| f(item))
 }
 
-/// Maps `f(index, item)` over `items` on up to [`configured_threads`]
-/// workers, returning results in item order.
+/// Maps `f(index, item)` over `items` on up to `threads` workers,
+/// returning results in item order (`1` runs sequentially on the
+/// calling thread).
 ///
 /// The index is the item's position in `items` — use it to derive
 /// per-item RNG streams with [`split_seed`].
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    // Trivial fan-outs skip thread-count resolution (an env read) and
-    // run inline — see [`par_map`].
-    if items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    par_map_indexed_with(configured_threads(), items, f)
-}
-
-/// [`par_map_indexed`] with an explicit worker count (`1` runs
-/// sequentially on the calling thread).
 ///
 /// # Panics
 ///
@@ -243,31 +211,13 @@ where
         .collect()
 }
 
-/// Runs `f(index, &mut item)` over `items` in place, on up to
-/// [`configured_threads`] workers.
+/// Runs `f(index, &mut item)` over `items` in place, on up to `threads`
+/// workers (`1` runs sequentially on the calling thread).
 ///
 /// Items are partitioned into contiguous chunks, one scoped worker per
 /// chunk, so each item is mutated by exactly one thread. This is the
 /// entry point for per-class TM feedback, where each class owns its
 /// clause bank and derives its RNG stream from the index.
-pub fn par_map_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    // Trivial fan-outs skip thread-count resolution (an env read) and
-    // run inline — see [`par_map`].
-    if items.len() <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    par_map_mut_with(configured_threads(), items, f)
-}
-
-/// [`par_map_mut`] with an explicit worker count (`1` runs sequentially
-/// on the calling thread).
 ///
 /// # Panics
 ///
@@ -438,17 +388,9 @@ mod tests {
 
     #[test]
     fn trivial_fan_outs_run_on_the_calling_thread() {
-        // 0/1-item maps and explicit threads=1 must never spawn: the
-        // closure observes the caller's thread id.
+        // Explicit threads=1 must never spawn: the closure observes the
+        // caller's thread id.
         let caller = std::thread::current().id();
-        let one = [7u8];
-        let ids = par_map(&one, |_| std::thread::current().id());
-        assert_eq!(ids, vec![caller]);
-        let ids = par_map_indexed(&one, |_, _| std::thread::current().id());
-        assert_eq!(ids, vec![caller]);
-        let mut slot = [None];
-        par_map_mut(&mut slot, |_, s| *s = Some(std::thread::current().id()));
-        assert_eq!(slot, [Some(caller)]);
         let many = [0u8; 9];
         let ids = par_map_with(1, &many, |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == caller));

@@ -335,7 +335,7 @@ pub struct ShardPool<'a> {
     designs: Vec<&'a CompiledAccelerator>,
     /// Per-shard static dispatch weights (all 1 on the homogeneous path).
     weights: Vec<u32>,
-    engines: Vec<PoolEngine<'a>>,
+    engines: Vec<PoolEngine>,
     dispatcher: Dispatcher,
     /// Id of the next request [`ShardPool::serve`] admits.
     next_id: u64,
@@ -388,8 +388,8 @@ pub struct ShardPool<'a> {
 /// (and everything above it) is backend-agnostic. Engines are boxed: a
 /// pool holds many, and both variants carry sizeable scratch state.
 #[derive(Debug)]
-enum PoolEngine<'a> {
-    Cycle(Box<SimEngine<'a>>),
+enum PoolEngine {
+    Cycle(Box<SimEngine>),
     Turbo(Box<TurboEngine>),
 }
 
@@ -402,7 +402,7 @@ struct ShardOutput {
     first_beats: Vec<u64>,
 }
 
-impl PoolEngine<'_> {
+impl PoolEngine {
     /// Advances the shard clock by `n` dead cycles — the timing half of
     /// an injected stall or queue delay.
     fn inject_idle_cycles(&mut self, n: u64) {
@@ -535,13 +535,13 @@ impl MemberResult {
 
 /// One member shard's run over its unit's slice, executed on a worker
 /// thread.
-struct MemberRun<'e, 'a, 'i> {
-    engine: &'e mut PoolEngine<'a>,
+struct MemberRun<'e, 'i> {
+    engine: &'e mut PoolEngine,
     inputs: &'i [BitVec],
     result: MemberResult,
 }
 
-impl MemberRun<'_, '_, '_> {
+impl MemberRun<'_, '_> {
     /// Runs the slice under its fault directives. An injected
     /// [`SliceAction::Panic`] raises a real panic *before* touching the
     /// engine — the worker dies exactly as a genuine bug would, and the
@@ -567,9 +567,9 @@ impl MemberRun<'_, '_, '_> {
 /// One shard of a pool under construction.
 struct ShardEntry<'a> {
     design: &'a CompiledAccelerator,
-    /// The shard's turbo instruction tape; `None` runs the cycle-accurate
-    /// engine.
-    program: Option<Arc<TurboProgram>>,
+    /// The shard's lowered design, which either backend runs.
+    program: Arc<TurboProgram>,
+    backend: EngineBackend,
     pipelined_sum: bool,
     weight: u32,
     partition_group: Option<u32>,
@@ -589,16 +589,16 @@ impl<'a> ShardPool<'a> {
         if options.shards == 0 {
             return Err(ServeError::ZeroShards);
         }
-        // The turbo tape is immutable: compile it once, share it across shards.
-        let program = match options.backend {
-            EngineBackend::CycleAccurate => None,
-            EngineBackend::Turbo => Some(Arc::new(TurboProgram::compile(accel))),
-        };
-        let shared_chunk_cost = program.as_deref().map(TurboProgram::chunk_cost);
+        // The lowered design is immutable: compile it once, share it
+        // across shards of either backend.
+        let program = Arc::new(TurboProgram::compile(accel));
+        let shared_chunk_cost =
+            (options.backend == EngineBackend::Turbo).then(|| program.chunk_cost());
         let entries = (0..options.shards)
             .map(|_| ShardEntry {
                 design: accel,
-                program: program.clone(),
+                program: Arc::clone(&program),
+                backend: options.backend,
                 pipelined_sum: options.pipelined_sum,
                 weight: 1,
                 partition_group: None,
@@ -656,15 +656,13 @@ impl<'a> ShardPool<'a> {
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
         ShardSpec::validate_all(specs)?;
-        // Each turbo spec compiles its own tape (specs own their designs).
+        // Each spec compiles its own program (specs own their designs).
         let entries = specs
             .iter()
             .map(|spec| ShardEntry {
                 design: &spec.design,
-                program: match spec.backend {
-                    EngineBackend::CycleAccurate => None,
-                    EngineBackend::Turbo => Some(Arc::new(TurboProgram::compile(&spec.design))),
-                },
+                program: Arc::new(TurboProgram::compile(&spec.design)),
+                backend: spec.backend,
                 pipelined_sum: spec.pipelined_sum,
                 weight: spec.weight,
                 partition_group: spec.partition_group,
@@ -700,15 +698,15 @@ impl<'a> ShardPool<'a> {
             // merge the final winner, whether or not the caller asked
             // predictions to carry them.
             let capture = options.capture_class_sums || entry.partition_group.is_some();
-            match entry.program {
-                None => {
-                    let mut engine = SimEngine::new(entry.design);
+            match entry.backend {
+                EngineBackend::CycleAccurate => {
+                    let mut engine = SimEngine::from_program(entry.program);
                     engine.set_pipelined_sum(entry.pipelined_sum);
                     engine.set_capture_class_sums(capture);
                     PoolEngine::Cycle(Box::new(engine))
                 }
-                Some(program) => {
-                    let mut engine = TurboEngine::from_program(program);
+                EngineBackend::Turbo => {
+                    let mut engine = TurboEngine::from_program(entry.program);
                     engine.set_pipelined_sum(entry.pipelined_sum);
                     engine.set_capture_class_sums(capture);
                     engine.set_chunk_threads(Some(1));
@@ -1276,9 +1274,8 @@ impl<'a> ShardPool<'a> {
         // Runs in unit order, members contiguous. Fault directives are
         // planned up front on the pool thread — the injector's state is
         // single-threaded, workers only read their own directive.
-        let mut engines: Vec<Option<&mut PoolEngine<'a>>> =
-            self.engines.iter_mut().map(Some).collect();
-        let mut runs: Vec<MemberRun<'_, 'a, '_>> = Vec::new();
+        let mut engines: Vec<Option<&mut PoolEngine>> = self.engines.iter_mut().map(Some).collect();
+        let mut runs: Vec<MemberRun<'_, '_>> = Vec::new();
         for ((members, indices), slice) in self.units.iter().zip(&plan).zip(&slices) {
             if indices.is_empty() {
                 continue;
@@ -2180,21 +2177,31 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_turbo_shards_share_one_program() {
+    fn homogeneous_shards_share_one_program() {
         // Engines built from one `Arc` deref to the same allocation, so
         // pointer equality here is `Arc::ptr_eq` on the engines' programs.
         let a = accel();
-        let pool = ShardPool::with_options(&a, ServeOptions::turbo(4)).expect("valid");
-        let programs: Vec<&TurboProgram> = pool
-            .engines
-            .iter()
-            .map(|engine| match engine {
-                PoolEngine::Turbo(e) => e.program(),
-                PoolEngine::Cycle(_) => panic!("a turbo pool has only turbo engines"),
-            })
-            .collect();
-        assert_eq!(programs.len(), 4);
-        assert!(programs.iter().all(|&p| std::ptr::eq(p, programs[0])));
+        for backend in [EngineBackend::Turbo, EngineBackend::CycleAccurate] {
+            let options = ServeOptions {
+                backend,
+                ..ServeOptions::new(4)
+            };
+            let pool = ShardPool::with_options(&a, options).expect("valid");
+            let programs: Vec<&TurboProgram> = pool
+                .engines
+                .iter()
+                .map(|engine| match (engine, backend) {
+                    (PoolEngine::Turbo(e), EngineBackend::Turbo) => e.program(),
+                    (PoolEngine::Cycle(e), EngineBackend::CycleAccurate) => e.program(),
+                    _ => panic!("a {backend:?} pool runs only {backend:?} engines"),
+                })
+                .collect();
+            assert_eq!(programs.len(), 4, "{backend:?}");
+            assert!(
+                programs.iter().all(|&p| std::ptr::eq(p, programs[0])),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

@@ -80,11 +80,12 @@ impl CompiledAccelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the window count or any window's output count is
-    /// inconsistent with `shape`.
+    /// Panics if the window count or any window's input width or output
+    /// count is inconsistent with `shape`.
     pub fn from_shape_windows(shape: AccelShape, windows: Vec<LogicDag>) -> Self {
         assert_eq!(windows.len(), shape.num_packets(), "window count mismatch");
         for dag in &windows {
+            assert_eq!(dag.width(), shape.bus_width, "window width mismatch");
             assert_eq!(
                 dag.outputs().len(),
                 shape.total_clauses(),

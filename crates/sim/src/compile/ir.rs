@@ -6,10 +6,10 @@
 //! the tape but never its meaning — every transform preserves the value
 //! of every output slot bit-for-bit, which is what keeps the turbo
 //! backend's winners, class sums and cycle stamps identical across pass
-//! combinations. The IR is never executed as is: `FoldedWindow::fold`
-//! (`crate::tape`) folds every `Input`/`NotInput`/constant slot into the
-//! operands of a flat AND tape — at the pipeline exit for the turbo
-//! backend, and straight after lowering for the cycle engine.
+//! combinations. The IR is never executed as is: at the pipeline exit,
+//! `FoldedWindow::fold` (`crate::tape`) folds every
+//! `Input`/`NotInput`/constant slot into the operands of a flat AND tape,
+//! the [`TurboProgram`](crate::TurboProgram) both backends run.
 
 use matador_logic::dag::{LogicDag, Node};
 

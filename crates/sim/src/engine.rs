@@ -8,14 +8,18 @@
 //! packet (HCB chain fill + class-sum + argmax + output register), and the
 //! steady-state initiation interval is `P` cycles.
 //!
-//! The HCB logic itself is each window's DAG lowered once to the folded
-//! AND tape the turbo backend also runs (`crate::tape`), evaluated on a
-//! single lane per accepted beat.
+//! The HCB logic itself is the design's [`TurboProgram`], the one
+//! lowering the turbo backend also runs: each accepted beat evaluates its
+//! window's folded AND tape (`crate::tape`) on a single lane. Engines
+//! built from one `Arc<TurboProgram>` share it, so a pool of shards
+//! lowers its design once.
 
 use crate::accel::CompiledAccelerator;
-use crate::tape::LaneTape;
+use crate::compile::{CompileOptions, CompilePipeline};
+use crate::turbo::TurboProgram;
 use matador_axi::stream::{AxiStreamMaster, Beat, StreamMonitor};
 use std::fmt;
+use std::sync::Arc;
 use tsetlin::bits::BitVec;
 use tsetlin::tm::argmax;
 
@@ -107,12 +111,12 @@ pub struct CycleTrace {
 /// See `matador-sim`'s crate-level documentation; the engine is normally
 /// driven through [`SimEngine::run_datapoints`].
 #[derive(Debug)]
-pub struct SimEngine<'a> {
-    accel: &'a CompiledAccelerator,
+pub struct SimEngine {
+    /// The lowered design, shared by every engine built from the same
+    /// `Arc`.
+    program: Arc<TurboProgram>,
     master: AxiStreamMaster,
     monitor: StreamMonitor,
-    /// Every window's DAG folded to a single-lane AND tape.
-    tape: LaneTape,
     /// Registered partial-clause words per HCB (bit `c % 64` of word
     /// `c / 64` is clause `c`).
     hcb_regs: Vec<Vec<u64>>,
@@ -143,7 +147,8 @@ pub struct SimEngine<'a> {
     /// Captured class sums, aligned with [`SimEngine::results`] entries
     /// produced while capture was enabled.
     sums_log: Vec<Vec<i32>>,
-    /// Reusable tape slot values for the current beat's window.
+    /// Reusable single-lane slot values; a beat writes only its
+    /// window's area.
     values: Vec<u64>,
     /// Next value of the written HCB register, swapped in at end of cycle.
     reg_scratch: Vec<u64>,
@@ -157,22 +162,36 @@ pub struct SimEngine<'a> {
     ii_anchor: Option<u64>,
 }
 
-impl<'a> SimEngine<'a> {
-    /// Creates an engine in the post-reset state, lowering every window
-    /// of `accel` to its single-lane AND tape once.
+impl SimEngine {
+    /// Lowers `accel` to a [`TurboProgram`] without CSE (lower → fold,
+    /// the [`CompileOptions::none`] pipeline) and creates an engine in
+    /// the post-reset state over it. Pools and other drivers standing up
+    /// several engines over one design should compile once and use
+    /// [`SimEngine::from_program`] instead.
     ///
     /// # Panics
     ///
-    /// Panics if the bus is wider than 64 bits or a window's width
-    /// differs from the bus width.
-    pub fn new(accel: &'a CompiledAccelerator) -> Self {
-        let tape = LaneTape::lower(accel);
-        let words = tape.words();
+    /// Panics if the bus is wider than 64 bits.
+    pub fn new(accel: &CompiledAccelerator) -> Self {
+        Self::from_program(
+            CompilePipeline::new(CompileOptions::none())
+                .compile(accel)
+                .program,
+        )
+    }
+
+    /// Creates an engine in the post-reset state over an already-compiled
+    /// program, as [`TurboEngine::from_program`](crate::TurboEngine::from_program)
+    /// does. The program is immutable, so engines built from one `Arc`
+    /// share a single copy and nothing observable changes.
+    pub fn from_program(program: impl Into<Arc<TurboProgram>>) -> Self {
+        let program: Arc<TurboProgram> = program.into();
+        let shape = *program.shape();
+        let words = shape.total_clauses().div_ceil(64);
         SimEngine {
-            accel,
             master: AxiStreamMaster::new(),
             monitor: StreamMonitor::new(),
-            hcb_regs: vec![vec![0; words]; accel.shape().num_packets()],
+            hcb_regs: vec![vec![0; words]; shape.num_packets()],
             pkt: 0,
             sum_stage_pre: None,
             sum_stage: None,
@@ -187,14 +206,19 @@ impl<'a> SimEngine<'a> {
             capture_sums: false,
             sums_stage: None,
             sums_log: Vec::new(),
-            values: tape.scratch(),
+            values: program.lane_scratch(),
             reg_scratch: vec![0; words],
-            tape,
+            program,
             sum_free: Vec::new(),
             ii_cycles: 0,
             ii_samples: 0,
             ii_anchor: None,
         }
+    }
+
+    /// The lowered design this engine runs.
+    pub fn program(&self) -> &TurboProgram {
+        &self.program
     }
 
     /// Enables the two-stage (pipelined) class-sum model — one extra cycle
@@ -228,7 +252,7 @@ impl<'a> SimEngine<'a> {
     ///
     /// Panics if the width differs from the accelerator's feature count.
     pub fn queue_datapoint(&mut self, input: &BitVec) {
-        let shape = self.accel.shape();
+        let shape = *self.program.shape();
         assert_eq!(input.len(), shape.features, "datapoint width mismatch");
         let p = shape.num_packets();
         for k in 0..p {
@@ -246,11 +270,12 @@ impl<'a> SimEngine<'a> {
 
     /// Advances one clock cycle.
     ///
-    /// An accepted beat's HCB logic runs on the window's folded AND tape
-    /// (lowered once by [`SimEngine::new`]) on a single lane: the
-    /// `2W + 2` prefix slots are filled from `tdata`, the window's AND
-    /// pairs run branch-free, and the partial-clause words start from the
-    /// window's constant-1 mask and gather only the non-constant outputs.
+    /// An accepted beat's HCB logic runs the window's folded AND tape
+    /// from the engine's [`TurboProgram`] on a single lane: the `2W + 2`
+    /// prefix slots of the window's area are filled from `tdata`, the
+    /// window's AND pairs run branch-free, and the partial-clause words
+    /// start from the window's constant-1 mask and gather only the
+    /// non-constant outputs.
     ///
     /// The hot path is allocation-free once warmed: window evaluation,
     /// the HCB chain AND and the class-sum computation all reuse engine
@@ -258,8 +283,7 @@ impl<'a> SimEngine<'a> {
     /// small free list (`crates/sim/tests/no_alloc.rs` locks this in
     /// with a counting allocator).
     pub fn step(&mut self) {
-        let shape = self.accel.shape();
-        let p = shape.num_packets();
+        let p = self.program.shape().num_packets();
 
         // --- combinational phase -----------------------------------------
         let tready = !self.stall;
@@ -271,8 +295,8 @@ impl<'a> SimEngine<'a> {
             self.monitor.capture(self.cycle, beat);
             let k = self.pkt;
             hcb_en = Some(k);
-            self.tape
-                .eval_into(k, beat.tdata, &mut self.values, &mut self.reg_scratch);
+            self.program
+                .eval_lane(k, beat.tdata, &mut self.values, &mut self.reg_scratch);
             if k > 0 {
                 for (reg, prev) in self.reg_scratch.iter_mut().zip(&self.hcb_regs[k - 1]) {
                     *reg &= prev;
@@ -384,19 +408,6 @@ impl<'a> SimEngine<'a> {
         Ok(())
     }
 
-    /// Panicking convenience wrapper over
-    /// [`SimEngine::try_run_to_completion`] for drivers that treat a hang
-    /// as a bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design fails to drain within `max_cycles`.
-    pub fn run_to_completion(&mut self, max_cycles: u64) {
-        if let Err(e) = self.try_run_to_completion(max_cycles) {
-            panic!("{e}");
-        }
-    }
-
     /// The exact cycle budget needed to stream `datapoints` back-to-back
     /// from the current engine state and drain the pipeline, plus one
     /// cycle of slack.
@@ -407,7 +418,7 @@ impl<'a> SimEngine<'a> {
     /// argmax and output-register stages. Anything beyond this bound is a
     /// hang by construction.
     pub fn drain_bound(&self, datapoints: usize) -> u64 {
-        let p = self.accel.shape().num_packets() as u64;
+        let p = self.program.shape().num_packets() as u64;
         let queued_beats = self.master.pending() as u64;
         let stream_cycles = datapoints as u64 * p + queued_beats;
         let drain_latency = 3 + u64::from(self.pipelined_sum);
@@ -426,7 +437,7 @@ impl<'a> SimEngine<'a> {
     /// within [`SimEngine::drain_bound`] cycles — e.g. when backpressure
     /// is left asserted via [`SimEngine::set_stall`].
     pub fn run_datapoints(&mut self, inputs: &[BitVec]) -> Result<Vec<SimResult>, SimError> {
-        let features = self.accel.shape().features;
+        let features = self.program.shape().features;
         if let Some(index) = inputs.iter().position(|x| x.len() != features) {
             return Err(SimError::InputWidth {
                 index,
@@ -507,7 +518,7 @@ impl<'a> SimEngine<'a> {
     }
 
     fn class_sums_from_regs_into(&self, out: &mut Vec<i32>) {
-        let shape = self.accel.shape();
+        let shape = self.program.shape();
         let final_regs = &self.hcb_regs[shape.num_packets() - 1];
         shape.sums_from_clause_words_into(final_regs, out);
     }
@@ -640,7 +651,8 @@ mod tests {
         assert_eq!(sim.results().len(), 0);
         assert_eq!(sim.monitor().records().len(), 0);
         sim.set_stall(false);
-        sim.run_to_completion(100);
+        sim.try_run_to_completion(100)
+            .expect("drains after stall release");
         assert_eq!(sim.results().len(), 1);
     }
 

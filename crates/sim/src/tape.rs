@@ -5,12 +5,12 @@
 //! them into references into a fixed input prefix — the window's bits,
 //! their complements, constant 1 and constant 0 — so that what is left
 //! is a branch-free list of `(a, b)` AND pairs, one per AND2 gate of the
-//! hardware. The turbo evaluator folds every window onto its own area of
-//! one all-window slot space and runs the pairs over 64-datapoint lane
-//! words; the cycle engine folds each window at base 0 ([`LaneTape`]) and
-//! runs the pairs on a single lane, one packet per accepted beat.
+//! hardware. A [`TurboProgram`](crate::TurboProgram) folds every window
+//! onto its own area of one all-window slot space, once per design. The
+//! turbo evaluator runs the pairs over 64-datapoint lane words; the cycle
+//! engine runs one window's pairs on a single lane per accepted beat
+//! ([`FoldedWindow::eval_lane`]), over the same slots.
 
-use crate::accel::CompiledAccelerator;
 use crate::compile::ir::{Op, WindowProgram};
 
 /// Slots in the input prefix of a `bits`-wide bus: the window's bits,
@@ -20,7 +20,7 @@ pub(crate) fn prefix_slots(bits: usize) -> usize {
 }
 
 /// One window lowered onto its area of a slot space: a branch-free AND
-/// tape over global slots.
+/// tape over global slots, plus the single-lane view of its outputs.
 #[derive(Debug, Clone)]
 pub(crate) struct FoldedWindow {
     /// The window's first slot: its input prefix starts here, and pair
@@ -28,6 +28,13 @@ pub(crate) struct FoldedWindow {
     pub(crate) base: usize,
     /// `(a, b)` operand slots.
     pub(crate) ands: Vec<(u32, u32)>,
+    /// The partial-clause words before any gather: bit `c % 64` of word
+    /// `c / 64` is set where clause `c`'s output is constant 1 (the
+    /// clause has no literal in this window).
+    pub(crate) ones: Vec<u64>,
+    /// `(slot, clause)` for every output that is not a constant, in
+    /// clause order.
+    pub(crate) gather: Vec<(u32, u32)>,
 }
 
 impl FoldedWindow {
@@ -52,129 +59,57 @@ impl FoldedWindow {
                 }
             });
         }
-        let outputs = tape.outputs.iter().map(|&s| slot[s as usize]).collect();
-        (FoldedWindow { base, ands }, outputs)
-    }
-}
-
-/// One window of a [`LaneTape`].
-#[derive(Debug, Clone)]
-struct LaneWindow {
-    /// The folded AND pairs at base 0.
-    ands: Vec<(u32, u32)>,
-    /// The partial-clause words before any gather: bit `c` is set where
-    /// clause `c`'s output is constant 1 (the clause has no literal in
-    /// this window).
-    ones: Vec<u64>,
-    /// `(slot, clause)` for every output that is not a constant, in
-    /// clause order.
-    gather: Vec<(u32, u32)>,
-}
-
-/// Every window of an accelerator folded at base 0 for single-lane
-/// evaluation: the cycle engine's combinational HCB logic.
-///
-/// A slot holds `0` or `1`. Evaluating a packet fills the `2W + 2`
-/// prefix slots from the packet, runs the window's AND pairs, and builds
-/// the partial-clause words from the constant-1 mask plus one shifted OR
-/// per non-constant output (constant-0 outputs stay clear).
-#[derive(Debug, Clone)]
-pub(crate) struct LaneTape {
-    /// Bus width `W`.
-    bits: usize,
-    windows: Vec<LaneWindow>,
-    /// Slots of the largest window: the value scratch's length.
-    slots: usize,
-    /// Words of a partial-clause vector, `⌈clauses / 64⌉`.
-    words: usize,
-}
-
-impl LaneTape {
-    /// Lowers every window of `accel` through [`WindowProgram::lower`]
-    /// and folds it at base 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bus is wider than 64 bits or a window's width
-    /// differs from the bus width.
-    pub(crate) fn lower(accel: &CompiledAccelerator) -> Self {
-        let shape = accel.shape();
-        let bits = shape.bus_width;
-        assert!(bits <= 64, "a {bits}-bit bus exceeds one 64-bit packet");
-        let words = shape.total_clauses().div_ceil(64);
-        let one = u32::try_from(2 * bits).expect("slot space fits u32");
-        let zero = one + 1;
-        let windows: Vec<LaneWindow> = accel
-            .windows()
-            .iter()
-            .map(|dag| {
-                assert_eq!(dag.width(), bits, "window width differs from the bus width");
-                let (folded, outputs) = FoldedWindow::fold(&WindowProgram::lower(dag), bits, 0);
-                let mut ones = vec![0u64; words];
-                let mut gather = Vec::new();
-                for (clause, slot) in outputs.into_iter().enumerate() {
-                    if slot == one {
-                        ones[clause / 64] |= 1 << (clause % 64);
-                    } else if slot != zero {
-                        let clause = u32::try_from(clause).expect("clause count fits u32");
-                        gather.push((slot, clause));
-                    }
-                }
-                LaneWindow {
-                    ands: folded.ands,
-                    ones,
-                    gather,
-                }
-            })
-            .collect();
-        let slots = windows
-            .iter()
-            .map(|w| prefix_slots(bits) + w.ands.len())
-            .max()
-            .unwrap_or(prefix_slots(bits));
-        LaneTape {
-            bits,
-            windows,
-            slots,
-            words,
+        let outputs: Vec<u32> = tape.outputs.iter().map(|&s| slot[s as usize]).collect();
+        let (one, zero) = (slot_u32(2 * bits), slot_u32(2 * bits + 1));
+        let mut ones = vec![0u64; outputs.len().div_ceil(64)];
+        let mut gather = Vec::new();
+        for (clause, &slot) in outputs.iter().enumerate() {
+            if slot == one {
+                ones[clause / 64] |= 1 << (clause % 64);
+            } else if slot != zero {
+                let clause = u32::try_from(clause).expect("clause count fits u32");
+                gather.push((slot, clause));
+            }
         }
+        let window = FoldedWindow {
+            base,
+            ands,
+            ones,
+            gather,
+        };
+        (window, outputs)
     }
 
-    /// Fresh value scratch for [`LaneTape::eval_into`], sized to the
-    /// largest window.
-    pub(crate) fn scratch(&self) -> Vec<u64> {
-        vec![0; self.slots]
+    /// Slots of the window's area: its input prefix and its ANDs.
+    pub(crate) fn area(&self, bits: usize) -> usize {
+        prefix_slots(bits) + self.ands.len()
     }
 
-    /// Words of a partial-clause vector.
-    pub(crate) fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Evaluates window `k` on `packet` (bit `b` is window input `b`;
-    /// bits at or above `W` are ignored), writing the partial-clause
-    /// words into `out`: bit `c % 64` of word `c / 64` is clause `c`.
+    /// Evaluates the window on one `bits`-wide `packet` (bit `b` is
+    /// window input `b`; bits at or above `bits` are ignored) over its
+    /// area of `values`, one `0`/`1` per slot, and writes the
+    /// partial-clause words into `out`: the constant-1 mask plus one
+    /// shifted OR per non-constant output (constant-0 outputs stay
+    /// clear).
     ///
     /// # Panics
     ///
-    /// Panics if `k` is out of range, `values` is shorter than
-    /// [`LaneTape::scratch`] or `out.len() != words()`.
-    pub(crate) fn eval_into(&self, k: usize, packet: u64, values: &mut [u64], out: &mut [u64]) {
-        let window = &self.windows[k];
-        let bits = self.bits;
-        let values = &mut values[..prefix_slots(bits) + window.ands.len()];
+    /// Panics if `values` ends before the window's area or
+    /// `out.len()` differs from the window's clause words.
+    pub(crate) fn eval_lane(&self, bits: usize, packet: u64, values: &mut [u64], out: &mut [u64]) {
+        let area = &mut values[self.base..self.base + self.area(bits)];
         for b in 0..bits {
             let v = (packet >> b) & 1;
-            values[b] = v;
-            values[bits + b] = v ^ 1;
+            area[b] = v;
+            area[bits + b] = v ^ 1;
         }
-        values[2 * bits] = 1;
-        values[2 * bits + 1] = 0;
-        for (y, &(a, b)) in (prefix_slots(bits)..).zip(&window.ands) {
+        area[2 * bits] = 1;
+        area[2 * bits + 1] = 0;
+        for (y, &(a, b)) in (self.base + prefix_slots(bits)..).zip(&self.ands) {
             values[y] = values[a as usize] & values[b as usize];
         }
-        out.copy_from_slice(&window.ones);
-        for &(slot, clause) in &window.gather {
+        out.copy_from_slice(&self.ones);
+        for &(slot, clause) in &self.gather {
             out[(clause / 64) as usize] |= values[slot as usize] << (clause % 64);
         }
     }
@@ -182,12 +117,20 @@ impl LaneTape {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::accel::AccelShape;
+    use crate::accel::{AccelShape, CompiledAccelerator};
+    use crate::compile::{CompileOptions, CompilePipeline};
+    use crate::turbo::TurboProgram;
     use matador_logic::cube::{Cube, Lit};
     use matador_logic::dag::Sharing;
     use proptest::prelude::*;
     use tsetlin::bits::BitVec;
+
+    /// The cycle engine's lowering of `accel`: lower → fold, no CSE.
+    fn lower(accel: &CompiledAccelerator) -> TurboProgram {
+        CompilePipeline::new(CompileOptions::none())
+            .compile(accel)
+            .program
+    }
 
     /// A random cube over `bits` inputs: 0–4 literals drawn from a
     /// seed, so a set of them holds empty (constant 1) cubes, bare
@@ -223,10 +166,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The engine's per-window lane tape computes exactly what the
-        /// DAG interpreter computes, on every packet checked.
+        /// The program's single-lane window eval computes exactly what
+        /// the DAG interpreter computes, on every packet checked.
         #[test]
-        fn lane_tape_matches_the_dag_interpreter(
+        fn lane_eval_matches_the_dag_interpreter(
             width in 0usize..4,
             seeds in proptest::collection::vec(any::<u64>(), 1..90),
             share in any::<bool>(),
@@ -252,16 +195,16 @@ mod tests {
             let mut second = cubes.clone();
             second.rotate_left(1);
             let accel = CompiledAccelerator::from_window_cubes(shape, &[cubes, second], sharing);
-            let tape = LaneTape::lower(&accel);
-            let mut values = tape.scratch();
-            let mut lanes = vec![0u64; tape.words()];
+            let program = lower(&accel);
+            let mut values = program.lane_scratch();
+            let mut lanes = vec![0u64; shape.total_clauses().div_ceil(64)];
             let mut dag_values = Vec::new();
             let mut expect = BitVec::zeros(shape.total_clauses());
             for (k, dag) in accel.windows().iter().enumerate() {
                 for packet in packets(bits, &random) {
                     let input = BitVec::from_word(bits, packet);
                     dag.eval_into(&input, &mut dag_values, &mut expect);
-                    tape.eval_into(k, packet, &mut values, &mut lanes);
+                    program.eval_lane(k, packet, &mut values, &mut lanes);
                     prop_assert_eq!(lanes.as_slice(), expect.words(), "window {} packet {:#x}", k, packet);
                 }
             }
@@ -283,17 +226,17 @@ mod tests {
             Cube::from_lits([Lit::pos(0), Lit::neg(1)]),
         ];
         let accel = CompiledAccelerator::from_window_cubes(shape, &[cubes], Sharing::Enabled);
-        let tape = LaneTape::lower(&accel);
-        let window = &tape.windows[0];
+        let program = lower(&accel);
+        let window = &program.windows()[0];
         assert_eq!(window.ones, vec![0b0001]);
         // The bare literal reads the prefix; the conjunction is one AND.
         assert_eq!(window.gather, vec![(0, 2), (6, 3)]);
         assert_eq!(window.ands, vec![(3, 0)]);
-        let mut values = tape.scratch();
+        let mut values = program.lane_scratch();
         let mut out = vec![0; 1];
-        tape.eval_into(0, 0b01, &mut values, &mut out);
+        program.eval_lane(0, 0b01, &mut values, &mut out);
         assert_eq!(out, vec![0b1101]);
-        tape.eval_into(0, 0b11, &mut values, &mut out);
+        program.eval_lane(0, 0b11, &mut values, &mut out);
         assert_eq!(out, vec![0b0101]);
     }
 
@@ -321,11 +264,11 @@ mod tests {
             clauses_per_class: 4,
         };
         let accel = CompiledAccelerator::from_shape_windows(shape, vec![dag]);
-        let tape = LaneTape::lower(&accel);
-        let mut values = tape.scratch();
+        let program = lower(&accel);
+        let mut values = program.lane_scratch();
         let mut out = vec![0; 1];
         for packet in 0..4 {
-            tape.eval_into(0, packet, &mut values, &mut out);
+            program.eval_lane(0, packet, &mut values, &mut out);
             assert_eq!(
                 out,
                 accel.eval_window(0, packet).words(),

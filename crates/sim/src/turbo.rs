@@ -1,14 +1,16 @@
 //! The bit-sliced turbo inference backend: 64 datapoints per AND word,
 //! blocked 4-word strips, and work-sized intra-batch parallelism.
 //!
-//! The cycle engine runs each window's folded AND tape (`crate::tape`)
-//! on a single lane, one packet per accepted beat, because it models
-//! the stream cycle by cycle. Nothing about the *answer* needs that: the
-//! paper's architecture is fully feed-forward, and its datapath is
-//! nothing but AND gates fed by input literals and their inverters. The
-//! same tape of `(a, b)` AND pairs is therefore evaluated here over
-//! `u64` words where **bit `l` is datapoint `l`** — 64 independent
-//! classifications advance per AND.
+//! A [`TurboProgram`] is the one lowering of a design: every window's
+//! folded AND tape (`crate::tape`) on one all-window slot space. Both
+//! backends run it. The cycle engine evaluates one window of it on a
+//! single lane per accepted beat, because it models the stream cycle by
+//! cycle. Nothing about the *answer* needs that: the paper's
+//! architecture is fully feed-forward, and its datapath is nothing but
+//! AND gates fed by input literals and their inverters. The same tape of
+//! `(a, b)` AND pairs is therefore evaluated here over `u64` words where
+//! **bit `l` is datapoint `l`** — 64 independent classifications advance
+//! per AND.
 //!
 //! The tapes run over one all-window slot space per strip, in which
 //! every window owns an area that starts with a fixed input prefix: the
@@ -570,7 +572,10 @@ struct SumGroup {
 /// A compiled accelerator flattened for bit-sliced batch evaluation.
 ///
 /// Shareable and immutable: compile once per design, evaluate any number
-/// of batches. [`TurboEngine`] adds the analytic clock on top.
+/// of batches. [`TurboEngine`] adds the analytic clock on top, and
+/// [`SimEngine`](crate::SimEngine) runs the same program one window and
+/// one lane at a time under its cycle-by-cycle model; engines built from
+/// one `Arc` share a single copy.
 ///
 /// Every window owns an area of one all-window slot space of `W` lane
 /// words per slot. For a `w`-bit bus, window `k`'s area starts at slot
@@ -649,11 +654,12 @@ impl TurboProgram {
 
     /// Packages already-lowered (and possibly optimized) window tapes
     /// into an executable program: folds each tape onto its window's
-    /// area of the slot space (see [`FoldedWindow::fold`]), regroups the
-    /// clause partials clause-major per `(class, sign)` group and lays
-    /// out the count planes and the cost-model bookkeeping. The
-    /// pipeline's exit point, so every pass combination and every
-    /// partition part runs folded.
+    /// area of the slot space (see [`FoldedWindow::fold`], which also
+    /// keeps the window's single-lane constant-1 mask and gather for the
+    /// cycle engine), regroups the clause partials clause-major per
+    /// `(class, sign)` group and lays out the count planes and the
+    /// cost-model bookkeeping. The pipeline's exit point, so every pass
+    /// combination and every partition part runs folded.
     ///
     /// # Panics
     ///
@@ -665,19 +671,23 @@ impl TurboProgram {
             "a {bits}-bit bus exceeds one {LANES}-bit packet"
         );
         let mut windows = Vec::with_capacity(tapes.len());
-        let mut clause_partials = vec![Vec::new(); shape.total_clauses()];
+        // Per window: its constant-1 slot and every clause's output slot.
+        let mut outputs = Vec::with_capacity(tapes.len());
         let mut slots = 0;
         for tape in &tapes {
-            let (window, outputs) = FoldedWindow::fold(tape, bits, slots);
+            let (window, clause_slots) = FoldedWindow::fold(tape, bits, slots);
             let one = u32::try_from(slots + 2 * bits).expect("slot space fits u32");
-            for (partials, slot) in clause_partials.iter_mut().zip(outputs) {
-                if slot != one {
-                    partials.push(slot);
-                }
-            }
-            slots += prefix_slots(bits) + window.ands.len();
+            outputs.push((one, clause_slots));
+            slots += window.area(bits);
             windows.push(window);
         }
+        // A clause's partials: its output slot in every window where it
+        // is not constant 1, in window order.
+        let clause_partials = |clause: usize| {
+            outputs
+                .iter()
+                .filter_map(move |(one, slots)| (slots[clause] != *one).then_some(slots[clause]))
+        };
 
         let cpc = shape.clauses_per_class;
         let group_len = cpc.div_ceil(2);
@@ -693,20 +703,21 @@ impl TurboProgram {
             let row =
                 (class / classes_per_block) * LANES + (class % classes_per_block) * 2 * count_bits;
             for sign in 0..2 {
-                let mut clauses: Vec<&Vec<u32>> = clause_partials[class * cpc..][..cpc]
-                    .iter()
-                    .skip(sign)
+                let mut clauses: Vec<(usize, u32)> = (class * cpc + sign..(class + 1) * cpc)
                     .step_by(2)
+                    .map(|clause| {
+                        let count = clause_partials(clause).count();
+                        (clause, u32::try_from(count).expect("partials fit u32"))
+                    })
                     .collect();
-                clauses.sort_by_key(|p| p.len());
+                clauses.sort_by_key(|&(_, count)| count);
                 let mut runs: Vec<(u32, u32)> = Vec::new();
-                for clause in clauses {
-                    let count = u32::try_from(clause.len()).expect("partials fit u32");
+                for (clause, count) in clauses {
                     match runs.last_mut() {
                         Some(run) if run.0 == count => run.1 += 1,
                         _ => runs.push((count, 1)),
                     }
-                    partials.extend_from_slice(clause);
+                    partials.extend(clause_partials(clause));
                 }
                 groups.push(SumGroup {
                     runs,
@@ -731,6 +742,32 @@ impl TurboProgram {
     /// The architectural shape the program was compiled from.
     pub fn shape(&self) -> &AccelShape {
         &self.shape
+    }
+
+    /// Every window's area of the slot space, in window order.
+    #[cfg(test)]
+    pub(crate) fn windows(&self) -> &[FoldedWindow] {
+        &self.windows
+    }
+
+    /// Fresh value scratch for [`TurboProgram::eval_lane`]: one `0`/`1`
+    /// per slot of the all-window slot space.
+    pub(crate) fn lane_scratch(&self) -> Vec<u64> {
+        vec![0; self.slots]
+    }
+
+    /// Evaluates window `k` on a single lane over its area of `values`
+    /// (see [`FoldedWindow::eval_lane`]): bit `b` of `packet` is window
+    /// input `b`, and bit `c % 64` of `out[c / 64]` becomes clause `c`'s
+    /// partial output. The cycle engine's HCB logic for one beat.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range, `values` is shorter than
+    /// [`TurboProgram::lane_scratch`] or `out` is not
+    /// `⌈total_clauses / 64⌉` words.
+    pub(crate) fn eval_lane(&self, k: usize, packet: u64, values: &mut [u64], out: &mut [u64]) {
+        self.windows[k].eval_lane(self.shape.bus_width, packet, values, out);
     }
 
     /// Clause-AND word-ops per 64-datapoint lane word: the window ×

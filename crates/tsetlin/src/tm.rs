@@ -10,7 +10,7 @@
 //! [`matador_par::split_seed`] — one for the sample shuffle, one for the
 //! per-sample negative-class draws, and one per class for the feedback
 //! coin flips. Classes are then updated concurrently with
-//! [`matador_par::par_map_mut`]. Because no RNG stream ever crosses a
+//! [`matador_par::par_map_mut_with`]. Because no RNG stream ever crosses a
 //! class boundary, the trained machine is **bit-identical at every
 //! thread count** (`MATADOR_THREADS=1` included), which the
 //! `parallel_equivalence` suite asserts end-to-end.
