@@ -161,6 +161,51 @@ mod tests {
         nl
     }
 
+    /// A netlist with every gate kind: an internal inverter and constant
+    /// and two output ports.
+    fn all_gates() -> Netlist {
+        let mut nl = Netlist::new("m");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let nb = nl.not(b, "nb");
+        let y = nl.and2(a, nb, "y");
+        let k0 = nl.constant(false, "k0");
+        let z = nl.and2(y, k0, "z");
+        nl.add_output(y);
+        nl.add_output(z);
+        nl
+    }
+
+    #[test]
+    fn emit_netlist_exact_text() {
+        let body =
+            "  assign nb = ~b;\n  assign y = a & nb;\n  assign k0 = 1'b0;\n  assign z = y & k0;\n";
+        let head = "// auto-generated by matador-rtl — do not edit\nmodule m (\n  input  wire a,\n  input  wire b,\n  output wire y,\n  output wire z\n);\n";
+        assert_eq!(
+            emit_netlist(&all_gates(), EmitOptions::default()),
+            format!("{head}  wire nb;\n  wire k0;\n{body}endmodule\n")
+        );
+        let attr = "(* DONT_TOUCH = \"yes\" *) ";
+        assert_eq!(
+            emit_netlist(&all_gates(), EmitOptions { dont_touch: true }),
+            format!("{head}  {attr}wire nb;\n  {attr}wire k0;\n{body}endmodule\n")
+        );
+        // The body declares every gate output, output ports included.
+        assert_eq!(
+            emit_netlist_body(&all_gates(), EmitOptions::default()),
+            format!("  wire nb;\n  wire y;\n  wire k0;\n  wire z;\n{body}")
+        );
+        assert_eq!(
+            emit_netlist_body(&all_gates(), EmitOptions { dont_touch: true }),
+            format!("  {attr}wire nb;\n  {attr}wire y;\n  {attr}wire k0;\n  {attr}wire z;\n{body}")
+        );
+        // A netlist without ports keeps an empty port line.
+        assert_eq!(
+            emit_netlist(&Netlist::new("e"), EmitOptions::default()),
+            "// auto-generated by matador-rtl — do not edit\nmodule e (\n\n);\nendmodule\n"
+        );
+    }
+
     #[test]
     fn emits_module_skeleton() {
         let text = emit_netlist(&sample(), EmitOptions::default());
