@@ -118,6 +118,12 @@ impl Cube {
         Cube { lits }
     }
 
+    /// Wraps literals already ascending by code and distinct.
+    pub(crate) fn from_sorted_lits(lits: Vec<Lit>) -> Cube {
+        debug_assert!(lits.windows(2).all(|w| w[0] < w[1]), "unsorted literals");
+        Cube { lits }
+    }
+
     /// The literals, ascending by code.
     pub fn lits(&self) -> &[Lit] {
         &self.lits

@@ -10,7 +10,7 @@
 
 use crate::cube::Cube;
 use crate::extract::{Extraction, Item};
-use std::collections::HashMap;
+use crate::hash::WordMap;
 use tsetlin::bits::BitVec;
 
 /// Reference to a node inside a [`LogicDag`].
@@ -82,7 +82,7 @@ pub struct LogicDag {
     width: usize,
     nodes: Vec<Node>,
     outputs: Vec<NodeRef>,
-    and_hash: HashMap<(NodeRef, NodeRef), NodeRef>,
+    and_hash: WordMap<(NodeRef, NodeRef), NodeRef>,
     input_cache: Vec<Option<NodeRef>>,
     not_cache: Vec<Option<NodeRef>>,
     sharing: Sharing,
@@ -95,7 +95,7 @@ impl LogicDag {
             width,
             nodes: vec![Node::Const0, Node::Const1],
             outputs: Vec::new(),
-            and_hash: HashMap::new(),
+            and_hash: WordMap::default(),
             input_cache: vec![None; width],
             not_cache: vec![None; width],
             sharing,
@@ -130,12 +130,13 @@ impl LogicDag {
             let nb = dag.item_node(b, &div_nodes);
             div_nodes.push(dag.and(na, nb));
         }
+        let mut parts: Vec<NodeRef> = Vec::new();
         for cube in &extraction.cubes {
-            let parts: Vec<NodeRef> = cube
-                .iter()
-                .map(|&it| dag.item_node(it, &div_nodes))
-                .collect();
-            let node = dag.and_tree(&parts);
+            parts.clear();
+            for &it in cube {
+                parts.push(dag.item_node(it, &div_nodes));
+            }
+            let node = dag.reduce_and_tree(&mut parts);
             dag.outputs.push(node);
         }
         dag
@@ -166,7 +167,7 @@ impl LogicDag {
         }
         let mut input_cache = vec![None; width];
         let mut not_cache = vec![None; width];
-        let mut and_hash = HashMap::new();
+        let mut and_hash = WordMap::default();
         for (i, node) in nodes.iter().enumerate() {
             match *node {
                 Node::Const0 | Node::Const1 => {
@@ -304,25 +305,26 @@ impl LogicDag {
 
     /// Balanced AND reduction of `parts` (empty → constant 1).
     pub fn and_tree(&mut self, parts: &[NodeRef]) -> NodeRef {
-        match parts.len() {
-            0 => self.const1(),
-            1 => parts[0],
-            _ => {
-                let mut level: Vec<NodeRef> = parts.to_vec();
-                while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    for chunk in level.chunks(2) {
-                        next.push(if chunk.len() == 2 {
-                            self.and(chunk[0], chunk[1])
-                        } else {
-                            chunk[0]
-                        });
-                    }
-                    level = next;
-                }
-                level[0]
-            }
+        self.reduce_and_tree(&mut parts.to_vec())
+    }
+
+    /// [`LogicDag::and_tree`] in place: each level's pairs are ANDed left
+    /// to right into the front of `level`, an odd last node carried up.
+    fn reduce_and_tree(&mut self, level: &mut Vec<NodeRef>) -> NodeRef {
+        if level.is_empty() {
+            return self.const1();
         }
+        while level.len() > 1 {
+            let n = level.len();
+            for i in 0..n / 2 {
+                level[i] = self.and(level[2 * i], level[2 * i + 1]);
+            }
+            if n % 2 == 1 {
+                level[n / 2] = level[n - 1];
+            }
+            level.truncate(n.div_ceil(2));
+        }
+        level[0]
     }
 
     /// Adds one cube as a balanced AND tree and returns its root.
@@ -335,12 +337,12 @@ impl LogicDag {
         if cube.is_contradictory() {
             return self.const0();
         }
-        let parts: Vec<NodeRef> = cube
+        let mut parts: Vec<NodeRef> = cube
             .lits()
             .iter()
             .map(|l| self.literal(l.bit(), l.is_negated()))
             .collect();
-        self.and_tree(&parts)
+        self.reduce_and_tree(&mut parts)
     }
 
     /// Registers `node` as the next output.

@@ -11,11 +11,14 @@
 //! discover with their logic-absorption algorithms.
 //!
 //! The implementation keeps pair occurrence counts incrementally and uses a
-//! lazy max-heap, so each extraction costs `O(cube_len · log)` rather than
-//! a full recount.
+//! lazy max-heap, so each extraction costs `O(cube_len · log)` per
+//! rewritten cube rather than a full recount, and it visits only the
+//! cubes listed as holding the divisor's rarer operand.
 
 use crate::cube::{Cube, Lit};
-use std::collections::{BinaryHeap, HashMap};
+use crate::hash::WordMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An element of a factored cube: either an original literal or a reference
 /// to an extracted divisor.
@@ -128,21 +131,20 @@ impl ExtractOptions {
     }
 }
 
-type Pair = (Item, Item);
-
-fn ordered(a: Item, b: Item) -> Pair {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 /// Extracts shared two-input divisors from `cubes` until no pair of items
 /// co-occurs in at least `min_count` cubes.
 ///
 /// Deterministic: ties between equally frequent pairs break toward the
 /// smallest pair in `Item` order.
+///
+/// Items are numbered densely while extracting: the distinct literals
+/// first, ascending by code, then the divisors in extraction order, so
+/// id order is `Item` order; a table indexed by literal code, linear in
+/// the largest code, assigns them. Pairs of the first 128 literals (all
+/// of a 64-bit window's) are counted in a dense table, every other pair
+/// in a hash map. Each item keeps the ascending list of cubes that hold
+/// it, so applying a divisor visits only the cubes holding its rarer
+/// operand.
 ///
 /// # Examples
 ///
@@ -163,58 +165,89 @@ fn ordered(a: Item, b: Item) -> Pair {
 /// ```
 pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
     let min_count = options.min_count.max(2);
-    let mut work: Vec<Vec<Item>> = cubes
-        .iter()
-        .map(|c| c.lits().iter().map(|&l| Item::Lit(l)).collect())
-        .collect();
 
     // Density early-out: both the initial pair count-up below and the
     // per-extraction rewrite passes scale with the candidate-pair mass,
     // so a budget violation bails to the identity factoring before any
     // quadratic work happens.
     if options.max_candidates != 0 {
-        let pair_mass: usize = work
+        let pair_mass: usize = cubes
             .iter()
             .map(|c| c.len() * c.len().saturating_sub(1) / 2)
             .sum();
         if pair_mass > options.max_candidates {
             return Extraction {
                 divisors: Vec::new(),
-                cubes: work,
+                cubes: cubes
+                    .iter()
+                    .map(|c| c.lits().iter().map(|&l| Item::Lit(l)).collect())
+                    .collect(),
                 budget_exceeded: true,
             };
         }
     }
 
-    // cube index sets per pair are implicit; we track only counts and do a
-    // linear pass over cubes when applying an extraction (cube sets are
-    // small and extraction count is bounded by total literal mass).
-    let mut counts: HashMap<Pair, i64> = HashMap::new();
-    for cube in &work {
-        for i in 0..cube.len() {
-            for j in i + 1..cube.len() {
-                *counts.entry(ordered(cube[i], cube[j])).or_insert(0) += 1;
+    // Every cube's items, back to back. A rewrite replaces two items by
+    // one, so cube `c` keeps its start and shrinks to `lens[c]` items.
+    // The arena first holds literal codes, counted per code.
+    let mut items: Vec<u32> = Vec::with_capacity(cubes.iter().map(Cube::len).sum());
+    let mut starts: Vec<usize> = Vec::with_capacity(cubes.len());
+    let mut lens: Vec<usize> = Vec::with_capacity(cubes.len());
+    let mut per_code: Vec<u32> = Vec::new();
+    for cube in cubes {
+        starts.push(items.len());
+        lens.push(cube.len());
+        for l in cube.lits() {
+            let code = l.code() as usize;
+            if code >= per_code.len() {
+                per_code.resize(code + 1, 0);
+            }
+            per_code[code] += 1;
+            items.push(code as u32);
+        }
+    }
+
+    // Dense literal ids, ascending by code; each literal's holder list is
+    // sized to its occurrences.
+    let mut lits: Vec<Lit> = Vec::new();
+    let mut holders: Vec<Vec<u32>> = Vec::new();
+    for (code, n) in per_code.iter_mut().enumerate() {
+        if *n != 0 {
+            holders.push(Vec::with_capacity(*n as usize));
+            *n = lits.len() as u32;
+            lits.push(Lit::from_code(code as u32));
+        }
+    }
+    for item in &mut items {
+        *item = per_code[*item as usize];
+    }
+
+    let mut counts = PairCounts::new(lits.len());
+    for (c, (&start, &len)) in starts.iter().zip(&lens).enumerate() {
+        let cube = &items[start..start + len];
+        for (i, &a) in cube.iter().enumerate() {
+            holders[a as usize].push(c as u32);
+            for &b in &cube[i + 1..] {
+                *counts.slot(a, b) += 1;
             }
         }
     }
-    let mut heap: BinaryHeap<(i64, std::cmp::Reverse<Pair>)> = counts
-        .iter()
-        .map(|(&p, &c)| (c, std::cmp::Reverse(p)))
-        .collect();
+    let mut heap: BinaryHeap<(u32, Reverse<u64>)> = counts.nonzero().collect();
 
-    let mut divisors: Vec<Divisor> = Vec::new();
-    while let Some((count, std::cmp::Reverse(pair))) = heap.pop() {
-        if count < min_count as i64 {
+    let mut divisors: Vec<(u32, u32)> = Vec::new();
+    while let Some((count, Reverse(key))) = heap.pop() {
+        if (count as usize) < min_count {
             break;
         }
+        let (a, b) = ((key >> 32) as u32, key as u32);
         // Lazy heap: skip stale entries; re-queue pairs whose count shrank
         // (decrements do not push, so the shrunken count may be absent).
-        match counts.get(&pair) {
-            Some(&c) if c == count => {}
-            Some(&c) if c >= min_count as i64 => {
+        match counts.get(a, b) {
+            c if c == count => {}
+            c if c as usize >= min_count => {
                 // c < count here (the heap pops maxima first), so re-pushes
                 // strictly decrease and the loop terminates.
-                heap.push((c, std::cmp::Reverse(pair)));
+                heap.push((c, Reverse(key)));
                 continue;
             }
             _ => continue,
@@ -222,71 +255,353 @@ pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
         if options.max_divisors != 0 && divisors.len() >= options.max_divisors {
             break;
         }
-        let d = Item::Div(divisors.len() as u32);
-        divisors.push(pair);
-        counts.remove(&pair);
+        // The newest divisor outranks every item, so it goes last in a
+        // sorted cube.
+        let d = (lits.len() + divisors.len()) as u32;
+        divisors.push((a, b));
+        *counts.slot(a, b) = 0;
 
-        // Rewrite every cube containing both items.
-        for cube in &mut work {
-            let ia = cube.binary_search(&pair.0);
-            let ib = cube.binary_search(&pair.1);
-            let (Ok(ia), Ok(ib)) = (ia, ib) else { continue };
+        // Rewrite every cube containing both items: only cubes holding
+        // the rarer one can. Its list drops the rewritten cubes and any
+        // stale entries; the other list is filtered when next used.
+        let rarer = if holders[a as usize].len() <= holders[b as usize].len() {
+            a
+        } else {
+            b
+        };
+        let mut candidates = std::mem::take(&mut holders[rarer as usize]);
+        let mut rewritten: Vec<u32> = Vec::new();
+        let mut kept = 0;
+        for r in 0..candidates.len() {
+            let c = candidates[r] as usize;
+            let len = lens[c];
+            let cube = &mut items[starts[c]..starts[c] + len];
+            let (ia, ib) = (cube.binary_search(&a), cube.binary_search(&b));
+            let (Ok(ia), Ok(ib)) = (ia, ib) else {
+                let held = if rarer == a { ia } else { ib };
+                if held.is_ok() {
+                    candidates[kept] = c as u32;
+                    kept += 1;
+                }
+                continue;
+            };
             debug_assert!(ia < ib);
             // Decrement pair counts of the removed items vs the rest.
             for (k, &t) in cube.iter().enumerate() {
                 if k != ia && k != ib {
-                    decrement(&mut counts, &mut heap, ordered(pair.0, t));
-                    decrement(&mut counts, &mut heap, ordered(pair.1, t));
+                    *counts.slot(a.min(t), a.max(t)) -= 1;
+                    *counts.slot(b.min(t), b.max(t)) -= 1;
                 }
             }
-            cube.remove(ib);
-            cube.remove(ia);
-            // Insert divisor and bump its pair counts vs the remainder.
-            let pos = cube.binary_search(&d).unwrap_or_else(|e| e);
-            cube.insert(pos, d);
-            for &t in cube.iter() {
-                if t != d {
-                    increment(&mut counts, &mut heap, ordered(d, t));
-                }
+            cube.copy_within(ia + 1..ib, ia);
+            cube.copy_within(ib + 1.., ib - 1);
+            cube[len - 2] = d;
+            lens[c] = len - 1;
+            // Bump the divisor's pair counts vs the remainder.
+            for &t in &cube[..len - 2] {
+                let n = counts.slot(t, d);
+                *n += 1;
+                heap.push((*n, Reverse(pair_key(t, d))));
             }
+            rewritten.push(c as u32);
         }
+        candidates.truncate(kept);
+        holders[rarer as usize] = candidates;
+        holders.push(rewritten);
     }
 
+    let item = |id: u32| match lits.get(id as usize) {
+        Some(&l) => Item::Lit(l),
+        None => Item::Div(id - lits.len() as u32),
+    };
     Extraction {
-        divisors,
-        cubes: work,
+        divisors: divisors.iter().map(|&(a, b)| (item(a), item(b))).collect(),
+        cubes: starts
+            .iter()
+            .zip(&lens)
+            .map(|(&start, &len)| {
+                items[start..start + len]
+                    .iter()
+                    .map(|&id| item(id))
+                    .collect()
+            })
+            .collect(),
         budget_exceeded: false,
     }
 }
 
-fn decrement(
-    counts: &mut HashMap<Pair, i64>,
-    _heap: &mut BinaryHeap<(i64, std::cmp::Reverse<Pair>)>,
-    pair: Pair,
-) {
-    if let Some(c) = counts.get_mut(&pair) {
-        *c -= 1;
-        if *c <= 0 {
-            counts.remove(&pair);
-        }
-        // Stale larger entries in the heap are skipped lazily on pop.
-    }
+/// Heap key of the item pair `a < b`: its `u64` order is the pair order.
+fn pair_key(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
 }
 
-fn increment(
-    counts: &mut HashMap<Pair, i64>,
-    heap: &mut BinaryHeap<(i64, std::cmp::Reverse<Pair>)>,
-    pair: Pair,
-) {
-    let c = counts.entry(pair).or_insert(0);
-    *c += 1;
-    heap.push((*c, std::cmp::Reverse(pair)));
+/// Literal ids below this count their pairs in [`PairCounts`]'s dense
+/// table: the literals of a 64-bit window, a 64 KiB table.
+const DENSE_LITS: usize = 128;
+
+/// Co-occurrence counts of item pairs `(a, b)`, `a < b`; an absent pair
+/// counts 0.
+struct PairCounts {
+    /// Ids below this are dense: the first [`DENSE_LITS`] literals.
+    dense_ids: usize,
+    /// Counts of pairs of dense ids, row `a`, column `b`.
+    dense: Vec<u32>,
+    /// Counts of the other pairs (those with a divisor or a literal past
+    /// the dense ones).
+    sparse: WordMap<u64, u32>,
+}
+
+impl PairCounts {
+    fn new(lits: usize) -> Self {
+        let dense_ids = lits.min(DENSE_LITS);
+        PairCounts {
+            dense_ids,
+            dense: vec![0; dense_ids * dense_ids],
+            sparse: WordMap::default(),
+        }
+    }
+
+    fn get(&self, a: u32, b: u32) -> u32 {
+        if (b as usize) < self.dense_ids {
+            self.dense[a as usize * self.dense_ids + b as usize]
+        } else {
+            self.sparse.get(&pair_key(a, b)).copied().unwrap_or(0)
+        }
+    }
+
+    fn slot(&mut self, a: u32, b: u32) -> &mut u32 {
+        if (b as usize) < self.dense_ids {
+            &mut self.dense[a as usize * self.dense_ids + b as usize]
+        } else {
+            self.sparse.entry(pair_key(a, b)).or_insert(0)
+        }
+    }
+
+    /// Every pair with a nonzero count, as a heap entry.
+    fn nonzero(&self) -> impl Iterator<Item = (u32, Reverse<u64>)> + '_ {
+        let n = self.dense_ids;
+        let dense = self
+            .dense
+            .iter()
+            .enumerate()
+            .map(move |(i, &c)| (c, pair_key((i / n) as u32, (i % n) as u32)));
+        let sparse = self.sparse.iter().map(|(&key, &c)| (c, key));
+        dense
+            .chain(sparse)
+            .filter(|&(c, _)| c > 0)
+            .map(|(c, key)| (c, Reverse(key)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use tsetlin::bits::BitVec;
+
+    type Pair = (Item, Item);
+
+    fn ordered(a: Item, b: Item) -> Pair {
+        if a <= b {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
+
+    /// The full-scan extraction [`extract_divisors`] must reproduce:
+    /// every extraction scans every cube for the pair, and pair counts
+    /// live in one hash map.
+    fn extract_divisors_reference(cubes: &[Cube], options: ExtractOptions) -> Extraction {
+        let min_count = options.min_count.max(2);
+        let mut work: Vec<Vec<Item>> = cubes
+            .iter()
+            .map(|c| c.lits().iter().map(|&l| Item::Lit(l)).collect())
+            .collect();
+        if options.max_candidates != 0 {
+            let pair_mass: usize = work
+                .iter()
+                .map(|c| c.len() * c.len().saturating_sub(1) / 2)
+                .sum();
+            if pair_mass > options.max_candidates {
+                return Extraction {
+                    divisors: Vec::new(),
+                    cubes: work,
+                    budget_exceeded: true,
+                };
+            }
+        }
+        let mut counts: HashMap<Pair, i64> = HashMap::new();
+        for cube in &work {
+            for i in 0..cube.len() {
+                for j in i + 1..cube.len() {
+                    *counts.entry(ordered(cube[i], cube[j])).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut heap: BinaryHeap<(i64, Reverse<Pair>)> =
+            counts.iter().map(|(&p, &c)| (c, Reverse(p))).collect();
+        let mut divisors: Vec<Divisor> = Vec::new();
+        while let Some((count, Reverse(pair))) = heap.pop() {
+            if count < min_count as i64 {
+                break;
+            }
+            match counts.get(&pair) {
+                Some(&c) if c == count => {}
+                Some(&c) if c >= min_count as i64 => {
+                    heap.push((c, Reverse(pair)));
+                    continue;
+                }
+                _ => continue,
+            }
+            if options.max_divisors != 0 && divisors.len() >= options.max_divisors {
+                break;
+            }
+            let d = Item::Div(divisors.len() as u32);
+            divisors.push(pair);
+            counts.remove(&pair);
+            for cube in &mut work {
+                let ia = cube.binary_search(&pair.0);
+                let ib = cube.binary_search(&pair.1);
+                let (Ok(ia), Ok(ib)) = (ia, ib) else { continue };
+                for (k, &t) in cube.iter().enumerate() {
+                    if k != ia && k != ib {
+                        decrement(&mut counts, ordered(pair.0, t));
+                        decrement(&mut counts, ordered(pair.1, t));
+                    }
+                }
+                cube.remove(ib);
+                cube.remove(ia);
+                let pos = cube.binary_search(&d).unwrap_or_else(|e| e);
+                cube.insert(pos, d);
+                for &t in cube.iter() {
+                    if t != d {
+                        increment(&mut counts, &mut heap, ordered(d, t));
+                    }
+                }
+            }
+        }
+        Extraction {
+            divisors,
+            cubes: work,
+            budget_exceeded: false,
+        }
+    }
+
+    fn decrement(counts: &mut HashMap<Pair, i64>, pair: Pair) {
+        if let Some(c) = counts.get_mut(&pair) {
+            *c -= 1;
+            if *c <= 0 {
+                counts.remove(&pair);
+            }
+        }
+    }
+
+    fn increment(
+        counts: &mut HashMap<Pair, i64>,
+        heap: &mut BinaryHeap<(i64, Reverse<Pair>)>,
+        pair: Pair,
+    ) {
+        let c = counts.entry(pair).or_insert(0);
+        *c += 1;
+        heap.push((*c, Reverse(pair)));
+    }
+
+    /// SplitMix64 draws below `bound`.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    /// `count` random cubes over a `width`-bit window: each literal is
+    /// included with probability `1 / one_in`, and a third of the cubes
+    /// copy an earlier cube with one literal toggled, so pairs recur.
+    fn random_cubes(width: u32, count: usize, one_in: u64, seed: u64) -> Vec<Cube> {
+        let mut next = rng(seed);
+        let mut cubes: Vec<Cube> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let cube = if !cubes.is_empty() && next(3) == 0 {
+                let mut lits = cubes[next(cubes.len() as u64) as usize].lits().to_vec();
+                let l = Lit::from_code(next(2 * u64::from(width)) as u32);
+                match lits.iter().position(|&x| x == l) {
+                    Some(i) => {
+                        lits.remove(i);
+                    }
+                    None => lits.push(l),
+                }
+                Cube::from_lits(lits)
+            } else {
+                Cube::from_lits(
+                    (0..2 * width)
+                        .filter(|_| next(one_in) == 0)
+                        .map(Lit::from_code),
+                )
+            };
+            cubes.push(cube);
+        }
+        cubes
+    }
+
+    #[test]
+    fn matches_the_full_scan_reference() {
+        let options = [
+            ExtractOptions::default(),
+            ExtractOptions {
+                max_divisors: 3,
+                ..ExtractOptions::default()
+            },
+            ExtractOptions {
+                min_count: 3,
+                ..ExtractOptions::default()
+            },
+            ExtractOptions::budgeted(),
+        ];
+        let mut seed = 0;
+        // Width 100 has literals past the dense pair table.
+        for width in [4, 5, 32, 64, 100] {
+            let mut extracted = 0;
+            // Sparse (trained-like) and dense (under-trained-like) sets.
+            for (count, one_in) in [(200, 12), (24, 2)] {
+                for _ in 0..2 {
+                    seed += 1;
+                    let cubes = random_cubes(width, count, one_in, seed);
+                    for options in options {
+                        let ex = extract_divisors(&cubes, options);
+                        assert_eq!(
+                            ex,
+                            extract_divisors_reference(&cubes, options),
+                            "width {width} count {count} one_in {one_in} seed {seed} {options:?}"
+                        );
+                        extracted += ex.divisors.len();
+                    }
+                }
+            }
+            assert!(extracted > 0, "width {width} extracted nothing");
+        }
+    }
+
+    #[test]
+    fn budget_early_out_matches_the_reference() {
+        for (width, seed) in [(32, 101), (64, 102)] {
+            let cubes = random_cubes(width, 40, 2, seed);
+            let mass: usize = cubes.iter().map(|c| c.len() * (c.len() - 1) / 2).sum();
+            for max_candidates in [mass - 1, mass] {
+                let options = ExtractOptions {
+                    max_candidates,
+                    ..ExtractOptions::default()
+                };
+                let ex = extract_divisors(&cubes, options);
+                assert_eq!(ex.budget_exceeded, max_candidates < mass);
+                assert_eq!(ex, extract_divisors_reference(&cubes, options));
+            }
+        }
+    }
 
     fn cube(lits: &[(u32, bool)]) -> Cube {
         Cube::from_lits(

@@ -28,6 +28,7 @@
 pub mod cube;
 pub mod dag;
 pub mod extract;
+mod hash;
 pub mod share;
 
 pub use cube::{Cube, Lit};

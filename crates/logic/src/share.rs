@@ -2,11 +2,11 @@
 //! quantitative backing for the paper's Fig 3 observation and the Fig 8
 //! DON'T TOUCH experiment.
 
-use crate::cube::Cube;
+use crate::cube::{Cube, Lit};
 use crate::dag::{LogicDag, Sharing};
 use crate::extract::{extract_divisors, ExtractOptions, Extraction};
 use std::collections::HashMap;
-use tsetlin::model::TrainedModel;
+use tsetlin::model::{IncludeMask, TrainedModel};
 
 /// Gate-level sharing statistics for one bandwidth window.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -42,12 +42,51 @@ pub fn window_cubes(model: &TrainedModel, window_bits: usize) -> Vec<Vec<Cube>> 
     let windows = n.div_ceil(window_bits);
     (0..windows)
         .map(|w| {
+            let start = w * window_bits;
+            let end = (start + window_bits).min(n);
             model
                 .iter_clauses()
-                .map(|(_, _, mask)| Cube::from_mask(&mask.window(w * window_bits, window_bits)))
+                .map(|(_, _, mask)| window_cube(mask, start, end))
                 .collect()
         })
         .collect()
+}
+
+/// The cube of `mask` over features `[start, end)`, re-indexed from zero.
+/// Literals are read 64 features at a time from the mask words, in code
+/// order (`x_b` before `¬x_b`, ascending `b`), so nothing is sorted.
+fn window_cube(mask: &IncludeMask, start: usize, end: usize) -> Cube {
+    let chunk = |at: usize| {
+        let width = (end - at).min(64);
+        (
+            mask.pos.extract_word(at, width),
+            mask.neg.extract_word(at, width),
+        )
+    };
+    let len = (start..end)
+        .step_by(64)
+        .map(|at| {
+            let (pos, neg) = chunk(at);
+            (pos.count_ones() + neg.count_ones()) as usize
+        })
+        .sum();
+    let mut lits = Vec::with_capacity(len);
+    for at in (start..end).step_by(64) {
+        let (pos, neg) = chunk(at);
+        let mut rest = pos | neg;
+        while rest != 0 {
+            let b = rest.trailing_zeros();
+            let bit = (at - start) as u32 + b;
+            if (pos >> b) & 1 == 1 {
+                lits.push(Lit::pos(bit));
+            }
+            if (neg >> b) & 1 == 1 {
+                lits.push(Lit::neg(bit));
+            }
+            rest &= rest - 1;
+        }
+    }
+    Cube::from_sorted_lits(lits)
 }
 
 /// Optimizes one window's cube list into a [`LogicDag`].
@@ -148,7 +187,6 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use tsetlin::bits::BitVec;
-    use tsetlin::model::IncludeMask;
 
     fn model() -> TrainedModel {
         let f = 8;
@@ -280,6 +318,28 @@ mod tests {
         );
         let empty = TrainedModel::from_masks(5, 1, 0, Vec::new());
         assert_eq!(prefix_register_counts(&empty, 2), vec![0; 3]);
+    }
+
+    #[test]
+    fn window_cubes_match_the_sliced_mask_construction() {
+        for (seed, features) in [(5, 784), (6, 377)] {
+            let model = random_model(features, 3, 20, seed);
+            for w in [64, 5, 130] {
+                let reference: Vec<Vec<Cube>> = (0..features.div_ceil(w))
+                    .map(|k| {
+                        model
+                            .iter_clauses()
+                            .map(|(_, _, mask)| Cube::from_mask(&mask.window(k * w, w)))
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    window_cubes(&model, w),
+                    reference,
+                    "seed {seed} features {features} W {w}"
+                );
+            }
+        }
     }
 
     #[test]

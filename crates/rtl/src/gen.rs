@@ -8,7 +8,7 @@
 //! without a dependency cycle.
 
 use crate::netlist::Netlist;
-use crate::verilog::{emit_netlist_body, EmitOptions};
+use crate::verilog::{gates_text_len, push_gates, push_usize, EmitOptions};
 use matador_logic::dag::LogicDag;
 use std::fmt;
 use std::fmt::Write as _;
@@ -143,7 +143,8 @@ pub fn hcb_module(
     let netlist = Netlist::from_dag(format!("hcb_{index}_logic"), dag);
     let c = params.num_clauses;
     let w = params.bus_width;
-    let mut out = String::new();
+    let options = EmitOptions { dont_touch };
+    let mut out = String::with_capacity(512 + 48 * w + 40 * c + gates_text_len(&netlist, options));
     let _ = writeln!(out, "// auto-generated by matador-rtl — do not edit");
     let _ = writeln!(
         out,
@@ -163,15 +164,25 @@ pub fn hcb_module(
     let _ = writeln!(out, ");");
     // Window input aliases feed the embedded gate-level netlist.
     for i in 0..w {
-        let _ = writeln!(out, "  wire in_{i};");
+        out.push_str("  wire in_");
+        push_usize(&mut out, i);
+        out.push_str(";\n");
     }
     for i in 0..w {
-        let _ = writeln!(out, "  assign in_{i} = packet[{i}];");
+        out.push_str("  assign in_");
+        push_usize(&mut out, i);
+        out.push_str(" = packet[");
+        push_usize(&mut out, i);
+        out.push_str("];\n");
     }
-    out.push_str(&emit_netlist_body(&netlist, EmitOptions { dont_touch }));
+    push_gates(&mut out, &netlist, options, &[]);
     let _ = writeln!(out, "  wire [{}:0] pc;", c - 1);
     for k in 0..c {
-        let _ = writeln!(out, "  assign pc[{k}] = out_{k};");
+        out.push_str("  assign pc[");
+        push_usize(&mut out, k);
+        out.push_str("] = out_");
+        push_usize(&mut out, k);
+        out.push_str(";\n");
     }
     let _ = writeln!(out, "  always @(posedge clk) begin");
     let _ = writeln!(out, "    if (rst) clause_out <= {c}'d0;");

@@ -6,8 +6,9 @@
 //! (class sum, argmax) are generated as behavioral Verilog by [`crate::gen`]
 //! and verified architecturally by the cycle-accurate simulator.
 
+use crate::verilog::push_usize;
 use matador_logic::dag::{LogicDag, Node};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use tsetlin::bits::BitVec;
 
 /// Reference to a single-bit net.
@@ -143,11 +144,12 @@ impl Netlist {
         self.end_net()
     }
 
-    /// Declares a new net named by `args`, written straight into the name
-    /// arena. The caller guarantees the name is already a legal
+    /// Declares a new net named `{prefix}{index}`, written straight into
+    /// the name arena. The caller guarantees the name is already a legal
     /// identifier.
-    fn add_named_net(&mut self, args: fmt::Arguments<'_>) -> NetId {
-        let _ = self.names.write_fmt(args);
+    fn add_indexed_net(&mut self, prefix: &str, index: usize) -> NetId {
+        self.names.push_str(prefix);
+        push_usize(&mut self.names, index);
         self.end_net()
     }
 
@@ -160,7 +162,7 @@ impl Netlist {
     }
 
     /// Number of declared nets.
-    fn net_count(&self) -> usize {
+    pub(crate) fn net_count(&self) -> usize {
         self.name_ends.len()
     }
 
@@ -334,7 +336,7 @@ impl Netlist {
         let mut nl = Netlist::new(name);
         let reachable = dag.reachable();
         nl.inputs = (0..dag.width())
-            .map(|i| nl.add_named_net(format_args!("in_{i}")))
+            .map(|i| nl.add_indexed_net("in_", i))
             .collect();
         let mut node_net = vec![NetId(u32::MAX); dag.nodes().len()];
         let mut const0: Option<NetId> = None;
@@ -349,13 +351,13 @@ impl Netlist {
                 Node::Input(b) => nl.inputs[b as usize],
                 Node::NotInput(b) => {
                     let a = nl.inputs[b as usize];
-                    let y = nl.add_named_net(format_args!("n_inv_{b}"));
+                    let y = nl.add_indexed_net("n_inv_", b as usize);
                     nl.gates.push(Gate::Not { a, y });
                     y
                 }
                 Node::And(a, b) => {
                     let (a, b) = (node_net[a.index()], node_net[b.index()]);
-                    let y = nl.add_named_net(format_args!("n_and_{i}"));
+                    let y = nl.add_indexed_net("n_and_", i);
                     nl.gates.push(Gate::And2 { a, b, y });
                     y
                 }
@@ -370,7 +372,7 @@ impl Netlist {
             // Outputs are dedicated ports, aliased through an AND-with-1
             // buffer so a net shared by several outputs (or an input pin)
             // keeps single-driver semantics trivially true.
-            let port = nl.add_named_net(format_args!("out_{k}"));
+            let port = nl.add_indexed_net("out_", k);
             nl.gates.push(Gate::And2 {
                 a: net,
                 b: buffer_one,
@@ -383,7 +385,7 @@ impl Netlist {
 
     /// Adds a `const0`/`const1` driver, returning its net.
     fn const_net(&mut self, value: bool) -> NetId {
-        let y = self.add_named_net(format_args!("const{}", u8::from(value)));
+        let y = self.add_indexed_net("const", usize::from(value));
         self.gates.push(Gate::Const { value, y });
         y
     }

@@ -1,7 +1,6 @@
 //! Structural Verilog-2001 emission for gate-level netlists.
 
-use crate::netlist::{Gate, Netlist};
-use std::fmt::Write as _;
+use crate::netlist::{Gate, NetId, Netlist};
 
 /// Emission options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,70 +32,33 @@ pub struct EmitOptions {
 /// assert!(text.contains("assign y = ~a;"));
 /// ```
 pub fn emit_netlist(netlist: &Netlist, options: EmitOptions) -> String {
-    let mut out = String::new();
-    let inputs: Vec<&str> = netlist
+    let ports = netlist.inputs().len() + netlist.outputs().len();
+    let mut out = String::with_capacity(
+        128 + netlist.name().len() + 32 * ports + gates_text_len(netlist, options),
+    );
+    out.push_str("// auto-generated by matador-rtl — do not edit\nmodule ");
+    out.push_str(netlist.name());
+    out.push_str(" (\n");
+    let ports = netlist
         .inputs()
         .iter()
-        .map(|&n| netlist.net_name(n))
-        .collect();
-    let outputs: Vec<&str> = netlist
-        .outputs()
-        .iter()
-        .map(|&n| netlist.net_name(n))
-        .collect();
-
-    let _ = writeln!(out, "// auto-generated by matador-rtl — do not edit");
-    let _ = writeln!(out, "module {} (", netlist.name());
-    let mut ports: Vec<String> = inputs
-        .iter()
-        .map(|n| format!("  input  wire {n}"))
-        .collect();
-    ports.extend(outputs.iter().map(|n| format!("  output wire {n}")));
-    let _ = writeln!(out, "{}", ports.join(",\n"));
-    let _ = writeln!(out, ");");
-
-    let attr = if options.dont_touch {
-        "(* DONT_TOUCH = \"yes\" *) "
-    } else {
-        ""
-    };
+        .map(|&n| ("  input  wire ", n))
+        .chain(netlist.outputs().iter().map(|&n| ("  output wire ", n)));
+    for (i, (decl, net)) in ports.enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str(decl);
+        out.push_str(netlist.net_name(net));
+    }
+    out.push_str("\n);\n");
     // Wire declarations for every gate output that is not an output port.
-    for gate in netlist.gates() {
-        let y = gate.output();
-        if !netlist.outputs().contains(&y) {
-            let _ = writeln!(out, "  {attr}wire {};", netlist.net_name(y));
-        }
+    let mut is_port = vec![false; netlist.net_count()];
+    for &n in netlist.outputs() {
+        is_port[n.index()] = true;
     }
-    for gate in netlist.gates() {
-        match *gate {
-            Gate::And2 { a, b, y } => {
-                let _ = writeln!(
-                    out,
-                    "  assign {} = {} & {};",
-                    netlist.net_name(y),
-                    netlist.net_name(a),
-                    netlist.net_name(b)
-                );
-            }
-            Gate::Not { a, y } => {
-                let _ = writeln!(
-                    out,
-                    "  assign {} = ~{};",
-                    netlist.net_name(y),
-                    netlist.net_name(a)
-                );
-            }
-            Gate::Const { value, y } => {
-                let _ = writeln!(
-                    out,
-                    "  assign {} = 1'b{};",
-                    netlist.net_name(y),
-                    u8::from(value)
-                );
-            }
-        }
-    }
-    let _ = writeln!(out, "endmodule");
+    push_gates(&mut out, netlist, options, &is_port);
+    out.push_str("endmodule\n");
     out
 }
 
@@ -106,45 +68,92 @@ pub fn emit_netlist(netlist: &Netlist, options: EmitOptions) -> String {
 /// the enclosing module; every gate output (including `out_*` nets) is
 /// declared as a wire here.
 pub fn emit_netlist_body(netlist: &Netlist, options: EmitOptions) -> String {
-    let mut out = String::new();
-    let attr = if options.dont_touch {
+    let mut out = String::with_capacity(gates_text_len(netlist, options));
+    push_gates(&mut out, netlist, options, &[]);
+    out
+}
+
+/// The attribute that pins a wire under [`EmitOptions::dont_touch`].
+fn wire_attr(options: EmitOptions) -> &'static str {
+    if options.dont_touch {
         "(* DONT_TOUCH = \"yes\" *) "
     } else {
         ""
-    };
-    for gate in netlist.gates() {
-        let _ = writeln!(out, "  {attr}wire {};", netlist.net_name(gate.output()));
     }
+}
+
+/// Bytes [`push_gates`] appends when it declares every gate output.
+pub(crate) fn gates_text_len(netlist: &Netlist, options: EmitOptions) -> usize {
+    let name = |n: NetId| netlist.net_name(n).len();
+    let per_gate = "  wire ;\n  assign  = ;\n".len() + wire_attr(options).len();
+    netlist
+        .gates()
+        .iter()
+        .map(|gate| {
+            per_gate
+                + 2 * name(gate.output())
+                + match *gate {
+                    Gate::And2 { a, b, .. } => name(a) + " & ".len() + name(b),
+                    Gate::Not { a, .. } => 1 + name(a),
+                    Gate::Const { .. } => "1'b0".len(),
+                }
+        })
+        .sum()
+}
+
+/// Appends one wire declaration per gate output that `is_port` does not
+/// mark (nets past its end are not ports), then one `assign` per gate, in
+/// gate order.
+pub(crate) fn push_gates(
+    out: &mut String,
+    netlist: &Netlist,
+    options: EmitOptions,
+    is_port: &[bool],
+) {
+    let attr = wire_attr(options);
     for gate in netlist.gates() {
-        match *gate {
-            Gate::And2 { a, b, y } => {
-                let _ = writeln!(
-                    out,
-                    "  assign {} = {} & {};",
-                    netlist.net_name(y),
-                    netlist.net_name(a),
-                    netlist.net_name(b)
-                );
-            }
-            Gate::Not { a, y } => {
-                let _ = writeln!(
-                    out,
-                    "  assign {} = ~{};",
-                    netlist.net_name(y),
-                    netlist.net_name(a)
-                );
-            }
-            Gate::Const { value, y } => {
-                let _ = writeln!(
-                    out,
-                    "  assign {} = 1'b{};",
-                    netlist.net_name(y),
-                    u8::from(value)
-                );
-            }
+        let y = gate.output();
+        if !is_port.get(y.index()).copied().unwrap_or(false) {
+            out.push_str("  ");
+            out.push_str(attr);
+            out.push_str("wire ");
+            out.push_str(netlist.net_name(y));
+            out.push_str(";\n");
         }
     }
-    out
+    for gate in netlist.gates() {
+        out.push_str("  assign ");
+        out.push_str(netlist.net_name(gate.output()));
+        out.push_str(" = ");
+        match *gate {
+            Gate::And2 { a, b, .. } => {
+                out.push_str(netlist.net_name(a));
+                out.push_str(" & ");
+                out.push_str(netlist.net_name(b));
+            }
+            Gate::Not { a, .. } => {
+                out.push('~');
+                out.push_str(netlist.net_name(a));
+            }
+            Gate::Const { value, .. } => out.push_str(if value { "1'b1" } else { "1'b0" }),
+        }
+        out.push_str(";\n");
+    }
+}
+
+/// Appends `value` in decimal.
+pub(crate) fn push_usize(out: &mut String, mut value: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 #[cfg(test)]
@@ -204,6 +213,16 @@ mod tests {
             emit_netlist(&Netlist::new("e"), EmitOptions::default()),
             "// auto-generated by matador-rtl — do not edit\nmodule e (\n\n);\nendmodule\n"
         );
+    }
+
+    #[test]
+    fn push_usize_writes_decimal() {
+        let mut out = String::from("x");
+        for v in [0, 7, 10, 409, usize::MAX] {
+            push_usize(&mut out, v);
+            out.push(' ');
+        }
+        assert_eq!(out, format!("x0 7 10 409 {} ", usize::MAX));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! LUT-based FPGA), so `¬x` costs nothing unless it is itself an output.
 
 use matador_logic::dag::{LogicDag, Node, NodeRef};
-use std::collections::HashMap;
+use std::fmt;
 
 /// Maximum cut width (Xilinx 7-series LUT6).
 pub const LUT_K: usize = 6;
@@ -19,22 +19,85 @@ pub const LUT_K: usize = 6;
 /// Number of cuts retained per node during enumeration.
 const PRIORITY_CUTS: usize = 8;
 
+/// Marks a node that no LUT implements.
+const NO_LUT: u32 = u32::MAX;
+
 /// A cut: the set of leaf nodes (inputs of the would-be LUT), sorted.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cut {
-    leaves: Vec<NodeRef>,
+    /// The leaves, ascending, in the first `len` slots; the other slots
+    /// hold node 0, so equal leaf sets compare equal.
+    leaves: [NodeRef; LUT_K],
+    len: u8,
     depth: u32,
 }
 
 impl Cut {
+    /// A cut over `leaves` (ascending, at most [`LUT_K`]).
+    fn new(leaves: &[NodeRef], depth: u32) -> Cut {
+        let mut slots = [NodeRef::from_index(0); LUT_K];
+        slots[..leaves.len()].copy_from_slice(leaves);
+        Cut {
+            leaves: slots,
+            len: leaves.len() as u8,
+            depth,
+        }
+    }
+
+    /// The union of two cuts' leaves at depth 0, or `None` when it has
+    /// more than `k` leaves.
+    fn merge(a: &Cut, b: &Cut, k: usize) -> Option<Cut> {
+        let (a, b) = (a.leaves(), b.leaves());
+        let mut out = Cut::new(&[], 0);
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    x
+                }
+                (Some(&x), Some(&y)) if x < y => {
+                    i += 1;
+                    x
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
+            if n == k {
+                return None;
+            }
+            out.leaves[n] = next;
+            n += 1;
+        }
+        out.len = n as u8;
+        Some(out)
+    }
+
     /// Leaf nodes, ascending.
     pub fn leaves(&self) -> &[NodeRef] {
-        &self.leaves
+        &self.leaves[..self.len as usize]
     }
 
     /// LUT depth of the cone rooted here when this cut is chosen.
     pub fn depth(&self) -> u32 {
         self.depth
+    }
+}
+
+impl fmt::Debug for Cut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cut")
+            .field("leaves", &self.leaves())
+            .field("depth", &self.depth)
+            .finish()
     }
 }
 
@@ -83,69 +146,58 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
     // Phase 1: enumerate priority cuts bottom-up with FlowMap-style depth
     // labels. `label[i]` is the LUT level at which node `i`'s signal is
     // available when implemented through its best cut; the depth of a
-    // merged cut is `1 + max(label[leaf])` over its leaves.
-    let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); nodes.len()];
+    // merged cut is `1 + max(label[leaf])` over its leaves. All cuts sit
+    // in one arena, node by node (see `cuts_of`).
+    let mut cuts: Vec<Cut> = Vec::new();
+    let mut cut_ends: Vec<usize> = Vec::with_capacity(nodes.len());
     let mut label: Vec<u32> = vec![0; nodes.len()];
+    let mut merged: Vec<Cut> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
-        if !reachable[i] {
-            continue;
-        }
-        match *node {
-            Node::Const0 | Node::Const1 => {
-                cuts[i] = vec![Cut {
-                    leaves: vec![],
-                    depth: 0,
-                }];
-            }
-            Node::Input(_) | Node::NotInput(_) => {
+        if reachable[i] {
+            match *node {
+                Node::Const0 | Node::Const1 => cuts.push(Cut::new(&[], 0)),
                 // An inverter is free: it reads the pin directly.
-                cuts[i] = vec![Cut {
-                    leaves: vec![NodeRef::from_index(i)],
-                    depth: 0,
-                }];
-            }
-            Node::And(a, b) => {
-                let mut merged: Vec<Cut> = Vec::new();
-                for ca in &cuts[a.index()] {
-                    for cb in &cuts[b.index()] {
-                        let mut leaves: Vec<NodeRef> =
-                            ca.leaves.iter().chain(cb.leaves.iter()).copied().collect();
-                        leaves.sort_unstable();
-                        leaves.dedup();
-                        if leaves.len() > k {
-                            continue;
-                        }
-                        let depth = 1 + leaves.iter().map(|l| label[l.index()]).max().unwrap_or(0);
-                        merged.push(Cut { leaves, depth });
-                    }
+                Node::Input(_) | Node::NotInput(_) => {
+                    cuts.push(Cut::new(&[NodeRef::from_index(i)], 0));
                 }
-                // Depth first; at equal depth prefer *wider* cuts — more
-                // logic absorbed per LUT means fewer intermediate LUTs
-                // (single-output-cone area recovery).
-                merged.sort_by(|x, y| {
-                    x.depth
-                        .cmp(&y.depth)
-                        .then(y.leaves.len().cmp(&x.leaves.len()))
-                });
-                merged.dedup_by(|a, b| a.leaves == b.leaves);
-                merged.truncate(PRIORITY_CUTS);
-                label[i] = merged.first().map_or(0, |c| c.depth);
-                // The trivial cut lets fanouts absorb this node as a leaf
-                // once it is implemented; kept last so selection prefers
-                // real cuts (wider absorption) at equal depth.
-                cuts[i] = merged;
-                cuts[i].push(Cut {
-                    leaves: vec![NodeRef::from_index(i)],
-                    depth: label[i],
-                });
+                Node::And(a, b) => {
+                    merged.clear();
+                    for ca in cuts_of(&cuts, &cut_ends, a.index()) {
+                        for cb in cuts_of(&cuts, &cut_ends, b.index()) {
+                            if let Some(mut cut) = Cut::merge(ca, cb, k) {
+                                cut.depth = 1 + cut
+                                    .leaves()
+                                    .iter()
+                                    .map(|l| label[l.index()])
+                                    .max()
+                                    .unwrap_or(0);
+                                merged.push(cut);
+                            }
+                        }
+                    }
+                    // Depth first; at equal depth prefer *wider* cuts —
+                    // more logic absorbed per LUT means fewer intermediate
+                    // LUTs (single-output-cone area recovery).
+                    merged.sort_by(|x, y| x.depth.cmp(&y.depth).then(y.len.cmp(&x.len)));
+                    merged.dedup_by(|a, b| a.leaves() == b.leaves());
+                    merged.truncate(PRIORITY_CUTS);
+                    label[i] = merged.first().map_or(0, |c| c.depth);
+                    // The trivial cut lets fanouts absorb this node as a
+                    // leaf once it is implemented; kept last so selection
+                    // prefers real cuts (wider absorption) at equal depth.
+                    cuts.extend_from_slice(&merged);
+                    cuts.push(Cut::new(&[NodeRef::from_index(i)], label[i]));
+                }
             }
         }
+        cut_ends.push(cuts.len());
     }
+    let node_cuts = |i: usize| cuts_of(&cuts, &cut_ends, i);
 
     // Phase 2: cover from outputs, instantiating each needed node once.
-    let mut lut_of: HashMap<usize, usize> = HashMap::new(); // node → lut index
+    let mut lut_of: Vec<u32> = vec![NO_LUT; nodes.len()];
     let mut luts: Vec<MappedLut> = Vec::new();
-    let mut level_of: HashMap<usize, u32> = HashMap::new();
+    let mut level_of: Vec<u32> = vec![0; nodes.len()];
     let mut output_cut_widths = Vec::with_capacity(dag.outputs().len());
     let mut worklist: Vec<usize> = Vec::new();
 
@@ -160,37 +212,37 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
             }
             Node::NotInput(_) => {
                 // Output-level inverter needs its own LUT1.
-                if let std::collections::hash_map::Entry::Vacant(e) = lut_of.entry(oi) {
-                    e.insert(luts.len());
+                if lut_of[oi] == NO_LUT {
+                    lut_of[oi] = luts.len() as u32;
                     luts.push(MappedLut {
                         root: out,
                         leaves: vec![out],
                     });
-                    level_of.insert(oi, 1);
+                    level_of[oi] = 1;
                 }
                 output_cut_widths.push(1);
             }
             Node::And(_, _) => {
                 worklist.push(oi);
-                let best = best_real_cut(&cuts[oi], oi);
-                output_cut_widths.push(best.map_or(1, |c| c.leaves.len()));
+                let best = best_real_cut(node_cuts(oi), oi);
+                output_cut_widths.push(best.map_or(1, |c| c.leaves().len()));
             }
         }
     }
 
     while let Some(ni) = worklist.pop() {
-        if lut_of.contains_key(&ni) {
+        if lut_of[ni] != NO_LUT {
             continue;
         }
-        let Some(cut) = best_real_cut(&cuts[ni], ni) else {
+        let Some(cut) = best_real_cut(node_cuts(ni), ni) else {
             continue;
         };
-        lut_of.insert(ni, luts.len());
+        lut_of[ni] = luts.len() as u32;
         luts.push(MappedLut {
             root: NodeRef::from_index(ni),
-            leaves: cut.leaves.clone(),
+            leaves: cut.leaves().to_vec(),
         });
-        for leaf in &cut.leaves {
+        for leaf in cut.leaves() {
             if matches!(nodes[leaf.index()], Node::And(_, _)) {
                 worklist.push(leaf.index());
             }
@@ -199,22 +251,21 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
 
     // Phase 3: levelize mapped LUTs (topological by node index works since
     // leaves have smaller indices than roots in this DAG construction).
-    let mut order: Vec<usize> = lut_of.keys().copied().collect();
-    order.sort_unstable();
-    for ni in order {
-        let li = lut_of[&ni];
-        let lvl = 1 + luts[li]
+    for ni in 0..nodes.len() {
+        let Some(lut) = luts.get(lut_of[ni] as usize) else {
+            continue;
+        };
+        level_of[ni] = 1 + lut
             .leaves
             .iter()
-            .map(|l| level_of.get(&l.index()).copied().unwrap_or(0))
+            .map(|l| level_of[l.index()])
             .max()
             .unwrap_or(0);
-        level_of.insert(ni, lvl);
     }
     let depth = dag
         .outputs()
         .iter()
-        .map(|o| level_of.get(&o.index()).copied().unwrap_or(0))
+        .map(|o| level_of[o.index()])
         .max()
         .unwrap_or(0);
 
@@ -225,17 +276,20 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
     }
 }
 
+/// Node `i`'s cuts: the slice of `cuts` between the ends of nodes `i - 1`
+/// and `i`.
+fn cuts_of<'a>(cuts: &'a [Cut], cut_ends: &[usize], i: usize) -> &'a [Cut] {
+    let start = i.checked_sub(1).map_or(0, |p| cut_ends[p]);
+    &cuts[start..cut_ends[i]]
+}
+
 /// Best non-trivial cut of a node: minimum depth, then maximum width
 /// (absorbing more of the cone into one LUT minimizes LUT count for the
 /// AND-cone structures TM clauses produce).
 fn best_real_cut(cuts: &[Cut], node_index: usize) -> Option<&Cut> {
     cuts.iter()
-        .filter(|c| !(c.leaves.len() == 1 && c.leaves[0].index() == node_index))
-        .min_by(|a, b| {
-            a.depth
-                .cmp(&b.depth)
-                .then(b.leaves.len().cmp(&a.leaves.len()))
-        })
+        .filter(|c| !(c.len == 1 && c.leaves[0].index() == node_index))
+        .min_by(|a, b| a.depth.cmp(&b.depth).then(b.len.cmp(&a.len)))
 }
 
 #[cfg(test)]

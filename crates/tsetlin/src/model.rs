@@ -4,7 +4,7 @@
 use crate::bits::BitVec;
 use crate::clause::Clause;
 use crate::params::TmParams;
-use crate::tm::{argmax, Polarity};
+use crate::tm::Polarity;
 use crate::Sample;
 
 /// The include decisions of one clause, packed per feature.
@@ -171,25 +171,46 @@ impl TrainedModel {
     /// Panics if `x.len() != num_features()`.
     pub fn class_sums(&self, x: &BitVec) -> Vec<i32> {
         assert_eq!(x.len(), self.features, "input width mismatch");
-        let x_neg = x.not();
         (0..self.classes)
-            .map(|class| {
-                (0..self.clauses_per_class)
-                    .map(|j| {
-                        if self.clause(class, j).evaluate(x, &x_neg) {
-                            Polarity::of_index(j).vote()
-                        } else {
-                            0
-                        }
-                    })
-                    .sum()
-            })
+            .map(|class| self.class_sum(class, x.words()))
             .collect()
     }
 
     /// Predicted class for `x` (lowest index wins ties).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != num_features()`.
     pub fn predict(&self, x: &BitVec) -> usize {
-        argmax(&self.class_sums(x))
+        assert_eq!(x.len(), self.features, "input width mismatch");
+        let mut best = (0, None);
+        for class in 0..self.classes {
+            let sum = self.class_sum(class, x.words());
+            if best.1.is_none_or(|top| sum > top) {
+                best = (class, Some(sum));
+            }
+        }
+        best.0
+    }
+
+    /// The vote sum of `class` on the input words `x`. A clause fires
+    /// when no included literal is false: `pos & !x` and `neg & x` are
+    /// zero in every word (mask bits past the feature count are zero).
+    fn class_sum(&self, class: usize, x: &[u64]) -> i32 {
+        let first = class * self.clauses_per_class;
+        self.includes[first..first + self.clauses_per_class]
+            .iter()
+            .enumerate()
+            .filter(|(_, mask)| {
+                mask.pos
+                    .words()
+                    .iter()
+                    .zip(mask.neg.words())
+                    .zip(x)
+                    .all(|((&pos, &neg), &x)| (pos & !x) | (neg & x) == 0)
+            })
+            .map(|(j, _)| Polarity::of_index(j).vote())
+            .sum()
     }
 
     /// Fraction of `samples` classified correctly.
@@ -248,6 +269,43 @@ mod tests {
         // class 1: clause0 silent; empty clause1 fires (−1). → −1
         assert_eq!(m.class_sums(&x), vec![1, -1]);
         assert_eq!(m.predict(&x), 0);
+    }
+
+    #[test]
+    fn class_sums_match_the_mask_evaluation() {
+        // SplitMix64, so the masks and inputs are fixed.
+        let mut state = 7u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        // Three words per mask, the last one ragged.
+        let f = 150;
+        let mut bits = |one_in: u64| BitVec::from_bools((0..f).map(|_| next(one_in) == 0));
+        let includes = (0..3 * 6)
+            .map(|_| IncludeMask {
+                pos: bits(60),
+                neg: bits(60),
+            })
+            .collect();
+        let m = TrainedModel::from_masks(f, 3, 6, includes);
+        for _ in 0..200 {
+            let x = bits(2);
+            let x_neg = x.not();
+            let expected: Vec<i32> = (0..3)
+                .map(|class| {
+                    (0..6)
+                        .filter(|&j| m.clause(class, j).evaluate(&x, &x_neg))
+                        .map(|j| Polarity::of_index(j).vote())
+                        .sum()
+                })
+                .collect();
+            assert_eq!(m.class_sums(&x), expected);
+            assert_eq!(m.predict(&x), crate::tm::argmax(&expected));
+        }
     }
 
     #[test]
