@@ -32,9 +32,9 @@ pub struct EmitOptions {
 /// assert!(text.contains("assign y = ~a;"));
 /// ```
 pub fn emit_netlist(netlist: &Netlist, options: EmitOptions) -> String {
-    let ports = netlist.inputs().len() + netlist.outputs().len();
+    let port_count = netlist.inputs().len() + netlist.outputs().len();
     let mut out = String::with_capacity(
-        128 + netlist.name().len() + 32 * ports + gates_text_len(netlist, options),
+        128 + netlist.name().len() + 32 * port_count + gates_text_len(netlist, options),
     );
     out.push_str("// auto-generated by matador-rtl — do not edit\nmodule ");
     out.push_str(netlist.name());
