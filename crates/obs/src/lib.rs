@@ -4,9 +4,10 @@
 //! open-submission front-end, the shard pools and the turbo datapath:
 //!
 //! - [`metrics`]: sharded [`Counter`]s, [`Gauge`]s and fixed-shape log2
-//!   [`Histogram`]s behind a [`Registry`], rendered as Prometheus text
-//!   ([`Registry::render_prometheus`]) or captured as a structured
-//!   [`Snapshot`] for the bench JSON artifacts.
+//!   [`Histogram`]s (with a non-atomic [`HistogramBatch`] for owners that
+//!   publish once per batch of work) behind a [`Registry`], rendered as
+//!   Prometheus text ([`Registry::render_prometheus`]) or captured as a
+//!   structured [`Snapshot`] for the bench JSON artifacts.
 //! - [`flight`]: a bounded ring-buffer [`FlightRecorder`] retaining the
 //!   last *N* request [`Lifecycle`]s (submit → admit → batch → shard →
 //!   reorder → deliver, stamped on the serving virtual clock).
@@ -40,6 +41,6 @@ pub mod metrics;
 
 pub use flight::{FlightRecorder, Lifecycle, TraceId, DEFAULT_FLIGHT_CAPACITY};
 pub use metrics::{
-    enabled, set_enabled, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample,
-    SampleValue, Snapshot,
+    enabled, set_enabled, Counter, Gauge, Histogram, HistogramBatch, HistogramSnapshot, Registry,
+    Sample, SampleValue, Snapshot,
 };

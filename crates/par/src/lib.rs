@@ -48,8 +48,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-pub mod reactor;
-
 /// A worker closure panicked inside a containment-aware entry point
 /// ([`try_par_map_mut_with`]). Carries the *lowest* panicked item index
 /// (deterministic regardless of which thread ran the item) and the

@@ -59,12 +59,19 @@
 //! Admission is O(1) in the pending set. The tightest pending deadline
 //! is cached (lowered at admit, recomputed when a batch forms), and so
 //! are the pool's latency floor and modeled II (refreshed after every
-//! pool flush, the only place they change). Only the newest idle tick
-//! can fire, so it is one slot; deadline-pressure re-checks ride on
-//! [`matador_par::reactor::TimerWheel`] with lazy cancellation (stale
-//! ones re-check current state), after the idle check at a shared tick.
-//! Inputs are copied once, into recycled buffers, and a batch reaches
-//! [`ShardPool::serve`] as one slice.
+//! pool flush, the only place they change) and the *pressure tick*: the
+//! tightest deadline minus the drain estimate of the pending set, set at
+//! admit and after every flush. A pressure check compares the clock
+//! against that tick; debug builds assert it agrees with a fresh
+//! estimate. Only the newest idle tick can fire, so it is one slot.
+//! Deadline-pressure re-checks are bare ticks in a min-heap the front
+//! owns, run after the idle check at a shared tick. They are lazily
+//! cancelled: a stale one re-checks the current state, and the tick at
+//! which such a re-check finds pressure is a batch boundary, so every
+//! armed tick is kept. Inputs are copied once, into recycled buffers,
+//! and a batch reaches [`ShardPool::serve`] as one slice. A completion
+//! that is its tenant's next delivery goes straight out; only
+//! out-of-order ones wait in the reorder ring.
 //!
 //! ## Observability
 //!
@@ -72,12 +79,17 @@
 //! admissions and rejections by outcome, the batch-trigger mix, batch
 //! sizes, per-request slack at flush, delivery latency, deadline misses,
 //! and per-tenant queue depth/DRR deficit gauges (see the README metric
-//! table). Each request also carries a [`matador_obs::TraceId`] through
-//! submit → admit → batch → shard → reorder → deliver into a bounded
-//! [`matador_obs::FlightRecorder`] ([`Front::flight_recorder`]), dumped
-//! to stderr when a flush fails with a typed engine error. Metrics are
-//! pure sinks — nothing here reads them back — so instrumentation
-//! cannot perturb the replay contract.
+//! table). Slack and latency samples collect in front-local
+//! [`matador_obs::HistogramBatch`]es; they, the admitted count and the
+//! tenant gauges are published once per flush and when the front is
+//! dropped, so at those points the shared series read what per-request
+//! recording would have left. Each request also carries a
+//! [`matador_obs::TraceId`] through submit → admit → batch → shard →
+//! reorder → deliver into a bounded [`matador_obs::FlightRecorder`]
+//! ([`Front::flight_recorder`]), dumped to stderr when a flush fails
+//! with a typed engine error. Metrics are pure sinks — nothing here
+//! reads them back — so instrumentation cannot perturb the replay
+//! contract.
 //!
 //! ```
 //! use matador_logic::cube::{Cube, Lit};
@@ -110,9 +122,9 @@
 use crate::error::ServeError;
 use crate::pool::{ShardPool, FLUSH_WINDOW};
 use crate::report::ThroughputReport;
-use matador_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry, TraceId};
-use matador_par::reactor::TimerWheel;
-use std::collections::{BTreeMap, VecDeque};
+use matador_obs::{Counter, FlightRecorder, Gauge, Histogram, HistogramBatch, Registry, TraceId};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 use tsetlin::bits::BitVec;
 
@@ -226,17 +238,23 @@ fn rejection_reason(error: &ServeError) -> usize {
 /// Registry handles the front records through, resolved once at
 /// construction so the submit/flush paths never touch the registry
 /// lock. Counters/histograms are process-wide series shared by every
-/// front in the process (they accumulate, Prometheus-style).
+/// front in the process (they accumulate, Prometheus-style). The
+/// batches and the admitted delta are published by
+/// `Front::publish_metrics`.
 #[derive(Debug, Clone)]
 struct FrontMetrics {
     admitted: Arc<Counter>,
+    /// `Front::accepted` as of the last publish.
+    admitted_published: u64,
     /// Indexed by [`rejection_reason`].
     rejected: [Arc<Counter>; 6],
     /// Indexed by `FlushTrigger as usize`.
     batches: [Arc<Counter>; 4],
     batch_size: Arc<Histogram>,
     slack_at_flush: Arc<Histogram>,
+    slack_batch: HistogramBatch,
     delivery_latency: Arc<Histogram>,
+    latency_batch: HistogramBatch,
     deadline_misses: Arc<Counter>,
     shed: Arc<Counter>,
     pending: Arc<Gauge>,
@@ -257,6 +275,7 @@ impl FrontMetrics {
                 "",
                 "Submissions admitted into a tenant queue.",
             ),
+            admitted_published: 0,
             rejected: REJECTION_REASONS.map(|reason| {
                 r.counter(
                     "matador_front_rejected_total",
@@ -281,11 +300,13 @@ impl FrontMetrics {
                 "",
                 "Deadline slack remaining when a request was flushed.",
             ),
+            slack_batch: HistogramBatch::new(),
             delivery_latency: r.histogram(
                 "matador_front_delivery_latency_cycles",
                 "",
                 "Admission-to-delivery latency per reply.",
             ),
+            latency_batch: HistogramBatch::new(),
             deadline_misses: r.counter(
                 "matador_front_deadline_misses_total",
                 "",
@@ -532,12 +553,18 @@ pub struct Front<'a> {
     pending_total: usize,
     /// The tightest deadline among pending requests.
     tightest: Option<u64>,
+    /// The first tick at which the pending set is under deadline
+    /// pressure: `tightest` minus the drain estimate of `pending_total`.
+    /// Set at admit and after every flush, the only places its inputs
+    /// change.
+    pressure_at: Option<u64>,
     /// The pool's latency floor and modeled II, refreshed after each
     /// pool flush (the only place health and engine history change).
     floor: u64,
     ii: u64,
-    /// Deadline-pressure re-checks.
-    timers: TimerWheel,
+    /// Deadline-pressure re-check ticks, earliest first. Stale ones stay
+    /// and re-check current state when they fire.
+    timers: BinaryHeap<Reverse<u64>>,
     /// The one idle tick that can fire: last admit + `idle_cycles`.
     idle_at: Option<u64>,
     /// The batch being flushed, and its inputs in the same order (reused
@@ -586,7 +613,8 @@ impl<'a> Front<'a> {
             tenants: BTreeMap::new(),
             pending_total: 0,
             tightest: None,
-            timers: TimerWheel::new(),
+            pressure_at: None,
+            timers: BinaryHeap::new(),
             idle_at: None,
             batch: Vec::new(),
             inputs: Vec::new(),
@@ -740,11 +768,10 @@ impl<'a> Front<'a> {
         };
         entry.queue.push_back((input, ticket));
         entry.ring.push_back(Slot::Waiting);
-        entry.publish_gauges();
         self.pending_total += 1;
-        self.tightest = Some(self.tightest.map_or(deadline, |t| t.min(deadline)));
+        let tightest = self.tightest.map_or(deadline, |t| t.min(deadline));
+        self.tightest = Some(tightest);
         self.accepted += 1;
-        self.metrics.admitted.inc();
         self.metrics.pending.set(self.pending_total as i64);
         if self.options.idle_cycles > 0 {
             self.idle_at = Some(now.saturating_add(self.options.idle_cycles));
@@ -754,14 +781,16 @@ impl<'a> Front<'a> {
             return Ok(seq);
         }
         let guard = self.drain_estimate_cycles(self.pending_total);
-        if self.under_pressure(guard) {
+        self.pressure_at = Some(tightest.saturating_sub(guard));
+        if self.pressured() {
             self.flush_batch(FlushTrigger::DeadlinePressure)?;
         } else {
             // Arm a pressure check for the point at which draining the
             // *current* pending set would start eating this deadline's
             // slack. Lazily cancelled: if the set has grown by then, a
             // fill or an earlier pressure flush already handled it.
-            self.timers.arm(deadline.saturating_sub(guard).max(now), 0);
+            self.timers
+                .push(Reverse(deadline.saturating_sub(guard).max(now)));
         }
         Ok(seq)
     }
@@ -778,7 +807,8 @@ impl<'a> Front<'a> {
     /// fails to drain.
     pub fn advance_to(&mut self, cycle: u64) -> Result<(), ServeError> {
         loop {
-            let next = self.idle_at.into_iter().chain(self.timers.next_deadline());
+            let timer = self.timers.peek().map(|&Reverse(tick)| tick);
+            let next = self.idle_at.into_iter().chain(timer);
             let Some(tick) = next.min().filter(|&tick| tick <= cycle) else {
                 break;
             };
@@ -788,15 +818,15 @@ impl<'a> Front<'a> {
             // the set and makes the other checks stale.
             let idle = self.idle_at.take_if(|&mut at| at == tick).is_some();
             let mut recheck = false;
-            while self.timers.pop_due(tick).is_some() {
+            while self.timers.peek().is_some_and(|&Reverse(at)| at <= tick) {
+                self.timers.pop();
                 recheck = true;
             }
             if self.pending_total == 0 {
                 continue;
             } else if idle {
                 self.flush_batch(FlushTrigger::IdleTick)?;
-            } else if recheck && self.under_pressure(self.drain_estimate_cycles(self.pending_total))
-            {
+            } else if recheck && self.pressured() {
                 self.flush_batch(FlushTrigger::DeadlinePressure)?;
             }
         }
@@ -858,11 +888,35 @@ impl<'a> Front<'a> {
         ThroughputReport::merge(self.pool.report().shards, &self.latencies)
     }
 
-    /// Whether the tightest pending deadline's slack is at or below
-    /// `drain`, the modeled time to drain the pending set.
-    fn under_pressure(&self, drain: u64) -> bool {
-        self.tightest
-            .is_some_and(|deadline| deadline.saturating_sub(self.now) <= drain)
+    /// Whether the tightest pending deadline's slack is at or below the
+    /// modeled time to drain the pending set, read from the cached
+    /// pressure tick: slack `d − now ≤ g` exactly when
+    /// `d.saturating_sub(g) ≤ now`.
+    fn pressured(&self) -> bool {
+        let pressured = self.pressure_at.is_some_and(|at| at <= self.now);
+        debug_assert_eq!(
+            pressured,
+            self.tightest.is_some_and(|deadline| {
+                deadline.saturating_sub(self.now) <= self.drain_estimate_cycles(self.pending_total)
+            }),
+            "the cached pressure tick is stale"
+        );
+        pressured
+    }
+
+    /// Publishes what the front batches locally: the admitted delta,
+    /// the slack and latency samples, and every tenant's gauges. Runs
+    /// after each flush and on drop, so the shared series then read what
+    /// per-request recording would have left.
+    fn publish_metrics(&mut self) {
+        let m = &mut self.metrics;
+        m.admitted.add(self.accepted - m.admitted_published);
+        m.admitted_published = self.accepted;
+        m.slack_at_flush.absorb(&mut m.slack_batch);
+        m.delivery_latency.absorb(&mut m.latency_batch);
+        for tenant in self.tenants.values() {
+            tenant.publish_gauges();
+        }
     }
 
     /// Deficit-round-robin batch formation into `batch`/`inputs`:
@@ -896,7 +950,6 @@ impl<'a> Front<'a> {
                 if tenant.queue.is_empty() {
                     tenant.deficit = 0;
                 }
-                tenant.publish_gauges();
                 if self.batch.len() == lane_block {
                     break 'rounds;
                 }
@@ -921,6 +974,10 @@ impl<'a> Front<'a> {
     /// stderr before the error propagates — the black-box read-out.
     fn flush_batch(&mut self, trigger: FlushTrigger) -> Result<(), ServeError> {
         let result = self.flush_batch_inner(trigger);
+        self.pressure_at = self.tightest.map(|deadline| {
+            deadline.saturating_sub(self.drain_estimate_cycles(self.pending_total))
+        });
+        self.publish_metrics();
         if result.is_err() && self.flight.traced() > 0 {
             eprintln!("{}", self.flight.render());
         }
@@ -978,7 +1035,7 @@ impl<'a> Front<'a> {
         let now = self.now;
         for (_, ticket) in &self.batch {
             self.metrics
-                .slack_at_flush
+                .slack_batch
                 .record(ticket.deadline.saturating_sub(now));
             self.flight.update(ticket.trace, |l| {
                 l.batched_at = Some(now);
@@ -1010,11 +1067,12 @@ impl<'a> Front<'a> {
         }
         predictions.sort_unstable_by_key(|p| (p.completed_at_cycle, p.shard, p.request));
 
-        // Reorder stage: park each completion in its tenant's ring, then
-        // release every reply whose predecessors have all completed (or
-        // been shed). A reply released by a *later* completion is
-        // stamped with that completion's time — it could not have been
-        // handed back any earlier.
+        // Reorder stage: a completion that is its tenant's next delivery
+        // goes straight out; any other parks in the tenant's ring. Then
+        // every parked reply whose predecessors have all completed (or
+        // been shed) is released. A reply released by a *later*
+        // completion is stamped with that completion's time — it could
+        // not have been handed back any earlier.
         for p in predictions {
             let completed_at = p.completed_at_cycle;
             let (tenant_id, ticket) = self.batch[(p.request - first_id) as usize];
@@ -1037,22 +1095,31 @@ impl<'a> Front<'a> {
                 deadline: ticket.deadline,
                 delivered_at: completed_at, // raised at release below
             };
-            *tenant.slot(ticket.seq) = Slot::Done(reply, ticket.trace);
-            while !matches!(tenant.ring.front(), None | Some(Slot::Waiting)) {
-                tenant.next_deliver_seq += 1;
-                let Some(Slot::Done(mut reply, trace)) = tenant.ring.pop_front() else {
-                    continue; // a shed sequence number: hop it
-                };
+            let mut release = |mut reply: Reply, trace: TraceId| {
                 reply.delivered_at = reply.delivered_at.max(completed_at);
-                let latency = reply.delivered_at - reply.submitted_at;
+                let latency = reply.latency_cycles();
                 self.latencies.push(latency);
-                self.metrics.delivery_latency.record(latency);
+                self.metrics.latency_batch.record(latency);
                 if !reply.met_deadline() {
                     self.metrics.deadline_misses.inc();
                 }
                 self.flight
                     .update(trace, |l| l.delivered_at = Some(reply.delivered_at));
                 self.delivered.push(reply);
+            };
+            if ticket.seq == tenant.next_deliver_seq {
+                tenant.ring.pop_front();
+                tenant.next_deliver_seq += 1;
+                release(reply, ticket.trace);
+            } else {
+                *tenant.slot(ticket.seq) = Slot::Done(reply, ticket.trace);
+            }
+            while !matches!(tenant.ring.front(), None | Some(Slot::Waiting)) {
+                tenant.next_deliver_seq += 1;
+                // A shed sequence number is hopped.
+                if let Some(Slot::Done(reply, trace)) = tenant.ring.pop_front() {
+                    release(reply, trace);
+                }
             }
         }
         self.batches.push(BatchRecord {
@@ -1061,6 +1128,14 @@ impl<'a> Front<'a> {
             size: self.batch.len(),
         });
         Ok(())
+    }
+}
+
+impl Drop for Front<'_> {
+    /// Publishes what the last flush left unpublished: admissions since
+    /// then and the tenant gauges they moved.
+    fn drop(&mut self) {
+        self.publish_metrics();
     }
 }
 

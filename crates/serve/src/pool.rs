@@ -939,7 +939,11 @@ impl<'a> ShardPool<'a> {
     /// drains serially, a partition group drains as one executor, and a
     /// browned-out pool drains on what survives.
     pub fn flush_spread(&self, pending: usize) -> usize {
-        if pending > 0 && self.whole_flush_unit(pending).is_some() {
+        // `whole_flush_unit` is `Some` exactly when the flush runs whole
+        // and some shard is eligible; which shard it picks is irrelevant.
+        let whole = self.units.len() == 1
+            || (self.runs_whole(pending) && self.health.eligible_shards() > 0);
+        if pending > 0 && whole {
             1
         } else {
             let eligible = (0..self.units.len()).filter(|&u| self.unit_eligible(u));
@@ -1214,16 +1218,24 @@ impl<'a> ShardPool<'a> {
         if self.units.len() == 1 {
             return Some(0);
         }
-        let chunk_cost = self.shared_chunk_cost?;
-        let lane_words = pending.div_ceil(matador_sim::LANES) as u64;
-        let batch_cost = chunk_cost.saturating_mul(lane_words);
-        if !Self::flush_consolidates(batch_cost, self.chunk_threshold, self.units.len() as u64) {
+        if !self.runs_whole(pending) {
             return None;
         }
         // A homogeneous pool's units are its shards, in order.
         (0..self.units.len())
             .filter(|&shard| self.health.eligible(shard))
             .min_by_key(|&shard| (self.engines[shard].load().cycles, shard))
+    }
+
+    /// Whether a multi-unit pool consolidates a flush of `pending`
+    /// requests onto one shard: only a homogeneous turbo pool does, and
+    /// only below its consolidation floor.
+    fn runs_whole(&self, pending: usize) -> bool {
+        self.shared_chunk_cost.is_some_and(|chunk_cost| {
+            let lane_words = pending.div_ceil(matador_sim::LANES) as u64;
+            let batch_cost = chunk_cost.saturating_mul(lane_words);
+            Self::flush_consolidates(batch_cost, self.chunk_threshold, self.units.len() as u64)
+        })
     }
 
     /// Whether a flush of `batch_cost` tape work (chunk cost × lane
