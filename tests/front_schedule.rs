@@ -9,7 +9,13 @@
 //! what the front's cached pressure tick has to follow: in a debug
 //! build every pressure check asserts that the cached tick agrees with
 //! a fresh drain estimate. The two replays of a schedule must agree on
-//! every reply, batch boundary, shed and rejection.
+//! every reply, batch boundary, shed and rejection, and each seed's
+//! outcome is pinned to a recorded digest, so a change of batching
+//! order between builds fails here too.
+//!
+//! The driver also checks the invariant batching rests on: after every
+//! `submit` and `advance_to` fewer than `lane_block` requests are
+//! pending, and a call that flushed a batch leaves none pending.
 
 use matador_repro::logic::cube::{Cube, Lit};
 use matador_repro::logic::dag::Sharing;
@@ -22,6 +28,8 @@ use matador_repro::tsetlin::bits::BitVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
+
+mod common;
 
 const SHARDS: usize = 4;
 const TENANTS: u32 = 5;
@@ -70,6 +78,38 @@ fn quiet_injected_panics() {
     });
 }
 
+/// FNV-1a digests of each seed's `Outcome` Debug text, seeds 0..8.
+const DIGESTS: [u64; 8] = [
+    0x8c5f_70ec_4273_c077,
+    0x8246_8ce3_cad3_da0a,
+    0x91f7_5e28_e0ce_5fb4,
+    0x21c1_7f14_7640_3fb6,
+    0x2680_a5ca_b03d_1be6,
+    0x11f1_0dd9_ef2c_f22d,
+    0x7d5a_cc36_4c0c_6b20,
+    0x1e47_5fb4_6fc6_98b5,
+];
+
+/// Asserts the pending-set invariant after a `submit` or `advance_to`
+/// that started with `batches_before` batch records.
+fn check_pending(front: &Front<'_>, lane_block: usize, batches_before: usize) {
+    assert!(
+        front.pending() < lane_block,
+        "{} pending with a lane block of {lane_block}",
+        front.pending()
+    );
+    if front.batches().len() > batches_before {
+        assert_eq!(front.pending(), 0, "a flush left requests pending");
+    }
+}
+
+/// `advance_to`, then the pending-set invariant.
+fn advance(front: &mut Front<'_>, cycle: u64, lane_block: usize) {
+    let batches_before = front.batches().len();
+    front.advance_to(cycle).expect("timer flushes drain");
+    check_pending(front, lane_block, batches_before);
+}
+
 #[derive(Debug, PartialEq)]
 struct Outcome {
     replies: Vec<Reply>,
@@ -94,10 +134,11 @@ fn run(accel: &CompiledAccelerator, seed: u64) -> Outcome {
     let plan = FaultPlan::kill_shard(rng.gen_range(0..SHARDS), rng.gen_range(40..400))
         .merged(&FaultPlan::seeded(seed, SHARDS, 800, 2));
     let pool = ShardPool::with_fault_plan(accel, options, plan).expect("valid options");
+    let lane_block = [128, 8, 64][seed as usize % 3];
     let mut front = Front::new(
         pool,
         FrontOptions {
-            lane_block: [128, 8, 64][seed as usize % 3],
+            lane_block,
             idle_cycles: [400, 0, 150][seed as usize % 3],
             drr_quantum: rng.gen_range(1..4),
             quota: Some(TenantQuota {
@@ -117,9 +158,11 @@ fn run(accel: &CompiledAccelerator, seed: u64) -> Outcome {
     let mut submit = |front: &mut Front<'_>, rng: &mut SmallRng, deadline: u64, step: usize| {
         let input = &inputs[rng.gen_range(0..inputs.len())];
         let tenant = rng.gen_range(0..TENANTS);
+        let batches_before = front.batches().len();
         if let Err(e) = front.submit(input, deadline, tenant) {
             rejections.push(format!("{step}:{tenant}:{e}"));
         }
+        check_pending(front, lane_block, batches_before);
     };
     let mut t = 0u64;
     for step in 0..STEPS {
@@ -129,18 +172,18 @@ fn run(accel: &CompiledAccelerator, seed: u64) -> Outcome {
             // (the flush would spread), so the request waits for a later
             // check and may be shed.
             t += 1;
-            front.advance_to(t).expect("timer flushes drain");
+            advance(&mut front, t, lane_block);
             for _ in 0..rng.gen_range(40..64) {
                 submit(&mut front, &mut rng, t + 8_000, step);
             }
             let guard = front.drain_estimate_cycles(front.pending() + 1) + rng.gen_range(1..40u64);
             submit(&mut front, &mut rng, t + guard, step);
-            front.advance_to(t + 1).expect("timer flushes drain");
+            advance(&mut front, t + 1, lane_block);
             for _ in 0..40 {
                 submit(&mut front, &mut rng, t + 8_000, step);
             }
             t += rng.gen_range(300..1_500u64);
-            front.advance_to(t).expect("timer flushes drain");
+            advance(&mut front, t, lane_block);
             continue;
         }
         let (gap, burst) = match rng.gen_range(0..10) {
@@ -149,7 +192,7 @@ fn run(accel: &CompiledAccelerator, seed: u64) -> Outcome {
             _ => (rng.gen_range(0..40), 1),
         };
         t += gap;
-        front.advance_to(t).expect("timer flushes drain");
+        advance(&mut front, t, lane_block);
         for _ in 0..burst {
             // Slack from just inside the latency floor (unmeetable) to
             // far out; tight ones put the pending set under pressure.
@@ -163,6 +206,7 @@ fn run(accel: &CompiledAccelerator, seed: u64) -> Outcome {
     }
     // Shutdown with work still queued.
     front.drain().expect("drains");
+    assert_eq!(front.pending(), 0, "drain left requests pending");
     let quarantined = !front.pool().health_log().is_empty();
     Outcome {
         replies: front.take_replies(),
@@ -180,9 +224,11 @@ fn random_schedules_replay_identically_and_keep_every_request() {
     let accel = accel();
     let mut triggers = [0usize; 4];
     let mut sheds = 0;
+    let mut digests = [0; 8];
     for seed in 0..8 {
         let first = run(&accel, seed);
         assert_eq!(first, run(&accel, seed), "seed {seed}: replay diverged");
+        digests[seed as usize] = common::fnv1a(format!("{first:?}").as_bytes());
 
         // Every admitted request is delivered or shed, in per-tenant
         // submission order.
@@ -219,4 +265,8 @@ fn random_schedules_replay_identically_and_keep_every_request() {
         assert!(triggers[trigger as usize] > 0, "{trigger:?} never fired");
     }
     assert!(sheds > 0, "no request was shed");
+    assert_eq!(
+        digests, DIGESTS,
+        "the batching order or a reply changed: {digests:#018x?}"
+    );
 }
