@@ -10,15 +10,14 @@ pub enum ServeError {
     /// A pool was requested with zero shards.
     ZeroShards,
     /// A [`crate::Front`] was configured with a zero
-    /// [`lane_block`](crate::FrontOptions::lane_block),
-    /// [`max_pending`](crate::FrontOptions::max_pending) or
+    /// [`lane_block`](crate::FrontOptions::lane_block) or
     /// [`drr_quantum`](crate::FrontOptions::drr_quantum) — it could never
-    /// batch or admit a request.
+    /// batch a request.
     ZeroQueueDepth,
-    /// Typed backpressure: a [`crate::Front`] already holds
-    /// [`max_pending`](crate::FrontOptions::max_pending) requests (the
-    /// caller should drain or drop load and retry), or a front's
-    /// `lane_block` exceeds [`crate::FLUSH_WINDOW`].
+    /// A [`crate::Front`] was configured with a
+    /// [`lane_block`](crate::FrontOptions::lane_block) larger than
+    /// [`crate::FLUSH_WINDOW`]: a full lane block, the most requests a
+    /// front ever holds, must run as one pool flush.
     QueueFull {
         /// The bound that is exhausted.
         capacity: usize,
@@ -58,9 +57,8 @@ pub enum ServeError {
         widths: Vec<usize>,
     },
     /// A tenant's token bucket is empty: the front-end's per-tenant rate
-    /// limit rejected the submission. Typed backpressure, like
-    /// [`ServeError::QueueFull`], but scoped to one tenant — other
-    /// tenants keep being admitted.
+    /// limit rejected the submission. Typed backpressure scoped to one
+    /// tenant — other tenants keep being admitted.
     QuotaExceeded {
         /// The rate-limited tenant.
         tenant: u32,
@@ -100,10 +98,10 @@ pub enum ServeError {
         /// Width of the affected request(s).
         width: usize,
     },
-    /// [`crate::Front::drain`] stopped making progress: a full flush
-    /// pass completed without reducing the pending set, so spinning the
-    /// virtual clock further would hang forever. Surfaced by the drain
-    /// liveness watchdog instead of an unbounded loop.
+    /// [`crate::Front::drain`] flushed the pending set and requests
+    /// still read as pending: the front's accounting lost track of
+    /// them, and no further flush could retire them. Surfaced by the
+    /// drain watchdog instead of a hang or a silent drop.
     Stalled {
         /// Requests still pending when progress stopped.
         pending: usize,
@@ -126,10 +124,9 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::ZeroShards => write!(f, "shard pool requires at least one shard"),
-            ServeError::ZeroQueueDepth => write!(
-                f,
-                "front lane_block, max_pending and drr_quantum must be positive"
-            ),
+            ServeError::ZeroQueueDepth => {
+                write!(f, "front lane_block and drr_quantum must be positive")
+            }
             ServeError::QueueFull { capacity } => {
                 write!(f, "request queue full ({capacity} pending): backpressure")
             }

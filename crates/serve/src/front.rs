@@ -23,8 +23,10 @@
 //! [`ServeError::QuotaExceeded`] names the tenant and a retry horizon,
 //! [`ServeError::DeadlineUnmeetable`] rejects deadlines tighter than the
 //! pool's latency floor at admission time instead of accepting a
-//! guaranteed miss. Batch formation drains per-tenant FIFOs by
-//! deficit-round-robin, so a bursty tenant cannot starve a quiet one.
+//! guaranteed miss. A batch interleaves its tenants deficit-round-robin
+//! style — each tenant's requests go out [`FrontOptions::drr_quantum`]
+//! at a time, tenants in id order — so a bursty tenant cannot push a
+//! quiet one's request to the back of the batch.
 //!
 //! Over a resilient pool (see the [`crate::fault`] and [`crate::health`]
 //! modules) the front browns out instead of lying: admission rejects
@@ -35,8 +37,8 @@
 //! and — opt-in via [`FrontOptions::shed_on_brownout`] — a flush sheds
 //! requests whose deadlines shrank out of reach rather than running
 //! them into a guaranteed miss ([`ShedNotice`], [`Front::take_shed`]).
-//! [`Front::drain`] is watchdogged: a pass that stops reducing the
-//! pending set surfaces [`ServeError::Stalled`] instead of hanging.
+//! [`Front::drain`] is watchdogged: a flush that leaves requests
+//! pending surfaces [`ServeError::Stalled`] instead of hanging.
 //!
 //! Shards complete out of submission order (a lightly loaded shard
 //! finishes its slice first), so a reorder stage re-sequences
@@ -56,30 +58,34 @@
 //! `MATADOR_THREADS` and shard count — while a real-time driver would
 //! simply map wall-clock time onto the virtual clock.
 //!
-//! Admission is O(1) in the pending set. The tightest pending deadline
-//! is cached (lowered at admit, recomputed when a batch forms), and so
-//! are the pool's latency floor and modeled II (refreshed after every
-//! pool flush, the only place they change) and the *pressure tick*: the
-//! tightest deadline minus the drain estimate of the pending set, set at
-//! admit and after every flush. A pressure check compares the clock
-//! against that tick; debug builds assert it agrees with a fresh
-//! estimate. Only the newest idle tick can fire, so it is one slot.
-//! Deadline-pressure re-checks are bare ticks in a min-heap the front
-//! owns, run after the idle check at a shared tick. They are lazily
-//! cancelled: a stale one re-checks the current state, and the tick at
-//! which such a re-check finds pressure is a batch boundary, so every
-//! armed tick is kept. Inputs are copied once, into recycled buffers,
-//! and a batch reaches [`ShardPool::serve`] as one slice. A completion
-//! that is its tenant's next delivery goes straight out; only
-//! out-of-order ones wait in the reorder ring.
+//! At most one lane block is ever pending: the admit that fills it
+//! flushes, and every flush takes the whole pending set, so the front
+//! holds one batch and carries nothing from one batch to the next.
+//! Admission copies the input once, into a recycled buffer, and appends
+//! the request under its round-robin key `(k / drr_quantum, tenant, k)`
+//! (`k` counts the tenant's pending requests); a flush sorts by that key
+//! and hands the batch to [`ShardPool::serve`] as one slice. Admission
+//! is O(1): the tightest pending deadline is cached, and so are the
+//! pool's latency floor and modeled II (refreshed after every pool
+//! flush, the only place they change) and the *pressure tick*, the
+//! tightest deadline minus the drain estimate of the pending set. A
+//! pressure check compares the clock against that tick; debug builds
+//! assert it agrees with a fresh estimate. Only the newest idle tick can
+//! fire, so it is one slot. Deadline-pressure re-checks are bare ticks
+//! in a min-heap, run after the idle check at a shared tick. They are
+//! lazily cancelled: a stale one re-checks the current state, and the
+//! tick at which such a re-check finds pressure is a batch boundary, so
+//! every armed tick is kept. A completion that is its tenant's next
+//! delivery goes straight out; only out-of-order ones wait in the
+//! reorder ring.
 //!
 //! ## Observability
 //!
 //! Every front records into [`matador_obs::Registry::global`]:
 //! admissions and rejections by outcome, the batch-trigger mix, batch
 //! sizes, per-request slack at flush, delivery latency, deadline misses,
-//! and per-tenant queue depth/DRR deficit gauges (see the README metric
-//! table). Slack and latency samples collect in front-local
+//! and per-tenant pending-request gauges (see the README metric table).
+//! Slack and latency samples collect in front-local
 //! [`matador_obs::HistogramBatch`]es; they, the admitted count and the
 //! tenant gauges are published once per flush and when the front is
 //! dropped, so at those points the shared series read what per-request
@@ -214,10 +220,9 @@ impl FlushTrigger {
 }
 
 /// Stable `reason` labels for admission rejections.
-const REJECTION_REASONS: [&str; 6] = [
+const REJECTION_REASONS: [&str; 5] = [
     "quota_exceeded",
     "deadline_unmeetable",
-    "queue_full",
     "width_mismatch",
     "no_healthy_shard",
     "other",
@@ -228,10 +233,9 @@ fn rejection_reason(error: &ServeError) -> usize {
     match error {
         ServeError::QuotaExceeded { .. } => 0,
         ServeError::DeadlineUnmeetable { .. } => 1,
-        ServeError::QueueFull { .. } => 2,
-        ServeError::WidthMismatch { .. } | ServeError::NoCompatibleShard { .. } => 3,
-        ServeError::ShardQuarantined { .. } | ServeError::NoHealthyShard { .. } => 4,
-        _ => 5,
+        ServeError::WidthMismatch { .. } | ServeError::NoCompatibleShard { .. } => 2,
+        ServeError::ShardQuarantined { .. } | ServeError::NoHealthyShard { .. } => 3,
+        _ => 4,
     }
 }
 
@@ -247,7 +251,7 @@ struct FrontMetrics {
     /// `Front::accepted` as of the last publish.
     admitted_published: u64,
     /// Indexed by [`rejection_reason`].
-    rejected: [Arc<Counter>; 6],
+    rejected: [Arc<Counter>; 5],
     /// Indexed by `FlushTrigger as usize`.
     batches: [Arc<Counter>; 4],
     batch_size: Arc<Histogram>,
@@ -273,7 +277,7 @@ impl FrontMetrics {
             admitted: r.counter(
                 "matador_front_admitted_total",
                 "",
-                "Submissions admitted into a tenant queue.",
+                "Submissions admitted into the pending batch.",
             ),
             admitted_published: 0,
             rejected: REJECTION_REASONS.map(|reason| {
@@ -412,7 +416,8 @@ impl ShedNotice {
 /// Tuning knobs for the front-end coalescer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontOptions {
-    /// Batch-fill flush threshold in requests. Defaults to
+    /// Batch-fill flush threshold in requests, and so the bound on
+    /// requests pending across all tenants. Defaults to
     /// [`matador_sim::LANES`]: one word of the bit-sliced datapath.
     /// Must be positive and no larger than [`FLUSH_WINDOW`], so a full
     /// lane block runs as one pool flush.
@@ -420,10 +425,8 @@ pub struct FrontOptions {
     /// Quiet window after the last submission before an idle flush, in
     /// virtual cycles. Zero disables the idle trigger.
     pub idle_cycles: u64,
-    /// Hard bound on requests buffered across all tenants; admission
-    /// beyond it is [`ServeError::QueueFull`].
-    pub max_pending: usize,
-    /// Deficit-round-robin quantum in requests per tenant per round.
+    /// Round-robin quantum: a batch takes this many requests per tenant
+    /// per round, tenants in id order.
     pub drr_quantum: u64,
     /// Per-tenant rate limit applied to every tenant; `None` admits
     /// without quota.
@@ -441,13 +444,12 @@ pub struct FrontOptions {
 }
 
 impl FrontOptions {
-    /// Defaults: lane-block 64, idle window 4096 cycles, 1024 pending,
-    /// quantum 1, no quota, 256 flight-recorder slots.
+    /// Defaults: lane-block 64, idle window 4096 cycles, quantum 1, no
+    /// quota, 256 flight-recorder slots.
     pub fn new() -> Self {
         FrontOptions {
             lane_block: matador_sim::LANES,
             idle_cycles: 4_096,
-            max_pending: 1_024,
             drr_quantum: 1,
             quota: None,
             flight_capacity: matador_obs::DEFAULT_FLIGHT_CAPACITY,
@@ -460,6 +462,17 @@ impl Default for FrontOptions {
     fn default() -> Self {
         FrontOptions::new()
     }
+}
+
+/// An admitted request waiting in the batch.
+#[derive(Debug, Clone)]
+struct Pending {
+    /// Batch position key: `(k / drr_quantum, tenant, k)` for the
+    /// tenant's `k`-th pending request. Unique within a batch.
+    order: (u64, u32, u64),
+    tenant: u32,
+    ticket: Ticket,
+    input: BitVec,
 }
 
 /// What the front keeps about an admitted request besides its input.
@@ -486,48 +499,35 @@ enum Slot {
     Done(Reply, TraceId),
 }
 
-/// Per-tenant serving state: FIFO of admitted requests, DRR deficit,
-/// quota bucket, and the reorder ring.
+/// Per-tenant serving state: pending count, quota bucket, and the
+/// reorder ring.
 #[derive(Debug, Clone)]
 struct Tenant {
-    queue: VecDeque<(BitVec, Ticket)>,
+    /// The tenant's requests in the pending batch.
+    pending: u64,
     bucket: Option<TokenBucket>,
-    deficit: u64,
     next_seq: u64,
     next_deliver_seq: u64,
     /// Slot of sequence number `next_deliver_seq + i` at index `i`.
     ring: VecDeque<Slot>,
-    /// Published queue depth / DRR deficit, labelled by tenant id.
+    /// Published `pending`, labelled by tenant id.
     depth_gauge: Arc<Gauge>,
-    deficit_gauge: Arc<Gauge>,
 }
 
 impl Tenant {
     fn new(id: u32, quota: Option<TenantQuota>, now: u64) -> Self {
-        let labels = format!("tenant=\"{id}\"");
         Tenant {
-            queue: VecDeque::new(),
+            pending: 0,
             bucket: quota.map(|q| TokenBucket::new(q, now)),
-            deficit: 0,
             next_seq: 0,
             next_deliver_seq: 0,
             ring: VecDeque::new(),
             depth_gauge: Registry::global().gauge(
                 "matador_front_tenant_queue_depth",
-                &labels,
+                &format!("tenant=\"{id}\""),
                 "Admitted-but-unflushed requests per tenant.",
             ),
-            deficit_gauge: Registry::global().gauge(
-                "matador_front_tenant_deficit",
-                &labels,
-                "Deficit-round-robin credit per tenant.",
-            ),
         }
-    }
-
-    fn publish_gauges(&self) {
-        self.depth_gauge.set(self.queue.len() as i64);
-        self.deficit_gauge.set(self.deficit as i64);
     }
 
     /// The reorder-ring slot of sequence number `seq`.
@@ -550,12 +550,14 @@ pub struct Front<'a> {
     /// slice starts executing on that shard.
     busy_until: Vec<u64>,
     tenants: BTreeMap<u32, Tenant>,
+    /// Requests admitted and not yet flushed: `batch.len()`, unless a
+    /// test has corrupted it.
     pending_total: usize,
     /// The tightest deadline among pending requests.
     tightest: Option<u64>,
     /// The first tick at which the pending set is under deadline
     /// pressure: `tightest` minus the drain estimate of `pending_total`.
-    /// Set at admit and after every flush, the only places its inputs
+    /// Set at admit and cleared by a flush, the only places its inputs
     /// change.
     pressure_at: Option<u64>,
     /// The pool's latency floor and modeled II, refreshed after each
@@ -567,9 +569,10 @@ pub struct Front<'a> {
     timers: BinaryHeap<Reverse<u64>>,
     /// The one idle tick that can fire: last admit + `idle_cycles`.
     idle_at: Option<u64>,
-    /// The batch being flushed, and its inputs in the same order (reused
-    /// across flushes).
-    batch: Vec<(u32, Ticket)>,
+    /// The pending requests in admission order; a flush sorts them by
+    /// [`Pending::order`] and takes them all (reused across flushes).
+    batch: Vec<Pending>,
+    /// The flushed batch's inputs, in batch order.
     inputs: Vec<BitVec>,
     /// Flushed input buffers, recycled by admission (≤ `lane_block`).
     spare: Vec<BitVec>,
@@ -589,13 +592,12 @@ impl<'a> Front<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroQueueDepth`] when `lane_block`,
-    /// `max_pending` or `drr_quantum` is zero, and
-    /// [`ServeError::QueueFull`] (naming [`FLUSH_WINDOW`]) when
-    /// `lane_block` is larger than [`FLUSH_WINDOW`] — a full lane block
-    /// must run as one pool flush.
+    /// Returns [`ServeError::ZeroQueueDepth`] when `lane_block` or
+    /// `drr_quantum` is zero, and [`ServeError::QueueFull`] (naming
+    /// [`FLUSH_WINDOW`]) when `lane_block` is larger than
+    /// [`FLUSH_WINDOW`] — a full lane block must run as one pool flush.
     pub fn new(pool: ShardPool<'a>, options: FrontOptions) -> Result<Self, ServeError> {
-        if options.lane_block == 0 || options.max_pending == 0 || options.drr_quantum == 0 {
+        if options.lane_block == 0 || options.drr_quantum == 0 {
             return Err(ServeError::ZeroQueueDepth);
         }
         if options.lane_block > FLUSH_WINDOW {
@@ -645,7 +647,7 @@ impl<'a> Front<'a> {
         self.accepted
     }
 
-    /// Submissions rejected (quota, deadline, backpressure, width).
+    /// Submissions rejected (quota, deadline, width, health).
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -690,8 +692,6 @@ impl<'a> Front<'a> {
     /// - [`ServeError::WidthMismatch`] / [`ServeError::NoCompatibleShard`]:
     ///   the input's width fits no shard (checked first; never counts
     ///   against quota).
-    /// - [`ServeError::QueueFull`]: `max_pending` requests are already
-    ///   buffered — backpressure, retry after a flush.
     /// - [`ServeError::DeadlineUnmeetable`]: `deadline` is tighter than
     ///   the pool's latency floor from `now`; rejecting at admission
     ///   beats accepting a guaranteed miss (and does not charge quota).
@@ -728,11 +728,6 @@ impl<'a> Front<'a> {
         // shard quarantined rejects typed up front instead of accepting
         // work it cannot currently run. Free for fault-free pools.
         self.pool.check_healthy(input.len())?;
-        if self.pending_total >= self.options.max_pending {
-            return Err(ServeError::QueueFull {
-                capacity: self.options.max_pending,
-            });
-        }
         let now = self.now;
         let earliest = now.saturating_add(self.floor);
         if deadline < earliest {
@@ -753,6 +748,9 @@ impl<'a> Front<'a> {
         }
         let seq = entry.next_seq;
         entry.next_seq += 1;
+        let k = entry.pending;
+        entry.pending += 1;
+        entry.ring.push_back(Slot::Waiting);
         let input = match self.spare.pop() {
             Some(mut buffer) if buffer.len() == input.len() => {
                 buffer.copy_from(input);
@@ -760,14 +758,17 @@ impl<'a> Front<'a> {
             }
             _ => input.clone(),
         };
-        let ticket = Ticket {
-            seq,
-            deadline,
-            submitted_at: now,
-            trace: self.flight.begin(tenant, seq, now, deadline),
-        };
-        entry.queue.push_back((input, ticket));
-        entry.ring.push_back(Slot::Waiting);
+        self.batch.push(Pending {
+            order: (k / self.options.drr_quantum, tenant, k),
+            tenant,
+            ticket: Ticket {
+                seq,
+                deadline,
+                submitted_at: now,
+                trace: self.flight.begin(tenant, seq, now, deadline),
+            },
+            input,
+        });
         self.pending_total += 1;
         let tightest = self.tightest.map_or(deadline, |t| t.min(deadline));
         self.tightest = Some(tightest);
@@ -834,28 +835,28 @@ impl<'a> Front<'a> {
         Ok(())
     }
 
-    /// Flushes until no request is pending (trigger
-    /// [`FlushTrigger::Drain`]): the shutdown path, and the way a
-    /// closed-loop driver forces completion.
+    /// Flushes whatever is pending (trigger [`FlushTrigger::Drain`]):
+    /// the shutdown path, and the way a closed-loop driver forces
+    /// completion.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Shard`] if a flush's engine fails,
+    /// Returns [`ServeError::Shard`] if the flush's engine fails,
     /// [`ServeError::NoHealthyShard`] / [`ServeError::ShardQuarantined`]
     /// when a resilient pool has no surviving capacity for the pending
-    /// work, and [`ServeError::Stalled`] if a full flush pass stops
-    /// reducing the pending set — the bounded-progress watchdog that
-    /// turns a would-be hang into a typed error.
+    /// work, and [`ServeError::Stalled`] if requests are still pending
+    /// after the flush — the watchdog that turns lost accounting into a
+    /// typed error.
     pub fn drain(&mut self) -> Result<(), ServeError> {
-        while self.pending_total > 0 {
-            let before = self.pending_total;
-            self.flush_batch(FlushTrigger::Drain)?;
-            if self.pending_total >= before {
-                return Err(ServeError::Stalled {
-                    pending: self.pending_total,
-                    virtual_clock: self.now,
-                });
-            }
+        if self.pending_total == 0 {
+            return Ok(());
+        }
+        self.flush_batch(FlushTrigger::Drain)?;
+        if self.pending_total > 0 {
+            return Err(ServeError::Stalled {
+                pending: self.pending_total,
+                virtual_clock: self.now,
+            });
         }
         Ok(())
     }
@@ -905,9 +906,9 @@ impl<'a> Front<'a> {
     }
 
     /// Publishes what the front batches locally: the admitted delta,
-    /// the slack and latency samples, and every tenant's gauges. Runs
-    /// after each flush and on drop, so the shared series then read what
-    /// per-request recording would have left.
+    /// the slack and latency samples, and every tenant's pending gauge.
+    /// Runs after each flush and on drop, so the shared series then read
+    /// what per-request recording would have left.
     fn publish_metrics(&mut self) {
         let m = &mut self.metrics;
         m.admitted.add(self.accepted - m.admitted_published);
@@ -915,68 +916,20 @@ impl<'a> Front<'a> {
         m.slack_at_flush.absorb(&mut m.slack_batch);
         m.delivery_latency.absorb(&mut m.latency_batch);
         for tenant in self.tenants.values() {
-            tenant.publish_gauges();
+            tenant.depth_gauge.set(tenant.pending as i64);
         }
     }
 
-    /// Deficit-round-robin batch formation into `batch`/`inputs`:
-    /// tenants in id order each earn `drr_quantum` requests of credit
-    /// per round and spend it from their FIFO, until the batch fills a
-    /// lane block or the pending set is empty. Deficits persist across
-    /// batches for backlogged tenants and reset when a tenant's queue
-    /// empties (classic DRR), so a bursty tenant cannot starve a quiet
-    /// one.
-    fn form_batch(&mut self) {
-        self.batch.clear();
-        self.inputs.clear();
-        let lane_block = self.options.lane_block;
-        'rounds: loop {
-            let mut progressed = false;
-            for (&id, tenant) in &mut self.tenants {
-                if tenant.queue.is_empty() {
-                    tenant.deficit = 0;
-                    continue;
-                }
-                tenant.deficit = tenant.deficit.saturating_add(self.options.drr_quantum);
-                while tenant.deficit > 0 && self.batch.len() < lane_block {
-                    let Some((input, ticket)) = tenant.queue.pop_front() else {
-                        break;
-                    };
-                    self.inputs.push(input);
-                    self.batch.push((id, ticket));
-                    tenant.deficit -= 1;
-                    progressed = true;
-                }
-                if tenant.queue.is_empty() {
-                    tenant.deficit = 0;
-                }
-                if self.batch.len() == lane_block {
-                    break 'rounds;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        self.pending_total -= self.batch.len();
-        self.tightest = self
-            .tenants
-            .values()
-            .flat_map(|t| t.queue.iter().map(|(_, ticket)| ticket.deadline))
-            .min();
-    }
-
-    /// Forms one batch, executes it on the pool, virtualizes the
-    /// completion times onto the front's clock, and runs the reorder
-    /// stage to deliver replies in per-tenant submission order.
+    /// Takes the whole pending set as one batch, executes it on the
+    /// pool, virtualizes the completion times onto the front's clock,
+    /// and runs the reorder stage to deliver replies in per-tenant
+    /// submission order.
     ///
     /// On a typed engine failure the flight recorder is dumped to
     /// stderr before the error propagates — the black-box read-out.
     fn flush_batch(&mut self, trigger: FlushTrigger) -> Result<(), ServeError> {
         let result = self.flush_batch_inner(trigger);
-        self.pressure_at = self.tightest.map(|deadline| {
-            deadline.saturating_sub(self.drain_estimate_cycles(self.pending_total))
-        });
+        self.batch.clear();
         self.publish_metrics();
         if result.is_err() && self.flight.traced() > 0 {
             eprintln!("{}", self.flight.render());
@@ -992,37 +945,40 @@ impl<'a> Front<'a> {
     /// recorded as a [`ShedNotice`], counted, traced, and skipped by
     /// the tenant's delivery cursor.
     fn shed_hopeless(&mut self) {
-        let earliest = self.now.saturating_add(self.floor);
-        let mut kept = 0;
-        for j in 0..self.batch.len() {
-            let (tenant_id, ticket) = self.batch[j];
+        let now = self.now;
+        let earliest = now.saturating_add(self.floor);
+        self.batch.retain(|&Pending { tenant, ticket, .. }| {
             if ticket.deadline >= earliest {
-                self.batch.swap(kept, j);
-                self.inputs.swap(kept, j);
-                kept += 1;
-                continue;
+                return true;
             }
             self.metrics.shed.inc();
             self.flight
                 .update(ticket.trace, |l| l.rejected = Some("shed"));
-            let tenant = self
+            let entry = self
                 .tenants
-                .get_mut(&tenant_id)
+                .get_mut(&tenant)
                 .expect("admitted requests always have a tenant entry");
-            *tenant.slot(ticket.seq) = Slot::Shed;
+            *entry.slot(ticket.seq) = Slot::Shed;
             self.shed.push(ShedNotice {
-                tenant: tenant_id,
+                tenant,
                 seq: ticket.seq,
                 deadline: ticket.deadline,
-                shed_at: self.now,
+                shed_at: now,
             });
-        }
-        self.batch.truncate(kept);
-        self.inputs.truncate(kept);
+            false
+        });
     }
 
     fn flush_batch_inner(&mut self, trigger: FlushTrigger) -> Result<(), ServeError> {
-        self.form_batch();
+        // The flush takes every pending request, so nothing pending is
+        // left to bound a deadline or count towards a tenant.
+        self.pending_total -= self.batch.len();
+        self.tightest = None;
+        self.pressure_at = None;
+        for tenant in self.tenants.values_mut() {
+            tenant.pending = 0;
+        }
+        self.batch.sort_unstable_by_key(|p| p.order);
         if self.options.shed_on_brownout {
             self.shed_hopeless();
         }
@@ -1033,7 +989,7 @@ impl<'a> Front<'a> {
         self.metrics.batch_size.record(self.batch.len() as u64);
         self.metrics.pending.set(self.pending_total as i64);
         let now = self.now;
-        for (_, ticket) in &self.batch {
+        for Pending { ticket, .. } in &self.batch {
             self.metrics
                 .slack_batch
                 .record(ticket.deadline.saturating_sub(now));
@@ -1042,7 +998,11 @@ impl<'a> Front<'a> {
                 l.trigger = Some(trigger.as_label());
             });
         }
-        // `lane_block` ≤ `FLUSH_WINDOW`, so this is one pool flush.
+        // One slice in batch order; `lane_block` ≤ `FLUSH_WINDOW`, so
+        // this is one pool flush.
+        let inputs = self.batch.iter_mut();
+        self.inputs
+            .extend(inputs.map(|p| std::mem::replace(&mut p.input, BitVec::zeros(0))));
         let before = self.pool.shard_cycles();
         let served = self.pool.serve(&self.inputs);
         self.floor = self.pool.latency_floor_cycles();
@@ -1075,7 +1035,11 @@ impl<'a> Front<'a> {
         // not have been handed back any earlier.
         for p in predictions {
             let completed_at = p.completed_at_cycle;
-            let (tenant_id, ticket) = self.batch[(p.request - first_id) as usize];
+            let Pending {
+                tenant: tenant_id,
+                ticket,
+                ..
+            } = self.batch[(p.request - first_id) as usize];
             self.flight.update(ticket.trace, |l| {
                 l.shard = Some(p.shard);
                 l.completed_at = Some(completed_at);
@@ -1374,27 +1338,6 @@ mod tests {
             );
             f.advance_to(f.now() + 1_000).expect("advance");
         }
-    }
-
-    #[test]
-    fn max_pending_is_typed_backpressure() {
-        let accel = accel();
-        let mut f = front(
-            &accel,
-            FrontOptions {
-                lane_block: 8,
-                max_pending: 2,
-                idle_cycles: 0,
-                ..FrontOptions::new()
-            },
-        );
-        f.submit(&class0(4), 1_000_000, 0).expect("admitted");
-        f.submit(&class0(4), 1_000_000, 1).expect("admitted");
-        let err = f.submit(&class0(4), 1_000_000, 2).expect_err("full");
-        assert_eq!(err, ServeError::QueueFull { capacity: 2 });
-        // Draining restores admission.
-        f.drain().expect("drains");
-        f.submit(&class0(4), 1_000_000, 2).expect("readmitted");
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //!    cycle stamps analytically) — sharding and the backend are pure
 //!    throughput knobs. Locked in by `tests/serve_determinism.rs` and
 //!    `tests/hetero_determinism.rs` at the workspace root.
-//! 2. **Typed backpressure.** The open-submission [`Front`] bounds its
-//!    pending requests at [`FrontOptions::max_pending`]; a
-//!    [`Front::submit`] beyond it fails with [`ServeError::QueueFull`]
-//!    instead of buffering without bound, and the caller drains or drops
-//!    load and retries.
+//! 2. **Bounded pending set, typed rejections.** The open-submission
+//!    [`Front`] holds at most one [`FrontOptions::lane_block`] of
+//!    pending requests: the submission that fills it flushes
+//!    synchronously, so the front never buffers without bound. Load it
+//!    cannot take is rejected typed at admission
+//!    ([`ServeError::QuotaExceeded`], [`ServeError::DeadlineUnmeetable`],
+//!    [`ServeError::NoHealthyShard`]) and the caller retries or drops
+//!    it.
 //! 3. **Honest aggregation.** The [`ThroughputReport`] merges per-shard
 //!    engine/monitor statistics the way the hardware would experience
 //!    them: pool wall-clock is the *slowest* shard (shards run

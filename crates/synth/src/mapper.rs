@@ -179,8 +179,7 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
                     // more logic absorbed per LUT means fewer intermediate
                     // LUTs (single-output-cone area recovery).
                     merged.sort_by(|x, y| x.depth.cmp(&y.depth).then(y.len.cmp(&x.len)));
-                    merged.dedup_by(|a, b| a.leaves() == b.leaves());
-                    merged.truncate(PRIORITY_CUTS);
+                    keep_distinct_leaf_sets(&mut merged, PRIORITY_CUTS);
                     label[i] = merged.first().map_or(0, |c| c.depth);
                     // The trivial cut lets fanouts absorb this node as a
                     // leaf once it is implemented; kept last so selection
@@ -276,6 +275,24 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
     }
 }
 
+/// Keeps the first `limit` cuts with distinct leaf sets, in order: a cut
+/// whose leaf set an earlier cut already has is dropped. Equal leaf sets
+/// need not be adjacent, since another cut of the same depth and width
+/// can sit between them.
+fn keep_distinct_leaf_sets(cuts: &mut Vec<Cut>, limit: usize) {
+    let mut kept = 0;
+    for j in 0..cuts.len() {
+        if kept == limit {
+            break;
+        }
+        if !cuts[..kept].iter().any(|c| c.leaves() == cuts[j].leaves()) {
+            cuts.swap(kept, j);
+            kept += 1;
+        }
+    }
+    cuts.truncate(kept);
+}
+
 /// Node `i`'s cuts: the slice of `cuts` between the ends of nodes `i - 1`
 /// and `i`.
 fn cuts_of<'a>(cuts: &'a [Cut], cut_ends: &[usize], i: usize) -> &'a [Cut] {
@@ -300,6 +317,21 @@ mod tests {
 
     fn cube_of(bits: &[u32]) -> Cube {
         Cube::from_lits(bits.iter().map(|&b| Lit::pos(b)))
+    }
+
+    #[test]
+    fn dedup_drops_a_repeated_leaf_set_that_is_not_adjacent() {
+        let n = NodeRef::from_index;
+        let a = Cut::new(&[n(1), n(2)], 1);
+        let b = Cut::new(&[n(1), n(3)], 1);
+        let c = Cut::new(&[n(4)], 2);
+        let mut cuts = vec![a, b, a, c, b];
+        keep_distinct_leaf_sets(&mut cuts, 8);
+        assert_eq!(cuts, vec![a, b, c]);
+        // The repeat does not take one of the `limit` slots.
+        let mut cuts = vec![a, a, b, c];
+        keep_distinct_leaf_sets(&mut cuts, 2);
+        assert_eq!(cuts, vec![a, b]);
     }
 
     #[test]
