@@ -73,6 +73,19 @@ fn bench_tm(c: &mut Criterion) {
             black_box(correct)
         })
     });
+
+    let inputs: Vec<_> = test.iter().map(|s| s.input.clone()).collect();
+    c.bench_function("tm_inference_kws6_64pts_batch", |b| {
+        b.iter(|| {
+            let winners = model.predict_batch(&inputs);
+            let correct = winners
+                .iter()
+                .zip(&test)
+                .filter(|(&w, s)| w == s.label)
+                .count();
+            black_box(correct)
+        })
+    });
 }
 
 fn bench_logic(c: &mut Criterion) {

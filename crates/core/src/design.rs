@@ -5,7 +5,9 @@
 //! This is the artifact at the centre of the MATADOR flow (Fig 5/Fig 6):
 //! everything downstream — Verilog, resource/timing/power reports, the
 //! cycle-accurate simulation, the auto-debug testbench — is derived from
-//! one `AcceleratorDesign`.
+//! one `AcceleratorDesign`. The design owns each window's gate-level
+//! netlist: built on first use, once per design, and borrowed by both
+//! verification and Verilog emission.
 
 use crate::config::MatadorConfig;
 use matador_logic::cube::Cube;
@@ -20,6 +22,8 @@ use matador_synth::power::PowerModel;
 use matador_synth::report::ImplementationReport;
 use matador_synth::resources::{estimate_design, ArchParams, HcbLogic};
 use matador_synth::timing::{matador_paths, TimingModel};
+use std::sync::OnceLock;
+use tsetlin::bits::BitVec;
 use tsetlin::model::TrainedModel;
 use tsetlin::Sample;
 
@@ -41,6 +45,10 @@ pub struct AcceleratorDesign {
     windows: Vec<Vec<Cube>>,
     /// Optimized (or DON'T TOUCH) DAG per window.
     dags: Vec<LogicDag>,
+    /// Gate-level netlist per window, `hcb_{k}_logic`, lowered from `dags`
+    /// on first use (a design that is never verified or emitted, such as
+    /// one only compiled for serving, never pays for them).
+    netlists: Vec<OnceLock<Netlist>>,
     /// Per-window mapped-logic measurements.
     hcb_logic: Vec<HcbLogic>,
     /// Max LUT depth over all windows.
@@ -130,12 +138,14 @@ impl AcceleratorDesign {
             dags.push(dag);
             hcb_logic.push(logic);
         }
+        let netlists = dags.iter().map(|_| OnceLock::new()).collect();
 
         AcceleratorDesign {
             config,
             model,
             windows,
             dags,
+            netlists,
             hcb_logic,
             hcb_depth,
         }
@@ -252,21 +262,18 @@ impl AcceleratorDesign {
     ///
     /// # Errors
     ///
-    /// Returns [`matador_rtl::GenError`] if a window DAG's shape does not
-    /// match the design parameters (impossible for designs produced by
+    /// Returns [`matador_rtl::GenError`] if a window netlist's shape does
+    /// not match the design parameters (impossible for designs produced by
     /// [`AcceleratorDesign::generate`], but surfaced as a typed error for
     /// hand-assembled designs).
     pub fn emit_verilog(&self) -> Result<Vec<VerilogFile>, matador_rtl::GenError> {
         let params = self.design_params();
         let dont_touch = self.config.sharing() == Sharing::DontTouch;
-        let mut files: Vec<VerilogFile> = self
-            .dags
-            .iter()
-            .enumerate()
-            .map(|(k, dag)| {
+        let mut files: Vec<VerilogFile> = (0..self.num_hcbs())
+            .map(|k| {
                 Ok(VerilogFile {
                     name: format!("hcb_{k}.v"),
-                    contents: gen::hcb_module(k, &params, dag, dont_touch)?,
+                    contents: gen::hcb_module(k, &params, self.window_netlist(k), dont_touch)?,
                 })
             })
             .collect::<Result<_, matador_rtl::GenError>>()?;
@@ -290,7 +297,8 @@ impl AcceleratorDesign {
     }
 
     /// Emits the auto-debug testbench for `samples` (expected outputs come
-    /// from software inference — Fig 6's dark-pink verification path).
+    /// from software inference, [`TrainedModel::predict_batch`] — Fig 6's
+    /// dark-pink verification path).
     ///
     /// # Errors
     ///
@@ -300,11 +308,13 @@ impl AcceleratorDesign {
         let params = self.design_params();
         let packetizer =
             matador_axi::Packetizer::new(self.model.num_features(), self.config.bus_width());
-        let vectors: Vec<TestVector> = samples
+        let inputs: Vec<BitVec> = samples.iter().map(|s| s.input.clone()).collect();
+        let vectors: Vec<TestVector> = inputs
             .iter()
-            .map(|s| TestVector {
-                packets: packetizer.packetize(&s.input),
-                expected: self.model.predict(&s.input),
+            .zip(self.model.predict_batch(&inputs))
+            .map(|(x, expected)| TestVector {
+                packets: packetizer.packetize(x),
+                expected,
             })
             .collect();
         Ok(VerilogFile {
@@ -313,20 +323,24 @@ impl AcceleratorDesign {
         })
     }
 
-    /// Gate-level netlist of one window's clause logic (for standalone
-    /// equivalence checking).
+    /// Gate-level netlist of one window's clause logic, `hcb_{window}_logic`
+    /// (the logic [`AcceleratorDesign::emit_verilog`] embeds in HCB
+    /// `window`, and what verification checks gate by gate). Lowered from
+    /// the window DAG on the first call and kept, so a design builds each
+    /// netlist at most once.
     ///
     /// # Panics
     ///
     /// Panics if `window` is out of range.
-    pub fn window_netlist(&self, window: usize) -> Netlist {
-        Netlist::from_dag(format!("hcb_{window}_logic"), &self.dags[window])
+    pub fn window_netlist(&self, window: usize) -> &Netlist {
+        self.netlists[window]
+            .get_or_init(|| Netlist::from_dag(format!("hcb_{window}_logic"), &self.dags[window]))
     }
 
     /// Structural Verilog of one window's clause logic.
     pub fn window_verilog(&self, window: usize) -> String {
         emit_netlist(
-            &self.window_netlist(window),
+            self.window_netlist(window),
             EmitOptions {
                 dont_touch: self.config.sharing() == Sharing::DontTouch,
             },
@@ -347,7 +361,6 @@ impl AcceleratorDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsetlin::bits::BitVec;
     use tsetlin::model::IncludeMask;
 
     fn small_model() -> TrainedModel {
@@ -517,6 +530,52 @@ mod tests {
             .expect("generated designs have valid shapes");
         assert!(tb.name.starts_with("tb_"));
         assert!(tb.contents.contains("send_packet"));
+    }
+
+    #[test]
+    fn testbench_expects_the_scalar_predictions() {
+        let model = small_model();
+        let d = AcceleratorDesign::generate(model.clone(), config(4));
+        // 130 inputs: two full 64-lane passes and a tail of two.
+        let samples: Vec<Sample> = (0..130u32)
+            .map(|v| {
+                let x = BitVec::from_bools(
+                    (0..12).map(|b| (v.wrapping_mul(2_654_435_761) >> b) & 1 == 1),
+                );
+                Sample::new(x, 0)
+            })
+            .collect();
+        let packetizer = matador_axi::Packetizer::new(12, 4);
+        let vectors: Vec<TestVector> = samples
+            .iter()
+            .map(|s| TestVector {
+                packets: packetizer.packetize(&s.input),
+                expected: model.predict(&s.input),
+            })
+            .collect();
+        let want = gen::testbench_module(&d.design_params(), &vectors).expect("valid shapes");
+        let tb = d.emit_testbench(&samples).expect("valid shapes");
+        assert_eq!(tb.contents, want);
+    }
+
+    #[test]
+    fn window_netlists_equal_fresh_lowerings() {
+        for sharing in [Sharing::Enabled, Sharing::DontTouch] {
+            let cfg = MatadorConfig::builder()
+                .bus_width(5)
+                .sharing(sharing)
+                .build()
+                .expect("valid");
+            let d = AcceleratorDesign::generate(small_model(), cfg);
+            for (w, dag) in d.dags().iter().enumerate() {
+                let fresh = Netlist::from_dag(format!("hcb_{w}_logic"), dag);
+                let got = d.window_netlist(w);
+                // Built once: every call borrows the same netlist.
+                assert!(std::ptr::eq(got, d.window_netlist(w)));
+                // Name, gates, ports and every net name.
+                assert_eq!(got, &fresh, "window {w} {sharing:?}");
+            }
+        }
     }
 
     #[test]

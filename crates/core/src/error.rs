@@ -39,8 +39,9 @@ pub enum Error {
     /// The cycle-accurate simulator failed to drain during verification
     /// or latency characterization.
     Sim(matador_sim::SimError),
-    /// The sharded serving runtime rejected a request (backpressure,
-    /// width mismatch, degenerate pool) or a shard engine hung.
+    /// The sharded serving runtime rejected a request or a configuration
+    /// (tenant quota, width mismatch, degenerate pool or front options),
+    /// or a shard engine hung.
     Serve(matador_serve::ServeError),
     /// The learning substrate reported an error (hyperparameters, model
     /// text I/O, booleanization).
@@ -241,7 +242,7 @@ mod tests {
             err,
             Error::Serve(matador_serve::ServeError::QueueFull { capacity: 16 })
         ));
-        assert!(err.to_string().contains("backpressure"));
+        assert!(err.to_string().contains("flush window"));
         assert!(std::error::Error::source(&err).is_some());
     }
 

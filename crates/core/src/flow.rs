@@ -10,6 +10,7 @@ use matador_synth::report::ImplementationReport;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
+use tsetlin::bits::BitVec;
 use tsetlin::model::TrainedModel;
 use tsetlin::params::{SampleError, TmParams};
 use tsetlin::tm::MultiClassTm;
@@ -254,15 +255,14 @@ impl MatadorFlow {
 
         // Software inference ran once per verified sample already; only
         // the test samples past the verification limit still need it.
+        let rest_inputs: Vec<BitVec> = rest.iter().map(|s| s.input.clone()).collect();
+        let rest_predictions = model.predict_batch(&rest_inputs);
         let correct = verify_set
             .iter()
-            .zip(&verified.predictions)
+            .chain(rest)
+            .zip(verified.predictions.iter().chain(&rest_predictions))
             .filter(|(s, &p)| p == s.label)
-            .count()
-            + rest
-                .iter()
-                .filter(|s| model.predict(&s.input) == s.label)
-                .count();
+            .count();
         let test_accuracy = correct as f64 / test.len() as f64;
         let verification = verified.report;
         Ok(FlowOutcome {

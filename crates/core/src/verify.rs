@@ -8,6 +8,12 @@
 //! 2. **System-level equivalence**: the full design is run through the
 //!    cycle-accurate simulator on real datapoints and every streamed
 //!    classification is compared with software inference.
+//!
+//! The software oracle of check 2 is [`tsetlin::TrainedModel::predict_batch`]:
+//! it fires each clause from the list of literals it includes, bit-sliced
+//! over 64 samples per pass, straight from the trained model. It shares no
+//! code with the window DAGs, the netlists or the simulator's tape, so it
+//! stays an independent reference for the hardware it checks.
 
 use crate::design::AcceleratorDesign;
 use matador_logic::cube::Cube;
@@ -72,7 +78,9 @@ pub(crate) struct Verified {
     /// The cycle engine's result per sample, streamed back-to-back from
     /// cycle 0 on a fresh engine.
     pub(crate) results: Vec<SimResult>,
-    /// Software inference's prediction per sample.
+    /// Software inference's prediction per sample, from the model's
+    /// literal-list, bit-sliced oracle (independent of the DAGs and the
+    /// tape).
     pub(crate) predictions: Vec<usize>,
 }
 
@@ -100,18 +108,17 @@ pub(crate) fn verify_compiled(
             .chain(random)
             .collect();
         gate_vectors += vectors.len();
-        gate_mismatches += window_mismatches(&design.window_netlist(wi), cubes, &vectors);
+        gate_mismatches += window_mismatches(design.window_netlist(wi), cubes, &vectors);
     }
 
     // 2. System-level equivalence through the cycle simulator.
     let mut sim = SimEngine::new(accel);
     sim.set_pipelined_sum(design.config().pipeline_class_sum());
     let inputs: Vec<BitVec> = samples.iter().map(|s| s.input.clone()).collect();
+    // The cycle run checks every sample's width, so a wrong-width sample
+    // returns a typed error before the oracle sees it.
     let results = sim.run_datapoints(&inputs)?;
-    let predictions: Vec<usize> = samples
-        .iter()
-        .map(|s| design.model().predict(&s.input))
-        .collect();
+    let predictions = design.model().predict_batch(&inputs);
     let system_mismatches = predictions
         .iter()
         .zip(&results)
@@ -291,13 +298,13 @@ mod tests {
         for window in 0..design.num_hcbs() {
             let netlist = design.window_netlist(window);
             let cubes = &design.windows()[window];
-            assert_eq!(window_mismatches(&netlist, cubes, &vectors), 0);
+            assert_eq!(window_mismatches(netlist, cubes, &vectors), 0);
             let ands: Vec<usize> = (netlist.gates().iter().enumerate())
                 .filter(|(_, g)| matches!(g, Gate::And2 { .. }))
                 .map(|(gi, _)| gi)
                 .collect();
             for gi in ands {
-                let faulty = with_inverted_and(&netlist, gi);
+                let faulty = with_inverted_and(netlist, gi);
                 faulty.validate().expect("valid netlist");
                 let lanes = window_mismatches(&faulty, cubes, &vectors);
                 assert_eq!(
@@ -310,7 +317,7 @@ mod tests {
             // Inverting an output's port buffer makes that output wrong on
             // every vector: exactly 102 mismatches, none from tail lanes.
             let last = netlist.gates().len() - 1;
-            let faulty = with_inverted_and(&netlist, last);
+            let faulty = with_inverted_and(netlist, last);
             assert_eq!(window_mismatches(&faulty, cubes, &vectors), 102);
         }
         assert!(caught > 0, "no injected fault was caught");

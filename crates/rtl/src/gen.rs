@@ -9,7 +9,6 @@
 
 use crate::netlist::Netlist;
 use crate::verilog::{gates_text_len, push_gates, push_usize, EmitOptions};
-use matador_logic::dag::LogicDag;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -113,38 +112,38 @@ fn usize_bits(v: usize) -> usize {
 
 /// Generates one Hard-Coded Clause Block.
 ///
-/// `dag` must have one output per clause, over a `bus_width`-bit window.
+/// `netlist` (the window's clause logic, built by [`Netlist::from_dag`])
+/// must have one output per clause, over a `bus_width`-bit window.
 /// HCB 0 (`index == 0`) seeds the chain: its partial clauses are registered
 /// directly (the implicit `1'b1` initialization of Fig 5); later HCBs AND
 /// their window's partial clauses into `clause_in`.
 ///
 /// # Errors
 ///
-/// Returns [`GenError`] if the DAG output count differs from
-/// `num_clauses` or its width differs from `bus_width`.
+/// Returns [`GenError`] if the netlist's output count differs from
+/// `num_clauses` or its input count differs from `bus_width`.
 pub fn hcb_module(
     index: usize,
     params: &DesignParams,
-    dag: &LogicDag,
+    netlist: &Netlist,
     dont_touch: bool,
 ) -> Result<String, GenError> {
-    if dag.outputs().len() != params.num_clauses {
+    if netlist.outputs().len() != params.num_clauses {
         return Err(GenError::ClauseCountMismatch {
             expected: params.num_clauses,
-            got: dag.outputs().len(),
+            got: netlist.outputs().len(),
         });
     }
-    if dag.width() != params.bus_width {
+    if netlist.inputs().len() != params.bus_width {
         return Err(GenError::WindowWidthMismatch {
             expected: params.bus_width,
-            got: dag.width(),
+            got: netlist.inputs().len(),
         });
     }
-    let netlist = Netlist::from_dag(format!("hcb_{index}_logic"), dag);
     let c = params.num_clauses;
     let w = params.bus_width;
     let options = EmitOptions { dont_touch };
-    let mut out = String::with_capacity(512 + 48 * w + 40 * c + gates_text_len(&netlist, options));
+    let mut out = String::with_capacity(512 + 48 * w + 40 * c + gates_text_len(netlist, options));
     let _ = writeln!(out, "// auto-generated by matador-rtl — do not edit");
     let _ = writeln!(
         out,
@@ -175,7 +174,7 @@ pub fn hcb_module(
         push_usize(&mut out, i);
         out.push_str("];\n");
     }
-    push_gates(&mut out, &netlist, options, &[]);
+    push_gates(&mut out, netlist, options, &[]);
     let _ = writeln!(out, "  wire [{}:0] pc;", c - 1);
     for k in 0..c {
         out.push_str("  assign pc[");
@@ -577,7 +576,7 @@ pub fn testbench_module(params: &DesignParams, vectors: &[TestVector]) -> Result
 mod tests {
     use super::*;
     use matador_logic::cube::{Cube, Lit};
-    use matador_logic::dag::Sharing;
+    use matador_logic::dag::{LogicDag, Sharing};
 
     fn params() -> DesignParams {
         DesignParams {
@@ -610,7 +609,8 @@ mod tests {
     fn hcb_zero_has_no_clause_in() {
         let p = params();
         let dag = tiny_dag(8, 4);
-        let text = hcb_module(0, &p, &dag, false).expect("shapes match");
+        let text = hcb_module(0, &p, &Netlist::from_dag("hcb_0_logic", &dag), false)
+            .expect("shapes match");
         assert!(text.contains("module hcb_0"));
         assert!(!text.contains("clause_in"));
         assert!(text.contains("clause_out <= pc;"));
@@ -621,7 +621,8 @@ mod tests {
     fn hcb_later_ands_with_incoming() {
         let p = params();
         let dag = tiny_dag(8, 4);
-        let text = hcb_module(1, &p, &dag, false).expect("shapes match");
+        let text = hcb_module(1, &p, &Netlist::from_dag("hcb_1_logic", &dag), false)
+            .expect("shapes match");
         assert!(text.contains("input  wire [3:0] clause_in"));
         assert!(text.contains("clause_out <= clause_in & pc;"));
     }
@@ -630,7 +631,8 @@ mod tests {
     fn hcb_dont_touch_propagates_attribute() {
         let p = params();
         let dag = tiny_dag(8, 4);
-        let text = hcb_module(0, &p, &dag, true).expect("shapes match");
+        let text =
+            hcb_module(0, &p, &Netlist::from_dag("hcb_0_logic", &dag), true).expect("shapes match");
         assert!(text.contains("DONT_TOUCH"));
     }
 
@@ -721,7 +723,13 @@ mod tests {
     #[test]
     fn hcb_validates_dag_shape() {
         let p = params();
-        let err = hcb_module(0, &p, &tiny_dag(8, 3), false).unwrap_err();
+        let err = hcb_module(
+            0,
+            &p,
+            &Netlist::from_dag("hcb_0_logic", &tiny_dag(8, 3)),
+            false,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             GenError::ClauseCountMismatch {
@@ -729,7 +737,13 @@ mod tests {
                 got: 3
             }
         );
-        let err = hcb_module(0, &p, &tiny_dag(4, 4), false).unwrap_err();
+        let err = hcb_module(
+            0,
+            &p,
+            &Netlist::from_dag("hcb_0_logic", &tiny_dag(4, 4)),
+            false,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             GenError::WindowWidthMismatch {

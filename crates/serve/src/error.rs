@@ -19,7 +19,7 @@ pub enum ServeError {
     /// [`crate::FLUSH_WINDOW`]: a full lane block, the most requests a
     /// front ever holds, must run as one pool flush.
     QueueFull {
-        /// The bound that is exhausted.
+        /// The flush window, in lanes, that the lane block exceeds.
         capacity: usize,
     },
     /// A submitted datapoint's width does not match the compiled
@@ -128,7 +128,10 @@ impl fmt::Display for ServeError {
                 write!(f, "front lane_block and drr_quantum must be positive")
             }
             ServeError::QueueFull { capacity } => {
-                write!(f, "request queue full ({capacity} pending): backpressure")
+                write!(
+                    f,
+                    "front lane_block exceeds the flush window of {capacity} lanes"
+                )
             }
             ServeError::WidthMismatch { expected, got } => {
                 write!(
@@ -219,7 +222,7 @@ mod tests {
         assert!(ServeError::ZeroShards.to_string().contains("shard"));
         assert!(ServeError::QueueFull { capacity: 8 }
             .to_string()
-            .contains("backpressure"));
+            .contains("flush window of 8 lanes"));
         let e = ServeError::WidthMismatch {
             expected: 784,
             got: 10,

@@ -213,6 +213,110 @@ impl TrainedModel {
             .sum()
     }
 
+    /// Class sums of every input in `xs`, equal to
+    /// [`TrainedModel::class_sums`] per input.
+    ///
+    /// The batch oracle works per included literal, not per feature: each
+    /// call lists every clause's included literals once, then evaluates
+    /// up to 64 inputs per pass, bit-sliced. The inputs are transposed to
+    /// one lane word per literal, and a clause fires on the AND of its
+    /// literals' lane words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any input's width differs from `num_features()`.
+    pub fn class_sums_batch(&self, xs: &[BitVec]) -> Vec<Vec<i32>> {
+        let sums = self.batch_sums(xs);
+        let c = self.classes;
+        (0..xs.len())
+            .map(|i| sums[i * c..(i + 1) * c].to_vec())
+            .collect()
+    }
+
+    /// Predicted class of every input in `xs` (lowest index wins ties),
+    /// equal to [`TrainedModel::predict`] per input; see
+    /// [`TrainedModel::class_sums_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any input's width differs from `num_features()`.
+    pub fn predict_batch(&self, xs: &[BitVec]) -> Vec<usize> {
+        let sums = self.batch_sums(xs);
+        let c = self.classes;
+        (0..xs.len())
+            .map(|i| crate::tm::argmax(&sums[i * c..(i + 1) * c]))
+            .collect()
+    }
+
+    /// The class sums of `xs`, input-major: input `i`'s sums are
+    /// `[i * classes, (i + 1) * classes)`.
+    fn batch_sums(&self, xs: &[BitVec]) -> Vec<i32> {
+        for x in xs {
+            assert_eq!(x.len(), self.features, "input width mismatch");
+        }
+        let f = self.features;
+        // Literal code `k` is `x_k` and `f + k` is `¬x_k`; clause `i`'s
+        // codes end at `ends[i]` and start where clause `i - 1`'s end.
+        let mut codes: Vec<u32> = Vec::with_capacity(self.total_includes());
+        let mut ends: Vec<u32> = Vec::with_capacity(self.includes.len());
+        for mask in &self.includes {
+            codes.extend(mask.pos.iter_ones().map(|k| k as u32));
+            codes.extend(mask.neg.iter_ones().map(|k| (f + k) as u32));
+            ends.push(codes.len() as u32);
+        }
+
+        let mut sums = vec![0i32; xs.len() * self.classes];
+        // `lanes[code]` holds the literal's value in every input of the
+        // pass, input `j` in bit `j`; lanes past the pass's inputs are 0.
+        let mut lanes = vec![0u64; 2 * f];
+        let mut block = [0u64; 64];
+        for (pass, chunk) in xs.chunks(64).enumerate() {
+            let valid = u64::MAX >> (64 - chunk.len());
+            for (w, pos) in lanes[..f].chunks_mut(64).enumerate() {
+                for (row, x) in block.iter_mut().zip(chunk) {
+                    *row = x.words()[w];
+                }
+                block[chunk.len()..].fill(0);
+                transpose64(&mut block);
+                pos.copy_from_slice(&block[..pos.len()]);
+            }
+            let (pos, neg) = lanes.split_at_mut(f);
+            for (neg, &pos) in neg.iter_mut().zip(pos.iter()) {
+                *neg = !pos & valid;
+            }
+
+            let base = pass * 64;
+            let mut start = 0;
+            for (i, &end) in ends.iter().enumerate() {
+                let lits = &codes[start..end as usize];
+                start = end as usize;
+                // Every lane word is 0 past the pass's inputs, so a clause
+                // with a literal fires on valid lanes only.
+                let mut fire = match lits.split_first() {
+                    None => valid,
+                    Some((&first, rest)) => {
+                        let mut fire = lanes[first as usize];
+                        for &code in rest {
+                            if fire == 0 {
+                                break;
+                            }
+                            fire &= lanes[code as usize];
+                        }
+                        fire
+                    }
+                };
+                let class = i / self.clauses_per_class;
+                let vote = Polarity::of_index(i % self.clauses_per_class).vote();
+                while fire != 0 {
+                    let lane = fire.trailing_zeros() as usize;
+                    sums[(base + lane) * self.classes + class] += vote;
+                    fire &= fire - 1;
+                }
+            }
+        }
+        sums
+    }
+
     /// Fraction of `samples` classified correctly.
     pub fn accuracy(&self, samples: &[Sample]) -> f64 {
         if samples.is_empty() {
@@ -238,6 +342,25 @@ impl TrainedModel {
             return 0.0;
         }
         self.total_includes() as f64 / slots as f64
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of `rows[r]` moves to
+/// bit `r` of `rows[c]`. Each round swaps the off-diagonal blocks of
+/// every `2j × 2j` tile, halving `j` from 32 to 1.
+fn transpose64(rows: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut low = u64::MAX >> 32;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((rows[k] >> j) ^ rows[k + j]) & low;
+            rows[k + j] ^= t;
+            rows[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        low ^= low << j;
     }
 }
 
@@ -306,6 +429,72 @@ mod tests {
             assert_eq!(m.class_sums(&x), expected);
             assert_eq!(m.predict(&x), crate::tm::argmax(&expected));
         }
+    }
+
+    #[test]
+    fn batch_oracle_matches_per_input_inference() {
+        // SplitMix64, so the masks and inputs are fixed.
+        let mut state = 11u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let (classes, per_class) = (4, 10);
+        for f in [1, 63, 64, 65, 130, 784] {
+            // Classes 0 and 1 draw 0–4 literals per clause, so clause 0 is
+            // empty (constant 1), clause 1 is `x ∧ ¬x` and most others
+            // fire on some inputs. Classes 2 and 3 repeat them, so every
+            // input ties each class with the one two below it.
+            let mut drawn = Vec::new();
+            for _ in 0..2 {
+                for j in 0..per_class {
+                    let mut mask = IncludeMask::empty(f);
+                    let lits = match j {
+                        0 => 0,
+                        _ => next(5),
+                    };
+                    for _ in 0..lits {
+                        let k = next(f as u64) as usize;
+                        if next(2) == 0 {
+                            mask.pos.set(k, true);
+                        } else {
+                            mask.neg.set(k, true);
+                        }
+                    }
+                    if j == 1 {
+                        let k = next(f as u64) as usize;
+                        mask.pos.set(k, true);
+                        mask.neg.set(k, true);
+                    }
+                    drawn.push(mask);
+                }
+            }
+            let includes = drawn.iter().chain(&drawn).cloned().collect();
+            let m = TrainedModel::from_masks(f, classes, per_class, includes);
+            for n in [0, 1, 63, 64, 65, 129] {
+                // Inputs alternate dense and sparse draws.
+                let xs: Vec<BitVec> = (0..n)
+                    .map(|i| {
+                        let one_in = if i % 2 == 0 { 2 } else { 8 };
+                        BitVec::from_bools((0..f).map(|_| next(one_in) == 0))
+                    })
+                    .collect();
+                let sums: Vec<Vec<i32>> = xs.iter().map(|x| m.class_sums(x)).collect();
+                let winners: Vec<usize> = xs.iter().map(|x| m.predict(x)).collect();
+                assert_eq!(m.class_sums_batch(&xs), sums, "f {f} n {n}");
+                assert_eq!(m.predict_batch(&xs), winners, "f {f} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input width mismatch")]
+    fn batch_oracle_validates_width() {
+        let xs = [BitVec::zeros(4), BitVec::zeros(5)];
+        two_clause_model().predict_batch(&xs);
     }
 
     #[test]
