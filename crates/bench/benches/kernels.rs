@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of every kernel behind the tables/figures:
 //! clause evaluation and TM training (Table I accuracy column), divisor
 //! extraction and LUT mapping (resource columns, Fig 8), the packetizer
-//! (Fig 4), the cycle simulator (Fig 7, latency/throughput columns) and
+//! (Fig 4), the cycle simulator (Fig 7, latency/throughput columns), the
+//! turbo evaluator on one- and four-word strips (the serving path) and
 //! the BNN baseline (Table I baseline rows).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -11,11 +12,12 @@ use matador_datasets::{generate, DatasetKind, SplitSizes};
 use matador_logic::dag::Sharing;
 use matador_logic::extract::{extract_divisors, ExtractOptions};
 use matador_logic::share::{optimize_window, window_cubes};
-use matador_sim::{AccelShape, CompiledAccelerator, SimEngine};
+use matador_sim::{AccelShape, CompiledAccelerator, SimEngine, TurboEngine, TurboProgram};
 use matador_synth::mapper::map_dag;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 use tsetlin::params::TmParams;
 use tsetlin::{MultiClassTm, TrainedModel};
 
@@ -125,6 +127,40 @@ fn bench_sim(c: &mut Criterion) {
             black_box(sim.run_datapoints(&inputs).expect("drains within bound"))
         })
     });
+
+    // The serving path's two strip shapes: a 64-input `Front` flush (one
+    // lane word) and a full 256-input strip (four). Each sample streams
+    // `TURBO_BATCHES` batches through an engine warmed by the first.
+    const TURBO_BATCHES: usize = 256;
+    let program = Arc::new(TurboProgram::compile(&accel));
+    let batch: Vec<_> = (0..256)
+        .map(|i| {
+            let mut x = test[i % test.len()].input.clone();
+            x.toggle((7 * i) % 377);
+            x
+        })
+        .collect();
+    for n in [64usize, 256] {
+        c.bench_function(&format!("turbo_engine_kws6_{n}pts_x{TURBO_BATCHES}"), |b| {
+            b.iter_batched(
+                || {
+                    let mut engine = TurboEngine::from_program(Arc::clone(&program));
+                    engine.set_chunk_threads(Some(1));
+                    (engine, Vec::with_capacity(n))
+                },
+                |(mut engine, mut out)| {
+                    for _ in 0..TURBO_BATCHES {
+                        out.clear();
+                        engine
+                            .run_datapoints_into(&batch[..n], &mut out)
+                            .expect("widths match");
+                    }
+                    black_box(out.len())
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
 
     let packetizer = matador_axi::Packetizer::new(377, 64);
     c.bench_function("packetize_kws6", |b| {

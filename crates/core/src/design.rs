@@ -22,7 +22,7 @@ use matador_synth::power::PowerModel;
 use matador_synth::report::ImplementationReport;
 use matador_synth::resources::{estimate_design, ArchParams, HcbLogic};
 use matador_synth::timing::{matador_paths, TimingModel};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tsetlin::bits::BitVec;
 use tsetlin::model::TrainedModel;
 use tsetlin::Sample;
@@ -43,8 +43,9 @@ pub struct AcceleratorDesign {
     model: TrainedModel,
     /// One cube per clause per window, class-major.
     windows: Vec<Vec<Cube>>,
-    /// Optimized (or DON'T TOUCH) DAG per window.
-    dags: Vec<LogicDag>,
+    /// Optimized (or DON'T TOUCH) DAG per window, shared with every
+    /// [`CompiledAccelerator`] compiled from the design.
+    dags: Arc<[LogicDag]>,
     /// Gate-level netlist per window, `hcb_{k}_logic`, lowered from `dags`
     /// on first use (a design that is never verified or emitted, such as
     /// one only compiled for serving, never pays for them).
@@ -144,7 +145,7 @@ impl AcceleratorDesign {
             config,
             model,
             windows,
-            dags,
+            dags: dags.into(),
             netlists,
             hcb_logic,
             hcb_depth,
@@ -242,9 +243,10 @@ impl AcceleratorDesign {
     }
 
     /// Compiles the design for the cycle-accurate simulator from its
-    /// generated window DAGs (no window is optimized twice).
+    /// generated window DAGs, which the accelerator shares (no window is
+    /// optimized or copied twice).
     pub fn compile_for_sim(&self) -> CompiledAccelerator {
-        CompiledAccelerator::from_shape_windows(self.accel_shape(), self.dags.clone())
+        CompiledAccelerator::from_shape_windows(self.accel_shape(), Arc::clone(&self.dags))
     }
 
     /// The simulator's view of the design's architecture.
@@ -503,6 +505,8 @@ mod tests {
                 sharing,
             );
             let accel = design.compile_for_sim();
+            // The accelerator shares the design's DAGs; it copies none.
+            assert!(std::ptr::eq(accel.windows(), design.dags()));
             assert_eq!(accel.shape(), reference.shape());
             assert_eq!(accel.windows().len(), reference.windows().len());
             for (got, want) in accel.windows().iter().zip(reference.windows()) {

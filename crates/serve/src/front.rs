@@ -126,7 +126,7 @@
 //! ```
 
 use crate::error::ServeError;
-use crate::pool::{ShardPool, FLUSH_WINDOW};
+use crate::pool::{Prediction, ShardPool, FLUSH_WINDOW};
 use crate::report::ThroughputReport;
 use matador_obs::{Counter, FlightRecorder, Gauge, Histogram, HistogramBatch, Registry, TraceId};
 use std::cmp::Reverse;
@@ -576,6 +576,11 @@ pub struct Front<'a> {
     inputs: Vec<BitVec>,
     /// Flushed input buffers, recycled by admission (≤ `lane_block`).
     spare: Vec<BitVec>,
+    /// The flushed batch's predictions, and each shard's cycle counter
+    /// before and after the pool ran it (reused across flushes).
+    predictions: Vec<Prediction>,
+    cycles_before: Vec<u64>,
+    cycles_after: Vec<u64>,
     delivered: Vec<Reply>,
     shed: Vec<ShedNotice>,
     batches: Vec<BatchRecord>,
@@ -621,6 +626,9 @@ impl<'a> Front<'a> {
             batch: Vec::new(),
             inputs: Vec::new(),
             spare: Vec::new(),
+            predictions: Vec::new(),
+            cycles_before: Vec::new(),
+            cycles_after: Vec::new(),
             delivered: Vec::new(),
             shed: Vec::new(),
             batches: Vec::new(),
@@ -1003,14 +1011,16 @@ impl<'a> Front<'a> {
         let inputs = self.batch.iter_mut();
         self.inputs
             .extend(inputs.map(|p| std::mem::replace(&mut p.input, BitVec::zeros(0))));
-        let before = self.pool.shard_cycles();
-        let served = self.pool.serve(&self.inputs);
+        self.pool.shard_cycles_into(&mut self.cycles_before);
+        let served = self.pool.serve_into(&self.inputs, &mut self.predictions);
         self.floor = self.pool.latency_floor_cycles();
         self.ii = self.pool.modeled_ii_cycles();
         let room = self.options.lane_block.saturating_sub(self.spare.len());
         self.spare.extend(self.inputs.drain(..).take(room));
-        let mut predictions = served?;
-        let after = self.pool.shard_cycles();
+        served?;
+        self.pool.shard_cycles_into(&mut self.cycles_after);
+        let (before, after) = (&self.cycles_before, &self.cycles_after);
+        let mut predictions = std::mem::take(&mut self.predictions);
 
         // Virtualize: each shard's slice starts when the shard is next
         // free on the front's clock, and a request completes its
@@ -1020,7 +1030,7 @@ impl<'a> Front<'a> {
             let start = self.busy_until[p.shard].max(now);
             p.completed_at_cycle = start.saturating_add(p.completed_at_cycle - before[p.shard]);
         }
-        for (shard, (&b, &a)) in before.iter().zip(&after).enumerate() {
+        for (shard, (&b, &a)) in before.iter().zip(after).enumerate() {
             if a > b {
                 self.busy_until[shard] = self.busy_until[shard].max(now).saturating_add(a - b);
             }
@@ -1033,7 +1043,7 @@ impl<'a> Front<'a> {
         // been shed) is released. A reply released by a *later*
         // completion is stamped with that completion's time — it could
         // not have been handed back any earlier.
-        for p in predictions {
+        for p in predictions.drain(..) {
             let completed_at = p.completed_at_cycle;
             let Pending {
                 tenant: tenant_id,
@@ -1086,6 +1096,7 @@ impl<'a> Front<'a> {
                 }
             }
         }
+        self.predictions = predictions;
         self.batches.push(BatchRecord {
             at: self.now,
             trigger,

@@ -381,6 +381,56 @@ pub struct ShardPool<'a> {
     /// ([`ShardPool::with_fault_plan`]) instead of failing the flush
     /// ([`ServeError::Shard`], the classic fail-fast contract).
     resilient: bool,
+    /// Buffers the flush path reuses, so a warmed flush allocates only
+    /// the predictions it hands out.
+    scratch: FlushScratch,
+}
+
+/// What one flush works in, kept by the pool between flushes. The
+/// vectors that borrow the engines and the flush's inputs are kept
+/// empty, at `'static`, and [`recycle`]d to each round's lifetimes.
+#[derive(Default)]
+struct FlushScratch {
+    /// Request indices (into the flush's inputs) still to serve.
+    pending: Vec<usize>,
+    /// Per unit: the request indices planned onto it this round.
+    plan: Vec<Vec<usize>>,
+    /// Per request: its prediction, once a unit has served it.
+    slots: Vec<Option<Prediction>>,
+    /// Per unit: its slice of the flush's inputs.
+    slices: Vec<Cow<'static, [BitVec]>>,
+    /// Per shard: its engine, until a member run takes it.
+    engines: Vec<Option<&'static mut PoolEngine>>,
+    /// The round's member runs, unit order.
+    runs: Vec<MemberRun<'static, 'static>>,
+    /// The round's member results, for triage.
+    results: Vec<MemberResult>,
+    /// Shard output buffers between runs.
+    outputs: Vec<ShardOutput>,
+}
+
+impl std::fmt::Debug for FlushScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlushScratch").finish_non_exhaustive()
+    }
+}
+
+/// Empties `buf` and hands its allocation over as a vector of `U`, which
+/// must be `T` at other lifetimes. Collecting a vector's own `IntoIter`
+/// into an element type of the same size and alignment reuses its
+/// allocation, so a warmed flush keeps its borrowing vectors without a
+/// heap call (`tests/front_no_alloc.rs` counts them).
+fn recycle<T, U>(mut buf: Vec<T>) -> Vec<U> {
+    const {
+        assert!(
+            size_of::<T>() == size_of::<U>() && align_of::<T>() == align_of::<U>(),
+            "recycle keeps the layout"
+        );
+    }
+    buf.clear();
+    buf.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// One engine shard behind either execution backend. Both variants expose
@@ -396,6 +446,7 @@ enum PoolEngine {
 /// What one shard produced for its slice of a flush: classifications in
 /// submission order, the class sums behind them, and each datapoint's
 /// first-packet acceptance cycle.
+#[derive(Default)]
 struct ShardOutput {
     results: Vec<SimResult>,
     class_sums: Vec<Vec<i32>>,
@@ -442,45 +493,44 @@ impl PoolEngine {
         }
     }
 
-    /// Runs this shard's slice of a flush.
-    fn run(&mut self, inputs: &[BitVec], beats_per_request: u64) -> Result<ShardOutput, SimError> {
-        let (results, class_sums, first_beats) = match self {
+    /// Runs this shard's slice of a flush into `out`, whose buffers it
+    /// reuses.
+    fn run(
+        &mut self,
+        inputs: &[BitVec],
+        beats_per_request: u64,
+        out: &mut ShardOutput,
+    ) -> Result<(), SimError> {
+        out.results.clear();
+        out.class_sums.clear();
+        out.first_beats.clear();
+        let sums = match self {
             PoolEngine::Cycle(e) => {
                 let monitor_before = e.monitor().records().len();
                 let sums_before = e.class_sums_log().len();
-                let results = e.run_datapoints(inputs)?;
+                out.results = e.run_datapoints(inputs)?;
                 // A datapoint's beats transfer back-to-back before the
                 // next datapoint's, so fixed-size chunks recover each
                 // first-packet acceptance cycle from the monitor (ILA)
                 // records.
-                let first_beats = e.monitor().records()[monitor_before..]
-                    .chunks(beats_per_request as usize)
-                    .map(|c| c[0].cycle)
-                    .collect();
-                (
-                    results,
-                    e.class_sums_log()[sums_before..].to_vec(),
-                    first_beats,
-                )
+                let records = &e.monitor().records()[monitor_before..];
+                out.first_beats.extend(
+                    records
+                        .chunks(beats_per_request as usize)
+                        .map(|c| c[0].cycle),
+                );
+                &e.class_sums_log()[sums_before..]
             }
             PoolEngine::Turbo(e) => {
-                let first_beats = (0..inputs.len())
-                    .map(|i| e.next_first_beat_cycle(i))
-                    .collect();
+                out.first_beats
+                    .extend((0..inputs.len()).map(|i| e.next_first_beat_cycle(i)));
                 let sums_before = e.class_sums_log().len();
-                let results = e.run_datapoints(inputs)?;
-                (
-                    results,
-                    e.class_sums_log()[sums_before..].to_vec(),
-                    first_beats,
-                )
+                e.run_datapoints_into(inputs, &mut out.results)?;
+                &e.class_sums_log()[sums_before..]
             }
         };
-        Ok(ShardOutput {
-            results,
-            class_sums,
-            first_beats,
-        })
+        out.class_sums.extend_from_slice(sums);
+        Ok(())
     }
 }
 
@@ -505,10 +555,12 @@ struct MemberResult {
     /// Fault directives, planned on the pool thread before execution
     /// (clean on pools without an armed fault plan).
     directives: SliceFaults,
+    /// What the slice produced; meaningful only after an `Ok` outcome.
+    output: ShardOutput,
     /// `None` until the slice runs — and still `None` afterwards iff the
     /// worker panicked (injected or genuine), which is how triage
     /// detects a lost slice.
-    outcome: Option<Result<ShardOutput, SliceError>>,
+    outcome: Option<Result<(), SliceError>>,
 }
 
 impl MemberResult {
@@ -522,13 +574,6 @@ impl MemberResult {
             // An unset outcome after execution means the worker
             // panicked — injected (the directive names it) or genuine.
             None => Some(self.directives.hard.unwrap_or("panic")),
-        }
-    }
-
-    fn output(&mut self) -> &mut ShardOutput {
-        match &mut self.outcome {
-            Some(Ok(output)) => output,
-            _ => unreachable!("only served units reach assembly"),
         }
     }
 }
@@ -548,19 +593,24 @@ impl MemberRun<'_, '_> {
     /// shard clock stays consistent for the eventual recovery probe. A
     /// resilient flush contains the panic; a classic one propagates it.
     fn execute(&mut self) {
-        let directives = &self.result.directives;
+        let result = &mut self.result;
+        let directives = &result.directives;
         if directives.action == SliceAction::Panic {
             panic!("injected fault: shard worker dies before accepting the slice");
         }
         if directives.pre_delay > 0 {
             self.engine.inject_idle_cycles(directives.pre_delay);
         }
-        let outcome = match self.engine.run(self.inputs, self.result.beats_per_request) {
+        let run = self
+            .engine
+            .run(self.inputs, result.beats_per_request, &mut result.output);
+        result.outcome = Some(match run {
             Err(error) => Err(SliceError::Engine(error)),
-            Ok(_) if directives.action == SliceAction::Corrupt => Err(SliceError::Corrupted),
-            Ok(output) => Ok(output),
-        };
-        self.result.outcome = Some(outcome);
+            Ok(()) if result.directives.action == SliceAction::Corrupt => {
+                Err(SliceError::Corrupted)
+            }
+            Ok(()) => Ok(()),
+        });
     }
 }
 
@@ -739,6 +789,7 @@ impl<'a> ShardPool<'a> {
             faults: FaultState::new(&FaultPlan::none(), shards),
             health: HealthTracker::new(shards),
             resilient: false,
+            scratch: FlushScratch::default(),
         })
     }
 
@@ -870,6 +921,12 @@ impl<'a> ShardPool<'a> {
     /// cycles onto its own clock.
     pub fn shard_cycles(&self) -> Vec<u64> {
         self.engines.iter().map(|e| e.load().cycles).collect()
+    }
+
+    /// [`ShardPool::shard_cycles`] into a buffer the caller reuses.
+    pub(crate) fn shard_cycles_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(self.engines.iter().map(|e| e.load().cycles));
     }
 
     /// Whether dispatch may route to `shard` right now: every state but
@@ -1087,29 +1144,51 @@ impl<'a> ShardPool<'a> {
     /// only when no healthy capacity remains
     /// ([`ServeError::NoHealthyShard`] / [`ServeError::ShardQuarantined`]).
     pub fn serve(&mut self, inputs: &[BitVec]) -> Result<Vec<Prediction>, ServeError> {
-        for input in inputs {
-            self.check_width(input.len())?;
-        }
         let mut out = Vec::with_capacity(inputs.len());
-        for window in inputs.chunks(FLUSH_WINDOW) {
-            let first_id = self.next_id;
-            self.next_id += window.len() as u64;
-            out.extend(self.run_flush(first_id, window)?);
-        }
+        self.serve_into(inputs, &mut out)?;
         Ok(out)
     }
 
+    /// [`ShardPool::serve`] appending to `out`, which a warmed caller
+    /// reuses: the front-end's flush path. On an error `out` keeps only
+    /// what it held before the call.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ShardPool::serve`].
+    pub(crate) fn serve_into(
+        &mut self,
+        inputs: &[BitVec],
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), ServeError> {
+        for input in inputs {
+            self.check_width(input.len())?;
+        }
+        let before = out.len();
+        for window in inputs.chunks(FLUSH_WINDOW) {
+            let first_id = self.next_id;
+            self.next_id += window.len() as u64;
+            if let Err(e) = self.run_flush(first_id, window, out) {
+                out.truncate(before);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// The one flush datapath (see the module docs): plan, execute and
-    /// triage rounds until every request is served. Request `j` of
-    /// `inputs` carries id `first_id + j`. A classic pool runs one round;
-    /// a resilient pool's rounds terminate because each losing round
+    /// triage rounds until every request is served, then append the
+    /// predictions to `out` in input order. Request `j` of `inputs`
+    /// carries id `first_id + j`. A classic pool runs one round; a
+    /// resilient pool's rounds terminate because each losing round
     /// quarantines at least one shard and breakers cannot half-open
     /// mid-flush (cooldowns advance only in `begin_flush`).
     fn run_flush(
         &mut self,
         first_id: u64,
         inputs: &[BitVec],
-    ) -> Result<Vec<Prediction>, ServeError> {
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), ServeError> {
         self.metrics.flushes.inc();
         if self.resilient {
             // Advance quarantine cooldowns (Quarantined → Probing) before
@@ -1117,68 +1196,80 @@ impl<'a> ShardPool<'a> {
             // traffic this flush.
             self.health.begin_flush();
         }
-        let mut served: Vec<(Vec<usize>, Vec<Prediction>)> = Vec::new();
-        let mut pending: Vec<usize> = (0..inputs.len()).collect();
+        let mut s = std::mem::take(&mut self.scratch);
+        let served = self.serve_rounds(first_id, inputs, &mut s);
+        if served.is_ok() {
+            let predictions = s.slots.drain(..).map(|p| {
+                let p = p.expect("every request is served or the flush fails typed");
+                self.latencies.push(p.latency_cycles);
+                p
+            });
+            out.extend(predictions);
+        }
+        self.scratch = s;
+        served
+    }
+
+    /// The rounds of [`ShardPool::run_flush`], in `s`: every request's
+    /// prediction lands in its slot of `s.slots`.
+    fn serve_rounds(
+        &mut self,
+        first_id: u64,
+        inputs: &[BitVec],
+        s: &mut FlushScratch,
+    ) -> Result<(), ServeError> {
+        s.slots.clear();
+        s.slots.resize_with(inputs.len(), || None);
+        s.pending.clear();
+        s.pending.extend(0..inputs.len());
         let mut round = 0u64;
-        while !pending.is_empty() {
+        while !s.pending.is_empty() {
             // No healthy capacity for some pending width ⇒ the flush
             // fails typed (its requests are dropped, exactly like the
             // classic [`ServeError::Shard`] contract).
             if self.resilient {
-                for &ri in &pending {
+                for &ri in &s.pending {
                     self.check_healthy(inputs[ri].len())?;
                 }
             }
             if round > 0 {
                 self.metrics.retries.inc();
-                self.metrics.redirects.add(pending.len() as u64);
+                self.metrics.redirects.add(s.pending.len() as u64);
             }
             round += 1;
-            let plan = self.plan(pending, inputs);
-            pending = self.execute_round(first_id, inputs, plan, &mut served)?;
+            self.plan(s, inputs);
+            self.execute_round(first_id, inputs, s)?;
             // Submission order keeps redirect planning deterministic and
             // independent of which shards failed in what order.
-            pending.sort_unstable();
+            s.pending.sort_unstable();
         }
-        let predictions = if served.len() == 1 {
-            served.pop().expect("one served unit").1
-        } else {
-            let mut slots: Vec<Option<Prediction>> = vec![None; inputs.len()];
-            for (indices, predictions) in served {
-                for (ri, p) in indices.into_iter().zip(predictions) {
-                    slots[ri] = Some(p);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|p| p.expect("every request is served or the flush fails typed"))
-                .collect()
-        };
-        self.latencies
-            .extend(predictions.iter().map(|p| p.latency_cycles));
-        Ok(predictions)
+        Ok(())
     }
 
-    /// The plan step: per-unit request lists (indices into the flush's
-    /// inputs, submission order, empty for idle units). One unit takes
-    /// every pending request when [`ShardPool::whole_flush_unit`] picks
-    /// one; otherwise the dispatch policy spreads them over the eligible
-    /// units. A unit's profile is its lead member's (a group's members
-    /// share one width and beat cost by construction, and their clocks
-    /// advance in lockstep) with its most conservative member's weight.
-    fn plan(&mut self, pending: Vec<usize>, inputs: &[BitVec]) -> Vec<Vec<usize>> {
-        let mut plan = vec![Vec::new(); self.units.len()];
-        if let Some(unit) = self.whole_flush_unit(pending.len()) {
+    /// The plan step: fills `s.plan` with per-unit request lists from
+    /// `s.pending` (indices into the flush's inputs, submission order,
+    /// empty for idle units). One unit takes every pending request when
+    /// [`ShardPool::whole_flush_unit`] picks one; otherwise the dispatch
+    /// policy spreads them over the eligible units. A unit's profile is
+    /// its lead member's (a group's members share one width and beat
+    /// cost by construction, and their clocks advance in lockstep) with
+    /// its most conservative member's weight.
+    fn plan(&mut self, s: &mut FlushScratch, inputs: &[BitVec]) {
+        s.plan.resize_with(self.units.len(), Vec::new);
+        for indices in &mut s.plan {
+            indices.clear();
+        }
+        if let Some(unit) = self.whole_flush_unit(s.pending.len()) {
             // The dispatcher's round-robin cursors are deliberately left
             // untouched: a consolidated flush never rotates them, which
             // keeps the assignment deterministic for any flush sequence.
             if self.units.len() > 1 {
                 self.metrics.consolidated.inc();
             }
-            plan[unit] = pending;
-            return plan;
+            s.plan[unit].extend_from_slice(&s.pending);
+            return;
         }
-        self.metrics.dispatched.add(pending.len() as u64);
+        self.metrics.dispatched.add(s.pending.len() as u64);
         let profiles: Vec<ShardProfile> = self
             .units
             .iter()
@@ -1199,12 +1290,11 @@ impl<'a> ShardPool<'a> {
         let eligible: Vec<bool> = (0..self.units.len())
             .map(|u| self.unit_eligible(u))
             .collect();
-        let widths: Vec<usize> = pending.iter().map(|&ri| inputs[ri].len()).collect();
+        let widths: Vec<usize> = s.pending.iter().map(|&ri| inputs[ri].len()).collect();
         let assignment = self.dispatcher.plan(&profiles, &widths, &eligible);
-        for (ri, unit) in pending.into_iter().zip(assignment) {
-            plan[unit].push(ri);
+        for (&ri, unit) in s.pending.iter().zip(assignment) {
+            s.plan[unit].push(ri);
         }
-        plan
     }
 
     /// The unit a flush of `pending` requests runs on whole, if any: the
@@ -1254,41 +1344,40 @@ impl<'a> ShardPool<'a> {
     }
 
     /// Executes one planned round and triages it per unit: served units'
-    /// predictions join `served`, and the requests of failed units are
-    /// returned for re-planning (resilient) or fail the flush (classic).
-    /// A lost slice contributes *nothing* — a panicked worker produced no
-    /// results, a corrupted slice is discarded, and any member failure
-    /// discards its whole unit (a lone partial sum is meaningless) — so
-    /// every served reply was computed cleanly by healthy shards, which
-    /// keeps chaos replies bit-identical to the fault-free run.
+    /// predictions fill their requests' slots, and the requests of
+    /// failed units are left in `s.pending` for re-planning (resilient)
+    /// or fail the flush (classic). A lost slice contributes *nothing* —
+    /// a panicked worker produced no results, a corrupted slice is
+    /// discarded, and any member failure discards its whole unit (a lone
+    /// partial sum is meaningless) — so every served reply was computed
+    /// cleanly by healthy shards, which keeps chaos replies bit-identical
+    /// to the fault-free run.
     fn execute_round(
         &mut self,
         first_id: u64,
         inputs: &[BitVec],
-        plan: Vec<Vec<usize>>,
-        served: &mut Vec<(Vec<usize>, Vec<Prediction>)>,
-    ) -> Result<Vec<usize>, ServeError> {
+        s: &mut FlushScratch,
+    ) -> Result<(), ServeError> {
         // A unit carrying the whole flush runs straight off `inputs`; a
         // spread slice is gathered once and shared by the unit's members.
-        let slices: Vec<Cow<'_, [BitVec]>> = plan
-            .iter()
-            .map(|indices| {
-                if indices.len() == inputs.len() {
-                    Cow::Borrowed(inputs)
-                } else {
-                    Cow::Owned(indices.iter().map(|&ri| inputs[ri].clone()).collect())
-                }
-            })
-            .collect();
+        let mut slices: Vec<Cow<'_, [BitVec]>> = recycle(std::mem::take(&mut s.slices));
+        slices.extend(s.plan.iter().map(|indices| {
+            if indices.len() == inputs.len() {
+                Cow::Borrowed(inputs)
+            } else {
+                Cow::Owned(indices.iter().map(|&ri| inputs[ri].clone()).collect())
+            }
+        }));
         // The ii-outlier baseline, from before this round's work lands.
         let modeled_ii = self.resilient.then(|| self.modeled_ii_cycles());
 
         // Runs in unit order, members contiguous. Fault directives are
         // planned up front on the pool thread — the injector's state is
         // single-threaded, workers only read their own directive.
-        let mut engines: Vec<Option<&mut PoolEngine>> = self.engines.iter_mut().map(Some).collect();
-        let mut runs: Vec<MemberRun<'_, '_>> = Vec::new();
-        for ((members, indices), slice) in self.units.iter().zip(&plan).zip(&slices) {
+        let mut engines: Vec<Option<&mut PoolEngine>> = recycle(std::mem::take(&mut s.engines));
+        engines.extend(self.engines.iter_mut().map(Some));
+        let mut runs: Vec<MemberRun<'_, '_>> = recycle(std::mem::take(&mut s.runs));
+        for ((members, indices), slice) in self.units.iter().zip(&s.plan).zip(&slices) {
             if indices.is_empty() {
                 continue;
             }
@@ -1308,6 +1397,7 @@ impl<'a> ShardPool<'a> {
                         beats_per_request: self.designs[shard].shape().num_packets() as u64,
                         before: engine.load(),
                         directives,
+                        output: s.outputs.pop().unwrap_or_default(),
                         outcome: None,
                     },
                     engine,
@@ -1334,7 +1424,12 @@ impl<'a> ShardPool<'a> {
         } else {
             matador_par::par_map_mut_with(threads, &mut runs, |_, run| run.execute());
         }
-        let mut results: Vec<MemberResult> = runs.into_iter().map(|run| run.result).collect();
+        s.results.clear();
+        s.results.extend(runs.drain(..).map(|run| run.result));
+        s.runs = recycle(runs);
+        s.engines = recycle(engines);
+        s.slices = recycle(slices);
+        let results = &mut s.results;
 
         // Classic fail-fast: the lowest failing shard fails the flush
         // before anything is booked (engine errors are the only failure a
@@ -1355,17 +1450,17 @@ impl<'a> ShardPool<'a> {
         }
         // Soft faults degrade their shard whether or not the slice also
         // died; the breaker sees every injected symptom.
-        for r in &results {
+        for r in results.iter() {
             for &label in &r.directives.soft {
                 count_fault(true, label);
                 self.health.note_soft(r.shard, label);
             }
         }
 
-        let mut requeue = Vec::new();
+        s.pending.clear();
         let mut hard_faults: Vec<(usize, &'static str)> = Vec::new();
         let mut rest = &mut results[..];
-        for (unit, indices) in plan.into_iter().enumerate() {
+        for (unit, indices) in s.plan.iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
@@ -1377,26 +1472,26 @@ impl<'a> ShardPool<'a> {
                 .collect();
             if !failed.is_empty() {
                 hard_faults.extend(failed);
-                requeue.extend(indices);
+                s.pending.extend(indices);
                 continue;
             }
-            let predictions = self.unit_predictions(first_id, &indices, unit_runs);
+            self.unit_predictions(first_id, indices, unit_runs, &mut s.slots);
             for run in unit_runs.iter() {
                 self.book_member(run, indices.len(), modeled_ii);
             }
-            served.push((indices, predictions));
         }
         for (shard, cause) in hard_faults {
             count_fault(true, cause);
             self.health.note_hard(shard, cause);
         }
-        Ok(requeue)
+        s.outputs.extend(results.drain(..).map(|r| r.output));
+        Ok(())
     }
 
-    /// Builds a served unit's predictions, in its slice's order. A lone
-    /// shard's results are served as they are. A partition group's
-    /// partial class sums are merged element-wise into each winner —
-    /// exact by the partitioner's contract
+    /// Fills a served unit's request slots with its predictions, in its
+    /// slice's order. A lone shard's results are served as they are. A
+    /// partition group's partial class sums are merged element-wise into
+    /// each winner — exact by the partitioner's contract
     /// ([`matador_sim::CompilePipeline::partition`]: disjoint clause
     /// ranges cut at polarity-preserving boundaries) — and its prediction
     /// carries the slowest member's latency/completion stamp (all parts
@@ -1407,28 +1502,29 @@ impl<'a> ShardPool<'a> {
         first_id: u64,
         indices: &[usize],
         runs: &mut [MemberResult],
-    ) -> Vec<Prediction> {
+        slots: &mut [Option<Prediction>],
+    ) {
         let lead = runs[0].shard;
         let capture = self.capture_sums;
         if let [run] = runs {
-            let output = run.output();
+            let output = &mut run.output;
             let stamps = output.results.iter().zip(&output.first_beats);
-            return (indices.iter().zip(stamps).enumerate())
-                .map(|(j, (&ri, (result, &first_beat)))| Prediction {
+            for (j, (&ri, (result, &first_beat))) in indices.iter().zip(stamps).enumerate() {
+                slots[ri] = Some(Prediction {
                     request: first_id + ri as u64,
                     winner: result.winner,
                     shard: lead,
                     latency_cycles: result.cycle - first_beat + 1,
                     completed_at_cycle: result.cycle,
                     class_sums: capture.then(|| std::mem::take(&mut output.class_sums[j])),
-                })
-                .collect();
+                });
+            }
+            return;
         }
-        let outputs: Vec<&mut ShardOutput> = runs.iter_mut().map(MemberResult::output).collect();
-        let prediction = |j: usize, ri: usize| {
-            let mut merged = vec![0i32; outputs[0].class_sums[j].len()];
+        for (j, &ri) in indices.iter().enumerate() {
+            let mut merged = vec![0i32; runs[0].output.class_sums[j].len()];
             let (mut latency, mut completed) = (0u64, 0u64);
-            for output in &outputs {
+            for output in runs.iter().map(|r| &r.output) {
                 for (acc, &s) in merged.iter_mut().zip(&output.class_sums[j]) {
                     *acc += s;
                 }
@@ -1436,18 +1532,15 @@ impl<'a> ShardPool<'a> {
                 latency = latency.max(cycle - output.first_beats[j] + 1);
                 completed = completed.max(cycle);
             }
-            Prediction {
+            slots[ri] = Some(Prediction {
                 request: first_id + ri as u64,
                 winner: tsetlin::tm::argmax(&merged),
                 shard: lead,
                 latency_cycles: latency,
                 completed_at_cycle: completed,
                 class_sums: capture.then_some(merged),
-            }
-        };
-        (indices.iter().enumerate())
-            .map(|(j, &ri)| prediction(j, ri))
-            .collect()
+            });
+        }
     }
 
     /// Merges every shard's stream statistics (engine cycles, monitor

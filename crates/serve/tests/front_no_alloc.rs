@@ -1,10 +1,12 @@
 //! Bounds the heap traffic of a warmed [`Front`]: once its buffers have
 //! grown, admitting, batching, flushing and delivering a request costs
-//! at most one allocation on average. The input copy reuses a flushed
-//! buffer, the reorder stage is a ring, and the batch and its inputs
-//! live in vectors the front keeps; what remains is the pool's per-flush
-//! bookkeeping and the driver's reply vectors, amortised over a lane
-//! block.
+//! at most 0.08 allocations on average. The input copy reuses a flushed
+//! buffer, the reorder stage is a ring, the batch and its inputs live in
+//! vectors the front keeps, and a pool flush runs in buffers the pool
+//! keeps. What remains is the driver's reply vector, which grows from
+//! empty after every `take_replies` (5 allocations per 64-reply block),
+//! and the amortised growth of the lifetime logs (latencies, batch
+//! records, engine results): 327 allocations per 4096 requests.
 //!
 //! Measured with a counting global allocator, as in the simulator's
 //! `no_alloc` test, so a stray per-request clone fails here.
@@ -86,7 +88,7 @@ fn warmed_front_allocates_at_most_once_per_request() {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let per_request = allocations as f64 / admitted as f64;
     assert!(
-        per_request <= 1.0,
+        per_request <= 0.08,
         "{allocations} allocations for {admitted} requests ({per_request:.2} per request)"
     );
 }

@@ -4,6 +4,7 @@
 use matador_logic::cube::Cube;
 use matador_logic::dag::{LogicDag, Sharing};
 use matador_logic::share::optimize_window;
+use std::sync::Arc;
 use tsetlin::bits::BitVec;
 
 /// Architectural shape of a generated accelerator.
@@ -39,7 +40,9 @@ impl AccelShape {
 #[derive(Debug, Clone)]
 pub struct CompiledAccelerator {
     shape: AccelShape,
-    windows: Vec<LogicDag>,
+    /// Immutable, so clones (and the design that compiled them) share
+    /// one copy.
+    windows: Arc<[LogicDag]>,
 }
 
 impl CompiledAccelerator {
@@ -75,16 +78,18 @@ impl CompiledAccelerator {
     /// Assembles an accelerator from already-optimized window DAGs, one
     /// per HCB with one output per clause (class-major). The design flow
     /// compiles its generated DAGs this way instead of re-optimizing the
-    /// cubes, and the partitioner builds each part from the monolithic
-    /// node tables with a filtered output list.
+    /// cubes, sharing them (an `Arc<[LogicDag]>` is taken as is), and
+    /// the partitioner builds each part from the monolithic node tables
+    /// with a filtered output list.
     ///
     /// # Panics
     ///
     /// Panics if the window count or any window's input width or output
     /// count is inconsistent with `shape`.
-    pub fn from_shape_windows(shape: AccelShape, windows: Vec<LogicDag>) -> Self {
+    pub fn from_shape_windows(shape: AccelShape, windows: impl Into<Arc<[LogicDag]>>) -> Self {
+        let windows = windows.into();
         assert_eq!(windows.len(), shape.num_packets(), "window count mismatch");
-        for dag in &windows {
+        for dag in windows.iter() {
             assert_eq!(dag.width(), shape.bus_width, "window width mismatch");
             assert_eq!(
                 dag.outputs().len(),

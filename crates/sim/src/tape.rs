@@ -26,8 +26,9 @@ pub(crate) struct FoldedWindow {
     /// The window's first slot: its input prefix starts here, and pair
     /// `i` writes slot `base + prefix_slots + i`.
     pub(crate) base: usize,
-    /// `(a, b)` operand slots.
-    pub(crate) ands: Vec<(u32, u32)>,
+    /// `(a, b)` operand slots, each below the slot its pair writes
+    /// (checked by [`FoldedWindow::fold`]; private so that it stays so).
+    ands: Vec<(u32, u32)>,
     /// The partial-clause words before any gather: bit `c % 64` of word
     /// `c / 64` is set where clause `c`'s output is constant 1 (the
     /// clause has no literal in this window).
@@ -59,6 +60,16 @@ impl FoldedWindow {
                 }
             });
         }
+        // Every operand lies below the slot its pair writes, so a tape
+        // that runs inside a slot space holding its area reads only
+        // slots of that space: the one-word-strip kernel skips the
+        // per-operand bounds check on the strength of this one.
+        assert!(
+            (base + prefix_slots(bits)..)
+                .zip(&ands)
+                .all(|(y, &(a, b))| (a.max(b) as usize) < y),
+            "an AND operand does not precede the slot it writes"
+        );
         let outputs: Vec<u32> = tape.outputs.iter().map(|&s| slot[s as usize]).collect();
         let (one, zero) = (slot_u32(2 * bits), slot_u32(2 * bits + 1));
         let mut ones = vec![0u64; outputs.len().div_ceil(64)];
@@ -78,6 +89,12 @@ impl FoldedWindow {
             gather,
         };
         (window, outputs)
+    }
+
+    /// The AND tape: pair `i` writes slot `base + prefix_slots + i` from
+    /// operand slots below it.
+    pub(crate) fn ands(&self) -> &[(u32, u32)] {
+        &self.ands
     }
 
     /// Slots of the window's area: its input prefix and its ANDs.
@@ -231,7 +248,7 @@ mod tests {
         assert_eq!(window.ones, vec![0b0001]);
         // The bare literal reads the prefix; the conjunction is one AND.
         assert_eq!(window.gather, vec![(0, 2), (6, 3)]);
-        assert_eq!(window.ands, vec![(3, 0)]);
+        assert_eq!(window.ands(), [(3, 0)]);
         let mut values = program.lane_scratch();
         let mut out = vec![0; 1];
         program.eval_lane(0, 0b01, &mut values, &mut out);

@@ -57,6 +57,23 @@
 //! baseline and picked by runtime CPU feature detection
 //! ([`host_kernels`]), never `target-cpu`.
 //!
+//! **One-word strips** (`W = 1`, every 64-lane `Front` flush) have an
+//! out-of-line AVX2 kernel of their own, dispatched with the AVX2 count
+//! kernel. At one word per slot the clause-major gather is bound by
+//! loads: each partial costs an index load and a value load. The kernel
+//! instead reads a second copy of the partial list, stored per run
+//! partial-major in blocks of four clauses (a short block padded with a
+//! constant-1 slot), and ANDs four clauses' partials per
+//! `vpgatherdq` into one 256-bit word. It stores only the run's real
+//! clauses and counts them as above, and it runs the `W = 1` AND tape
+//! without a bounds check per operand (`FoldedWindow::fold` checks once
+//! per window that every operand precedes the slot it writes). A
+//! gather-order slot layout would stream the partials instead, but it
+//! needs copy ops for shared and bare-literal partials: KWS-6 has 6049
+//! partials against 3760 tape ANDs. Wider strips keep the clause-major
+//! loops: a prototype of the block layout read slower at `W = 4`.
+//! Padding is not work: the work counts above count real partials only.
+//!
 //! Two layers of batch-level amortization sit on top of the original
 //! word-parallel scheme:
 //!
@@ -220,7 +237,8 @@ impl TransposeKernel {
 pub enum CountKernel {
     /// Baseline x86-64 / non-x86 code generation.
     Portable = 0,
-    /// Compiled with `avx2` (256-bit logic on a full 4-word strip).
+    /// Compiled with `avx2` (256-bit logic on a full 4-word strip); a
+    /// one-word strip runs the four-clause gather kernel instead.
     Avx2 = 1,
 }
 
@@ -320,9 +338,99 @@ fn transpose_64x64_scalar(a: &mut [u64]) {
 /// butterfly is element-wise so the inverse unpack restores row order).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::LANES;
+    use super::{count_planes_body, fill_prefix, prefix_slots, TurboProgram, LANES};
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
+
+    /// Everything a one-word strip (`W = 1`) does between bit-slicing and
+    /// the transpose out: fills each window's prefix and runs its AND
+    /// tape over `nodes` (one word per slot), then per `(class, sign)`
+    /// group ANDs four clauses' partials per 64-bit gather from
+    /// [`TurboProgram::quads`], counts the fired words and files the
+    /// planes at their rows of `plane_rows`. Kept out of line, so it
+    /// does not grow the wider strips' `block_class_sums` instances.
+    ///
+    /// The tape reads its operands without a bounds check:
+    /// `FoldedWindow::fold` checked that every operand precedes the slot
+    /// its pair writes, and this checks once per window that `nodes`
+    /// holds the window's area. The gather reads [`TurboProgram::quads`],
+    /// whose slots `TurboProgram::from_tapes` checked to lie below
+    /// `slots`, which this checks `nodes` to hold.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    pub(super) unsafe fn one_word_strip(
+        program: &TurboProgram,
+        inputs: &[u64],
+        nodes: &mut [u64],
+        fired: &mut [u64],
+        plane_rows: &mut [u64],
+    ) {
+        let bits = program.shape.bus_width;
+        assert!(nodes.len() >= program.slots);
+        let (slot_words, _) = nodes.as_chunks_mut::<1>();
+        for (window, columns) in program.windows.iter().zip(inputs.chunks_exact(LANES)) {
+            assert!(window.base + window.area(bits) <= slot_words.len());
+            fill_prefix(bits, window.base, columns, slot_words);
+            let p = slot_words.as_mut_ptr().cast::<u64>();
+            let and_base = window.base + prefix_slots(bits);
+            for (i, &(a, b)) in window.ands().iter().enumerate() {
+                // SAFETY: `fold` checked `a, b < and_base + i`, and
+                // `and_base + i` lies in the area asserted above.
+                unsafe { *p.add(and_base + i) = *p.add(a as usize) & *p.add(b as usize) };
+            }
+        }
+
+        let base = slot_words.as_ptr().cast::<i64>();
+        let (fired, _) = fired.as_chunks_mut::<1>();
+        // `k ≤ 32`: a class's `2k` rows fit one block.
+        let mut planes = [[0u64; 1]; LANES / 2];
+        let planes = &mut planes[..program.count_bits];
+        let mut quads = program.quads.as_slice();
+        for group in &program.groups {
+            let mut clause = 0;
+            for &(count, clauses) in &group.runs {
+                let (count, clauses) = (count as usize, clauses as usize);
+                let words = &mut fired[clause..clause + clauses];
+                clause += clauses;
+                if count == 0 {
+                    // No literal in any window: the clause always fires.
+                    words.fill([!0]);
+                    continue;
+                }
+                let (run, rest) = quads.split_at(count * clauses.div_ceil(4));
+                quads = rest;
+                for (words, block) in words.chunks_mut(4).zip(run.chunks_exact(count)) {
+                    let mut acc = _mm256_set1_epi64x(-1);
+                    for quad in block {
+                        let index = _mm_loadu_si128(quad.as_ptr().cast());
+                        // SAFETY: `from_tapes` checked every slot in
+                        // `quads` to be below `slots` ≤ `nodes.len()`
+                        // (asserted above) and to fit `i32`.
+                        let partials = unsafe { _mm256_i32gather_epi64::<8>(base, index) };
+                        acc = _mm256_and_si256(acc, partials);
+                    }
+                    // A whole block stores straight into `fired` (the
+                    // copy through `lanes` measured 5% slower at 64
+                    // lanes on KWS-6).
+                    if let Ok(words) = <&mut [[u64; 1]; 4]>::try_from(&mut *words) {
+                        _mm256_storeu_si256(words.as_mut_ptr().cast(), acc);
+                    } else {
+                        let mut lanes = [[0u64; 1]; 4];
+                        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
+                        words.copy_from_slice(&lanes[..words.len()]);
+                    }
+                }
+            }
+            count_planes_body(&fired[..clause], planes);
+            for (p, &[word]) in planes.iter().enumerate() {
+                plane_rows[group.row + p] = word;
+            }
+        }
+    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn transpose_64x64_avx2(a: &mut [u64]) {
@@ -535,6 +643,20 @@ unsafe fn count_group<const W: usize>(
     }
 }
 
+/// Fills the input prefix of the window area at `base` from the window's
+/// bit-sliced `columns` (see [`TurboScratch::inputs`]): its bits, their
+/// complements, constant 1 and constant 0.
+#[inline(always)]
+fn fill_prefix<const W: usize>(bits: usize, base: usize, columns: &[u64], nodes: &mut [[u64; W]]) {
+    for b in 0..bits {
+        let word: [u64; W] = std::array::from_fn(|wi| columns[wi * LANES + b]);
+        nodes[base + b] = word;
+        nodes[base + bits + b] = word.map(|x| !x);
+    }
+    nodes[base + 2 * bits] = [!0; W];
+    nodes[base + 2 * bits + 1] = [0; W];
+}
+
 /// Reusable lane-word scratch arena for a [`TurboProgram`]; every buffer
 /// warms to its final (full-strip) size on the first block and is reused
 /// for the life of the owner — evaluation itself never allocates.
@@ -623,6 +745,11 @@ pub struct TurboProgram {
     /// Constant-1 outputs (the clause has no literal in that window) are
     /// left out — ANDing them is a no-op.
     partials: Vec<u32>,
+    /// [`TurboProgram::partials`] again for the one-word-strip kernel:
+    /// each run's clauses in blocks of four, one entry per partial
+    /// position holding that partial's slot for each of the four
+    /// clauses. A short block's missing clauses read constant 1.
+    quads: Vec<[u32; 4]>,
     /// Clauses in the largest group: `⌈clauses_per_class / 2⌉`.
     group_len: usize,
     /// Count planes per group, `k = bits(group_len)` (at least 1): the
@@ -699,6 +826,7 @@ impl TurboProgram {
         );
         let mut groups = Vec::with_capacity(2 * shape.classes);
         let mut partials = Vec::new();
+        let mut quads = Vec::new();
         for class in 0..shape.classes {
             let row =
                 (class / classes_per_block) * LANES + (class % classes_per_block) * 2 * count_bits;
@@ -712,6 +840,7 @@ impl TurboProgram {
                     .collect();
                 clauses.sort_by_key(|&(_, count)| count);
                 let mut runs: Vec<(u32, u32)> = Vec::new();
+                let first = partials.len();
                 for (clause, count) in clauses {
                     match runs.last_mut() {
                         Some(run) if run.0 == count => run.1 += 1,
@@ -719,17 +848,42 @@ impl TurboProgram {
                     }
                     partials.extend(clause_partials(clause));
                 }
+                // The same runs, partial-major in blocks of four clauses;
+                // a short block reads window 0's constant-1 slot.
+                let mut run = &partials[first..];
+                for &(count, clauses) in &runs {
+                    let count = count as usize;
+                    let (slots, rest) = run.split_at(count * clauses as usize);
+                    run = rest;
+                    if count == 0 {
+                        continue;
+                    }
+                    for block in slots.chunks(4 * count) {
+                        quads.extend((0..count).map(|p| {
+                            std::array::from_fn(|j| {
+                                block.get(j * count + p).map_or(outputs[0].0, |&s| s)
+                            })
+                        }));
+                    }
+                }
                 groups.push(SumGroup {
                     runs,
                     row: row + sign * count_bits,
                 });
             }
         }
+        // The one-word-strip kernel gathers through `i32` indices without
+        // a bounds check.
+        assert!(
+            i32::try_from(slots).is_ok() && quads.iter().flatten().all(|&s| (s as usize) < slots),
+            "gathered slots lie in a slot space of at most i32::MAX slots"
+        );
         TurboProgram {
             shape,
             windows,
             groups,
             partials,
+            quads,
             group_len,
             count_bits,
             classes_per_block,
@@ -780,7 +934,7 @@ impl TurboProgram {
     /// Tape AND word-ops per 64-datapoint lane word after input folding:
     /// the only instructions the evaluator executes.
     pub(crate) fn tape_ands(&self) -> usize {
-        self.windows.iter().map(|w| w.ands.len()).sum()
+        self.windows.iter().map(|w| w.ands().len()).sum()
     }
 
     /// 64×64 transposes per lane-word column in the class-sum stage:
@@ -929,6 +1083,7 @@ impl TurboProgram {
             return Ok(());
         }
         let workers = self.plan_workers(n, threads, threshold);
+        let kernel = host_kernels().count;
         let metrics = turbo_metrics();
         metrics.batches.inc();
         metrics.datapoints.add(n as u64);
@@ -943,7 +1098,8 @@ impl TurboProgram {
                 .chunks(BLOCK_LANES)
                 .zip(out.chunks_mut(BLOCK_LANES * classes))
             {
-                self.chunk_class_sums_into(chunk, scratch, o);
+                // SAFETY: `kernel` is the host's runtime-detected kernel.
+                unsafe { self.chunk_class_sums_into(chunk, kernel, scratch, o) };
             }
             return Ok(());
         }
@@ -972,22 +1128,37 @@ impl TurboProgram {
                 .chunks(BLOCK_LANES)
                 .zip(span.out.chunks_mut(BLOCK_LANES * classes))
             {
-                self.chunk_class_sums_into(chunk, span.scratch, o);
+                // SAFETY: `kernel` is the host's runtime-detected kernel.
+                unsafe { self.chunk_class_sums_into(chunk, kernel, span.scratch, o) };
             }
         });
         Ok(())
     }
 
     /// Evaluates one ≤[`BLOCK_LANES`]-datapoint chunk at the narrowest
-    /// strip width that covers it, writing `chunk.len() × classes` sums
-    /// into `out`.
-    fn chunk_class_sums_into(&self, chunk: &[BitVec], scratch: &mut TurboScratch, out: &mut [i32]) {
-        match chunk.len().div_ceil(LANES) {
-            0 => {}
-            1 => self.block_class_sums::<1>(chunk, scratch, out),
-            2 => self.block_class_sums::<2>(chunk, scratch, out),
-            3 => self.block_class_sums::<3>(chunk, scratch, out),
-            _ => self.block_class_sums::<4>(chunk, scratch, out),
+    /// strip width that covers it on `kernel`, writing `chunk.len() ×
+    /// classes` sums into `out`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `kernel`'s CPU features — guaranteed for
+    /// [`host_kernels`]`().count` and for [`CountKernel::Portable`].
+    unsafe fn chunk_class_sums_into(
+        &self,
+        chunk: &[BitVec],
+        kernel: CountKernel,
+        scratch: &mut TurboScratch,
+        out: &mut [i32],
+    ) {
+        // SAFETY: the caller guarantees the host supports `kernel`.
+        unsafe {
+            match chunk.len().div_ceil(LANES) {
+                0 => {}
+                1 => self.block_class_sums::<1>(chunk, kernel, scratch, out),
+                2 => self.block_class_sums::<2>(chunk, kernel, scratch, out),
+                3 => self.block_class_sums::<3>(chunk, kernel, scratch, out),
+                _ => self.block_class_sums::<4>(chunk, kernel, scratch, out),
+            }
         }
     }
 
@@ -996,16 +1167,20 @@ impl TurboProgram {
     /// then count each `(class, sign)` group's fired clauses into bit
     /// planes and transpose them, one lane-word column at a time, into
     /// per-datapoint class sums. Input widths are already checked.
-    fn block_class_sums<const W: usize>(
+    ///
+    /// # Safety
+    ///
+    /// As for [`TurboProgram::chunk_class_sums_into`].
+    unsafe fn block_class_sums<const W: usize>(
         &self,
         chunk: &[BitVec],
+        kernel: CountKernel,
         scratch: &mut TurboScratch,
         out: &mut [i32],
     ) {
         debug_assert!(chunk.len() <= W * LANES);
         let bits = self.shape.bus_width;
         let classes = self.shape.classes;
-        let kernel = host_kernels().count;
         debug_assert_eq!(out.len(), chunk.len() * classes);
         // Buffers warm to full-strip size once; narrower strips borrow a
         // prefix, so re-running at any width never reallocates.
@@ -1021,38 +1196,46 @@ impl TurboProgram {
         let inputs = &mut scratch.inputs[..self.windows.len() * W * LANES];
         self.bit_slice::<W>(chunk, inputs);
         let (nodes, _) = scratch.nodes[..self.slots * W].as_chunks_mut::<W>();
-        for (window, columns) in self.windows.iter().zip(inputs.chunks_exact(W * LANES)) {
-            let base = window.base;
-            for b in 0..bits {
-                let word: [u64; W] = std::array::from_fn(|wi| columns[wi * LANES + b]);
-                nodes[base + b] = word;
-                nodes[base + bits + b] = word.map(|x| !x);
-            }
-            nodes[base + 2 * bits] = [!0; W];
-            nodes[base + 2 * bits + 1] = [0; W];
-            let and_base = base + prefix_slots(bits);
-            for (i, &(a, b)) in window.ands.iter().enumerate() {
-                let (a, b) = (nodes[a as usize], nodes[b as usize]);
-                nodes[and_base + i] = std::array::from_fn(|wd| a[wd] & b[wd]);
-            }
-        }
-
-        // Per group: gather and count its fired clauses, then file each
-        // plane at its transpose row in every column.
         let (fired, _) = scratch.fired[..self.group_len * W].as_chunks_mut::<W>();
         let column_words = self.sum_blocks * LANES;
         let plane_rows = &mut scratch.planes[..column_words * W];
-        // `k ≤ 32`: a class's `2k` rows fit one block.
-        let mut planes = [[0u64; W]; LANES / 2];
-        let planes = &mut planes[..self.count_bits];
-        let mut partials = self.partials.as_slice();
-        for group in &self.groups {
-            // SAFETY: `kernel` is the host's runtime-detected kernel.
-            let read = unsafe { count_group(kernel, &group.runs, partials, nodes, fired, planes) };
-            partials = &partials[read..];
-            for (p, plane) in planes.iter().enumerate() {
-                for (wi, &word) in plane.iter().enumerate() {
-                    plane_rows[wi * column_words + group.row + p] = word;
+        match (W, kernel) {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the caller guarantees the host supports `kernel`.
+            (1, CountKernel::Avx2) => unsafe {
+                avx2::one_word_strip(
+                    self,
+                    inputs,
+                    nodes.as_flattened_mut(),
+                    fired.as_flattened_mut(),
+                    plane_rows,
+                )
+            },
+            _ => {
+                for (window, columns) in self.windows.iter().zip(inputs.chunks_exact(W * LANES)) {
+                    fill_prefix(bits, window.base, columns, nodes);
+                    let and_base = window.base + prefix_slots(bits);
+                    for (i, &(a, b)) in window.ands().iter().enumerate() {
+                        let (a, b) = (nodes[a as usize], nodes[b as usize]);
+                        nodes[and_base + i] = std::array::from_fn(|wd| a[wd] & b[wd]);
+                    }
+                }
+                // Per group: gather and count its fired clauses, then
+                // file each plane at its transpose row in every column.
+                // `k ≤ 32`: a class's `2k` rows fit one block.
+                let mut planes = [[0u64; W]; LANES / 2];
+                let planes = &mut planes[..self.count_bits];
+                let mut partials = self.partials.as_slice();
+                for group in &self.groups {
+                    // SAFETY: the caller guarantees the host supports it.
+                    let read =
+                        unsafe { count_group(kernel, &group.runs, partials, nodes, fired, planes) };
+                    partials = &partials[read..];
+                    for (p, plane) in planes.iter().enumerate() {
+                        for (wi, &word) in plane.iter().enumerate() {
+                            plane_rows[wi * column_words + group.row + p] = word;
+                        }
+                    }
                 }
             }
         }
@@ -1757,8 +1940,8 @@ mod tests {
             // The all-constant window runs no AND; its area follows
             // window 0's.
             let w1 = &program.windows[1];
-            assert!(w1.ands.is_empty(), "{options:?}");
-            assert_eq!(w1.base, prefix_slots(5) + program.windows[0].ands.len());
+            assert!(w1.ands().is_empty(), "{options:?}");
+            assert_eq!(w1.base, prefix_slots(5) + program.windows[0].ands().len());
             // Groups are class-major with `+` (even clauses) first:
             // clause 0 is in group 0, clause 1 in group 1, clause 4 in
             // group 2. Window 1's contradictory cubes read its area's
@@ -1915,6 +2098,158 @@ mod tests {
             );
             assert_sums_match_at_every_strip_width(&a, 0xC1A5_5000 + cpc as u64);
         }
+    }
+
+    /// Ten 4-bit windows, nine classes of 19 clauses, so `+` groups hold
+    /// 10 clauses, `−` groups 9, and the 4-bit counts spread the classes
+    /// over two transpose blocks. In group `g` the first `1 + g % 9`
+    /// clauses share `g % 10` partials and every other clause has its own
+    /// partial count, so the runs cover lengths 1–9 (every tail mod 4)
+    /// and several groups have a count-0 run. A partial is a bare
+    /// literal, a complement, a two-literal AND or a contradiction (the
+    /// constant-0 slot).
+    fn gather_accel() -> (CompiledAccelerator, usize) {
+        let (windows, classes, cpc) = (10usize, 9, 19);
+        let shape = AccelShape {
+            bus_width: 4,
+            features: 4 * windows,
+            classes,
+            clauses_per_class: cpc,
+        };
+        let mut cubes = vec![vec![Cube::one(); shape.total_clauses()]; windows];
+        let mut partials = 0;
+        for g in 0..2 * classes {
+            let (class, sign) = (g / 2, g % 2);
+            let shared = 1 + g % 9;
+            let count = g % 10;
+            for (j, clause) in (class * cpc + sign..(class + 1) * cpc)
+                .step_by(2)
+                .enumerate()
+            {
+                let count = if j < shared {
+                    count
+                } else {
+                    (count + 1 + j - shared) % 10
+                };
+                partials += count;
+                for t in 0..count {
+                    let k = (3 * j + g + t) % windows;
+                    let bit = ((j + t) % 4) as u32;
+                    cubes[k][clause] = match (g + j + t) % 4 {
+                        0 => Cube::from_lits([Lit::pos(bit)]),
+                        1 => Cube::from_lits([Lit::neg(bit)]),
+                        2 => Cube::from_lits([Lit::pos(bit), Lit::neg((bit + 1) % 4)]),
+                        _ => Cube::from_lits([Lit::pos(bit), Lit::neg(bit)]),
+                    };
+                }
+            }
+        }
+        let accel = CompiledAccelerator::from_window_cubes(shape, &cubes, Sharing::Enabled);
+        (accel, partials)
+    }
+
+    /// Class sums of one ≤ 256-input chunk on `kernel`.
+    fn chunk_sums(program: &TurboProgram, kernel: CountKernel, xs: &[BitVec]) -> Vec<Vec<i32>> {
+        let classes = program.shape.classes;
+        let mut out = vec![0; xs.len() * classes];
+        let mut scratch = TurboScratch::default();
+        // SAFETY: callers pass only kernels the host supports.
+        unsafe { program.chunk_class_sums_into(xs, kernel, &mut scratch, &mut out) };
+        out.chunks(classes).map(<[i32]>::to_vec).collect()
+    }
+
+    #[test]
+    fn one_word_strips_match_the_portable_kernel_and_the_reference() {
+        let (a, designed) = gather_accel();
+        for options in [
+            crate::compile::CompileOptions::none(),
+            crate::compile::CompileOptions::default(),
+        ] {
+            let compiled = crate::compile::CompilePipeline::new(options).compile(&a);
+            let program = compiled.program;
+            let mut lengths: Vec<u32> = program
+                .groups
+                .iter()
+                .flat_map(|g| g.runs.iter().map(|&(_, clauses)| clauses))
+                .collect();
+            lengths.sort_unstable();
+            lengths.dedup();
+            assert_eq!(lengths, (1..=9).collect::<Vec<_>>(), "{options:?}");
+            assert!(
+                program.groups.iter().any(|g| g.runs[0].0 == 0),
+                "{options:?}: a count-0 run"
+            );
+            assert_eq!(program.sum_transposes(), 2, "{options:?}");
+            assert_eq!(compiled.stats.clause_ands_after, designed, "{options:?}");
+            for (n, seed) in [
+                (1usize, 0x51DE_0001u64),
+                (63, 0x51DE_0063),
+                (64, 0x51DE_0064),
+            ] {
+                let xs = random_inputs(a.shape().features, n, seed);
+                let expected: Vec<Vec<i32>> =
+                    xs.iter().map(|x| a.reference_class_sums(x)).collect();
+                for kernel in supported_count_kernels() {
+                    assert_eq!(
+                        chunk_sums(&program, kernel, &xs),
+                        expected,
+                        "{options:?} {kernel:?} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn four_clause_blocks_pad_with_constant_one_and_are_not_counted() {
+        let (a, designed) = gather_accel();
+        let program = TurboProgram::compile(&a);
+        let one = u32::try_from(2 * a.shape().bus_width).expect("fits");
+        // Every run's clauses in blocks of four, one quad per partial
+        // position; the slots of a short block's missing clauses read
+        // window 0's constant 1.
+        let mut quads = program.quads.iter();
+        let mut read = 0;
+        for group in &program.groups {
+            for &(count, clauses) in &group.runs {
+                let (count, clauses) = (count as usize, clauses as usize);
+                let run = &program.partials[read..read + count * clauses];
+                read += run.len();
+                if count == 0 {
+                    continue;
+                }
+                for block in run.chunks(4 * count) {
+                    for p in 0..count {
+                        let quad = quads.next().expect("a quad per position");
+                        for (j, &slot) in quad.iter().enumerate() {
+                            let want = block.get(j * count + p).copied().unwrap_or(one);
+                            assert_eq!(slot, want, "block {block:?} position {p}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(quads.next().is_none());
+        assert!(!program.partials.contains(&one));
+        let padded = program
+            .quads
+            .iter()
+            .flatten()
+            .filter(|&&s| s == one)
+            .count();
+        assert!(padded > 0, "some run is not a multiple of four");
+        assert_eq!(program.quads.len() * 4 - padded, designed);
+        // Padding is not work: the counts are the clause partials.
+        assert_eq!(program.clause_ands(), designed);
+        let stats = crate::compile::CompilePipeline::default().compile(&a).stats;
+        assert_eq!(
+            (
+                stats.clause_ands_after,
+                stats.tape_ands,
+                stats.sum_transposes
+            ),
+            (designed, program.tape_ands(), 2)
+        );
     }
 
     #[test]
