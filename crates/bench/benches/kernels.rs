@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use matador_baselines::bnn::{QuantMlp, TrainConfig};
 use matador_baselines::topology::{Quantization, Topology};
 use matador_datasets::{generate, DatasetKind, SplitSizes};
+use matador_logic::cube::CubeArena;
 use matador_logic::dag::Sharing;
 use matador_logic::extract::{extract_divisors, ExtractOptions};
 use matador_logic::share::{optimize_window, window_cubes};
@@ -99,11 +100,12 @@ fn bench_logic(c: &mut Criterion) {
         b.iter(|| black_box(extract_divisors(&cubes, ExtractOptions::default())))
     });
 
+    let arena = CubeArena::from_cubes(&cubes);
     c.bench_function("optimize_window_shared", |b| {
-        b.iter(|| black_box(optimize_window(64, &cubes, Sharing::Enabled)))
+        b.iter(|| black_box(optimize_window(64, arena.list(), Sharing::Enabled)))
     });
 
-    let dag = optimize_window(64, &cubes, Sharing::Enabled);
+    let dag = optimize_window(64, arena.list(), Sharing::Enabled);
     c.bench_function("lut_map_window0_k6", |b| {
         b.iter(|| black_box(map_dag(&dag, 6)))
     });

@@ -10,9 +10,9 @@
 //! verification and Verilog emission.
 
 use crate::config::MatadorConfig;
-use matador_logic::cube::Cube;
+use matador_logic::cube::contradictory;
 use matador_logic::dag::{LogicDag, Sharing};
-use matador_logic::share::{prefix_register_counts, window_cubes};
+use matador_logic::share::{optimize_window, WindowLits};
 use matador_rtl::gen::{self, DesignParams, TestVector};
 use matador_rtl::verilog::{emit_netlist, EmitOptions};
 use matador_rtl::Netlist;
@@ -41,8 +41,9 @@ pub struct VerilogFile {
 pub struct AcceleratorDesign {
     config: MatadorConfig,
     model: TrainedModel,
-    /// One cube per clause per window, class-major.
-    windows: Vec<Vec<Cube>>,
+    /// One cube per clause per window, class-major, listed once from the
+    /// model's masks: the optimizer's input and verification's oracle.
+    windows: WindowLits,
     /// Optimized (or DON'T TOUCH) DAG per window, shared with every
     /// [`CompiledAccelerator`] compiled from the design.
     dags: Arc<[LogicDag]>,
@@ -79,19 +80,21 @@ impl AcceleratorDesign {
         config: MatadorConfig,
         threads: usize,
     ) -> Self {
-        let windows = window_cubes(&model, config.bus_width());
+        let windows = WindowLits::new(&model, config.bus_width());
         let sharing = config.sharing();
 
         let prefix_regs = match sharing {
-            Sharing::Enabled => prefix_register_counts(&model, config.bus_width()),
-            Sharing::DontTouch => vec![model.total_clauses(); windows.len()],
+            Sharing::Enabled => windows.prefix_register_counts(),
+            Sharing::DontTouch => vec![model.total_clauses(); windows.num_windows()],
         };
 
         // Per-window logic optimization + LUT mapping, the generation hot
         // path: each window is independent, so fan out across workers.
+        let window_ids: Vec<usize> = (0..windows.num_windows()).collect();
         let per_window: Vec<(LogicDag, HcbLogic, u32)> =
-            matador_par::par_map_indexed_with(threads, &windows, |k, cubes| {
-                let dag = matador_logic::share::optimize_window(config.bus_width(), cubes, sharing);
+            matador_par::par_map_with(threads, &window_ids, |&k| {
+                let cubes = windows.window(k);
+                let dag = optimize_window(config.bus_width(), cubes, sharing);
                 let mapping = map_dag(&dag, LUT_K);
                 let depth = mapping.depth;
                 let regs = prefix_regs[k];
@@ -119,7 +122,7 @@ impl AcceleratorDesign {
                         // measured behaviour).
                         let nontrivial = cubes
                             .iter()
-                            .filter(|c| !c.is_empty() && !c.is_contradictory())
+                            .filter(|c| !c.is_empty() && !contradictory(c))
                             .count();
                         HcbLogic {
                             luts: dag.and2_count() + dag.inverter_count(),
@@ -164,7 +167,7 @@ impl AcceleratorDesign {
 
     /// HCB count (= packets per datapoint).
     pub fn num_hcbs(&self) -> usize {
-        self.windows.len()
+        self.windows.num_windows()
     }
 
     /// Per-window mapped-logic measurements (Fig 8's per-HCB series).
@@ -349,8 +352,9 @@ impl AcceleratorDesign {
         )
     }
 
-    /// The per-window cubes (class-major clause order).
-    pub fn windows(&self) -> &[Vec<Cube>] {
+    /// The per-window cubes (class-major clause order), as listed from
+    /// the model ([`WindowLits::to_cubes`] gives them as values).
+    pub fn windows(&self) -> &WindowLits {
         &self.windows
     }
 
@@ -400,7 +404,7 @@ mod tests {
     fn partitioning_counts() {
         let d = AcceleratorDesign::generate(small_model(), config(4));
         assert_eq!(d.num_hcbs(), 3); // 12 features / 4 bits
-        assert_eq!(d.windows()[0].len(), 8); // one cube per clause
+        assert_eq!(d.windows().window(0).len(), 8); // one cube per clause
         assert_eq!(d.design_params().num_clauses, 8);
     }
 
@@ -501,7 +505,7 @@ mod tests {
             let design = AcceleratorDesign::generate(model.clone(), cfg);
             let reference = CompiledAccelerator::from_window_cubes(
                 design.accel_shape(),
-                design.windows(),
+                &design.windows().to_cubes(),
                 sharing,
             );
             let accel = design.compile_for_sim();
@@ -592,7 +596,7 @@ mod tests {
             for v in 0..16u32 {
                 let input = BitVec::from_bools((0..4).map(|b| (v >> b) & 1 == 1));
                 let gate_outs = nl.eval(&input);
-                for (c, cube) in d.windows()[w].iter().enumerate() {
+                for (c, cube) in d.windows().window(w).to_cubes().iter().enumerate() {
                     let expect = !cube.is_contradictory() && cube.eval(&input);
                     assert_eq!(gate_outs[c], expect, "w{w} clause{c} v{v:04b}");
                 }

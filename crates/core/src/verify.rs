@@ -16,7 +16,7 @@
 //! stays an independent reference for the hardware it checks.
 
 use crate::design::AcceleratorDesign;
-use matador_logic::cube::Cube;
+use matador_logic::cube::CubeList;
 use matador_rtl::Netlist;
 use matador_sim::{CompiledAccelerator, SimEngine, SimError, SimResult};
 use rand::rngs::SmallRng;
@@ -100,7 +100,7 @@ pub(crate) fn verify_compiled(
     //    (bus widths are at most 64 bits), drawn one bit at a time.
     let mut gate_vectors = 0usize;
     let mut gate_mismatches = 0usize;
-    for (wi, cubes) in design.windows().iter().enumerate() {
+    for wi in 0..design.num_hcbs() {
         let random = (0..gate_vectors_per_window)
             .map(|_| (0..w).fold(0u64, |word, bit| word | u64::from(rng.gen::<bool>()) << bit));
         let vectors: Vec<u64> = [0, u64::MAX >> (64 - w)]
@@ -108,7 +108,11 @@ pub(crate) fn verify_compiled(
             .chain(random)
             .collect();
         gate_vectors += vectors.len();
-        gate_mismatches += window_mismatches(design.window_netlist(wi), cubes, &vectors);
+        gate_mismatches += window_mismatches(
+            design.window_netlist(wi),
+            design.windows().window(wi),
+            &vectors,
+        );
     }
 
     // 2. System-level equivalence through the cycle simulator.
@@ -145,7 +149,7 @@ pub(crate) fn verify_compiled(
 /// word per input port, the netlist is evaluated once over the lanes,
 /// each cube's expected output is the AND of its literals' lane words,
 /// and only the lanes holding a vector are counted.
-fn window_mismatches(netlist: &Netlist, cubes: &[Cube], vectors: &[u64]) -> usize {
+fn window_mismatches(netlist: &Netlist, cubes: CubeList<'_>, vectors: &[u64]) -> usize {
     let width = netlist.inputs().len();
     let mut lanes = vec![0u64; width];
     let mut mismatches = 0usize;
@@ -162,9 +166,9 @@ fn window_mismatches(netlist: &Netlist, cubes: &[Cube], vectors: &[u64]) -> usiz
             (1u64 << chunk.len()) - 1
         };
         let outs = netlist.eval_lanes(&lanes);
-        for (out, cube) in outs.iter().zip(cubes) {
+        for (out, cube) in outs.iter().zip(cubes.iter()) {
             // A contradictory cube (`x & ¬x`) ANDs to zero in every lane.
-            let expect = cube.lits().iter().fold(!0u64, |acc, lit| {
+            let expect = cube.iter().fold(!0u64, |acc, lit| {
                 let lane = lanes[lit.bit() as usize];
                 acc & if lit.is_negated() { !lane } else { lane }
             });
@@ -178,6 +182,7 @@ fn window_mismatches(netlist: &Netlist, cubes: &[Cube], vectors: &[u64]) -> usiz
 mod tests {
     use super::*;
     use crate::config::MatadorConfig;
+    use matador_logic::cube::Cube;
     use matador_logic::dag::Sharing;
     use matador_rtl::Gate;
     use std::collections::HashMap;
@@ -297,7 +302,7 @@ mod tests {
         let mut caught = 0;
         for window in 0..design.num_hcbs() {
             let netlist = design.window_netlist(window);
-            let cubes = &design.windows()[window];
+            let cubes = design.windows().window(window);
             assert_eq!(window_mismatches(netlist, cubes, &vectors), 0);
             let ands: Vec<usize> = (netlist.gates().iter().enumerate())
                 .filter(|(_, g)| matches!(g, Gate::And2 { .. }))
@@ -309,7 +314,7 @@ mod tests {
                 let lanes = window_mismatches(&faulty, cubes, &vectors);
                 assert_eq!(
                     lanes,
-                    per_vector_mismatches(&faulty, cubes, &vectors),
+                    per_vector_mismatches(&faulty, &cubes.to_cubes(), &vectors),
                     "window {window} gate {gi}"
                 );
                 caught += usize::from(lanes > 0);

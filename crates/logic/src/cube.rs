@@ -148,9 +148,7 @@ impl Cube {
     /// a contradictory cube is the constant 0. Trained TM clauses can
     /// contain contradictions — such clauses never fire.
     pub fn is_contradictory(&self) -> bool {
-        self.lits
-            .windows(2)
-            .any(|w| w[0].bit() == w[1].bit() && w[0].is_negated() != w[1].is_negated())
+        contradictory(&self.lits)
     }
 
     /// Evaluates the conjunction on an input window.
@@ -187,6 +185,124 @@ impl fmt::Display for Cube {
 impl FromIterator<Lit> for Cube {
     fn from_iter<I: IntoIterator<Item = Lit>>(iter: I) -> Self {
         Cube::from_lits(iter)
+    }
+}
+
+/// Whether canonical (sorted, distinct) literals hold some `x` and `¬x`:
+/// [`Cube::is_contradictory`] of a literal slice.
+pub fn contradictory(lits: &[Lit]) -> bool {
+    lits.windows(2)
+        .any(|w| w[0].bit() == w[1].bit() && w[0].is_negated() != w[1].is_negated())
+}
+
+/// A list of cubes stored back to back: one literal slice plus the end
+/// of each cube in it. Cube `c` holds `lits[ends[c - 1]..ends[c]]`
+/// (from 0 for the first), each in canonical order. This is how the
+/// generation flow hands a window to the optimizer: one borrowed arena,
+/// no vector per cube (see [`crate::share::WindowLits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CubeList<'a> {
+    lits: &'a [Lit],
+    ends: &'a [u32],
+}
+
+impl<'a> CubeList<'a> {
+    /// A list over `lits` with per-cube `ends`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` is not ascending or the last end is not
+    /// `lits.len()` (an empty list needs empty `lits`).
+    pub fn new(lits: &'a [Lit], ends: &'a [u32]) -> Self {
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1]),
+            "cube ends must ascend"
+        );
+        assert_eq!(
+            ends.last().map_or(0, |&e| e as usize),
+            lits.len(),
+            "the last cube must end the literals"
+        );
+        CubeList { lits, ends }
+    }
+
+    /// Number of cubes.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the list holds no cube.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Literals over all cubes.
+    pub fn lit_count(&self) -> usize {
+        self.lits.len()
+    }
+
+    /// Cube `c`'s literals, ascending by code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range.
+    pub fn cube(&self, c: usize) -> &'a [Lit] {
+        let start = c.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.lits[start..self.ends[c] as usize]
+    }
+
+    /// Every cube's literals, in list order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [Lit]> + 'a {
+        let lits = self.lits;
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let cube = &lits[start..end as usize];
+            start = end as usize;
+            cube
+        })
+    }
+
+    /// The cubes as values.
+    pub fn to_cubes(&self) -> Vec<Cube> {
+        self.iter()
+            .map(|lits| Cube::from_sorted_lits(lits.to_vec()))
+            .collect()
+    }
+}
+
+/// An owned [`CubeList`]: the literals of `cubes` packed back to back.
+/// Lets a caller holding [`Cube`] values reach the list-based entry
+/// points ([`crate::share::optimize_window`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CubeArena {
+    lits: Vec<Lit>,
+    ends: Vec<u32>,
+}
+
+impl CubeArena {
+    /// Packs `cubes`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cubes hold `u32::MAX` literals or more.
+    pub fn from_cubes(cubes: &[Cube]) -> Self {
+        let mut lits = Vec::with_capacity(cubes.iter().map(Cube::len).sum());
+        let ends = cubes
+            .iter()
+            .map(|cube| {
+                lits.extend_from_slice(cube.lits());
+                u32::try_from(lits.len()).expect("literal count fits u32")
+            })
+            .collect();
+        CubeArena { lits, ends }
+    }
+
+    /// The packed cubes as a list.
+    pub fn list(&self) -> CubeList<'_> {
+        CubeList {
+            lits: &self.lits,
+            ends: &self.ends,
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 //! and across classes — collapse into a single node; building with sharing
 //! disabled models the paper's `DON'T TOUCH` experiment (Fig 8).
 
-use crate::cube::Cube;
-use crate::extract::{Extraction, Item};
+use crate::cube::{contradictory, Cube, CubeList, Lit};
+use crate::extract::{Extraction, Factored, Item};
 use crate::hash::WordMap;
 use tsetlin::bits::BitVec;
 
@@ -108,9 +108,28 @@ impl LogicDag {
     ///
     /// Panics if any cube reads a bit ≥ `width`.
     pub fn from_cubes(width: usize, cubes: &[Cube], sharing: Sharing) -> Self {
+        Self::from_lit_lists(width, cubes.iter().map(Cube::lits), sharing)
+    }
+
+    /// [`LogicDag::from_cubes`] over a [`CubeList`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any cube reads a bit ≥ `width`.
+    pub fn from_cube_list(width: usize, cubes: CubeList<'_>, sharing: Sharing) -> Self {
+        Self::from_lit_lists(width, cubes.iter(), sharing)
+    }
+
+    fn from_lit_lists<'a>(
+        width: usize,
+        cubes: impl ExactSizeIterator<Item = &'a [Lit]>,
+        sharing: Sharing,
+    ) -> Self {
         let mut dag = LogicDag::new(width, sharing);
-        for cube in cubes {
-            let node = dag.add_cube(cube);
+        dag.outputs.reserve(cubes.len());
+        let mut parts = Vec::new();
+        for lits in cubes {
+            let node = dag.add_lits(lits, &mut parts);
             dag.outputs.push(node);
         }
         dag
@@ -147,6 +166,50 @@ impl LogicDag {
             Item::Lit(l) => self.literal(l.bit(), l.is_negated()),
             Item::Div(d) => div_nodes[d as usize],
         }
+    }
+
+    /// [`LogicDag::from_extraction`] of `factored.to_extraction(cubes)`,
+    /// read straight from the factored form: a cube of fewer than two
+    /// literals comes from `cubes`, every other from the form's items.
+    /// Nodes are created in the same order, so the DAGs are identical.
+    pub(crate) fn from_factored(
+        width: usize,
+        cubes: CubeList<'_>,
+        factored: &Factored,
+        sharing: Sharing,
+    ) -> Self {
+        let mut dag = LogicDag::new(width, sharing);
+        let lits = &factored.lits;
+        let mut div_nodes: Vec<NodeRef> = Vec::with_capacity(factored.divisors.len());
+        let node_of =
+            |dag: &mut LogicDag, div_nodes: &[NodeRef], id: u32| match lits.get(id as usize) {
+                Some(l) => dag.literal(l.bit(), l.is_negated()),
+                None => div_nodes[id as usize - lits.len()],
+            };
+        for &(a, b) in &factored.divisors {
+            let na = node_of(&mut dag, &div_nodes, a);
+            let nb = node_of(&mut dag, &div_nodes, b);
+            div_nodes.push(dag.and(na, nb));
+        }
+        dag.outputs.reserve(cubes.len());
+        let mut spans = factored.spans.iter();
+        let mut parts: Vec<NodeRef> = Vec::new();
+        for cube in cubes.iter() {
+            parts.clear();
+            if cube.len() < 2 {
+                for l in cube {
+                    parts.push(dag.literal(l.bit(), l.is_negated()));
+                }
+            } else {
+                let &(start, len) = spans.next().expect("one span per factored cube");
+                for &id in &factored.items[start as usize..(start + len) as usize] {
+                    parts.push(node_of(&mut dag, &div_nodes, id));
+                }
+            }
+            let node = dag.reduce_and_tree(&mut parts);
+            dag.outputs.push(node);
+        }
+        dag
     }
 
     /// Reassembles a DAG from raw `nodes`/`outputs` arrays — the
@@ -334,15 +397,20 @@ impl LogicDag {
     ///
     /// Panics if the cube reads a bit ≥ `width`.
     pub fn add_cube(&mut self, cube: &Cube) -> NodeRef {
-        if cube.is_contradictory() {
+        self.add_lits(cube.lits(), &mut Vec::new())
+    }
+
+    /// [`LogicDag::add_cube`] of canonical literals, using `parts` as
+    /// scratch.
+    fn add_lits(&mut self, lits: &[Lit], parts: &mut Vec<NodeRef>) -> NodeRef {
+        if contradictory(lits) {
             return self.const0();
         }
-        let mut parts: Vec<NodeRef> = cube
-            .lits()
-            .iter()
-            .map(|l| self.literal(l.bit(), l.is_negated()))
-            .collect();
-        self.reduce_and_tree(&mut parts)
+        parts.clear();
+        for l in lits {
+            parts.push(self.literal(l.bit(), l.is_negated()));
+        }
+        self.reduce_and_tree(parts)
     }
 
     /// Registers `node` as the next output.
@@ -459,7 +527,6 @@ impl LogicDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::Lit;
 
     fn c(lits: &[(u32, bool)]) -> Cube {
         Cube::from_lits(

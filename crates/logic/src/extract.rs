@@ -14,8 +14,19 @@
 //! lazy max-heap, so each extraction costs `O(cube_len · log)` per
 //! rewritten cube rather than a full recount, and it visits only the
 //! cubes listed as holding the divisor's rarer operand.
+//!
+//! The extractor reads its cubes as a [`CubeList`], the slice of the
+//! model's window-major literal arena ([`crate::share::WindowLits`]) that
+//! window optimization hands it, and only cubes of two or more literals
+//! enter it. On a trained model most cubes are empty or a single literal
+//! (61% and 24% of perfbench's MNIST design), and skipping them is exact:
+//! such a cube holds no pair, so it adds to no count and no divisor can
+//! rewrite it, and leaving its literals out keeps item ids ascending in
+//! literal order, so ties break as before. Its factored form is the cube
+//! itself. [`extract_divisors`] packs a `&[Cube]` into an arena and runs
+//! the same extractor.
 
-use crate::cube::{Cube, Lit};
+use crate::cube::{Cube, CubeArena, CubeList, Lit};
 use crate::hash::WordMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -142,9 +153,10 @@ impl ExtractOptions {
 /// id order is `Item` order; a table indexed by literal code, linear in
 /// the largest code, assigns them. Pairs of the first 128 literals (all
 /// of a 64-bit window's) are counted in a dense table, every other pair
-/// in a hash map. Each item keeps the ascending list of cubes that hold
-/// it, so applying a divisor visits only the cubes holding its rarer
-/// operand.
+/// in a hash map, and only the pairs counted seed the heap. Each item
+/// keeps the ascending list of cubes that hold it, so applying a divisor
+/// visits only the cubes holding its rarer operand. Cubes of fewer than
+/// two literals pass through untouched (see the module docs).
 ///
 /// # Examples
 ///
@@ -164,56 +176,111 @@ impl ExtractOptions {
 /// assert_eq!(ex.and2_cost(), 3);
 /// ```
 pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
+    let arena = CubeArena::from_cubes(cubes);
+    factor(arena.list(), options).to_extraction(arena.list())
+}
+
+/// The factored form [`factor`] builds: dense item ids, as
+/// [`extract_divisors`] numbers them, over the cubes of two or more
+/// literals.
+#[derive(Debug, Clone)]
+pub(crate) struct Factored {
+    /// The literal of each literal id, ascending by code; ids from
+    /// `lits.len()` up are the divisors, in extraction order.
+    pub(crate) lits: Vec<Lit>,
+    /// Each divisor's two operand ids, the smaller first.
+    pub(crate) divisors: Vec<(u32, u32)>,
+    /// The rewritten items of every cube of two or more literals, in
+    /// cube order, back to back; each is sorted.
+    pub(crate) items: Vec<u32>,
+    /// Start and length in `items` of each such cube.
+    pub(crate) spans: Vec<(u32, u32)>,
+    /// See [`Extraction::budget_exceeded`].
+    pub(crate) budget_exceeded: bool,
+}
+
+impl Factored {
+    /// The [`Item`] of id `id`.
+    pub(crate) fn item(&self, id: u32) -> Item {
+        match self.lits.get(id as usize) {
+            Some(&l) => Item::Lit(l),
+            None => Item::Div(id - self.lits.len() as u32),
+        }
+    }
+
+    /// The [`Extraction`] of `cubes`, the list this form was factored
+    /// from: a cube of fewer than two literals passes through as is.
+    pub(crate) fn to_extraction(&self, cubes: CubeList<'_>) -> Extraction {
+        let mut spans = self.spans.iter();
+        Extraction {
+            divisors: (self.divisors.iter())
+                .map(|&(a, b)| (self.item(a), self.item(b)))
+                .collect(),
+            cubes: cubes
+                .iter()
+                .map(|lits| match lits.len() {
+                    0 | 1 => lits.iter().map(|&l| Item::Lit(l)).collect(),
+                    _ => {
+                        let &(start, len) = spans.next().expect("one span per factored cube");
+                        (self.items[start as usize..(start + len) as usize].iter())
+                            .map(|&id| self.item(id))
+                            .collect()
+                    }
+                })
+                .collect(),
+            budget_exceeded: self.budget_exceeded,
+        }
+    }
+}
+
+/// The extractor behind [`extract_divisors`] and window optimization.
+///
+/// Only cubes of two or more literals take part: a cube of fewer holds
+/// no pair, so no divisor can rewrite it, and its literals neither count
+/// toward a pair nor change the order of the ids the others get. The
+/// others' items live in one arena; pairs are counted as they are first
+/// seen and only those seed the heap.
+pub(crate) fn factor(cubes: CubeList<'_>, options: ExtractOptions) -> Factored {
     let min_count = options.min_count.max(2);
 
+    // Sizes: the factored cubes, their items, the largest literal code
+    // and the candidate-pair mass the density budget bounds.
+    let (mut factored, mut total, mut codes, mut pair_mass) = (0usize, 0usize, 0usize, 0usize);
+    for cube in cubes.iter().filter(|c| c.len() >= 2) {
+        factored += 1;
+        total += cube.len();
+        codes = codes.max(cube[cube.len() - 1].code() as usize + 1);
+        pair_mass += cube.len() * (cube.len() - 1) / 2;
+    }
     // Density early-out: both the initial pair count-up below and the
     // per-extraction rewrite passes scale with the candidate-pair mass,
-    // so a budget violation bails to the identity factoring before any
-    // quadratic work happens.
-    if options.max_candidates != 0 {
-        let pair_mass: usize = cubes
-            .iter()
-            .map(|c| c.len() * c.len().saturating_sub(1) / 2)
-            .sum();
-        if pair_mass > options.max_candidates {
-            return Extraction {
-                divisors: Vec::new(),
-                cubes: cubes
-                    .iter()
-                    .map(|c| c.lits().iter().map(|&l| Item::Lit(l)).collect())
-                    .collect(),
-                budget_exceeded: true,
-            };
+    // so a budget violation keeps the identity factoring and does no
+    // quadratic work.
+    let budget_exceeded = options.max_candidates != 0 && pair_mass > options.max_candidates;
+
+    // Every factored cube's items, back to back. A rewrite replaces two
+    // items by one, so a cube keeps its start and shrinks in place. The
+    // arena first holds literal codes, counted per code.
+    let mut items: Vec<u32> = Vec::with_capacity(total);
+    let mut spans: Vec<(u32, u32)> = Vec::with_capacity(factored);
+    let mut per_code: Vec<u32> = vec![0; codes];
+    for cube in cubes.iter().filter(|c| c.len() >= 2) {
+        spans.push((items.len() as u32, cube.len() as u32));
+        for l in cube {
+            per_code[l.code() as usize] += 1;
+            items.push(l.code());
         }
     }
 
-    // Every cube's items, back to back. A rewrite replaces two items by
-    // one, so cube `c` keeps its start and shrinks to `lens[c]` items.
-    // The arena first holds literal codes, counted per code.
-    let mut items: Vec<u32> = Vec::with_capacity(cubes.iter().map(Cube::len).sum());
-    let mut starts: Vec<usize> = Vec::with_capacity(cubes.len());
-    let mut lens: Vec<usize> = Vec::with_capacity(cubes.len());
-    let mut per_code: Vec<u32> = Vec::new();
-    for cube in cubes {
-        starts.push(items.len());
-        lens.push(cube.len());
-        for l in cube.lits() {
-            let code = l.code() as usize;
-            if code >= per_code.len() {
-                per_code.resize(code + 1, 0);
-            }
-            per_code[code] += 1;
-            items.push(code as u32);
-        }
-    }
-
-    // Dense literal ids, ascending by code; each literal's holder list is
-    // sized to its occurrences.
+    // Dense literal ids, ascending by code. Each literal's holder list
+    // is a run of `holders` sized to its occurrences.
     let mut lits: Vec<Lit> = Vec::new();
-    let mut holders: Vec<Vec<u32>> = Vec::new();
+    let mut holder_runs: Vec<(u32, u32)> = Vec::new();
+    let mut next_run = 0u32;
     for (code, n) in per_code.iter_mut().enumerate() {
         if *n != 0 {
-            holders.push(Vec::with_capacity(*n as usize));
+            holder_runs.push((next_run, 0));
+            next_run += *n;
             *n = lits.len() as u32;
             lits.push(Lit::from_code(code as u32));
         }
@@ -221,20 +288,42 @@ pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
     for item in &mut items {
         *item = per_code[*item as usize];
     }
+    if budget_exceeded {
+        return Factored {
+            lits,
+            divisors: Vec::new(),
+            items,
+            spans,
+            budget_exceeded,
+        };
+    }
 
+    let mut holders: Vec<u32> = vec![0; next_run as usize];
     let mut counts = PairCounts::new(lits.len());
-    for (c, (&start, &len)) in starts.iter().zip(&lens).enumerate() {
-        let cube = &items[start..start + len];
+    // Heap entries of every pair seen, counted once counting is done.
+    let mut seen: Vec<(u32, Reverse<u64>)> = Vec::new();
+    for (c, &(start, len)) in spans.iter().enumerate() {
+        let cube = &items[start as usize..(start + len) as usize];
         for (i, &a) in cube.iter().enumerate() {
-            holders[a as usize].push(c as u32);
+            let run = &mut holder_runs[a as usize];
+            holders[(run.0 + run.1) as usize] = c as u32;
+            run.1 += 1;
             for &b in &cube[i + 1..] {
-                *counts.slot(a, b) += 1;
+                let n = counts.slot(a, b);
+                if *n == 0 {
+                    seen.push((0, Reverse(pair_key(a, b))));
+                }
+                *n += 1;
             }
         }
     }
-    let mut heap: BinaryHeap<(u32, Reverse<u64>)> = counts.nonzero().collect();
+    for (count, Reverse(key)) in &mut seen {
+        *count = counts.get((*key >> 32) as u32, *key as u32);
+    }
+    let mut heap = BinaryHeap::from(seen);
 
     let mut divisors: Vec<(u32, u32)> = Vec::new();
+    let mut rewritten: Vec<u32> = Vec::new();
     while let Some((count, Reverse(key))) = heap.pop() {
         if (count as usize) < min_count {
             break;
@@ -262,25 +351,25 @@ pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
         *counts.slot(a, b) = 0;
 
         // Rewrite every cube containing both items: only cubes holding
-        // the rarer one can. Its list drops the rewritten cubes and any
-        // stale entries; the other list is filtered when next used.
-        let rarer = if holders[a as usize].len() <= holders[b as usize].len() {
+        // the rarer one can. Its run drops the rewritten cubes and any
+        // stale entries; the other run is filtered when next used.
+        let rarer = if holder_runs[a as usize].1 <= holder_runs[b as usize].1 {
             a
         } else {
             b
         };
-        let mut candidates = std::mem::take(&mut holders[rarer as usize]);
-        let mut rewritten: Vec<u32> = Vec::new();
+        let (run_start, run_len) = holder_runs[rarer as usize];
         let mut kept = 0;
-        for r in 0..candidates.len() {
-            let c = candidates[r] as usize;
-            let len = lens[c];
-            let cube = &mut items[starts[c]..starts[c] + len];
+        for r in run_start..run_start + run_len {
+            let c = holders[r as usize] as usize;
+            let (start, len) = spans[c];
+            let (start, len) = (start as usize, len as usize);
+            let cube = &mut items[start..start + len];
             let (ia, ib) = (cube.binary_search(&a), cube.binary_search(&b));
             let (Ok(ia), Ok(ib)) = (ia, ib) else {
                 let held = if rarer == a { ia } else { ib };
                 if held.is_ok() {
-                    candidates[kept] = c as u32;
+                    holders[(run_start + kept) as usize] = c as u32;
                     kept += 1;
                 }
                 continue;
@@ -296,7 +385,7 @@ pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
             cube.copy_within(ia + 1..ib, ia);
             cube.copy_within(ib + 1.., ib - 1);
             cube[len - 2] = d;
-            lens[c] = len - 1;
+            spans[c].1 -= 1;
             // Bump the divisor's pair counts vs the remainder.
             for &t in &cube[..len - 2] {
                 let n = counts.slot(t, d);
@@ -305,27 +394,16 @@ pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
             }
             rewritten.push(c as u32);
         }
-        candidates.truncate(kept);
-        holders[rarer as usize] = candidates;
-        holders.push(rewritten);
+        holder_runs[rarer as usize].1 = kept;
+        holder_runs.push((holders.len() as u32, rewritten.len() as u32));
+        holders.append(&mut rewritten);
     }
 
-    let item = |id: u32| match lits.get(id as usize) {
-        Some(&l) => Item::Lit(l),
-        None => Item::Div(id - lits.len() as u32),
-    };
-    Extraction {
-        divisors: divisors.iter().map(|&(a, b)| (item(a), item(b))).collect(),
-        cubes: starts
-            .iter()
-            .zip(&lens)
-            .map(|(&start, &len)| {
-                items[start..start + len]
-                    .iter()
-                    .map(|&id| item(id))
-                    .collect()
-            })
-            .collect(),
+    Factored {
+        lits,
+        divisors,
+        items,
+        spans,
         budget_exceeded: false,
     }
 }
@@ -375,21 +453,6 @@ impl PairCounts {
         } else {
             self.sparse.entry(pair_key(a, b)).or_insert(0)
         }
-    }
-
-    /// Every pair with a nonzero count, as a heap entry.
-    fn nonzero(&self) -> impl Iterator<Item = (u32, Reverse<u64>)> + '_ {
-        let n = self.dense_ids;
-        let dense = self
-            .dense
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (c, pair_key((i / n) as u32, (i % n) as u32)));
-        let sparse = self.sparse.iter().map(|(&key, &c)| (c, key));
-        dense
-            .chain(sparse)
-            .filter(|&(c, _)| c > 0)
-            .map(|(c, key)| (c, Reverse(key)))
     }
 }
 

@@ -12,7 +12,7 @@
 //!   optimization entry points used by RTL generation and synthesis.
 //!
 //! ```
-//! use matador_logic::cube::{Cube, Lit};
+//! use matador_logic::cube::{Cube, CubeArena, Lit};
 //! use matador_logic::dag::Sharing;
 //! use matador_logic::share::optimize_window;
 //!
@@ -21,7 +21,7 @@
 //!     Cube::from_lits([Lit::pos(0), Lit::pos(1), Lit::neg(2)]),
 //!     Cube::from_lits([Lit::pos(0), Lit::pos(1), Lit::neg(3)]),
 //! ];
-//! let dag = optimize_window(8, &cubes, Sharing::Enabled);
+//! let dag = optimize_window(8, CubeArena::from_cubes(&cubes).list(), Sharing::Enabled);
 //! assert!(dag.and2_count() <= 3);
 //! ```
 
@@ -31,7 +31,7 @@ pub mod extract;
 mod hash;
 pub mod share;
 
-pub use cube::{Cube, Lit};
+pub use cube::{Cube, CubeArena, CubeList, Lit};
 pub use dag::{LogicDag, Node, NodeRef, Sharing};
 pub use extract::{extract_divisors, ExtractOptions, Extraction, Item};
-pub use share::{gate_stats, optimize_window, prefix_register_counts, WindowGateStats};
+pub use share::{gate_stats, optimize_window, prefix_register_counts, WindowGateStats, WindowLits};

@@ -1,10 +1,17 @@
 //! Model-level logic-sharing analysis and window optimization — the
 //! quantitative backing for the paper's Fig 3 observation and the Fig 8
 //! DON'T TOUCH experiment.
+//!
+//! A model is listed once, into [`WindowLits`]: one window-major arena of
+//! literals plus the end of each (window, clause) cube. Every generation
+//! stage reads that arena — prefix-register counting, divisor extraction
+//! and the DAG build through [`optimize_window`], and verification's
+//! expected clause outputs — so the flow allocates per window, not per
+//! cube. [`window_cubes`] is a view of it as [`Cube`] values.
 
-use crate::cube::{Cube, Lit};
+use crate::cube::{Cube, CubeList, Lit};
 use crate::dag::{LogicDag, Sharing};
-use crate::extract::{extract_divisors, ExtractOptions, Extraction};
+use crate::extract::{factor, ExtractOptions};
 use std::collections::HashMap;
 use tsetlin::model::{IncludeMask, TrainedModel};
 
@@ -34,104 +41,228 @@ impl WindowGateStats {
     }
 }
 
-/// Splits a model into per-window cube lists, clause order preserved
-/// (`class`-major), one cube per clause per window.
-pub fn window_cubes(model: &TrainedModel, window_bits: usize) -> Vec<Vec<Cube>> {
-    assert!(window_bits > 0, "window width must be positive");
-    let n = model.num_features();
-    let windows = n.div_ceil(window_bits);
-    (0..windows)
-        .map(|w| {
-            let start = w * window_bits;
-            let end = (start + window_bits).min(n);
-            model
-                .iter_clauses()
-                .map(|(_, _, mask)| window_cube(mask, start, end))
-                .collect()
-        })
-        .collect()
+/// Every window's cubes of a model, listed once from its include masks:
+/// one window-major literal arena plus the end of each (window, clause)
+/// cube, class-major within a window. Each cube's literals are
+/// re-indexed from the window's first feature, in canonical order.
+///
+/// This is the only form the generation flow lists a model in: window
+/// optimization ([`optimize_window`]), prefix-register counting and
+/// verification's expected clause outputs all read it, and
+/// [`window_cubes`] is a view of it. On trained models most cubes are
+/// empty, so the arena costs a few bytes per cube and one allocation per
+/// model rather than one per cube.
+///
+/// # Examples
+///
+/// ```
+/// use matador_logic::share::WindowLits;
+/// use tsetlin::bits::BitVec;
+/// use tsetlin::model::{IncludeMask, TrainedModel};
+///
+/// // One clause `x1 ∧ ¬x5` over 8 features, in windows of 4.
+/// let mask = IncludeMask {
+///     pos: BitVec::from_indices(8, &[1]),
+///     neg: BitVec::from_indices(8, &[5]),
+/// };
+/// let model = TrainedModel::from_masks(8, 1, 1, vec![mask]);
+/// let lits = WindowLits::new(&model, 4);
+/// assert_eq!(lits.num_windows(), 2);
+/// assert_eq!(lits.window(0).to_cubes()[0].to_string(), "x1");
+/// assert_eq!(lits.window(1).to_cubes()[0].to_string(), "~x1");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowLits {
+    window_bits: usize,
+    features: usize,
+    clauses: usize,
+    /// Window 0's cubes' literals in clause order, then window 1's, ….
+    lits: Vec<Lit>,
+    /// `ends[w * clauses + c]`: the end of cube `(w, c)`, counted from
+    /// window `w`'s first literal.
+    ends: Vec<u32>,
+    /// Where each window's literals start in `lits`, then `lits.len()`.
+    starts: Vec<usize>,
 }
 
-/// The cube of `mask` over features `[start, end)`, re-indexed from zero.
-/// Literals are read 64 features at a time from the mask words, in code
-/// order (`x_b` before `¬x_b`, ascending `b`), so nothing is sorted.
-fn window_cube(mask: &IncludeMask, start: usize, end: usize) -> Cube {
-    let chunk = |at: usize| {
-        let width = (end - at).min(64);
-        (
-            mask.pos.extract_word(at, width),
-            mask.neg.extract_word(at, width),
-        )
-    };
-    let len = (start..end)
-        .step_by(64)
-        .map(|at| {
-            let (pos, neg) = chunk(at);
-            (pos.count_ones() + neg.count_ones()) as usize
-        })
-        .sum();
-    let mut lits = Vec::with_capacity(len);
-    for at in (start..end).step_by(64) {
-        let (pos, neg) = chunk(at);
-        let mut rest = pos | neg;
-        while rest != 0 {
-            let b = rest.trailing_zeros();
-            let bit = (at - start) as u32 + b;
-            if (pos >> b) & 1 == 1 {
-                lits.push(Lit::pos(bit));
+impl WindowLits {
+    /// Lists `model`'s cubes over windows of `window_bits` features (the
+    /// last window may be narrower). Literals are read 64 features at a
+    /// time from the mask words, in code order (`x_b` before `¬x_b`,
+    /// ascending `b`), so nothing is sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_bits` is 0.
+    pub fn new(model: &TrainedModel, window_bits: usize) -> Self {
+        assert!(window_bits > 0, "window width must be positive");
+        let n = model.num_features();
+        let windows = n.div_ceil(window_bits);
+        let masks: Vec<&IncludeMask> = model.iter_clauses().map(|(_, _, mask)| mask).collect();
+        let mut lits = Vec::with_capacity(masks.iter().map(|m| m.num_includes()).sum());
+        let mut ends = Vec::with_capacity(windows * masks.len());
+        let mut starts = Vec::with_capacity(windows + 1);
+        for w in 0..windows {
+            let (start, end) = (w * window_bits, ((w + 1) * window_bits).min(n));
+            let base = lits.len();
+            starts.push(base);
+            for mask in &masks {
+                for at in (start..end).step_by(64) {
+                    let width = (end - at).min(64);
+                    let pos = mask.pos.extract_word(at, width);
+                    let neg = mask.neg.extract_word(at, width);
+                    let mut rest = pos | neg;
+                    while rest != 0 {
+                        let b = rest.trailing_zeros();
+                        let bit = (at - start) as u32 + b;
+                        if (pos >> b) & 1 == 1 {
+                            lits.push(Lit::pos(bit));
+                        }
+                        if (neg >> b) & 1 == 1 {
+                            lits.push(Lit::neg(bit));
+                        }
+                        rest &= rest - 1;
+                    }
+                }
+                ends.push(u32::try_from(lits.len() - base).expect("window literals fit u32"));
             }
-            if (neg >> b) & 1 == 1 {
-                lits.push(Lit::neg(bit));
-            }
-            rest &= rest - 1;
+        }
+        starts.push(lits.len());
+        WindowLits {
+            window_bits,
+            features: n,
+            clauses: masks.len(),
+            lits,
+            ends,
+            starts,
         }
     }
-    Cube::from_sorted_lits(lits)
+
+    /// Number of windows (HCBs).
+    pub fn num_windows(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Cubes per window: the model's clause count.
+    pub fn clauses(&self) -> usize {
+        self.clauses
+    }
+
+    /// Features in window `w`: the window width, or fewer in the last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of range.
+    pub fn width(&self, w: usize) -> usize {
+        assert!(w < self.num_windows(), "window out of range");
+        self.window_bits.min(self.features - w * self.window_bits)
+    }
+
+    /// Window `w`'s cubes, one per clause, class-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of range.
+    pub fn window(&self, w: usize) -> CubeList<'_> {
+        CubeList::new(
+            &self.lits[self.starts[w]..self.starts[w + 1]],
+            &self.ends[w * self.clauses..(w + 1) * self.clauses],
+        )
+    }
+
+    /// Every window's cubes as values, window-major.
+    pub fn to_cubes(&self) -> Vec<Vec<Cube>> {
+        (0..self.num_windows())
+            .map(|w| self.window(w).to_cubes())
+            .collect()
+    }
+
+    /// Distinct *cumulative* partial-clause signals after each window;
+    /// see [`prefix_register_counts`].
+    ///
+    /// Linear in the listing: each clause carries a prefix-class id that
+    /// is refined one window at a time. Two clauses have equal prefixes
+    /// through a window exactly when they had equal prefixes before it
+    /// and their cubes in it are equal. An empty cube refines no class,
+    /// so it maps its clause's class through a table indexed by class id;
+    /// only the other cubes are hashed (with the default hasher: the key
+    /// is model content), one insert per clause and window.
+    pub fn prefix_register_counts(&self) -> Vec<usize> {
+        let mut class = vec![0u32; self.clauses];
+        // Per class id before the window: its id after it when the cube
+        // is empty (`u32::MAX` until one is).
+        let mut empty_to: Vec<u32> = Vec::new();
+        let mut ids: HashMap<(u32, &[Lit]), u32> = HashMap::with_capacity(self.clauses);
+        let mut classes = usize::from(self.clauses > 0);
+        let mut counts = Vec::with_capacity(self.num_windows());
+        for w in 0..self.num_windows() {
+            empty_to.clear();
+            empty_to.resize(classes, u32::MAX);
+            ids.clear();
+            let mut next = 0u32;
+            for (id, cube) in class.iter_mut().zip(self.window(w).iter()) {
+                let slot = if cube.is_empty() {
+                    &mut empty_to[*id as usize]
+                } else {
+                    ids.entry((*id, cube)).or_insert(u32::MAX)
+                };
+                if *slot == u32::MAX {
+                    *slot = next;
+                    next += 1;
+                }
+                *id = *slot;
+            }
+            classes = next as usize;
+            counts.push(classes);
+        }
+        counts
+    }
 }
 
-/// Optimizes one window's cube list into a [`LogicDag`].
+/// Splits a model into per-window cube lists, clause order preserved
+/// (`class`-major), one cube per clause per window: the
+/// [`WindowLits`] listing as values.
+pub fn window_cubes(model: &TrainedModel, window_bits: usize) -> Vec<Vec<Cube>> {
+    WindowLits::new(model, window_bits).to_cubes()
+}
+
+/// Optimizes one window's cube list into a [`LogicDag`] over `width`
+/// inputs.
 ///
 /// With [`Sharing::Enabled`], divisor extraction runs first (under the
 /// [`ExtractOptions::budgeted`] density guard, so pathologically dense
 /// under-trained windows skip factoring instead of going quadratic) and
-/// the DAG is structurally hashed; with [`Sharing::DontTouch`] each cube
-/// becomes its own verbatim AND tree (the pragma'd flow of Fig 8).
-pub fn optimize_window(width: usize, cubes: &[Cube], sharing: Sharing) -> LogicDag {
+/// the DAG is built straight from the factored form and structurally
+/// hashed; with [`Sharing::DontTouch`] each cube becomes its own verbatim
+/// AND tree (the pragma'd flow of Fig 8). A caller holding [`Cube`]
+/// values packs them with [`crate::cube::CubeArena`].
+pub fn optimize_window(width: usize, cubes: CubeList<'_>, sharing: Sharing) -> LogicDag {
     match sharing {
         Sharing::Enabled => {
-            let ex = extract_divisors(cubes, ExtractOptions::budgeted());
-            LogicDag::from_extraction(width, &ex, sharing)
+            let factored = factor(cubes, ExtractOptions::budgeted());
+            LogicDag::from_factored(width, cubes, &factored, sharing)
         }
-        Sharing::DontTouch => LogicDag::from_cubes(width, cubes, sharing),
+        Sharing::DontTouch => LogicDag::from_cube_list(width, cubes, sharing),
     }
-}
-
-/// Runs extraction for one window and returns both the factored form and
-/// the resulting DAG (the factored form drives Verilog emission).
-pub fn optimize_window_with_extraction(width: usize, cubes: &[Cube]) -> (Extraction, LogicDag) {
-    let ex = extract_divisors(cubes, ExtractOptions::budgeted());
-    let dag = LogicDag::from_extraction(width, &ex, Sharing::Enabled);
-    (ex, dag)
 }
 
 /// Computes [`WindowGateStats`] for every window of a model.
 pub fn gate_stats(model: &TrainedModel, window_bits: usize) -> Vec<WindowGateStats> {
-    window_cubes(model, window_bits)
-        .into_iter()
-        .enumerate()
-        .map(|(w, cubes)| {
-            let width = window_bits.min(model.num_features() - w * window_bits);
-            let naive: usize = cubes.iter().map(Cube::and2_cost).sum();
-            let hashed = LogicDag::from_cubes(width.max(1), &cubes, Sharing::Enabled).and2_count();
-            let ex = extract_divisors(&cubes, ExtractOptions::budgeted());
+    let arena = WindowLits::new(model, window_bits);
+    (0..arena.num_windows())
+        .map(|w| {
+            let (cubes, width) = (arena.window(w), arena.width(w));
+            let naive: usize = cubes.iter().map(|c| c.len().saturating_sub(1)).sum();
+            let hashed = LogicDag::from_cube_list(width, cubes, Sharing::Enabled).and2_count();
+            let factored = factor(cubes, ExtractOptions::budgeted());
             let extracted =
-                LogicDag::from_extraction(width.max(1), &ex, Sharing::Enabled).and2_count();
+                LogicDag::from_factored(width, cubes, &factored, Sharing::Enabled).and2_count();
             WindowGateStats {
                 window: w,
                 naive_and2: naive,
                 hashed_and2: hashed,
                 extracted_and2: extracted,
-                divisors: ex.divisors.len(),
+                divisors: factored.divisors.len(),
             }
         })
         .collect()
@@ -144,42 +275,10 @@ pub fn gate_stats(model: &TrainedModel, window_bits: usize) -> Vec<WindowGateSta
 /// prefixes are identical can share one register — this is where the
 /// slice-register savings of Fig 8 come from. Returns one count per window
 /// (DON'T TOUCH designs always hold `total_clauses` registers per window).
-///
-/// Linear in the model size: each clause carries a prefix-class id that is
-/// refined one 64-bit chunk at a time. Two clauses have equal prefixes
-/// through a chunk exactly when they had equal prefixes before it and
-/// their `pos`/`neg` words of that chunk are equal, so each chunk costs one
-/// hash insert per clause and no prefix is ever copied.
+/// Counted on the [`WindowLits`] listing
+/// ([`WindowLits::prefix_register_counts`]).
 pub fn prefix_register_counts(model: &TrainedModel, window_bits: usize) -> Vec<usize> {
-    assert!(window_bits > 0, "window width must be positive");
-    let n = model.num_features();
-    let windows = n.div_ceil(window_bits);
-    let masks: Vec<_> = model.iter_clauses().map(|(_, _, mask)| mask).collect();
-    let mut class = vec![0usize; masks.len()];
-    let mut ids: HashMap<(usize, u64, u64), usize> = HashMap::with_capacity(masks.len());
-    let mut counts = Vec::with_capacity(windows);
-    for w in 0..windows {
-        let end = ((w + 1) * window_bits).min(n);
-        // The class count after the window's last chunk is its register
-        // count.
-        let mut distinct = 0;
-        for start in (w * window_bits..end).step_by(64) {
-            let width = (end - start).min(64);
-            ids.clear();
-            for (id, mask) in class.iter_mut().zip(&masks) {
-                let key = (
-                    *id,
-                    mask.pos.extract_word(start, width),
-                    mask.neg.extract_word(start, width),
-                );
-                let next = ids.len();
-                *id = *ids.entry(key).or_insert(next);
-            }
-            distinct = ids.len();
-        }
-        counts.push(distinct);
-    }
-    counts
+    WindowLits::new(model, window_bits).prefix_register_counts()
 }
 
 #[cfg(test)]
@@ -344,21 +443,14 @@ mod tests {
 
     #[test]
     fn optimize_window_dont_touch_keeps_duplicates() {
-        let cubes = window_cubes(&model(), 4).remove(0);
-        let opt = optimize_window(4, &cubes, Sharing::Enabled);
-        let dt = optimize_window(4, &cubes, Sharing::DontTouch);
+        let lits = WindowLits::new(&model(), 4);
+        let opt = optimize_window(4, lits.window(0), Sharing::Enabled);
+        let dt = optimize_window(4, lits.window(0), Sharing::DontTouch);
         assert!(opt.and2_count() < dt.and2_count());
         // Functional equivalence between modes.
         for v in 0..16u32 {
             let input = BitVec::from_bools((0..4).map(|b| (v >> b) & 1 == 1));
             assert_eq!(opt.eval(&input), dt.eval(&input));
         }
-    }
-
-    #[test]
-    fn extraction_variant_returns_consistent_pair() {
-        let cubes = window_cubes(&model(), 4).remove(0);
-        let (ex, dag) = optimize_window_with_extraction(4, &cubes);
-        assert_eq!(ex.cubes.len(), dag.outputs().len());
     }
 }

@@ -1,7 +1,7 @@
 //! The compiled accelerator: the bit-true combinational content of every
 //! HCB plus the architectural shape, ready for cycle simulation.
 
-use matador_logic::cube::Cube;
+use matador_logic::cube::{Cube, CubeArena};
 use matador_logic::dag::{LogicDag, Sharing};
 use matador_logic::share::optimize_window;
 use std::sync::Arc;
@@ -69,7 +69,11 @@ impl CompiledAccelerator {
             .iter()
             .map(|cubes| {
                 assert_eq!(cubes.len(), shape.total_clauses(), "clause count mismatch");
-                optimize_window(shape.bus_width, cubes, sharing)
+                optimize_window(
+                    shape.bus_width,
+                    CubeArena::from_cubes(cubes).list(),
+                    sharing,
+                )
             })
             .collect();
         CompiledAccelerator { shape, windows }

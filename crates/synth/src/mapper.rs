@@ -106,8 +106,15 @@ impl fmt::Debug for Cut {
 pub struct MappedLut {
     /// The DAG node this LUT implements.
     pub root: NodeRef,
-    /// Fan-in nodes (≤ [`LUT_K`]).
-    pub leaves: Vec<NodeRef>,
+    /// The chosen cut, held inline: its leaves are the fan-in nodes.
+    cut: Cut,
+}
+
+impl MappedLut {
+    /// Fan-in nodes (≤ [`LUT_K`]), ascending.
+    pub fn leaves(&self) -> &[NodeRef] {
+        self.cut.leaves()
+    }
 }
 
 /// Result of mapping a [`LogicDag`] into K-input LUTs.
@@ -215,7 +222,7 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
                     lut_of[oi] = luts.len() as u32;
                     luts.push(MappedLut {
                         root: out,
-                        leaves: vec![out],
+                        cut: Cut::new(&[out], 0),
                     });
                     level_of[oi] = 1;
                 }
@@ -239,7 +246,7 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
         lut_of[ni] = luts.len() as u32;
         luts.push(MappedLut {
             root: NodeRef::from_index(ni),
-            leaves: cut.leaves().to_vec(),
+            cut: *cut,
         });
         for leaf in cut.leaves() {
             if matches!(nodes[leaf.index()], Node::And(_, _)) {
@@ -255,7 +262,7 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
             continue;
         };
         level_of[ni] = 1 + lut
-            .leaves
+            .leaves()
             .iter()
             .map(|l| level_of[l.index()])
             .max()

@@ -105,8 +105,8 @@ proptest! {
 
     #[test]
     fn netlist_matches_dag(model in arb_model(), seed_bits in arb_bitvec(8)) {
-        let cubes = matador_logic::share::window_cubes(&model, 8);
-        let dag = matador_logic::share::optimize_window(8, &cubes[0], Sharing::Enabled);
+        let lits = matador_logic::share::WindowLits::new(&model, 8);
+        let dag = matador_logic::share::optimize_window(8, lits.window(0), Sharing::Enabled);
         let nl = Netlist::from_dag("w", &dag);
         nl.validate().expect("generated netlists are valid");
         prop_assert_eq!(nl.eval(&seed_bits), dag.eval(&seed_bits));
