@@ -256,17 +256,28 @@ pub fn map_dag(dag: &LogicDag, k: usize) -> LutMapping {
     }
 
     // Phase 3: levelize mapped LUTs (topological by node index works since
-    // leaves have smaller indices than roots in this DAG construction).
+    // leaves have smaller indices than roots in this DAG construction). An
+    // output inverter's LUT1 keeps the level 1 phase 2 gave it, and a LUT
+    // that absorbs a `¬x` leaf reads the pin: that leaf sits at level 0.
     for ni in 0..nodes.len() {
+        if matches!(nodes[ni], Node::NotInput(_)) {
+            continue;
+        }
         let Some(lut) = luts.get(lut_of[ni] as usize) else {
             continue;
         };
         level_of[ni] = 1 + lut
             .leaves()
             .iter()
-            .map(|l| level_of[l.index()])
+            .map(|l| match nodes[l.index()] {
+                Node::And(_, _) => level_of[l.index()],
+                _ => 0,
+            })
             .max()
             .unwrap_or(0);
+        // The chosen cut is a minimum-depth one, so the mapped level is
+        // the node's depth label.
+        debug_assert_eq!(level_of[ni], label[ni], "node {ni}");
     }
     let depth = dag
         .outputs()
@@ -423,6 +434,19 @@ mod tests {
         let m = map_dag(&dag, 6);
         assert_eq!(m.lut_count(), 1);
         assert_eq!(m.output_cut_widths, vec![1]);
+    }
+
+    #[test]
+    fn output_inverter_is_one_lut_level() {
+        let not_x0 = Cube::from_lits([Lit::neg(0)]);
+        let dag = LogicDag::from_cubes(4, &[not_x0.clone()], Sharing::Enabled);
+        assert_eq!(map_dag(&dag, 6).depth, 1);
+        // A LUT that absorbs the output inverter's `¬x0` reads the pin.
+        let shared = Cube::from_lits([Lit::neg(0), Lit::pos(1)]);
+        let dag = LogicDag::from_cubes(4, &[not_x0, shared], Sharing::Enabled);
+        let m = map_dag(&dag, 6);
+        assert_eq!(m.lut_count(), 2);
+        assert_eq!(m.depth, 1);
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn small_designs_match_their_golden_flow() {
                         (139, 354, 4),
                         (127, 358, 7),
                     ],
-                    hcb_depth: 4,
+                    hcb_depth: 2,
                     prefix_registers: vec![177, 285, 331, 348, 354, 358],
                     implemented: (1915, 2542),
                     verification: report(108, 24, 144),
@@ -262,7 +262,7 @@ fn small_designs_match_their_golden_flow() {
                         (107, 360, 152),
                         (67, 360, 114),
                     ],
-                    hcb_depth: 4,
+                    hcb_depth: 2,
                     prefix_registers: vec![
                         88, 177, 242, 285, 311, 331, 344, 348, 352, 354, 355, 358,
                     ],
@@ -309,7 +309,7 @@ fn small_designs_match_their_golden_flow() {
                 },
                 Observed {
                     hcb_logic: vec![(16, 21, 0), (9, 35, 0), (9, 40, 0)],
-                    hcb_depth: 3,
+                    hcb_depth: 1,
                     prefix_registers: vec![21, 35, 40],
                     implemented: (613, 778),
                     verification: report(102, 20, 60),
@@ -337,7 +337,7 @@ fn small_designs_match_their_golden_flow() {
                 },
                 Observed {
                     hcb_logic: vec![(31, 40, 32), (19, 40, 28), (2, 40, 13)],
-                    hcb_depth: 3,
+                    hcb_depth: 1,
                     prefix_registers: vec![26, 39, 40],
                     implemented: (704, 781),
                     verification: report(306, 20, 60),
@@ -405,7 +405,7 @@ fn perfbench_mnist_design_matches_its_golden_flow() {
                     (355, 1934, 16),
                     (52, 1937, 0),
                 ],
-                hcb_depth: 5,
+                hcb_depth: 3,
                 prefix_registers: vec![
                     405, 787, 1070, 1338, 1528, 1662, 1762, 1813, 1850, 1890, 1914, 1934, 1937,
                 ],
