@@ -872,8 +872,14 @@ impl<'a> Front<'a> {
     /// Takes every reply delivered since the last call, in delivery
     /// order (per-tenant in-order; across tenants by virtual completion
     /// time, ties broken by shard then request id).
+    ///
+    /// The front keeps delivering into a fresh buffer with room for as
+    /// many replies as were taken, up to one lane block, so a driver that
+    /// takes after every flush never regrows it and a long backlog's
+    /// capacity leaves with the backlog.
     pub fn take_replies(&mut self) -> Vec<Reply> {
-        std::mem::take(&mut self.delivered)
+        let room = self.delivered.len().min(self.options.lane_block);
+        std::mem::replace(&mut self.delivered, Vec::with_capacity(room))
     }
 
     /// Takes every [`ShedNotice`] recorded since the last call, in shed
