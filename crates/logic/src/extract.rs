@@ -459,8 +459,11 @@ impl PairCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::{LogicDag, Sharing};
+    use crate::share::WindowLits;
     use std::collections::HashMap;
     use tsetlin::bits::BitVec;
+    use tsetlin::model::{IncludeMask, TrainedModel};
 
     type Pair = (Item, Item);
 
@@ -647,6 +650,84 @@ mod tests {
             }
             assert!(extracted > 0, "width {width} extracted nothing");
         }
+    }
+
+    /// A seeded model whose windows hold every cube shape the arena
+    /// path treats apart: empty, single-literal, `x ∧ ¬x` and duplicate
+    /// clauses among sparse random ones.
+    fn shaped_model(features: usize, clauses: usize, seed: u64) -> TrainedModel {
+        let mut next = rng(seed);
+        let mut masks: Vec<IncludeMask> = Vec::with_capacity(clauses);
+        for _ in 0..clauses {
+            let mut mask = IncludeMask::empty(features);
+            match next(6) {
+                0 => {}
+                1 => {
+                    let bit = next(features as u64) as usize;
+                    if next(2) == 0 {
+                        mask.pos.set(bit, true);
+                    } else {
+                        mask.neg.set(bit, true);
+                    }
+                }
+                2 if !masks.is_empty() => mask = masks[next(masks.len() as u64) as usize].clone(),
+                _ => {
+                    for bit in 0..features {
+                        if next(30) == 0 {
+                            mask.pos.set(bit, true);
+                        }
+                        if next(30) == 0 {
+                            mask.neg.set(bit, true);
+                        }
+                    }
+                }
+            }
+            if next(8) == 0 {
+                // x ∧ ¬x on one feature.
+                let bit = next(features as u64) as usize;
+                mask.pos.set(bit, true);
+                mask.neg.set(bit, true);
+            }
+            masks.push(mask);
+        }
+        TrainedModel::from_masks(features, 1, clauses, masks)
+    }
+
+    #[test]
+    fn arena_listing_and_extraction_match_the_references() {
+        let mut divisors = 0;
+        for (features, clauses, seed) in [(130, 90, 41), (391, 160, 42), (64, 200, 43)] {
+            let model = shaped_model(features, clauses, seed);
+            for w in [5, 64, 65, 130] {
+                let arena = WindowLits::new(&model, w);
+                assert_eq!(arena.num_windows(), features.div_ceil(w));
+                for k in 0..arena.num_windows() {
+                    let at = format!("features {features} seed {seed} W {w} window {k}");
+                    let list = arena.window(k);
+                    let cubes: Vec<Cube> = model
+                        .iter_clauses()
+                        .map(|(_, _, mask)| Cube::from_mask(&mask.window(k * w, w)))
+                        .collect();
+                    assert_eq!(list.to_cubes(), cubes, "{at}");
+                    assert_eq!(arena.width(k), w.min(features - k * w), "{at}");
+                    for options in [ExtractOptions::default(), ExtractOptions::budgeted()] {
+                        let reference = extract_divisors_reference(&cubes, options);
+                        let factored = factor(list, options);
+                        assert_eq!(factored.to_extraction(list), reference, "{at}");
+                        divisors += reference.divisors.len();
+                        assert_eq!(extract_divisors(&cubes, options), reference, "{at}");
+                        // The DAG read from the factored form is the one
+                        // built from the reference extraction.
+                        let width = arena.width(k);
+                        let got = LogicDag::from_factored(width, list, &factored, Sharing::Enabled);
+                        let want = LogicDag::from_extraction(width, &reference, Sharing::Enabled);
+                        assert_eq!(got.nodes(), want.nodes(), "{at}");
+                        assert_eq!(got.outputs(), want.outputs(), "{at}");
+                    }
+                }
+            }
+        }
+        assert!(divisors > 0, "no window shared a pair");
     }
 
     #[test]
