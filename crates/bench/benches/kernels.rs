@@ -1,18 +1,20 @@
 //! Criterion micro-benchmarks of every kernel behind the tables/figures:
 //! clause evaluation and TM training (Table I accuracy column), divisor
-//! extraction and LUT mapping (resource columns, Fig 8), the packetizer
+//! extraction, LUT mapping and whole design generation (resource
+//! columns, Fig 8), the packetizer
 //! (Fig 4), the cycle simulator (Fig 7, latency/throughput columns), the
 //! turbo evaluator on one- and four-word strips (the serving path) and
 //! the BNN baseline (Table I baseline rows).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use matador::{AcceleratorDesign, MatadorConfig};
 use matador_baselines::bnn::{QuantMlp, TrainConfig};
 use matador_baselines::topology::{Quantization, Topology};
 use matador_datasets::{generate, DatasetKind, SplitSizes};
 use matador_logic::cube::CubeArena;
 use matador_logic::dag::Sharing;
 use matador_logic::extract::{extract_divisors, ExtractOptions};
-use matador_logic::share::{optimize_window, window_cubes};
+use matador_logic::share::{optimize_window, window_cubes, WindowLits};
 use matador_sim::{AccelShape, CompiledAccelerator, SimEngine, TurboEngine, TurboProgram};
 use matador_synth::mapper::map_dag;
 use rand::rngs::SmallRng;
@@ -108,6 +110,35 @@ fn bench_logic(c: &mut Criterion) {
     let dag = optimize_window(64, arena.list(), Sharing::Enabled);
     c.bench_function("lut_map_window0_k6", |b| {
         b.iter(|| black_box(map_dag(&dag, 6)))
+    });
+
+    // The generation stages that read the whole model: the one arena
+    // listing, prefix-register counting over it, and all of
+    // `AcceleratorDesign::generate` on one thread (listing, counting,
+    // per-window extraction, DAG build and LUT mapping).
+    c.bench_function("window_lits_kws6_w64", |b| {
+        b.iter(|| black_box(WindowLits::new(&model, 64)))
+    });
+    let lits = WindowLits::new(&model, 64);
+    c.bench_function("prefix_register_counts_kws6_w64", |b| {
+        b.iter(|| black_box(lits.prefix_register_counts()))
+    });
+    let config = MatadorConfig::builder()
+        .bus_width(64)
+        .build()
+        .expect("valid config");
+    c.bench_function("design_generate_kws6_1thread", |b| {
+        b.iter_batched(
+            || model.clone(),
+            |model| {
+                black_box(AcceleratorDesign::generate_with_threads(
+                    model,
+                    config.clone(),
+                    1,
+                ))
+            },
+            BatchSize::SmallInput,
+        )
     });
 }
 
