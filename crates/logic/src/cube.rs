@@ -200,7 +200,7 @@ pub fn contradictory(lits: &[Lit]) -> bool {
 /// (from 0 for the first), each in canonical order. This is how the
 /// generation flow hands a window to the optimizer: one borrowed arena,
 /// no vector per cube (see [`crate::share::WindowLits`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CubeList<'a> {
     lits: &'a [Lit],
     ends: &'a [u32],
@@ -236,21 +236,6 @@ impl<'a> CubeList<'a> {
         self.ends.is_empty()
     }
 
-    /// Literals over all cubes.
-    pub fn lit_count(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// Cube `c`'s literals, ascending by code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    pub fn cube(&self, c: usize) -> &'a [Lit] {
-        let start = c.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        &self.lits[start..self.ends[c] as usize]
-    }
-
     /// Every cube's literals, in list order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [Lit]> + 'a {
         let lits = self.lits;
@@ -273,7 +258,7 @@ impl<'a> CubeList<'a> {
 /// An owned [`CubeList`]: the literals of `cubes` packed back to back.
 /// Lets a caller holding [`Cube`] values reach the list-based entry
 /// points ([`crate::share::optimize_window`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CubeArena {
     lits: Vec<Lit>,
     ends: Vec<u32>,

@@ -71,7 +71,7 @@ impl WindowGateStats {
 /// assert_eq!(lits.window(0).to_cubes()[0].to_string(), "x1");
 /// assert_eq!(lits.window(1).to_cubes()[0].to_string(), "~x1");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct WindowLits {
     window_bits: usize,
     features: usize,
