@@ -183,7 +183,7 @@ pub fn extract_divisors(cubes: &[Cube], options: ExtractOptions) -> Extraction {
 /// The factored form [`factor`] builds: dense item ids, as
 /// [`extract_divisors`] numbers them, over the cubes of two or more
 /// literals.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Factored {
     /// The literal of each literal id, ascending by code; ids from
     /// `lits.len()` up are the divisors, in extraction order.

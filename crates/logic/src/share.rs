@@ -143,11 +143,6 @@ impl WindowLits {
         self.starts.len() - 1
     }
 
-    /// Cubes per window: the model's clause count.
-    pub fn clauses(&self) -> usize {
-        self.clauses
-    }
-
     /// Features in window `w`: the window width, or fewer in the last.
     ///
     /// # Panics

@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn output_inverter_is_one_lut_level() {
         let not_x0 = Cube::from_lits([Lit::neg(0)]);
-        let dag = LogicDag::from_cubes(4, &[not_x0.clone()], Sharing::Enabled);
+        let dag = LogicDag::from_cubes(4, std::slice::from_ref(&not_x0), Sharing::Enabled);
         assert_eq!(map_dag(&dag, 6).depth, 1);
         // A LUT that absorbs the output inverter's `¬x0` reads the pin.
         let shared = Cube::from_lits([Lit::neg(0), Lit::pos(1)]);
